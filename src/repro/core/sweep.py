@@ -739,12 +739,19 @@ def _characterization_sweep_body(
             # One in-process chunk per (vdd, vbb) group: the sweep-level
             # reuse lives inside a group, so chunking changes no numbers,
             # and the per-group store flush makes serial runs exactly as
-            # crash-consistent as sharded ones.
+            # crash-consistent as sharded ones.  The groups are consumed
+            # from one lazy sweep, so the stimulus is resolved once; ``zip``
+            # draws from ``group`` first and so never takes a measurement
+            # of the next group.
             groups: dict[tuple[float, float], list[OperatingTriad]] = {}
             for triad in missing:
                 groups.setdefault((triad.vdd, triad.vbb), []).append(triad)
+            measurements = bench.iter_sweep(
+                in1_arr,
+                in2_arr,
+                [triad for group in groups.values() for triad in group],
+            )
             for group in groups.values():
-                measurements = bench.run_sweep(in1_arr, in2_arr, group)
                 group_payloads = []
                 for triad, measurement in zip(group, measurements):
                     payload = measurement_to_payload(

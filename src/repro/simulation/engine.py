@@ -13,8 +13,8 @@ so that:
   **bit-packed** ``uint64`` words (64 vectors per element) -- the packed mode
   is what makes zero-delay golden simulation ~2 orders of magnitude cheaper,
 * the data-dependent arrival-time propagation of the VOS timing simulator
-  runs group-at-a-time over ``(gates, vectors)`` blocks instead of gate by
-  gate,
+  runs group-at-a-time over gathered ``(gates, vectors)`` blocks for small
+  batches and gate by gate, in place, for large ones,
 * per-netlist metadata (capacitive net loads, level structure) and the
   per-operating-point timing annotation are computed once and shared by
   every simulation that follows.
@@ -208,10 +208,11 @@ _SINGLE_GATE_KERNELS = {
 }
 
 
-#: Per-net payload (elements) above which a multi-gate group switches from
+#: Per-net payload (elements) from which a multi-gate group switches from
 #: one gathered vectorised call to per-gate in-place kernels: the gather and
 #: scatter copies grow with the payload while the per-gate call overhead is
-#: constant, so big batches favour the copy-free kernels.
+#: constant, so big batches favour the copy-free kernels.  Shared by the
+#: logic evaluation and the arrival-time recurrence.
 _GROUP_LOOP_THRESHOLD = 2048
 
 
@@ -309,6 +310,17 @@ class CompiledNetlistPlan:
             )
         self._groups = tuple(groups)
         self._program = tuple(_compile_group_step(group) for group in groups)
+        # (input nets, output net, topological index) of every gate, in
+        # schedule order: the per-gate regime of the arrival recurrence.
+        self._arrival_gates = tuple(
+            (
+                tuple(int(net) for net in group.input_nets[:, j]),
+                int(group.output_nets[j]),
+                int(group.topo_indices[j]),
+            )
+            for group in groups
+            for j in range(group.output_nets.size)
+        )
         self._net_count = netlist.net_count
         self._gate_count = len(topo)
         self._gate_output_nets = np.array(
@@ -424,18 +436,11 @@ class CompiledNetlistPlan:
 
         A net that does not toggle has arrival 0; a toggling net settles one
         gate delay after its latest *toggling* input -- the same recurrence as
-        the legacy per-gate loop, evaluated one group at a time.
+        the legacy per-gate loop.  This is the one-instance case of
+        :meth:`batched_arrival_pass`.
         """
-        arrival = np.zeros(changed.shape, dtype=float)
-        for group in self._groups:
-            gathered = arrival[group.input_nets]
-            contribution = np.where(changed[group.input_nets], gathered, 0.0)
-            input_arrival = contribution.max(axis=0)
-            delays = gate_delays[group.topo_indices][:, None]
-            arrival[group.output_nets] = np.where(
-                changed[group.output_nets], input_arrival + delays, 0.0
-            )
-        return arrival
+        delays = np.asarray(gate_delays, dtype=float)[None, :]
+        return self.batched_arrival_pass(changed, delays)[:, 0, :]
 
     def batched_arrival_pass(
         self, changed: np.ndarray, gate_delay_matrix: np.ndarray
@@ -443,10 +448,26 @@ class CompiledNetlistPlan:
         """Arrival times for a *batch* of per-gate delay assignments.
 
         The Monte Carlo variation subsystem evaluates many sampled delay
-        instances of one netlist against one toggle mask; this pass lowers
-        the instance axis through the same group-at-a-time recurrence as
-        :meth:`arrival_pass` so a whole batch costs one schedule walk, not a
-        Python loop over instances.
+        instances of one netlist against one toggle mask; the instance axis
+        rides along every row, so a whole batch costs one schedule walk, not
+        a Python loop over instances.
+
+        Every arrival row is 0 wherever its net did not toggle (the array
+        starts zeroed and each output row is zeroed where quiet), so a
+        gate's input arrival is simply the maximum of its input rows -- no
+        input-side toggle mask is needed.  The recurrence runs in one of two
+        regimes, split by :data:`_GROUP_LOOP_THRESHOLD` on the payload of a
+        net row (``n_instances * n_vectors`` elements):
+
+        * below it, each group is evaluated at once on gathered
+          ``(arity, gates, instances, vectors)`` blocks;
+        * at or above it, gate by gate in place: the maximum of the input
+          rows is written straight into the output row, the gate delay is
+          added in place and the quiet elements are zeroed by multiplying
+          with the toggle mask, so no group-sized temporaries are built.
+
+        Both regimes perform the same float operations (an exact maximum,
+        one addition), so they agree bit for bit.
 
         Parameters
         ----------
@@ -455,13 +476,11 @@ class CompiledNetlistPlan:
             variation-independent (delays never change logic values).
         gate_delay_matrix:
             Per-instance per-gate delays in seconds, shape
-            ``(n_instances, gate_count)``.
+            ``(n_instances, gate_count)``; finite and non-negative.
 
         Returns
         -------
-        Arrival times of shape ``(net_count, n_instances, n_vectors)``.  For
-        a single all-nominal instance the result is bit-identical with
-        :meth:`arrival_pass` (same operations in the same order).
+        Arrival times of shape ``(net_count, n_instances, n_vectors)``.
         """
         delays = np.asarray(gate_delay_matrix, dtype=float)
         if delays.ndim != 2 or delays.shape[1] != self._gate_count:
@@ -469,21 +488,36 @@ class CompiledNetlistPlan:
                 "gate_delay_matrix must have shape (n_instances, "
                 f"{self._gate_count}); got {delays.shape}"
             )
+        if not np.all(np.isfinite(delays) & (delays >= 0.0)):
+            raise ValueError("gate delays must be finite and non-negative")
         n_instances = delays.shape[0]
         arrival = np.zeros(
             (changed.shape[0], n_instances, changed.shape[1]), dtype=float
         )
-        for group in self._groups:
-            gathered = arrival[group.input_nets]
-            mask = changed[group.input_nets][:, :, None, :]
-            contribution = np.where(mask, gathered, 0.0)
-            input_arrival = contribution.max(axis=0)
-            group_delays = delays[:, group.topo_indices].T[:, :, None]
-            arrival[group.output_nets] = np.where(
-                changed[group.output_nets][:, None, :],
-                input_arrival + group_delays,
-                0.0,
-            )
+        if n_instances * changed.shape[1] >= _GROUP_LOOP_THRESHOLD:
+            # (gate_count, n_instances, 1): one delay column per gate.
+            columns = np.ascontiguousarray(delays.T)[:, :, None]
+            for pins, output, index in self._arrival_gates:
+                row = arrival[output]
+                if len(pins) == 1:
+                    np.copyto(row, arrival[pins[0]])
+                else:
+                    np.maximum(arrival[pins[0]], arrival[pins[1]], out=row)
+                    for pin in pins[2:]:
+                        np.maximum(row, arrival[pin], out=row)
+                row += columns[index]
+                # Delays are finite and non-negative, so multiplying by the
+                # toggle mask is exact: x * 1.0 == x and x * 0.0 == +0.0.
+                np.multiply(row, changed[output], out=row)
+        else:
+            for group in self._groups:
+                input_arrival = arrival[group.input_nets].max(axis=0)
+                group_delays = delays[:, group.topo_indices].T[:, :, None]
+                arrival[group.output_nets] = np.where(
+                    changed[group.output_nets][:, None, :],
+                    input_arrival + group_delays,
+                    0.0,
+                )
         return arrival
 
     def static_arrival_pass(self, gate_delays: np.ndarray) -> np.ndarray:

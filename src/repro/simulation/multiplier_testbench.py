@@ -15,7 +15,7 @@ sweep orchestrator shards multiplier grids exactly like adder grids.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -119,6 +119,20 @@ class MultiplierTestbench:
         the simulator additionally reuses settled bits per pattern set and
         arrival times per ``(vdd, vbb)`` pair, exactly like the adder sweep.
         """
+        return list(
+            self.iter_sweep(in1, in2, triads, use_reference=use_reference)
+        )
+
+    def iter_sweep(
+        self,
+        in1: np.ndarray,
+        in2: np.ndarray,
+        triads: Iterable,
+        *,
+        use_reference: bool = False,
+    ) -> Iterator[TriadMeasurement]:
+        """:meth:`run_sweep`, yielding each measurement as it is computed
+        (see :meth:`repro.simulation.testbench.AdderTestbench.iter_sweep`)."""
         in1_arr = np.asarray(in1, dtype=np.int64)
         in2_arr = np.asarray(in2, dtype=np.int64)
         if in1_arr.shape != in2_arr.shape:

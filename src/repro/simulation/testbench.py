@@ -11,7 +11,7 @@ bit-wise error probability, energy efficiency).
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -155,9 +155,27 @@ class AdderTestbench:
         ``vbb`` attributes (e.g. :class:`repro.core.triad.OperatingTriad`).
         Everything that does not depend on the triad is computed once for the
         whole sweep: the operand-to-port binding, the golden sum and its bit
-        matrix, and -- inside the simulator -- the settled bits and the
-        per-``(vdd, vbb)`` arrival times, so a triad differing only in
-        ``tclk`` costs one latch comparison.
+        matrix, and -- inside the simulator -- the resolved stimulus, the
+        settled bits and the per-``(vdd, vbb)`` arrival times, so a triad
+        differing only in ``tclk`` costs one latch comparison.
+        """
+        return list(
+            self.iter_sweep(in1, in2, triads, use_reference=use_reference)
+        )
+
+    def iter_sweep(
+        self,
+        in1: np.ndarray,
+        in2: np.ndarray,
+        triads: Iterable,
+        *,
+        use_reference: bool = False,
+    ) -> Iterator[TriadMeasurement]:
+        """:meth:`run_sweep`, yielding each measurement as it is computed.
+
+        The operands are checked and bound on the call; the measurements
+        follow as the iterator is consumed, so a caller can store them in
+        batches while the whole stream shares one resolved stimulus.
         """
         in1_arr = np.asarray(in1, dtype=np.int64)
         in2_arr = np.asarray(in2, dtype=np.int64)
@@ -242,25 +260,30 @@ def sweep_measurements(
     triads: Iterable,
     *,
     use_reference: bool = False,
-) -> list[TriadMeasurement]:
-    """Run one operand stream under every triad of a sweep.
+) -> Iterator[TriadMeasurement]:
+    """Run one operand stream under every triad of a sweep, lazily.
 
     The triad-independent state (port binding, golden words and bit matrix)
     is taken pre-computed; the simulator adds its own sweep-level reuse
-    (settled bits per pattern set, arrivals per ``(vdd, vbb)``).  Shared by
-    the adder and multiplier testbenches.
+    (the stimulus resolved once per sweep, settled bits per pattern set,
+    arrivals per ``(vdd, vbb)``).  Shared by the adder and multiplier
+    testbenches.
     """
-    simulate = simulator.run_reference if use_reference else simulator.run
-    measurements = []
-    for triad in triads:
-        result = simulate(assignment, tclk=triad.tclk, vdd=triad.vdd, vbb=triad.vbb)
-        measurements.append(
-            measurement_from_result(
-                name, in1, in2, result, triad.tclk, triad.vdd, triad.vbb,
-                exact, exact_bits,
+    triads = list(triads)
+    if use_reference:
+        results = (
+            simulator.run_reference(
+                assignment, tclk=triad.tclk, vdd=triad.vdd, vbb=triad.vbb
             )
+            for triad in triads
         )
-    return measurements
+    else:
+        results = simulator.run_sweep(assignment, triads)
+    for triad, result in zip(triads, results):
+        yield measurement_from_result(
+            name, in1, in2, result, triad.tclk, triad.vdd, triad.vbb,
+            exact, exact_bits,
+        )
 
 
 def _exact_bits(values: np.ndarray, width: int) -> np.ndarray:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from collections import OrderedDict
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -341,8 +341,34 @@ class VosTimingSimulator:
         """
         if tclk <= 0:
             raise ValueError("tclk must be positive")
+        return self._latch(self._stimulus(inputs, previous_inputs), tclk, vdd, vbb)
+
+    def run_sweep(
+        self,
+        inputs: Mapping[str, np.ndarray],
+        triads: Iterable,
+        previous_inputs: Mapping[str, np.ndarray] | None = None,
+    ) -> Iterator[VosSimulationResult]:
+        """:meth:`run` under every triad of a sweep, one result at a time.
+
+        ``triads`` is any iterable of objects with ``tclk`` / ``vdd`` /
+        ``vbb`` attributes.  The stimulus is bound and fingerprinted once
+        for the whole sweep instead of once per triad; each result is
+        identical with the corresponding :meth:`run` call.
+        """
+        stimulus = None
+        for triad in triads:
+            if triad.tclk <= 0:
+                raise ValueError("tclk must be positive")
+            if stimulus is None:
+                stimulus = self._stimulus(inputs, previous_inputs)
+            yield self._latch(stimulus, triad.tclk, triad.vdd, triad.vbb)
+
+    def _latch(
+        self, stimulus: _StimulusRecord, tclk: float, vdd: float, vbb: float
+    ) -> VosSimulationResult:
+        """Latch the outputs of a resolved stimulus under one triad."""
         annotation = self.annotation(vdd, vbb)
-        stimulus = self._stimulus(inputs, previous_inputs)
         timing = self._timing(stimulus, vdd, vbb, annotation)
 
         on_time = timing.arrival_bits <= tclk

@@ -237,6 +237,29 @@ class TestCharacterizationSweep:
         )
         assert bumped_store.stats.hits == 0
 
+    def test_serial_sweep_resolves_the_stimulus_once(
+        self, tmp_path, small_grid, small_pattern, monkeypatch
+    ):
+        """Every (vdd, vbb) group shares one bound, fingerprinted stimulus."""
+        from repro.simulation import timing_sim
+
+        calls = []
+        original = timing_sim._pattern_fingerprint
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(timing_sim, "_pattern_fingerprint", counting)
+        adder = build_adder("rca", 8)
+        in1, in2 = generate_patterns(small_pattern)
+        store = SweepResultStore(tmp_path)
+        run_characterization_sweep(
+            adder, small_grid, in1, in2, pattern_stimulus(small_pattern), store=store
+        )
+        assert store.stats.stores == len(small_grid)  # flushed group by group
+        assert len(calls) == 1
+
     def test_rejects_non_positive_jobs(self, small_grid, small_pattern):
         adder = build_adder("rca", 8)
         in1, in2 = generate_patterns(small_pattern)
@@ -277,8 +300,8 @@ class TestWarmCacheFig4:
         """Acceptance: a warm-cache Fig. 4 sweep runs no timing simulation.
 
         The warm run must (a) produce bit-identical results, (b) never enter
-        ``VosTimingSimulator.run`` / ``run_reference``, and (c) finish at
-        least 5x faster than the cold run.
+        ``VosTimingSimulator.run`` / ``run_sweep`` / ``run_reference``, and
+        (c) finish at least 5x faster than the cold run.
         """
         import time
 
@@ -301,6 +324,7 @@ class TestWarmCacheFig4:
             raise AssertionError("warm run must not simulate")
 
         monkeypatch.setattr(VosTimingSimulator, "run", _forbidden)
+        monkeypatch.setattr(VosTimingSimulator, "run_sweep", _forbidden)
         monkeypatch.setattr(VosTimingSimulator, "run_reference", _forbidden)
         # Best of three warm runs: the cache property under test is
         # deterministic, so de-noise the wall clock against CI load spikes.

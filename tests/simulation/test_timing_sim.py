@@ -166,3 +166,67 @@ class TestEnergyVoltageScaling:
         # The last sum XOR drives only the output register; its delay must
         # still be positive and below the carry-chain gates driving many pins.
         assert np.all(annotation.gate_delays > 0)
+
+
+class TestRunSweep:
+    def _triads(self):
+        from repro.core.triad import OperatingTriad
+
+        return [
+            OperatingTriad(tclk=tclk, vdd=vdd, vbb=vbb)
+            for tclk, vdd, vbb in (
+                (0.3e-9, 1.0, 0.0),
+                (0.6e-9, 1.0, 0.0),
+                (0.6e-9, 0.6, 2.0),
+            )
+        ]
+
+    def test_results_identical_with_run(self, rca8, operands):
+        assignment = rca8.input_assignment(*operands)
+        triads = self._triads()
+        swept = list(
+            VosTimingSimulator(
+                rca8.netlist, output_ports=rca8.output_ports()
+            ).run_sweep(assignment, triads)
+        )
+        simulator = VosTimingSimulator(rca8.netlist, output_ports=rca8.output_ports())
+        assert len(swept) == len(triads)
+        for triad, result in zip(triads, swept):
+            single = simulator.run(
+                assignment, tclk=triad.tclk, vdd=triad.vdd, vbb=triad.vbb
+            )
+            for field in (
+                "latched_bits",
+                "settled_bits",
+                "arrival_times",
+                "dynamic_energy",
+                "static_energy",
+            ):
+                assert np.array_equal(getattr(result, field), getattr(single, field))
+            assert result.tclk == single.tclk
+
+    def test_stimulus_fingerprinted_once_per_sweep(self, rca8, operands, monkeypatch):
+        from repro.simulation import timing_sim
+
+        calls = []
+        original = timing_sim._pattern_fingerprint
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(timing_sim, "_pattern_fingerprint", counting)
+        simulator = VosTimingSimulator(rca8.netlist, output_ports=rca8.output_ports())
+        results = list(
+            simulator.run_sweep(rca8.input_assignment(*operands), self._triads())
+        )
+        assert len(results) == 3
+        assert len(calls) == 1
+
+    def test_invalid_tclk_rejected(self, rca8, rca8_simulator):
+        from types import SimpleNamespace
+
+        assignment = rca8.input_assignment(np.array([1]), np.array([1]))
+        triad = SimpleNamespace(tclk=0.0, vdd=1.0, vbb=0.0)
+        with pytest.raises(ValueError, match="tclk must be positive"):
+            list(rca8_simulator.run_sweep(assignment, [triad]))
