@@ -62,7 +62,6 @@ def fig5_ber_per_bit(
     flow: CharacterizationFlow | None = None,
     policy: ExecutionPolicy | None = None,
     report: ExecutionReport | None = None,
-    shm: bool | None = None,
 ) -> list[Fig5Series]:
     """Reproduce Fig. 5: BER distribution over output bits under Vdd scaling.
 
@@ -95,7 +94,6 @@ def fig5_ber_per_bit(
         store=store,
         policy=policy,
         report=report,
-        shm=shm,
     )
     return [
         Fig5Series(

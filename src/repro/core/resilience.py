@@ -331,7 +331,6 @@ def run_shards(
     on_result: Callable[[Any, list[Any]], None] | None = None,
     chaos: "chaos_hooks.ChaosPlan | None" = None,
     report: ExecutionReport | None = None,
-    cleanup: Callable[[], None] | None = None,
 ) -> list[list[Any]]:
     """Execute shard tasks fault-tolerantly; return per-task unit lists.
 
@@ -372,14 +371,6 @@ def run_shards(
     report:
         Optional report to accumulate into (a fresh one is used otherwise);
         counters are added, so one report can span several runs.
-    cleanup:
-        Called exactly once when the run is over -- success, failure, or
-        interrupt -- after the pool is gone and the serial fallback has
-        finished, i.e. after the last point where a worker or this process
-        could still be using run-scoped resources.  The sweep orchestrators
-        release their shared-memory stimulus segment here
-        (:meth:`~repro.core.shm.SharedArrayBundle.unlink`).  Exceptions it
-        raises are swallowed: cleanup must never mask the run's outcome.
 
     Returns
     -------
@@ -396,33 +387,23 @@ def run_shards(
         shards completed before the interrupt have already been delivered
         through ``on_result``.
     """
-    try:
-        with span(
-            "dispatch",
-            shards=len(tasks),
-            workers=max_workers if max_workers is not None else len(tasks),
-        ):
-            return _run_shards(
-                tasks,
-                worker,
-                policy=policy,
-                max_workers=max_workers,
-                units=units,
-                split=split,
-                validate=validate,
-                on_result=on_result,
-                chaos=chaos,
-                report=report,
-            )
-    finally:
-        if cleanup is not None:
-            try:
-                cleanup()
-            except Exception:
-                # The run's results are already merged; a cleanup failure
-                # (e.g. shm unlink) must not destroy them, but it leaks a
-                # resource, so it is counted rather than silently dropped.
-                metrics.REGISTRY.counter("resilience.cleanup_errors").add()
+    with span(
+        "dispatch",
+        shards=len(tasks),
+        workers=max_workers if max_workers is not None else len(tasks),
+    ):
+        return _run_shards(
+            tasks,
+            worker,
+            policy=policy,
+            max_workers=max_workers,
+            units=units,
+            split=split,
+            validate=validate,
+            on_result=on_result,
+            chaos=chaos,
+            report=report,
+        )
 
 
 def _run_shards(
@@ -438,7 +419,7 @@ def _run_shards(
     chaos: "chaos_hooks.ChaosPlan | None",
     report: ExecutionReport | None,
 ) -> list[list[Any]]:
-    """Engine body of :func:`run_shards`; cleanup is the wrapper's job."""
+    """Engine body of :func:`run_shards` under its ``dispatch`` span."""
     tasks = list(tasks)
     if policy is None:
         policy = DEFAULT_POLICY

@@ -14,9 +14,7 @@ triad cheap; this module makes the *grid* scale:
   (``jobs`` workers).  Workers rebuild the circuit from its generator name;
   the parent verifies the rebuilt netlist fingerprint matches before
   dispatching, and falls back to in-process execution for circuits the
-  registry cannot reproduce.  The operand streams travel through one
-  shared-memory segment (:mod:`repro.core.shm`) rather than being pickled
-  into every shard, with a transparent inline fallback (``REPRO_SHM=0``).
+  registry cannot reproduce.  Shard tasks pickle the operand arrays.
 * **Result store.**  Each triad's summary is a pure function of (circuit,
   stimulus, triad, library, engine version); completed entries are persisted
   in a content-addressed :class:`~repro.core.store.SweepResultStore`, so
@@ -54,7 +52,6 @@ from repro.circuits.multipliers import MultiplierCircuit, array_multiplier
 from repro.circuits.signals import int_to_bits
 from repro.core.metrics import mean_squared_error
 from repro.core.resilience import ExecutionPolicy, ExecutionReport, run_shards
-from repro.core.shm import SharedArrayRef, share_arrays
 from repro.core.store import (
     SweepResultStore,
     decode_int64_array,
@@ -380,7 +377,8 @@ def shard_triads(
 class _CharacterizationShard:
     spec: CircuitSpec
     library: StandardCellLibrary
-    stimulus: SharedArrayRef
+    in1: np.ndarray
+    in2: np.ndarray
     triads: tuple[tuple[float, float, float], ...]
     keep_latched: bool
     trace: TraceContext | None = None
@@ -392,9 +390,8 @@ def _run_characterization_shard(task: _CharacterizationShard) -> list[dict[str, 
     ):
         circuit = task.spec.build()
         testbench = _make_testbench(circuit, task.library)
-        operands = task.stimulus.load()
         triads = [OperatingTriad(tclk=t, vdd=v, vbb=b) for t, v, b in task.triads]
-        measurements = testbench.run_sweep(operands["in1"], operands["in2"], triads)
+        measurements = testbench.run_sweep(task.in1, task.in2, triads)
         return [
             measurement_to_payload(m, circuit.output_width, task.keep_latched)
             for m in measurements
@@ -404,7 +401,8 @@ def _run_characterization_shard(task: _CharacterizationShard) -> list[dict[str, 
 @dataclasses.dataclass(frozen=True)
 class _FaultShard:
     spec: CircuitSpec
-    stimulus: SharedArrayRef
+    in1: np.ndarray
+    in2: np.ndarray
     faults: tuple[tuple[int, bool], ...]
     trace: TraceContext | None = None
 
@@ -417,8 +415,7 @@ def _run_fault_shard(task: _FaultShard) -> list[dict[str, Any]]:
         simulator = StuckAtFaultSimulator(
             circuit.netlist, output_ports=circuit.output_ports()
         )
-        operands = task.stimulus.load()
-        assignment = circuit.input_assignment(operands["in1"], operands["in2"])
+        assignment = circuit.input_assignment(task.in1, task.in2)
         faults = [
             StuckAtFault(net=net, stuck_value=value) for net, value in task.faults
         ]
@@ -571,7 +568,6 @@ def run_characterization_sweep(
     policy: ExecutionPolicy | None = None,
     chaos: ChaosPlan | None = None,
     report: ExecutionReport | None = None,
-    shm: bool | None = None,
 ) -> list[dict[str, Any]]:
     """Characterize a circuit over a triad grid, sharded, cached, resilient.
 
@@ -610,12 +606,6 @@ def run_characterization_sweep(
     report:
         Optional :class:`~repro.core.resilience.ExecutionReport` to
         accumulate recovery accounting into.
-    shm:
-        Whether worker processes receive the operand streams through a
-        shared-memory segment (:mod:`repro.core.shm`) instead of pickling
-        them into every shard.  ``None`` (the default) follows the
-        ``REPRO_SHM`` environment variable; results are byte-identical
-        either way.
 
     Returns
     -------
@@ -638,7 +628,6 @@ def run_characterization_sweep(
             policy=policy,
             chaos=chaos,
             report=report,
-            shm=shm,
             sweep_span=sweep_span,
         )
 
@@ -658,7 +647,6 @@ def _characterization_sweep_body(
     policy: ExecutionPolicy | None,
     chaos: ChaosPlan | None,
     report: ExecutionReport | None,
-    shm: bool | None,
     sweep_span: Any,
 ) -> list[dict[str, Any]]:
     """Body of :func:`run_characterization_sweep` under its ``sweep`` span."""
@@ -693,13 +681,13 @@ def _characterization_sweep_body(
         spec = _verified_spec(circuit, fingerprint) if jobs > 1 else None
         shards = shard_triads(missing, jobs if spec is not None else 1)
         if spec is not None and len(shards) > 1:
-            bundle = share_arrays({"in1": in1_arr, "in2": in2_arr}, enabled=shm)
             trace_context = current_context()
             tasks = [
                 _CharacterizationShard(
                     spec=spec,
                     library=library,
-                    stimulus=bundle.ref,
+                    in1=in1_arr,
+                    in2=in2_arr,
                     triads=tuple((t.tclk, t.vdd, t.vbb) for t in shard),
                     keep_latched=keep_latched,
                     trace=trace_context,
@@ -729,7 +717,6 @@ def _characterization_sweep_body(
                 on_result=flush,
                 chaos=chaos,
                 report=report,
-                cleanup=bundle.unlink,
             )
             for shard, shard_result in zip(shards, shard_payloads):
                 for triad, payload in zip(shard, shard_result):
@@ -779,7 +766,6 @@ def run_fault_sweep(
     policy: ExecutionPolicy | None = None,
     chaos: ChaosPlan | None = None,
     report: ExecutionReport | None = None,
-    shm: bool | None = None,
 ) -> list[FaultSimulationResult]:
     """Run a stuck-at fault campaign, sharded over fault sites and cached.
 
@@ -790,7 +776,7 @@ def run_fault_sweep(
     fault, engine version) -- the cell library does not enter the key because
     stuck-at simulation is purely functional.
 
-    ``policy`` / ``chaos`` / ``report`` / ``shm`` configure and account the
+    ``policy`` / ``chaos`` / ``report`` configure and account the
     fault-tolerant shard engine exactly as in
     :func:`run_characterization_sweep`; completed shards (and, in-process,
     fixed-size fault blocks) flush to the store immediately.
@@ -809,7 +795,6 @@ def run_fault_sweep(
             policy=policy,
             chaos=chaos,
             report=report,
-            shm=shm,
             sweep_span=sweep_span,
         )
 
@@ -826,7 +811,6 @@ def _fault_sweep_body(
     policy: ExecutionPolicy | None,
     chaos: ChaosPlan | None,
     report: ExecutionReport | None,
-    shm: bool | None,
     sweep_span: Any,
 ) -> list[FaultSimulationResult]:
     """Body of :func:`run_fault_sweep` under its ``sweep`` span."""
@@ -891,12 +875,12 @@ def _fault_sweep_body(
             for i in missing_indices
         }
         if spec is not None and len(chunks) > 1:
-            bundle = share_arrays({"in1": in1_arr, "in2": in2_arr}, enabled=shm)
             trace_context = current_context()
             tasks = [
                 _FaultShard(
                     spec=spec,
-                    stimulus=bundle.ref,
+                    in1=in1_arr,
+                    in2=in2_arr,
                     faults=tuple(
                         (fault_list[i].net, bool(fault_list[i].stuck_value))
                         for i in chunk
@@ -926,7 +910,6 @@ def _fault_sweep_body(
                 on_result=flush,
                 chaos=chaos,
                 report=report,
-                cleanup=bundle.unlink,
             )
             for chunk, chunk_result in zip(chunks, chunk_payloads):
                 for index, payload in zip(chunk, chunk_result):

@@ -160,10 +160,6 @@ class CandidateEvaluator:
     policy / report:
         Optional fault-tolerance policy and accounting report threaded
         through every sharded sweep (see :mod:`repro.core.resilience`).
-    shm:
-        Whether sharded sweeps pass the stimulus through shared memory
-        (see :mod:`repro.core.shm`).  ``None`` (the default) follows the
-        ``REPRO_SHM`` environment variable.
     """
 
     def __init__(
@@ -179,8 +175,7 @@ class CandidateEvaluator:
         robust_quantile: float = 0.95,
         policy: ExecutionPolicy | None = None,
         report: ExecutionReport | None = None,
-        shm: bool | None = None,
-    ) -> None:
+        ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if not 0.0 <= robust_quantile <= 1.0:
@@ -191,7 +186,6 @@ class CandidateEvaluator:
         self._store = store
         self._policy = policy
         self._report = report
-        self._shm = shm
         self._pattern_kind = pattern_kind
         self._seed = seed
         self._sta_margin = sta_margin
@@ -259,7 +253,6 @@ class CandidateEvaluator:
             store=self._store,
             policy=self._policy,
             report=self._report,
-            shm=self._shm,
         )
         robust = self._robust_scores(flow, grid, config)
         tag = (
@@ -321,7 +314,6 @@ class CandidateEvaluator:
             store=self._store,
             policy=self._policy,
             report=self._report,
-            shm=self._shm,
         )
         return {
             result.triad: (

@@ -3,7 +3,7 @@
 A dependency-free, single-pass static analyzer whose rules encode the
 invariants the codebase's guarantees rest on -- determinism (seeded RNG,
 clock seam, ordered iteration, sorted JSON), resilience hygiene (executor
-and shared-memory seams, counted-not-swallowed errors), async discipline
+seam, counted-not-swallowed errors), async discipline
 in the serving layer, and the JSON round-trip contract of the job API.
 
 * :mod:`repro.lint.framework` -- rule registry, single-pass walker,

@@ -11,8 +11,6 @@ RPL003     determinism: no iteration over set expressions
 RPL004     determinism: ``json.dumps`` must pass ``sort_keys=True``
 RPL005     resilience: ``ProcessPoolExecutor`` only in ``core/resilience``
 RPL006     resilience: broad excepts must re-raise or count
-RPL007     resilience: shared-memory segments via the ``core/shm`` seam,
-           paired with close/unlink or ownership transfer
 RPL008     async: no blocking calls inside ``async def`` bodies
 RPL009     api: every ``*Job`` dataclass registered in ``JOB_TYPES``
 RPL010     api: hand-written ``to_json`` on ``*Job``/``*Options``
@@ -341,122 +339,6 @@ class SwallowedExceptionRule(LintRule):
         )
 
 
-@register
-class SharedMemorySeamRule(LintRule):
-    """RPL007: shared-memory discipline.
-
-    Two checks.  Outside ``repro/core/shm.py``, constructing
-    ``multiprocessing.shared_memory.SharedMemory`` directly is flagged:
-    the seam module owns naming (janitor-reapable ``repro_shm_<pid>_*``),
-    spawn-safe attach, and the inline fallback -- ad-hoc segments leak on
-    crash.  Inside any module, a function that binds a ``SharedMemory``
-    handle must release it in a ``finally`` (``.close()``/``.unlink()``)
-    or visibly transfer ownership (return it, or pass it to another
-    callable that takes over) -- PR 9 fixed exactly the leak this catches.
-    """
-
-    code = "RPL007"
-    title = "SharedMemory outside core/shm.py or without paired cleanup"
-    rationale = "POSIX segments outlive their creator; unpaired handles leak"
-    interests = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Call)
-
-    _SEAM = ("repro/core/shm.py",)
-
-    @staticmethod
-    def _is_shared_memory_call(node: ast.AST, ctx: FileContext) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        name = ctx.resolve(node.func)
-        return name is not None and (
-            name == "SharedMemory" or name.endswith(".SharedMemory")
-        )
-
-    def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        if isinstance(node, ast.Call):
-            if self._is_shared_memory_call(node, ctx) and not ctx.path_is(
-                *self._SEAM
-            ):
-                yield self.finding(
-                    node,
-                    ctx,
-                    "direct SharedMemory use; go through the repro.core.shm "
-                    "seam (share_arrays/SharedArrayRef) so segments are "
-                    "janitor-reapable and crash-safe",
-                )
-            return
-        yield from self._check_pairing(node, ctx)
-
-    def _check_pairing(
-        self, func: ast.FunctionDef | ast.AsyncFunctionDef, ctx: FileContext
-    ) -> Iterator[Finding]:
-        bound: dict[str, ast.Call] = {}
-        for stmt in ast.walk(func):
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and self._is_shared_memory_call(stmt.value, ctx)
-            ):
-                bound[stmt.targets[0].id] = stmt.value
-        for name, call in bound.items():
-            if not self._released(func, name):
-                yield self.finding(
-                    call,
-                    ctx,
-                    f"SharedMemory handle {name!r} is neither released in a "
-                    "finally (.close()/.unlink()) nor ownership-transferred "
-                    "(returned / passed on); it leaks on any exception",
-                )
-
-    @staticmethod
-    def _released(
-        func: ast.FunctionDef | ast.AsyncFunctionDef, name: str
-    ) -> bool:
-        def mentions(node: ast.AST) -> bool:
-            return any(
-                isinstance(sub, ast.Name) and sub.id == name
-                for sub in ast.walk(node)
-            )
-
-        def transfers(value: ast.AST) -> bool:
-            # Only the *bare* handle transfers ownership; returning a view
-            # into it (``segment.buf[0]``) still leaks the handle itself.
-            accessed = {
-                id(sub.value)
-                for sub in ast.walk(value)
-                if isinstance(sub, (ast.Attribute, ast.Subscript))
-                and isinstance(sub.value, ast.Name)
-            }
-            return any(
-                isinstance(sub, ast.Name)
-                and sub.id == name
-                and id(sub) not in accessed
-                for sub in ast.walk(value)
-            )
-
-        for node in ast.walk(func):
-            if isinstance(node, ast.Try):
-                for final_stmt in node.finalbody:
-                    for sub in ast.walk(final_stmt):
-                        if (
-                            isinstance(sub, ast.Call)
-                            and isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr in {"close", "unlink"}
-                            and mentions(sub.func.value)
-                        ):
-                            return True
-            if isinstance(node, ast.Return) and node.value is not None:
-                if transfers(node.value):
-                    return True
-            if isinstance(node, ast.Call):
-                if any(
-                    isinstance(arg, ast.Name) and arg.id == name
-                    for arg in node.args
-                ):
-                    return True
-        return False
-
-
 # ---------------------------------------------------------------------------
 # async / serve
 
@@ -693,7 +575,6 @@ RULE_CODES = {
         JsonSortKeysRule,
         ExecutorSeamRule,
         SwallowedExceptionRule,
-        SharedMemorySeamRule,
         AsyncBlockingRule,
         JobRegistryRule,
         RoundTripCoverageRule,

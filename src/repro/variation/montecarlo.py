@@ -38,7 +38,6 @@ import numpy as np
 from repro.circuits.multipliers import MultiplierCircuit
 from repro.circuits.signals import int_to_bits
 from repro.core.resilience import ExecutionPolicy, ExecutionReport, run_shards
-from repro.core.shm import SharedArrayRef, share_arrays
 from repro.core.store import (
     SweepResultStore,
     decode_float64_array,
@@ -221,7 +220,8 @@ def _simulate_range(
 class _MonteCarloShard:
     spec: CircuitSpec
     library: StandardCellLibrary
-    stimulus: SharedArrayRef
+    in1: np.ndarray
+    in2: np.ndarray
     triads: tuple[tuple[float, float, float], ...]
     model: GateVariationModel
     seed: int
@@ -239,7 +239,6 @@ def _run_montecarlo_shard(task: _MonteCarloShard) -> list[dict[str, Any]]:
         samples=task.stop - task.start,
     ):
         circuit = task.spec.build()
-        operands = task.stimulus.load()
         triads = [
             OperatingTriad(tclk=t, vdd=v, vbb=b) for t, v, b in task.triads
         ]
@@ -247,8 +246,8 @@ def _run_montecarlo_shard(task: _MonteCarloShard) -> list[dict[str, Any]]:
             circuit,
             task.library,
             triads,
-            operands["in1"],
-            operands["in2"],
+            task.in1,
+            task.in2,
             task.model,
             task.seed,
             task.start,
@@ -299,7 +298,6 @@ def run_montecarlo_sweep(
     policy: ExecutionPolicy | None = None,
     chaos: ChaosPlan | None = None,
     report: ExecutionReport | None = None,
-    shm: bool | None = None,
 ) -> list[TriadVariationResult]:
     """Monte Carlo characterize a circuit over a triad grid, sharded + cached.
 
@@ -328,9 +326,9 @@ def run_montecarlo_sweep(
         fetched from / persisted to it (warm reruns simulate nothing).
         Every completed range flushes immediately -- sharded or in-process
         -- so an interrupted run resumes warm.
-    policy / chaos / report / shm:
-        Fault-tolerance and stimulus-transport knobs of the shard engine,
-        as in :func:`repro.core.sweep.run_characterization_sweep`.
+    policy / chaos / report:
+        Fault-tolerance knobs of the shard engine, as in
+        :func:`repro.core.sweep.run_characterization_sweep`.
         Sample-range shards are never split on retry (the range
         decomposition *is* the store-key layout), but all other recovery
         actions apply.
@@ -357,7 +355,6 @@ def run_montecarlo_sweep(
             policy=policy,
             chaos=chaos,
             report=report,
-            shm=shm,
             sweep_span=sweep_span,
         )
 
@@ -376,7 +373,6 @@ def _montecarlo_sweep_body(
     policy: ExecutionPolicy | None,
     chaos: ChaosPlan | None,
     report: ExecutionReport | None,
-    shm: bool | None,
     sweep_span: Any,
 ) -> list[TriadVariationResult]:
     """Body of :func:`run_montecarlo_sweep` under its ``sweep`` span."""
@@ -444,13 +440,13 @@ def _montecarlo_sweep_body(
         record_simulated_units(len(missing) * len(triads))
         spec = verified_spec(circuit, fingerprint) if jobs > 1 else None
         if spec is not None and jobs > 1 and len(missing) > 1:
-            bundle = share_arrays({"in1": in1_arr, "in2": in2_arr}, enabled=shm)
             trace_context = current_context()
             tasks = [
                 _MonteCarloShard(
                     spec=spec,
                     library=shifted,
-                    stimulus=bundle.ref,
+                    in1=in1_arr,
+                    in2=in2_arr,
                     triads=tuple((t.tclk, t.vdd, t.vbb) for t in triads),
                     model=config.model,
                     seed=config.seed,
@@ -485,7 +481,6 @@ def _montecarlo_sweep_body(
                 on_result=flush,
                 chaos=chaos,
                 report=report,
-                cleanup=bundle.unlink,
             )
             for range_index, payload_list in zip(missing, range_payloads):
                 for triad_index, payload in enumerate(payload_list):

@@ -75,6 +75,14 @@ class TestJsonRoundTrip:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown CharacterizeJob field"):
             job_from_json({"type": "characterize", "operand": "rca8"})
+        with pytest.raises(ValueError, match="unknown SweepOptions field"):
+            job_from_json(
+                {
+                    "type": "characterize",
+                    "operator": "rca8",
+                    "sweep": {"shared_memory": False},
+                }
+            )
 
     def test_document_forms(self):
         entry = {"type": "characterize", "operator": "rca8"}
@@ -225,9 +233,3 @@ class TestSweepOptionsPolicy:
             jobs=2, shard_timeout=10.0, max_retries=1, on_worker_failure="retry"
         )
         assert SweepOptions.from_json(options.to_json()) == options
-
-    def test_shared_memory_round_trips_and_builds_no_policy(self):
-        options = SweepOptions(jobs=2, shared_memory=False)
-        assert SweepOptions.from_json(options.to_json()) == options
-        # Transport choice is orthogonal to the resilience policy.
-        assert options.policy() is None

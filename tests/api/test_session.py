@@ -243,28 +243,6 @@ class TestSessionSubstrate:
         )
         assert sharded.render() == reference.render()
 
-    def test_job_shared_memory_overrides_session_default(self):
-        job = CharacterizeJob(operator="rca8")
-        assert Session(store=None)._shm_for(job) is None
-        assert Session(store=None, shared_memory=False)._shm_for(job) is False
-        override = CharacterizeJob(
-            operator="rca8", sweep=SweepOptions(shared_memory=True)
-        )
-        assert Session(store=None, shared_memory=False)._shm_for(override) is True
-
-    def test_shared_memory_transport_is_invisible(self):
-        inline = Session(store=None, shared_memory=False).run(
-            CharacterizeJob(
-                operator="rca8", pattern=SMALL, sweep=SweepOptions(jobs=2)
-            )
-        )
-        shared = Session(store=None, shared_memory=True).run(
-            CharacterizeJob(
-                operator="rca8", pattern=SMALL, sweep=SweepOptions(jobs=2)
-            )
-        )
-        assert inline.render() == shared.render()
-
     def test_warm_session_memory_dedups_repeat_runs(self, session):
         from repro.core.sweep import simulated_unit_count
 

@@ -8,6 +8,8 @@ deterministic (keyed on shard index and attempt), so each test reproduces
 the same failure sequence on every run.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,12 @@ from repro.core.resilience import (
     ShardExecutionError,
     run_shards,
 )
+from repro.core.store import SweepResultStore
 from repro.core.sweep import (
     pattern_stimulus,
     run_characterization_sweep,
     run_fault_sweep,
+    simulated_unit_count,
 )
 from repro.core.triad import TriadGrid
 from repro.simulation.patterns import PatternConfig, generate_patterns
@@ -40,6 +44,17 @@ def _double(task):
 
 def _boom(task):
     raise RuntimeError("shard body failure")
+
+
+def _crash_once(task):
+    """Shard body that hard-exits mid-shard -- once -- with operands inline."""
+    base, marker, values = task
+    if marker and not os.path.exists(marker):
+        with open(marker, "w", encoding="utf-8"):
+            pass
+        os._exit(32)
+    offset = int(base.sum())
+    return [value + offset for value in values]
 
 
 def _units(task):
@@ -218,6 +233,27 @@ class TestCrashRecovery:
         # raises, which must surface (not hang or silently drop the shard).
         with pytest.raises(RuntimeError, match="shard body failure"):
             run_shards([[1]], _boom, policy=ExecutionPolicy(max_retries=0))
+
+
+    def test_worker_hard_exit_is_reported_accurately(self, tmp_path):
+        # A real ``os._exit`` (not a chaos rule) while the shard holds its
+        # inline operand array: the pool breaks, is rebuilt, and the retry
+        # recovers the shard.
+        base = np.full(8, 10, dtype=np.int64)
+        marker = str(tmp_path / "crashed-once")
+        report = ExecutionReport()
+        result = run_shards(
+            [(base, marker, [1, 2]), (base, "", [3])],
+            _crash_once,
+            policy=ExecutionPolicy(max_retries=2),
+            units=lambda task: len(task[2]),
+            report=report,
+        )
+        assert result == [[81, 82], [83]]
+        assert os.path.exists(marker)
+        assert report.crashes >= 1
+        assert report.pool_rebuilds >= 1
+        assert report.recovered_shards >= 1
 
 
 class TestBackoffCap:
@@ -470,3 +506,44 @@ class TestOrchestratorChaos:
             assert np.array_equal(a.energy_samples, b.energy_samples)
         assert report.faulted
         assert report.corrupt_results >= 1
+
+    def test_chaos_crash_with_packfile_flush_stays_consistent(
+        self, chaos_grid, chaos_pattern, tmp_path
+    ):
+        # A worker crash mid-sweep must leave the packfile store verifiable,
+        # and warm enough that a rerun simulates zero units.
+        adder = build_adder("rca", 8)
+        in1, in2 = generate_patterns(chaos_pattern)
+        stimulus = pattern_stimulus(chaos_pattern)
+        store = SweepResultStore(tmp_path / "cache")
+        chaos = ChaosPlan((ChaosRule(action="crash", shard=0, attempt=0),))
+        report = ExecutionReport()
+        first = run_characterization_sweep(
+            adder,
+            chaos_grid,
+            in1,
+            in2,
+            stimulus,
+            jobs=2,
+            store=store,
+            policy=RECOVERY_POLICY,
+            chaos=chaos,
+            report=report,
+        )
+        assert report.crashes >= 1
+        fsck = SweepResultStore(store.root).verify()
+        assert fsck.quarantined == 0
+        assert fsck.io_errors == 0
+        assert fsck.scanned == fsck.valid == len(list(chaos_grid))
+        before = simulated_unit_count()
+        warm = run_characterization_sweep(
+            adder,
+            chaos_grid,
+            in1,
+            in2,
+            stimulus,
+            jobs=2,
+            store=SweepResultStore(store.root),
+        )
+        assert simulated_unit_count() == before
+        assert warm == first

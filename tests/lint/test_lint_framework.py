@@ -1,5 +1,7 @@
 """Framework semantics: suppressions, baselines, file collection, errors."""
 
+import json
+import pathlib
 import textwrap
 
 import pytest
@@ -15,6 +17,8 @@ from repro.lint import (
     write_baseline,
 )
 from repro.lint.framework import Finding, collect_files
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 FLAGGED = 'import json\ntext = json.dumps({"a": 1})\n'
 
@@ -204,3 +208,43 @@ class TestReport:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a.py").write_text("x = 1\n")
         assert "0 new finding(s) across 1 file(s)" in lint_paths(["a.py"]).render()
+
+
+# Suppression comments and the committed baseline name rules by code, so a
+# retired rule leaves a gap rather than renumbering the rules after it.
+RULE_CODES = {
+    "RPL001": "UnseededRandomRule",
+    "RPL002": "WallClockRule",
+    "RPL003": "SetIterationRule",
+    "RPL004": "JsonSortKeysRule",
+    "RPL005": "ExecutorSeamRule",
+    "RPL006": "SwallowedExceptionRule",
+    "RPL008": "AsyncBlockingRule",
+    "RPL009": "JobRegistryRule",
+    "RPL010": "RoundTripCoverageRule",
+}
+
+
+class TestLintRuleCodes:
+    @pytest.mark.parametrize("code", sorted(RULE_CODES))
+    def test_rule_keeps_its_code(self, code):
+        by_code = {rule.code: type(rule).__name__ for rule in all_rules()}
+        assert by_code[code] == RULE_CODES[code]
+
+    def test_retired_code_is_not_reused(self):
+        registered = [rule.code for rule in all_rules()]
+        assert "RPL007" not in registered
+        assert set(RULE_CODES) <= set(registered)
+
+    def test_repository_is_clean_against_the_committed_baseline(
+        self, monkeypatch
+    ):
+        monkeypatch.chdir(REPO_ROOT)
+        baseline_path = REPO_ROOT / "lint-baseline.json"
+        document = json.loads(baseline_path.read_text(encoding="utf-8"))
+        assert not any(key.endswith("::RPL007") for key in document["entries"])
+        report = lint_paths(
+            ["src/repro", "tests", "benchmarks", "examples"],
+            baseline=load_baseline(baseline_path),
+        )
+        assert report.clean, report.render()

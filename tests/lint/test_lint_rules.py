@@ -2,8 +2,8 @@
 
 Each rule gets at least one source snippet that must trigger it and one
 that must not.  Snippets are linted under synthetic paths (the files never
-exist on disk) so the path-scoped rules -- clock seam, resilience seam,
-shm seam -- can be exercised from both sides of the fence.
+exist on disk) so the path-scoped rules -- clock seam, resilience seam --
+can be exercised from both sides of the fence.
 """
 
 import textwrap
@@ -255,65 +255,6 @@ class TestSwallowedExceptionRule:
             except ValueError:
                 pass
             """
-        ) == []
-
-
-class TestSharedMemorySeamRule:
-    def test_use_outside_the_seam_is_flagged(self):
-        found = codes(
-            """
-            from multiprocessing import shared_memory
-            def attach(name):
-                shared_memory.SharedMemory(name=name).close()
-            """
-        )
-        assert "RPL007" in found
-
-    def test_unpaired_handle_inside_the_seam_is_flagged(self):
-        assert codes(
-            """
-            from multiprocessing import shared_memory
-            def leaky(name):
-                segment = shared_memory.SharedMemory(name=name)
-                return segment.buf[0]
-            """,
-            path="src/repro/core/shm.py",
-        ) == ["RPL007"]
-
-    def test_finally_release_is_fine(self):
-        assert codes(
-            """
-            from multiprocessing import shared_memory
-            def careful(name):
-                segment = shared_memory.SharedMemory(name=name)
-                try:
-                    return bytes(segment.buf)
-                finally:
-                    segment.close()
-            """,
-            path="src/repro/core/shm.py",
-        ) == []
-
-    def test_ownership_transfer_by_return_is_fine(self):
-        assert codes(
-            """
-            from multiprocessing import shared_memory
-            def create(name):
-                segment = shared_memory.SharedMemory(name=name, create=True, size=8)
-                return segment
-            """,
-            path="src/repro/core/shm.py",
-        ) == []
-
-    def test_ownership_transfer_by_call_is_fine(self):
-        assert codes(
-            """
-            from multiprocessing import shared_memory
-            def create(name):
-                segment = shared_memory.SharedMemory(name=name, create=True, size=8)
-                register_owner(segment)
-            """,
-            path="src/repro/core/shm.py",
         ) == []
 
 
