@@ -45,14 +45,21 @@ def int_to_bits(values: np.ndarray | int, n_bits: int) -> np.ndarray:
 def bits_to_int(bits: np.ndarray) -> np.ndarray:
     """Convert an LSB-first boolean bit matrix back to unsigned integers.
 
-    The last axis is interpreted as the bit axis.
+    The last axis is interpreted as the bit axis; entries are booleans or
+    0/1 integers.  The bits are packed into the bytes of an ``int64``
+    little-endian word (``np.packbits(..., bitorder="little")``), which is
+    exact and gives the same integers as the weighted sum
+    ``sum(bit_i << i)`` without an int64 temporary per bit.
     """
-    array = np.asarray(bits, dtype=np.int64)
+    array = np.asarray(bits)
     n_bits = array.shape[-1]
     if n_bits > 62:
         raise ValueError("bits_to_int supports at most 62 bits")
-    weights = (np.int64(1) << np.arange(n_bits, dtype=np.int64))
-    return (array * weights).sum(axis=-1)
+    packed = np.packbits(array, axis=-1, bitorder="little")
+    words = np.zeros(array.shape[:-1] + (8,), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    # ``[()]`` turns the 0-d result of a single bit vector into a scalar.
+    return words.view("<i8")[..., 0].astype(np.int64, copy=False)[()]
 
 
 def random_operands(

@@ -241,11 +241,20 @@ def measurement_to_payload(
 ) -> dict[str, Any]:
     """Condense one triad measurement into a payload dict.
 
-    Uses exactly the reduction expressions the characterization flow always
-    used (``error_bits.mean()`` ...), so payload statistics are bit-identical
+    The error rates are counts divided by their base:
+    ``ber = count_nonzero(error_bits) / error_bits.size``, ``bitwise_error``
+    per output bit over ``n_vectors`` and ``faulty_vector_fraction`` (see
+    :attr:`TriadMeasurement.faulty_vector_fraction`).  These are the same
+    doubles as the ``.mean()`` of the boolean matrices the flow used before:
+    such a mean sums 0.0/1.0 values, every partial sum is an integer below
+    ``2**53`` and so exact, and divides the total once by the element count
+    with correct rounding -- which is what the integer division does too.
+    ``mse`` and the energy means keep their float expressions, whose
+    summation order matters.  Payload statistics are therefore bit-identical
     with a direct in-process summary.
     """
     error_bits = measurement.error_bits.reshape(-1, output_width)
+    n_rows = error_bits.shape[0]
     payload: dict[str, Any] = {
         "payload_version": PAYLOAD_VERSION,
         "triad": {
@@ -254,9 +263,11 @@ def measurement_to_payload(
             "vbb": measurement.vbb,
         },
         "n_vectors": measurement.n_vectors,
-        "ber": float(error_bits.mean()),
+        "ber": int(np.count_nonzero(error_bits)) / error_bits.size,
         "mse": mean_squared_error(measurement.exact_words, measurement.latched_words),
-        "bitwise_error": [float(value) for value in error_bits.mean(axis=0)],
+        "bitwise_error": [
+            int(count) / n_rows for count in np.count_nonzero(error_bits, axis=0)
+        ],
         "energy_per_operation": measurement.energy_per_operation,
         "dynamic_energy_per_operation": measurement.dynamic_energy_per_operation,
         "static_energy_per_operation": measurement.static_energy_per_operation,
@@ -329,10 +340,6 @@ def payload_usable(
     if keep_latched and "latched_words" not in payload:
         return False
     return True
-
-
-#: Backwards-compatible alias of :func:`payload_usable`.
-_payload_usable = payload_usable
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,18 @@ the operating triad, and the simulator caches accordingly:
 
 * settled/stale values and toggle masks depend only on the **pattern set**
   (they are computed once per stimulus, via the bit-packed engine mode),
+* so does the float64 toggle matrix of the gate outputs, the operand of the
+  dynamic-energy reduction ``gate_switch_energies @ toggles``: it is cast
+  once per stimulus, on the first arrival pass that needs it, and reused at
+  every operating point and by the variation passes.  At 77 MB for a 32-bit
+  Kogge-Stone adder at 20k vectors it is the largest cached array, so a
+  simulator holds the matrix of one stimulus at a time,
 * arrival times and per-vector dynamic energy additionally depend on
   ``(vdd, vbb)`` and are cached per operating point,
-* only ``latched = where(arrival <= tclk, settled, stale)`` and the leakage
-  integral depend on ``tclk``.
+* only the latch and the leakage integral depend on ``tclk``.  The latch
+  ``where(arrival <= tclk, settled, stale)`` is evaluated as the exact
+  bitwise select ``settled ^ (toggled & ~(arrival <= tclk))``, with the
+  output toggle mask ``toggled = settled ^ stale`` cached per stimulus.
 
 A triad-grid sweep (the paper's Fig. 4 flow: four clocks x seven supplies x
 body biases over one 4k-20k-vector pattern set) therefore performs the
@@ -123,7 +131,8 @@ class _StimulusRecord:
 
     ``changed`` holds the toggle mask of every net -- the sensitisation
     information all arrival/energy computations run on; settled/stale bits
-    are kept for the observed outputs only.
+    and their difference ``toggled_bits`` are kept for the observed outputs
+    only.
     """
 
     key: bytes
@@ -131,6 +140,7 @@ class _StimulusRecord:
     changed: np.ndarray
     settled_bits: np.ndarray
     stale_bits: np.ndarray
+    toggled_bits: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -257,6 +267,61 @@ class VariationSimulationResult:
         return float(self.dynamic_energy.mean()) + self.static_energy_per_operation
 
 
+@dataclasses.dataclass(frozen=True)
+class VariationErrorCounts:
+    """Per-instance error counts of one clock of a variation batch.
+
+    The reduction :meth:`VosTimingSimulator.run_variation_counts` returns
+    instead of latched bits.  The rates are integer counts divided by their
+    base, which gives the same doubles as the mean of the corresponding
+    boolean matrix (an exact integer sum divided once, correctly rounded).
+
+    Attributes
+    ----------
+    bit_errors:
+        Faulty latched output bits of each instance, shape ``(n_instances,)``.
+    faulty_vectors:
+        Vectors with at least one faulty output bit, per instance.
+    n_vectors, n_outputs:
+        The bases of the two counts.
+    dynamic_energy:
+        Per-vector dynamic energy in joules, shape ``(n_vectors,)``.
+    static_energy_per_operation:
+        Leakage energy per cycle of each instance in joules.
+    tclk:
+        Clock period used for latching, in seconds.
+    """
+
+    bit_errors: np.ndarray
+    faulty_vectors: np.ndarray
+    n_vectors: int
+    n_outputs: int
+    dynamic_energy: np.ndarray
+    static_energy_per_operation: np.ndarray
+    tclk: float
+
+    @property
+    def ber(self) -> np.ndarray:
+        """Per-instance bit error rate over all vectors and output bits."""
+        return self.bit_errors / (self.n_vectors * self.n_outputs)
+
+    @property
+    def faulty_fraction(self) -> np.ndarray:
+        """Per-instance fraction of vectors with a faulty output word."""
+        return self.faulty_vectors / self.n_vectors
+
+
+@dataclasses.dataclass(frozen=True)
+class _VariationBatch:
+    """One batched arrival pass of a variation batch, before latching."""
+
+    stimulus: _StimulusRecord
+    #: Arrival times of the observed outputs, ``(outputs, instances, vectors)``.
+    output_arrival: np.ndarray
+    dynamic_energy: np.ndarray
+    leakage_power: np.ndarray
+
+
 class VosTimingSimulator:
     """Vectorised timing-error simulator for one netlist.
 
@@ -294,6 +359,8 @@ class VosTimingSimulator:
         self._timing_cache: (
             "OrderedDict[tuple[bytes, float, float], _TimingRecord]"
         ) = OrderedDict()
+        # (stimulus key, float64 gate-output toggle matrix) of one stimulus.
+        self._energy_operand: tuple[bytes, np.ndarray] | None = None
 
     @property
     def netlist(self) -> Netlist:
@@ -371,8 +438,9 @@ class VosTimingSimulator:
         annotation = self.annotation(vdd, vbb)
         timing = self._timing(stimulus, vdd, vbb, annotation)
 
-        on_time = timing.arrival_bits <= tclk
-        latched = np.where(on_time, stimulus.settled_bits, stimulus.stale_bits)
+        latched = _latch_bits(
+            timing.arrival_bits, tclk, stimulus.toggled_bits, stimulus.settled_bits
+        )
         n_vectors = stimulus.n_vectors
         static_energy = np.full(n_vectors, annotation.leakage_power * tclk)
         # The cached arrays are shared across results of a sweep; they are
@@ -497,71 +565,73 @@ class VosTimingSimulator:
             Optional per-instance per-gate leakage-power multipliers of the
             same shape; ``None`` leaves every instance at nominal leakage.
         """
-        if not tclks:
-            raise ValueError("tclks must not be empty")
-        if any(tclk <= 0 for tclk in tclks):
-            raise ValueError("tclk must be positive")
-        annotation = self.annotation(vdd, vbb)
-        gate_count = annotation.gate_delays.shape[0]
-        if delay_multipliers is None:
-            delay_multipliers = np.ones((1, gate_count))
-        multipliers = np.asarray(delay_multipliers, dtype=float)
-        if multipliers.ndim != 2 or multipliers.shape[1] != gate_count:
-            raise ValueError(
-                "delay_multipliers must have shape (n_instances, "
-                f"{gate_count}); got {multipliers.shape}"
-            )
-        if np.any(multipliers <= 0):
-            raise ValueError("delay multipliers must be positive")
-        stimulus = self._stimulus(inputs, previous_inputs)
-
-        gate_delays = annotation.gate_delays[None, :] * multipliers
-        with span(
-            "engine.pass",
-            kind="variation",
-            instances=multipliers.shape[0],
-            vectors=stimulus.n_vectors,
-        ):
-            arrival = self._plan.batched_arrival_pass(stimulus.changed, gate_delays)
+        batch = self._variation_pass(
+            inputs, tclks, vdd, vbb, delay_multipliers, leakage_multipliers,
+            previous_inputs,
+        )
+        stimulus = batch.stimulus
         # (n_outputs, n_instances, n_vectors) -> (n_instances, n_vectors, n_outputs)
-        arrival_bits = np.ascontiguousarray(
-            arrival[self._output_net_array].transpose(1, 2, 0)
-        )
-        # Same reduction expression as the cached nominal timing record.
-        toggles = stimulus.changed[self._plan.gate_output_nets]
-        dynamic_energy = annotation.gate_switch_energies @ toggles.astype(
-            np.float64
-        )
-        n_instances = multipliers.shape[0]
-        if leakage_multipliers is None:
-            leakage_power = np.full(n_instances, annotation.leakage_power)
-        else:
-            leak_scale = np.asarray(leakage_multipliers, dtype=float)
-            if leak_scale.shape != multipliers.shape:
-                raise ValueError(
-                    "leakage_multipliers must match delay_multipliers shape "
-                    f"{multipliers.shape}; got {leak_scale.shape}"
-                )
-            per_gate = engine.gate_leakage_powers(
-                self._netlist, vdd, vbb, self._library
+        arrival_bits = np.ascontiguousarray(batch.output_arrival.transpose(1, 2, 0))
+        return [
+            VariationSimulationResult(
+                latched_bits=_latch_bits(
+                    arrival_bits, tclk, stimulus.toggled_bits, stimulus.settled_bits
+                ),
+                settled_bits=stimulus.settled_bits,
+                arrival_times=arrival_bits,
+                dynamic_energy=batch.dynamic_energy,
+                static_energy_per_operation=batch.leakage_power * tclk,
+                tclk=float(tclk),
             )
-            leakage_power = leak_scale @ per_gate
+            for tclk in tclks
+        ]
 
+    def run_variation_counts(
+        self,
+        inputs: Mapping[str, np.ndarray],
+        tclks: Sequence[float],
+        vdd: float,
+        vbb: float,
+        expected_bits: np.ndarray,
+        delay_multipliers: np.ndarray | None = None,
+        leakage_multipliers: np.ndarray | None = None,
+    ) -> list[VariationErrorCounts]:
+        """Per-instance error counts of :meth:`run_variation_sweep`.
+
+        Runs the same batched pass, but reduces each clock straight to the
+        number of faulty latched bits and faulty vectors of every instance,
+        compared with ``expected_bits`` (``(n_vectors, n_outputs)`` golden
+        bits).  No ``(instances, vectors, outputs)`` latched array and no
+        transposed arrival copy is built: :func:`_latch_bits` yields the
+        error matrix directly, on the arrival tensor in the layout the pass
+        leaves it, ``(outputs, instances, vectors)``.
+        """
+        batch = self._variation_pass(
+            inputs, tclks, vdd, vbb, delay_multipliers, leakage_multipliers, None
+        )
+        stimulus = batch.stimulus
+        expected = np.asarray(expected_bits, dtype=bool)
+        if expected.shape != stimulus.settled_bits.shape:
+            raise ValueError(
+                "expected_bits must have shape "
+                f"{stimulus.settled_bits.shape}; got {expected.shape}"
+            )
+        # latched ^ expected == (settled ^ expected) ^ (toggled & late), with
+        # both masks laid out (outputs, 1, vectors) like the arrival tensor.
+        mismatch = np.ascontiguousarray((stimulus.settled_bits ^ expected).T)[:, None]
+        toggled = np.ascontiguousarray(stimulus.toggled_bits.T)[:, None]
+        n_vectors, n_outputs = expected.shape
         results = []
         for tclk in tclks:
-            on_time = arrival_bits <= tclk
-            latched = np.where(
-                on_time,
-                stimulus.settled_bits[None, :, :],
-                stimulus.stale_bits[None, :, :],
-            )
+            errors = _latch_bits(batch.output_arrival, tclk, toggled, mismatch)
             results.append(
-                VariationSimulationResult(
-                    latched_bits=latched,
-                    settled_bits=stimulus.settled_bits,
-                    arrival_times=arrival_bits,
-                    dynamic_energy=dynamic_energy,
-                    static_energy_per_operation=leakage_power * tclk,
+                VariationErrorCounts(
+                    bit_errors=np.count_nonzero(errors, axis=(0, 2)),
+                    faulty_vectors=np.count_nonzero(errors.any(axis=0), axis=1),
+                    n_vectors=n_vectors,
+                    n_outputs=n_outputs,
+                    dynamic_energy=batch.dynamic_energy,
+                    static_energy_per_operation=batch.leakage_power * tclk,
                     tclk=float(tclk),
                 )
             )
@@ -589,6 +659,90 @@ class VosTimingSimulator:
         )[0]
 
     # -- cached sweep state ----------------------------------------------------
+
+    def _variation_pass(
+        self,
+        inputs: Mapping[str, np.ndarray],
+        tclks: Sequence[float],
+        vdd: float,
+        vbb: float,
+        delay_multipliers: np.ndarray | None,
+        leakage_multipliers: np.ndarray | None,
+        previous_inputs: Mapping[str, np.ndarray] | None,
+    ) -> _VariationBatch:
+        """Validate a variation batch and run its batched arrival pass."""
+        if not tclks:
+            raise ValueError("tclks must not be empty")
+        if any(tclk <= 0 for tclk in tclks):
+            raise ValueError("tclk must be positive")
+        annotation = self.annotation(vdd, vbb)
+        gate_count = annotation.gate_delays.shape[0]
+        if delay_multipliers is None:
+            delay_multipliers = np.ones((1, gate_count))
+        multipliers = np.asarray(delay_multipliers, dtype=float)
+        if multipliers.ndim != 2 or multipliers.shape[1] != gate_count:
+            raise ValueError(
+                "delay_multipliers must have shape (n_instances, "
+                f"{gate_count}); got {multipliers.shape}"
+            )
+        if np.any(multipliers <= 0):
+            raise ValueError("delay multipliers must be positive")
+        stimulus = self._stimulus(inputs, previous_inputs)
+
+        gate_delays = annotation.gate_delays[None, :] * multipliers
+        with span(
+            "engine.pass",
+            kind="variation",
+            instances=multipliers.shape[0],
+            vectors=stimulus.n_vectors,
+        ):
+            arrival = self._plan.batched_arrival_pass(stimulus.changed, gate_delays)
+        output_arrival = arrival[self._output_net_array]
+        # Free the full tensor before a first use of the stimulus casts its
+        # toggle matrix, so the two never coexist.
+        del arrival
+        # Same reduction expression as the cached nominal timing record.
+        dynamic_energy = annotation.gate_switch_energies @ self._toggle_matrix(
+            stimulus
+        )
+        n_instances = multipliers.shape[0]
+        if leakage_multipliers is None:
+            leakage_power = np.full(n_instances, annotation.leakage_power)
+        else:
+            leak_scale = np.asarray(leakage_multipliers, dtype=float)
+            if leak_scale.shape != multipliers.shape:
+                raise ValueError(
+                    "leakage_multipliers must match delay_multipliers shape "
+                    f"{multipliers.shape}; got {leak_scale.shape}"
+                )
+            per_gate = engine.gate_leakage_powers(
+                self._netlist, vdd, vbb, self._library
+            )
+            leakage_power = leak_scale @ per_gate
+        return _VariationBatch(
+            stimulus=stimulus,
+            output_arrival=output_arrival,
+            dynamic_energy=dynamic_energy,
+            leakage_power=leakage_power,
+        )
+
+    def _toggle_matrix(self, stimulus: _StimulusRecord) -> np.ndarray:
+        """Float64 gate-output toggle matrix of a stimulus, ``(gates, vectors)``.
+
+        The operand of every dynamic-energy reduction.  It does not depend
+        on the operating point, so it is cast once per stimulus; only the
+        most recent stimulus's matrix is held, which bounds a long-lived
+        simulator to one such array however many streams it has seen.
+        """
+        held = self._energy_operand
+        if held is not None and held[0] == stimulus.key:
+            return held[1]
+        # Release the previous matrix before allocating the next one.
+        self._energy_operand = held = None
+        toggles = stimulus.changed[self._plan.gate_output_nets].astype(np.float64)
+        toggles.setflags(write=False)
+        self._energy_operand = (stimulus.key, toggles)
+        return toggles
 
     def _stimulus(
         self,
@@ -624,7 +778,8 @@ class VosTimingSimulator:
         stale = np.ascontiguousarray(
             engine.unpack_vectors(old_words[outputs], n_vectors).T
         )
-        for array in (changed, settled, stale):
+        toggled = settled ^ stale
+        for array in (changed, settled, stale, toggled):
             array.setflags(write=False)
         record = _StimulusRecord(
             key=key,
@@ -632,6 +787,7 @@ class VosTimingSimulator:
             changed=changed,
             settled_bits=settled,
             stale_bits=stale,
+            toggled_bits=toggled,
         )
         self._stimulus_cache[key] = record
         while len(self._stimulus_cache) > _STIMULUS_CACHE_SIZE:
@@ -655,9 +811,11 @@ class VosTimingSimulator:
                 stimulus.changed, annotation.gate_delays
             )
             arrival_bits = arrival[self._output_net_array].T.copy()
-            toggles = stimulus.changed[self._plan.gate_output_nets]
-            dynamic_energy = annotation.gate_switch_energies @ toggles.astype(
-                np.float64
+            # Free the full tensor before a first use of the stimulus casts
+            # its toggle matrix, so the two never coexist.
+            del arrival
+            dynamic_energy = annotation.gate_switch_energies @ self._toggle_matrix(
+                stimulus
             )
         arrival_bits.setflags(write=False)
         dynamic_energy.setflags(write=False)
@@ -683,6 +841,25 @@ class VosTimingSimulator:
         if len(shapes) > 1:
             raise ValueError(f"primary input arrays have inconsistent shapes: {shapes}")
         return bound
+
+
+def _latch_bits(
+    arrival: np.ndarray, tclk: float, toggled: np.ndarray, base: np.ndarray
+) -> np.ndarray:
+    """``base ^ (toggled & ~(arrival <= tclk))``, element by element.
+
+    With ``base = settled`` this is the latch ``where(arrival <= tclk,
+    settled, stale)``: since ``stale == settled ^ toggled`` it picks exactly
+    the same bit for every element, ties ``arrival == tclk`` included, with
+    boolean operations on one temporary.  With ``base = settled ^ expected``
+    it is the error matrix ``latched != expected``.  ``toggled`` and
+    ``base`` broadcast against ``arrival``, in whatever layout it has.
+    """
+    latched = np.less_equal(arrival, tclk)
+    np.logical_not(latched, out=latched)
+    latched &= toggled
+    latched ^= base
+    return latched
 
 
 def _operating_point_key(vdd: float, vbb: float) -> tuple[float, float]:

@@ -161,7 +161,9 @@ def _simulate_range(
 
     Triads are grouped by operating point so the batched arrival pass -- the
     expensive part -- runs once per ``(vdd, vbb)`` for the whole range, and
-    clock periods within a group cost one latch comparison each.
+    clock periods within a group cost one latch comparison each, reduced
+    straight to per-instance error counts
+    (:meth:`~repro.simulation.timing_sim.VosTimingSimulator.run_variation_counts`).
     """
     if simulator is None:
         simulator = VosTimingSimulator(
@@ -187,18 +189,16 @@ def _simulate_range(
     payloads: dict[int, dict[str, Any]] = {}
     for (vdd, vbb), entries in groups.items():
         delay_multipliers = batch.delay_multipliers(vdd, vbb, tech)
-        results = simulator.run_variation_sweep(
+        counts = simulator.run_variation_counts(
             assignment,
             [tclk for _, tclk in entries],
             vdd,
             vbb,
+            exact_bits,
             delay_multipliers=delay_multipliers,
             leakage_multipliers=leakage_multipliers,
         )
-        for (index, tclk), result in zip(entries, results):
-            errors = result.latched_bits != exact_bits[None, :, :]
-            ber = errors.mean(axis=(1, 2))
-            faulty = errors.any(axis=2).mean(axis=1)
+        for (index, tclk), result in zip(entries, counts):
             dynamic = float(result.dynamic_energy.mean())
             static = result.static_energy_per_operation
             triad = triads[index]
@@ -207,8 +207,10 @@ def _simulate_range(
                 "triad": {"tclk": triad.tclk, "vdd": triad.vdd, "vbb": triad.vbb},
                 "n_vectors": n_vectors,
                 "samples": {"start": start, "stop": stop},
-                "ber_samples": pack_float64_array(ber),
-                "faulty_fraction_samples": pack_float64_array(faulty),
+                "ber_samples": pack_float64_array(result.ber),
+                "faulty_fraction_samples": pack_float64_array(
+                    result.faulty_fraction
+                ),
                 "energy_samples": pack_float64_array(dynamic + static),
                 "static_energy_samples": pack_float64_array(static),
                 "dynamic_energy_per_operation": dynamic,

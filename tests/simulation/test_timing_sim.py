@@ -230,3 +230,122 @@ class TestRunSweep:
         triad = SimpleNamespace(tclk=0.0, vdd=1.0, vbb=0.0)
         with pytest.raises(ValueError, match="tclk must be positive"):
             list(rca8_simulator.run_sweep(assignment, [triad]))
+
+
+def _energy_circuit(name):
+    from repro.circuits.adders import build_adder
+    from repro.circuits.multipliers import array_multiplier
+
+    if name == "mul4x4":
+        return array_multiplier(4), 4
+    architecture, width = name[:3], int(name[3:])
+    return build_adder(architecture, width), width
+
+
+def _held_toggle_matrices(simulator, shape):
+    """Every float64 ``shape`` array reachable from a simulator's state."""
+    import dataclasses
+
+    found, seen = [], set()
+
+    def visit(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.dtype == np.float64 and obj.shape == shape:
+                found.append(obj)
+        elif isinstance(obj, dict):
+            for key, value in obj.items():
+                visit(key)
+                visit(value)
+        elif isinstance(obj, (list, tuple)):
+            for value in obj:
+                visit(value)
+        elif dataclasses.is_dataclass(obj):
+            for field in dataclasses.fields(obj):
+                visit(getattr(obj, field.name))
+
+    visit(vars(simulator))
+    return found
+
+
+class TestEnergyOperand:
+    """Dynamic energy reduces the per-stimulus float64 toggle matrix."""
+
+    OPERATING_POINTS = ((1.0, 0.0), (0.7, 0.0), (0.6, 2.0))
+
+    @pytest.mark.parametrize("name", ["ksa32", "bka16", "mul4x4"])
+    def test_energy_byte_equal_at_every_operating_point(self, name):
+        from repro.core.triad import OperatingTriad
+        from repro.simulation import engine
+
+        circuit, width = _energy_circuit(name)
+        rng = np.random.default_rng(23)
+        in1 = rng.integers(0, 1 << width, 2500)
+        in2 = rng.integers(0, 1 << width, 2500)
+        assignment = circuit.input_assignment(in1, in2)
+        simulator = VosTimingSimulator(
+            circuit.netlist, output_ports=circuit.output_ports()
+        )
+        triads = [
+            OperatingTriad(tclk=1e-9, vdd=vdd, vbb=vbb)
+            for vdd, vbb in self.OPERATING_POINTS
+        ]
+        changed = simulator._stimulus(assignment, None).changed
+        toggles = changed[engine.compile_plan(circuit.netlist).gate_output_nets]
+        for triad, result in zip(triads, simulator.run_sweep(assignment, triads)):
+            energies = simulator.annotation(triad.vdd, triad.vbb).gate_switch_energies
+            expected = energies @ toggles.astype(np.float64)
+            reference = simulator.run_reference(
+                assignment, tclk=triad.tclk, vdd=triad.vdd, vbb=triad.vbb
+            )
+            assert result.dynamic_energy.tobytes() == expected.tobytes()
+            assert result.dynamic_energy.tobytes() == reference.dynamic_energy.tobytes()
+            variation = simulator.run_variation(
+                assignment, triad.tclk, triad.vdd, triad.vbb
+            )
+            assert variation.dynamic_energy.tobytes() == expected.tobytes()
+
+    def test_cast_once_per_stimulus(self, rca8, operands):
+        from repro.core.triad import OperatingTriad
+
+        simulator = VosTimingSimulator(rca8.netlist, output_ports=rca8.output_ports())
+        assert simulator._energy_operand is None
+        assignment = rca8.input_assignment(*operands)
+        triads = [
+            OperatingTriad(tclk=tclk, vdd=vdd, vbb=vbb)
+            for tclk in (0.3e-9, 0.6e-9)
+            for vdd, vbb in self.OPERATING_POINTS
+        ]
+        list(simulator.run_sweep(assignment, triads))
+        key, matrix = simulator._energy_operand
+        assert matrix.shape == (rca8.netlist.gate_count, len(operands[0]))
+        assert not matrix.flags.writeable
+        # Further operating points, Monte Carlo passes and repeated sweeps of
+        # the same stream reuse the one matrix: no second cast happened.
+        simulator.run(assignment, tclk=0.5e-9, vdd=0.8, vbb=0.0)
+        simulator.run_variation_sweep(
+            assignment, [0.4e-9, 0.8e-9], 0.65, 0.0,
+            delay_multipliers=np.full((3, rca8.netlist.gate_count), 1.1),
+        )
+        list(simulator.run_sweep(assignment, triads))
+        assert simulator._energy_operand[0] == key
+        assert simulator._energy_operand[1] is matrix
+
+    def test_one_matrix_held_across_streams(self, rca8):
+        simulator = VosTimingSimulator(rca8.netlist, output_ports=rca8.output_ports())
+        rng = np.random.default_rng(8)
+        n_vectors = 700
+        shape = (rca8.netlist.gate_count, n_vectors)
+        keys = []
+        for _ in range(4):
+            in1, in2 = rng.integers(0, 256, n_vectors), rng.integers(0, 256, n_vectors)
+            assignment = rca8.input_assignment(in1, in2)
+            for vdd in (1.0, 0.7):
+                simulator.run(assignment, tclk=0.5e-9, vdd=vdd)
+            keys.append(simulator._energy_operand[0])
+            assert len(_held_toggle_matrices(simulator, shape)) == 1
+        assert len(set(keys)) == 4
+        assert len(simulator._stimulus_cache) == 4
+        assert simulator._energy_operand[0] == keys[-1]
