@@ -1,6 +1,9 @@
-"""Result-store layout: v2 packfile vs the v1 one-JSON-file-per-entry layout.
+"""Result-store layout: packfile vs a one-JSON-file-per-entry baseline.
 
-Both stores hold the same Monte-Carlo-shaped payloads (the store's heaviest
+The baseline is the store's former v1 layout, which the store no longer
+reads or writes; this benchmark keeps its own copy of that writer and read
+path so the gated ratios keep measuring the same comparison.  Both stores
+hold the same Monte-Carlo-shaped payloads (the store's heaviest
 real workload: four float64 sample arrays plus scalar metadata per triad,
 exactly the schema :mod:`repro.variation.montecarlo` emits).  Three
 measurements, all on warm page cache:
@@ -27,6 +30,7 @@ failing: both defend against transient stalls on shared runners.
 
 from __future__ import annotations
 
+import base64
 import gc
 import json
 import os
@@ -38,11 +42,11 @@ import numpy as np
 
 from _bench_utils import Metric, write_metrics, write_output
 
+from repro.core.packfile import encode_blobs
 from repro.core.store import (
     SweepResultStore,
     decode_float64_array,
     pack_float64_array,
-    write_legacy_entry,
 )
 
 #: The four binary sample fields of a Monte Carlo payload.
@@ -115,6 +119,25 @@ def _v1_path(root: pathlib.Path, key: str) -> pathlib.Path:
     return root / key[:2] / f"{key}.json"
 
 
+def _v1_write(root: pathlib.Path, key: str, payload: dict) -> None:
+    """One v1 entry: the payload as canonical JSON, arrays base64-encoded."""
+    document = encode_blobs(payload)
+    document["key"] = key
+    path = _v1_path(root, key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps(document, sort_keys=True, separators=(",", ":")),
+        encoding="utf-8",
+    )
+
+
+def _v1_decode(text: str) -> np.ndarray:
+    """A base64 float64 array field of a v1 entry as numpy data."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(
+        np.float64, copy=True
+    )
+
+
 def _v1_read(root: pathlib.Path, keys: list[str]) -> dict[str, dict]:
     """Warm read of the v1 layout: parse each file, decode each array."""
     out = {}
@@ -122,7 +145,7 @@ def _v1_read(root: pathlib.Path, keys: list[str]) -> dict[str, dict]:
         payload = json.loads(_v1_path(root, key).read_text(encoding="utf-8"))
         payload.pop("key", None)
         for field in SAMPLE_FIELDS:
-            payload[field] = decode_float64_array(payload[field])
+            payload[field] = _v1_decode(payload[field])
         out[key] = payload
     return out
 
@@ -141,7 +164,7 @@ def _v1_merge(root: pathlib.Path, keys: list[str]) -> dict[str, np.ndarray]:
     for key in keys:
         payload = json.loads(_v1_path(root, key).read_text(encoding="utf-8"))
         for field in SAMPLE_FIELDS:
-            merged[field].append(decode_float64_array(payload[field]))
+            merged[field].append(_v1_decode(payload[field]))
     return {field: np.concatenate(parts) for field, parts in merged.items()}
 
 
@@ -204,7 +227,7 @@ def test_store_layout(tmp_path):
         key = SweepResultStore.entry_key({"bench_store": index})
         keys.append(key)
         payload = _mc_payload(rng, index, n_samples)
-        write_legacy_entry(v1_root, key, payload)
+        _v1_write(v1_root, key, payload)
         v2_store.put(key, payload)
 
     v1_bytes = _tree_bytes(v1_root)

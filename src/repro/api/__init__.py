@@ -47,7 +47,6 @@ _EXPORTS = {
     "JOB_TYPES": "repro.api.jobs",
     "MonteCarloJob": "repro.api.jobs",
     "SpeculateJob": "repro.api.jobs",
-    "StoreMigrateJob": "repro.api.jobs",
     "StorePruneJob": "repro.api.jobs",
     "StoreStatsJob": "repro.api.jobs",
     "StoreVerifyJob": "repro.api.jobs",
@@ -65,7 +64,6 @@ _EXPORTS = {
     "Fig5Result": "repro.api.results",
     "MonteCarloResult": "repro.api.results",
     "SpeculateResult": "repro.api.results",
-    "StoreMigrateResult": "repro.api.results",
     "StorePruneResult": "repro.api.results",
     "StoreStatsResult": "repro.api.results",
     "StoreVerifyResult": "repro.api.results",

@@ -333,13 +333,6 @@ class StoreVerifyJob:
 
 
 @dataclasses.dataclass(frozen=True)
-class StoreMigrateJob:
-    """Migrate the session's result store to the current on-disk layout
-    (legacy per-entry JSON files repack into packfile segments); unreadable
-    legacy entries are quarantined, never silently dropped."""
-
-
-@dataclasses.dataclass(frozen=True)
 class StorePruneJob:
     """Delete oldest store entries until the store fits the limits."""
 
@@ -372,7 +365,6 @@ Job = Union[
     FaultSweepJob,
     StoreStatsJob,
     StoreVerifyJob,
-    StoreMigrateJob,
     StorePruneJob,
 ]
 
@@ -389,7 +381,6 @@ JOB_TYPES: dict[str, type] = {
     "faults": FaultSweepJob,
     "store-stats": StoreStatsJob,
     "store-verify": StoreVerifyJob,
-    "store-migrate": StoreMigrateJob,
     "store-prune": StorePruneJob,
 }
 

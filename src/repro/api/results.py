@@ -55,11 +55,7 @@ from repro.core.characterization import AdderCharacterization, TriadCharacteriza
 from repro.core.dataset import characterization_to_dict
 from repro.core.energy import EfficiencySummary
 from repro.core.resilience import ExecutionReport
-from repro.core.store import (
-    StoreDiskStats,
-    StoreMigrateReport,
-    StoreVerifyReport,
-)
+from repro.core.store import StoreDiskStats, StoreVerifyReport
 from repro.core.triad import OperatingTriad
 from repro.explore.search import SearchResult
 from repro.obs.report import RunReport
@@ -464,35 +460,6 @@ class StoreVerifyResult:
 
     def to_json(self) -> dict[str, Any]:
         """Structured verification outcome."""
-        return {
-            "root": self.root,
-            **dataclasses.asdict(self.report),
-            "run": _run_json(self.run),
-        }
-
-
-@dataclasses.dataclass(frozen=True)
-class StoreMigrateResult:
-    """Outcome of migrating the result store to the current layout."""
-
-    root: str
-    report: StoreMigrateReport
-    run: RunReport | None = None
-
-    def render(self) -> str:
-        """The ``repro store migrate`` report."""
-        lines = [
-            f"store root : {self.root}",
-            f"migrated   : {self.report.migrated}",
-        ]
-        if self.report.quarantined:
-            lines.append(f"quarantined: {self.report.quarantined}")
-        if self.report.io_errors:
-            lines.append(f"io errors  : {self.report.io_errors}")
-        return "\n".join(lines)
-
-    def to_json(self) -> dict[str, Any]:
-        """Structured migration outcome."""
         return {
             "root": self.root,
             **dataclasses.asdict(self.report),

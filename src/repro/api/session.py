@@ -44,7 +44,6 @@ from repro.api.jobs import (
     Job,
     MonteCarloJob,
     SpeculateJob,
-    StoreMigrateJob,
     StorePruneJob,
     StoreStatsJob,
     StoreVerifyJob,
@@ -60,7 +59,6 @@ from repro.api.results import (
     Fig5Result,
     MonteCarloResult,
     SpeculateResult,
-    StoreMigrateResult,
     StorePruneResult,
     StoreStatsResult,
     StoreVerifyResult,
@@ -736,11 +734,6 @@ class Session:
         store = self._require_store()
         return StoreVerifyResult(root=str(store.root), report=store.verify())
 
-    def _run_store_migrate(self, job: StoreMigrateJob) -> StoreMigrateResult:
-        store = self._require_store()
-        report = store.migrate()
-        return StoreMigrateResult(root=str(store.root), report=report)
-
     def _run_store_prune(self, job: StorePruneJob) -> StorePruneResult:
         store = self._require_store()
         max_entries = 0 if job.prune_all else job.max_entries
@@ -969,6 +962,5 @@ _HANDLERS = {
     FaultSweepJob: Session._run_faults,
     StoreStatsJob: Session._run_store_stats,
     StoreVerifyJob: Session._run_store_verify,
-    StoreMigrateJob: Session._run_store_migrate,
     StorePruneJob: Session._run_store_prune,
 }

@@ -32,11 +32,28 @@ from repro.circuits.adders import (
     parse_adder_name,
     speculative_adder,
 )
+from repro.circuits.signals import MAX_WORD_BITS
 
 #: Grammar of the speculative family's names: ``spa<width>w<window>``.
 _SPECULATIVE_NAME = re.compile(
     rf"^{SPECULATIVE_ARCHITECTURE}(\d+)w(\d+)$"
 )
+
+
+def check_result_width(name: str, result_bits: int) -> None:
+    """Reject an operator whose result does not fit the output word.
+
+    Simulated outputs are packed into words of at most
+    :data:`~repro.circuits.signals.MAX_WORD_BITS` (62) bits, so an adder of
+    width ``w`` (sum plus carry-out) needs ``w + 1 <= 62`` and an ``NxM``
+    multiplier needs ``N + M <= 62``.
+    """
+    if result_bits > MAX_WORD_BITS:
+        raise ValueError(
+            f"{name} has a {result_bits}-bit result; at most {MAX_WORD_BITS} "
+            "result bits are supported (adder width <= "
+            f"{MAX_WORD_BITS - 1}, multiplier N+M <= {MAX_WORD_BITS})"
+        )
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -52,6 +69,8 @@ class OperatorSpec:
         Operand width in bits.
     window:
         Carry-speculation window; ``None`` for non-speculative operators.
+
+    The width is bounded by the output word (see :func:`check_result_width`).
     """
 
     architecture: str
@@ -75,6 +94,7 @@ class OperatorSpec:
                 )
             if not 0 < self.window < self.width:
                 raise ValueError("window must lie within (0, width)")
+        check_result_width(self.name, self.width + 1)
 
     @property
     def name(self) -> str:

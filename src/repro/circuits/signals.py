@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Widest output word, in bits, that :func:`bits_to_int` packs into a
+#: non-negative ``int64``; it bounds every operator's result width.
+MAX_WORD_BITS = 62
+
 
 def int_to_bits(values: np.ndarray | int, n_bits: int) -> np.ndarray:
     """Convert unsigned integers to an LSB-first boolean bit matrix.
@@ -53,8 +57,8 @@ def bits_to_int(bits: np.ndarray) -> np.ndarray:
     """
     array = np.asarray(bits)
     n_bits = array.shape[-1]
-    if n_bits > 62:
-        raise ValueError("bits_to_int supports at most 62 bits")
+    if n_bits > MAX_WORD_BITS:
+        raise ValueError(f"bits_to_int supports at most {MAX_WORD_BITS} bits")
     packed = np.packbits(array, axis=-1, bitorder="little")
     words = np.zeros(array.shape[:-1] + (8,), dtype=np.uint8)
     words[..., : packed.shape[-1]] = packed

@@ -90,7 +90,6 @@ from repro.api.jobs import (
     Job,
     MonteCarloJob,
     SpeculateJob,
-    StoreMigrateJob,
     StorePruneJob,
     StoreStatsJob,
     StoreVerifyJob,
@@ -101,6 +100,7 @@ from repro.api.jobs import (
 )
 from repro.api.options import PatternOptions, StoreOptions, SweepOptions
 from repro.api.session import Session, SessionError
+from repro.api.spec import parse_circuit_spec
 from repro.lint import (
     DEFAULT_BASELINE_NAME,
     LintError,
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         nargs="+",
         default=[8, 16],
-        help="operand widths in bits (e.g. 8 16 32 64)",
+        help="operand widths in bits (e.g. 8 16 32)",
     )
     explore.add_argument(
         "--windows",
@@ -420,12 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="fsck pass: validate every entry, quarantine corrupt ones"
     )
     _add_store_dir_argument(store_verify)
-    store_migrate = store_commands.add_parser(
-        "migrate",
-        help="repack legacy per-entry JSON stores into the current packfile "
-        "layout (lossless; unreadable entries are quarantined)",
-    )
-    _add_store_dir_argument(store_migrate)
     store_prune = store_commands.add_parser(
         "prune", help="delete oldest entries until the store fits the limits"
     )
@@ -593,6 +587,22 @@ def _checked(build: Callable[[], Any]) -> Any:
         raise SystemExit(str(error)) from None
 
 
+def _operator(args: argparse.Namespace) -> str:
+    """The ``--architecture``/``--width`` operator name, checked as usage.
+
+    An operator the job layer would reject (e.g. a width whose result does
+    not fit the output word) is a usage error: one line on stderr and exit
+    status 2, like argparse's own rejections.
+    """
+    name = f"{args.architecture}{args.width}"
+    try:
+        parse_circuit_spec(name)
+    except ValueError as error:
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
+    return name
+
+
 def _session(args: argparse.Namespace) -> Session:
     """Build the invocation's session from the shared store options.
 
@@ -669,7 +679,7 @@ def _command_synthesize(args: argparse.Namespace) -> int:
 def _command_characterize(args: argparse.Namespace) -> int:
     job = _checked(
         lambda: CharacterizeJob(
-            operator=f"{args.architecture}{args.width}",
+            operator=_operator(args),
             pattern=_pattern_options(args),
             sweep=_sweep_options(args),
             output=args.output,
@@ -693,7 +703,7 @@ def _command_table4(args: argparse.Namespace) -> int:
 def _command_fig5(args: argparse.Namespace) -> int:
     job = _checked(
         lambda: Fig5Job(
-            operator=f"{args.architecture}{args.width}",
+            operator=_operator(args),
             supply_voltages=tuple(args.vdd),
             vectors=args.vectors,
             sweep=_sweep_options(args),
@@ -705,7 +715,7 @@ def _command_fig5(args: argparse.Namespace) -> int:
 def _command_calibrate(args: argparse.Namespace) -> int:
     job = _checked(
         lambda: CalibrateJob(
-            operator=f"{args.architecture}{args.width}",
+            operator=_operator(args),
             tclk_ns=args.tclk_ns,
             vdd=args.vdd,
             vbb=args.vbb,
@@ -754,7 +764,7 @@ def _command_explore(args: argparse.Namespace) -> int:
 def _command_montecarlo(args: argparse.Namespace) -> int:
     job = _checked(
         lambda: MonteCarloJob(
-            operator=f"{args.architecture}{args.width}",
+            operator=_operator(args),
             pattern=_pattern_options(args),
             corner=args.corner,
             samples=args.samples,
@@ -771,7 +781,7 @@ def _command_montecarlo(args: argparse.Namespace) -> int:
 def _command_faults(args: argparse.Namespace) -> int:
     job = _checked(
         lambda: FaultSweepJob(
-            operator=f"{args.architecture}{args.width}",
+            operator=_operator(args),
             pattern=_pattern_options(args),
             sweep=_sweep_options(args),
         )
@@ -829,8 +839,6 @@ def _command_store(args: argparse.Namespace) -> int:
         job: Job = StoreStatsJob()
     elif args.store_command == "verify":
         job = StoreVerifyJob()
-    elif args.store_command == "migrate":
-        job = StoreMigrateJob()
     else:  # store_command == "prune" (the subparser enforces the choice)
         job = _checked(
             lambda: StorePruneJob(

@@ -1,10 +1,10 @@
 """Binary record codec of the packfile result store.
 
-The v2 :class:`~repro.core.store.SweepResultStore` keeps result payloads in
-append-only *pack segments* instead of one JSON file per entry.  This module
-defines the self-describing record format those segments are made of, plus
-the low-level encode/decode/scan primitives; segment and index management
-live in :mod:`repro.core.store`.
+The :class:`~repro.core.store.SweepResultStore` keeps result payloads in
+append-only *pack segments*.  This module defines the self-describing
+record format those segments are made of, plus the low-level
+encode/decode/scan primitives; segment and index management live in
+:mod:`repro.core.store`.
 
 Record layout (all integers little-endian)::
 
@@ -22,18 +22,14 @@ The meta document is ``{"payload": {...}, "blobs": [[field, nbytes], ...]}``:
 the entry payload with its large array fields *removed* and listed as raw
 blobs instead.  Which fields qualify is a fixed registry
 (:data:`BINARY_FIELDS`): exactly the payload fields the sweep orchestrators
-fill with raw ``pack_int64_array`` / ``pack_float64_array`` bytes (legacy
-payloads carry the same content base64-packed; both forms are accepted and
-produce identical records).  Blob bytes are written verbatim -- no
-megabyte-sized JSON strings to build or parse -- and on decode they come
-back as *raw bytes*: the expensive base64 text is never materialised on
-the hot path, because every consumer (the array codec in
-:mod:`repro.core.store`) accepts bytes directly.  :func:`encode_blobs`
-restores the base64 form where JSON is unavoidable (canonical snapshots);
-``encode_blobs(decoded)`` compares equal -- byte for byte after canonical
-JSON -- to the payload that was stored.  Unknown or non-canonical fields
-simply stay inside the JSON meta, which keeps the format forward-compatible
-with new payload shapes.
+fill with raw ``pack_int64_array`` / ``pack_float64_array`` bytes.  Blob
+bytes are written verbatim -- no megabyte-sized JSON strings to build or
+parse -- and on decode they come back as the same *raw bytes*, which the
+array codec in :mod:`repro.core.store` reads directly.  :func:`encode_blobs`
+renders them as base64 where JSON is unavoidable (canonical snapshots).
+Unknown fields, and registry fields that do not hold bytes, simply stay
+inside the JSON meta, which keeps the format forward-compatible with new
+payload shapes.
 
 Corruption of any kind -- bad magic, implausible lengths, CRC mismatch,
 garbled JSON, a key that does not match -- raises :class:`PackRecordError`
@@ -44,7 +40,6 @@ their quarantine handling on.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import struct
 import zlib
@@ -94,28 +89,10 @@ def _canonical_json(data: Any) -> str:
 
 
 def _blob_bytes(name: str, value: Any) -> bytes | None:
-    """Raw bytes of a blob-eligible field, or ``None`` to keep it in JSON.
-
-    Blob fields arrive either as raw bytes (a payload handed back by
-    :func:`decode_record`) or as base64 text (a payload fresh from the
-    array codec).  Only canonical base64 round-trips exactly
-    (``b64encode(b64decode(s)) == s``), so any other string -- or a value
-    that is neither bytes nor text -- stays in the JSON meta rather than
-    risking a lossy rewrite.
-    """
-    if name not in BINARY_FIELDS:
-        return None
-    if isinstance(value, (bytes, bytearray)):
+    """Raw bytes of a blob field, or ``None`` to keep it in the JSON meta."""
+    if name in BINARY_FIELDS and isinstance(value, (bytes, bytearray)):
         return bytes(value)
-    if not isinstance(value, str):
-        return None
-    try:
-        raw = base64.b64decode(value, validate=True)
-    except (binascii.Error, ValueError):
-        return None
-    if base64.b64encode(raw).decode("ascii") != value:
-        return None
-    return raw
+    return None
 
 
 def encode_record(key: str, payload: Mapping[str, Any]) -> bytes:
@@ -146,10 +123,8 @@ def encode_record(key: str, payload: Mapping[str, Any]) -> bytes:
 def encode_blobs(payload: Mapping[str, Any]) -> dict[str, Any]:
     """A copy of ``payload`` with raw-bytes blob fields as base64 text.
 
-    The inverse of what :func:`decode_record` leaves raw: apply it wherever
-    a decoded payload must render as JSON (canonical snapshots, legacy
-    downgrades).  Fields already in text form pass through untouched, so the
-    result is identical for a decoded payload and the original it encodes.
+    Apply it wherever a decoded payload must render as JSON (canonical
+    snapshots); every other field passes through untouched.
     """
     return {
         name: (

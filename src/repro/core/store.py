@@ -15,27 +15,23 @@ Design points:
   triad, library parameters or :data:`repro.simulation.engine.ENGINE_VERSION`
   changes the key, which *is* the invalidation mechanism -- stale entries are
   simply never looked up again (and can be purged with :meth:`clear`).
-* **Packfile layout (v2).**  Entries are appended as self-describing binary
+* **Packfile layout.**  Entries are appended as self-describing binary
   records (:mod:`repro.core.packfile`) to per-process *pack segments* under
   ``<root>/packs/``, each paired with an append-only JSONL index mapping
   ``key -> (offset, length)``.  A warm read is one seek + one read + one CRC
-  check instead of a JSON parse of megabyte base64 strings; ``disk_stats``
-  and ``prune`` walk the index, not the filesystem.  Each put appends the
-  record, flushes, then appends the index line and flushes -- the same
-  crash-consistency contract as the old atomic-rename files: a record
-  missing its index line is recovered by a tail scan on the next open, and
-  a torn record fails its CRC and is ignored.  Segment names embed the
-  writing process's pid plus a random token, so concurrent sessions never
-  share a write file and readers pick up each other's appends by re-reading
-  the grown index files.
-* **v1 compatibility.**  The previous layout (one atomic JSON document per
-  entry fanned out over 256 two-hex subdirectories) is still read through:
-  a key missing from the pack index falls back to the v1 file, with the old
-  corruption handling intact.  :meth:`migrate` converts a v1 store in place
-  (``repro store migrate``); entry *keys* are unchanged -- the hash still
-  mixes :data:`STORE_FORMAT_VERSION` ``= 1`` -- so a migrated store keeps
-  every warm hit.  :data:`STORE_VERSION` ``= 2`` names the container layout
-  only and is recorded in ``<root>/format.json``, never hashed into keys.
+  check; ``disk_stats`` and ``prune`` walk the index, not the filesystem.
+  Each put appends the record, flushes, then appends the index line and
+  flushes: a record missing its index line is recovered by a tail scan on
+  the next open, and a torn record fails its CRC and is ignored.  Segment
+  names embed the writing process's pid plus a random token, so concurrent
+  sessions never share a write file and readers pick up each other's
+  appends by re-reading the grown index files.
+* **One on-disk format.**  ``packs/*.pack`` + ``*.idx`` is the only layout
+  a root is read in.  :data:`STORE_VERSION` ``= 2`` names that container
+  layout and is recorded in ``<root>/format.json``, never hashed into keys.
+  The one-JSON-file-per-entry layout of version 1 (two-hex subdirectories)
+  is not read: such a root opens as a cold store, and its files are never
+  counted, pruned or deleted.
 * **Corruption tolerance.**  A record that fails its CRC or key check is
   quarantined (its bytes copied under ``quarantine/``, never silently
   discarded) and dropped from the index via a durable tombstone line, then
@@ -44,23 +40,22 @@ Design points:
   :attr:`StoreStats.io_errors` so silent degradation is observable in
   ``store stats``, and :meth:`SweepResultStore.verify` offers an explicit
   fsck pass over every record (``store verify``) that also makes tail-scan
-  recoveries durable.  All walks are ENOENT-tolerant: segments or legacy
-  entries deleted by a concurrent session are simply skipped.  ``verify``
-  and ``prune`` rewrite segments and are maintenance operations: run them
-  from one session at a time (readers stay safe throughout -- a stale
+  recoveries durable.  All walks are ENOENT-tolerant: segments deleted by
+  a concurrent session are simply skipped.  ``verify`` and ``prune``
+  rewrite segments and are maintenance operations: run them from one
+  session at a time (readers stay safe throughout -- a stale
   offset fails validation and reads as a miss, never as wrong data).
 """
 
 from __future__ import annotations
 
-import base64
 import collections
 import dataclasses
 import hashlib
 import json
 import os
 import pathlib
-from typing import Any, BinaryIO, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Mapping, Sequence
 
 import numpy as np
 
@@ -76,12 +71,13 @@ from repro.obs import clock, metrics
 from repro.technology.library import StandardCellLibrary
 
 #: Version of the *key schema*.  Part of every entry key: bumping it
-#: invalidates all previously stored entries.  The packfile migration kept
-#: it at 1 on purpose -- v1 entries stay addressable after ``store migrate``.
+#: invalidates all previously stored entries.  It is independent of the
+#: container layout (:data:`STORE_VERSION`).
 STORE_FORMAT_VERSION = 1
 
 #: Version of the on-disk *container* layout (recorded in ``format.json``,
-#: never part of entry keys).  1 = one JSON file per entry; 2 = packfile.
+#: never part of entry keys).  2 = packfile; version 1 (one JSON file per
+#: entry) is not read.
 STORE_VERSION = 2
 
 #: Environment variable selecting the default store location.
@@ -153,7 +149,7 @@ def _canonical_json(data: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Array <-> JSON helpers (exact round-trips)
+# Array <-> bytes helpers (exact round-trips)
 # ---------------------------------------------------------------------------
 
 
@@ -161,27 +157,16 @@ def pack_int64_array(values: np.ndarray) -> bytes:
     """Raw little-endian bytes of an int64 array (exact).
 
     The wire/storage form of a payload array field: workers and the
-    packfile store exchange these bytes directly; :func:`encode_int64_array`
-    is the same content wrapped in base64 for JSON contexts.
+    packfile store exchange these bytes directly
+    (:func:`repro.core.packfile.encode_blobs` renders them as base64 where
+    JSON is unavoidable).
     """
     return np.ascontiguousarray(np.asarray(values, dtype="<i8")).tobytes()
 
 
-def encode_int64_array(values: np.ndarray) -> str:
-    """Base64 encoding of an int64 array (exact, little-endian)."""
-    return base64.b64encode(pack_int64_array(values)).decode("ascii")
-
-
-def decode_int64_array(data: str | bytes | bytearray) -> np.ndarray:
-    """Inverse of :func:`encode_int64_array`.
-
-    Accepts either the base64 text or the raw little-endian bytes it wraps:
-    packfile reads (:func:`repro.core.packfile.decode_record`) hand the
-    array fields over as raw bytes so the hot path never round-trips
-    through base64.
-    """
-    raw = data if isinstance(data, (bytes, bytearray)) else base64.b64decode(data)
-    return np.frombuffer(raw, dtype="<i8").astype(np.int64, copy=True)
+def decode_int64_array(data: bytes | bytearray) -> np.ndarray:
+    """Inverse of :func:`pack_int64_array` (a private, writable copy)."""
+    return np.frombuffer(data, dtype="<i8").astype(np.int64, copy=True)
 
 
 def pack_float64_array(values: np.ndarray) -> bytes:
@@ -194,16 +179,9 @@ def pack_float64_array(values: np.ndarray) -> bytes:
     return np.ascontiguousarray(np.asarray(values, dtype="<f8")).tobytes()
 
 
-def encode_float64_array(values: np.ndarray) -> str:
-    """Base64 encoding of a float64 array (see :func:`pack_float64_array`)."""
-    return base64.b64encode(pack_float64_array(values)).decode("ascii")
-
-
-def decode_float64_array(data: str | bytes | bytearray) -> np.ndarray:
-    """Inverse of :func:`encode_float64_array` (text or raw bytes, like
-    :func:`decode_int64_array`)."""
-    raw = data if isinstance(data, (bytes, bytearray)) else base64.b64decode(data)
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=True)
+def decode_float64_array(data: bytes | bytearray) -> np.ndarray:
+    """Inverse of :func:`pack_float64_array` (a private, writable copy)."""
+    return np.frombuffer(data, dtype="<f8").astype(np.float64, copy=True)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +230,7 @@ class StoreDiskStats:
     entries:
         Number of stored result entries.
     total_bytes:
-        Bytes occupied by the entry records (pack records plus any
-        unmigrated v1 entry files).
+        Bytes occupied by the entry records.
     oldest_mtime / newest_mtime:
         Store-time range of the entries (Unix seconds), or ``None`` for an
         empty store.
@@ -275,7 +252,7 @@ class StoreVerifyReport:
     Attributes
     ----------
     scanned:
-        Entry records examined (pack records plus v1 entry files).
+        Entry records examined.
     valid:
         Entries that decoded cleanly and matched their key.
     quarantined:
@@ -288,27 +265,6 @@ class StoreVerifyReport:
 
     scanned: int
     valid: int
-    quarantined: int
-    io_errors: int
-
-
-@dataclasses.dataclass(frozen=True)
-class StoreMigrateReport:
-    """Outcome of a :meth:`SweepResultStore.migrate` pass.
-
-    Attributes
-    ----------
-    migrated:
-        v1 entries repacked into the packfile layout (and their JSON files
-        removed).
-    quarantined:
-        Corrupt v1 entries moved into the quarantine directory.
-    io_errors:
-        Entries left in place because reading or repacking them failed with
-        an OS-level error (they remain readable through the v1 fallback).
-    """
-
-    migrated: int
     quarantined: int
     io_errors: int
 
@@ -327,65 +283,6 @@ def _format_payload() -> str:
     return _canonical_json({"store_version": STORE_VERSION}) + "\n"
 
 
-def write_legacy_entry(
-    root: str | os.PathLike[str], key: str, payload: Mapping[str, Any]
-) -> pathlib.Path:
-    """Write one entry in the *v1* one-JSON-file-per-entry layout.
-
-    This is the old :meth:`SweepResultStore.put` kept as a fixture/test
-    helper: migration tests and the ``tests/fixtures`` generator use it to
-    build v1 stores on the previous release's layout.  Production code
-    always writes packfiles.
-    """
-    root = pathlib.Path(root)
-    # v1 entries are pure JSON: render any raw-bytes array fields as base64.
-    document = encode_blobs(payload)
-    document["key"] = key
-    path = root / key[:2] / f"{key}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    temp.write_text(_canonical_json(document), encoding="utf-8")
-    os.replace(temp, path)
-    return path
-
-
-def store_layout_version(root: str | os.PathLike[str]) -> int:
-    """Container layout version of a store root.
-
-    Reads ``format.json`` when present; otherwise a root holding v1 entry
-    directories reports 1 and anything else (including an empty or missing
-    root) reports the current :data:`STORE_VERSION`.
-    """
-    root = pathlib.Path(root)
-    try:
-        document = json.loads((root / FORMAT_FILE).read_text(encoding="utf-8"))
-        return int(document["store_version"])
-    except (OSError, ValueError, TypeError, KeyError):
-        pass
-    if any(_iter_legacy_files(root)):
-        return 1
-    return STORE_VERSION
-
-
-def _iter_legacy_files(root: pathlib.Path) -> Iterator[pathlib.Path]:
-    """v1 entry files under ``root`` (ENOENT-tolerant)."""
-    try:
-        subdirs = sorted(root.iterdir())
-    except OSError:
-        return
-    for subdir in subdirs:
-        name = subdir.name
-        if len(name) != 2 or any(c not in "0123456789abcdef" for c in name):
-            continue
-        try:
-            children = sorted(subdir.iterdir())
-        except OSError:
-            continue
-        for path in children:
-            if path.suffix == ".json" and not path.name.startswith("."):
-                yield path
-
-
 class SweepResultStore:
     """Content-addressed result store rooted at one directory.
 
@@ -400,7 +297,6 @@ class SweepResultStore:
         self._root = pathlib.Path(root)
         self.stats = StoreStats()
         self._loaded = False
-        self._legacy = False
         self._index: dict[str, _Location] = {}
         self._segments: dict[str, dict[str, _Location]] = {}
         self._coverage: dict[str, int] = {}
@@ -434,7 +330,7 @@ class SweepResultStore:
         fingerprint, engine version ...).  The key-schema version is mixed
         in so semantic changes invalidate everything at once.  The container
         layout (:data:`STORE_VERSION`) is deliberately *not* part of the
-        key: migrating a store must not lose warm hits.
+        key: keys name results, not how they are laid out on disk.
         """
         payload = dict(components)
         payload["store_format"] = STORE_FORMAT_VERSION
@@ -586,10 +482,6 @@ class SweepResultStore:
         for name in names:
             if name.endswith(".pack"):
                 self._scan_pack_tail(self._packs / name)
-        try:
-            self._legacy = any(True for _ in _iter_legacy_files(self._root))
-        except OSError:
-            self._legacy = False
 
     def _ensure_loaded(self) -> None:
         if not self._loaded:
@@ -759,71 +651,17 @@ class SweepResultStore:
             return None
         return self._decode_chunk(key, location, data)
 
-    def _legacy_path(self, key: str) -> pathlib.Path:
-        return self._root / key[:2] / f"{key}.json"
-
-    def _quarantine_legacy(self, path: pathlib.Path) -> bool:
-        """Move a corrupt v1 entry aside (keeping its bytes for diagnosis)."""
-        target = self._root / QUARANTINE_DIR / (path.name + QUARANTINE_SUFFIX)
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-            return True
-        except FileNotFoundError:
-            return True
-        except OSError:
-            pass
-        # Quarantine failed (e.g. read-only directory): deleting is still
-        # better than re-reading garbage forever.
-        try:
-            path.unlink()
-            return True
-        except FileNotFoundError:
-            return True
-        except OSError:
-            self.stats.io_errors += 1
-            return False
-
-    def _legacy_get(self, key: str) -> dict[str, Any] | None:
-        """v1 fallback read (counts hits/misses exactly like the old store)."""
-        path = self._legacy_path(key)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except OSError:
-            self.stats.misses += 1
-            self.stats.io_errors += 1
-            return None
-        try:
-            payload = json.loads(text)
-            if not isinstance(payload, dict) or payload.get("key") != key:
-                raise ValueError("entry does not match its key")
-        except (ValueError, TypeError):
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            self._quarantine_legacy(path)
-            return None
-        self.stats.hits += 1
-        # The embedded key is integrity metadata, not part of the payload:
-        # strip it so cached payloads compare equal to freshly computed ones.
-        payload.pop("key", None)
-        return payload
-
     def get(self, key: str) -> dict[str, Any] | None:
         """Fetch an entry payload, or ``None`` on miss.
 
-        Payloads served from pack records carry their binary array fields
-        as raw ``bytes`` rather than base64 text (the array codec accepts
-        both; :func:`repro.core.packfile.encode_blobs` restores the JSON
-        form).  Entries served through the v1 fallback keep base64 text.
+        Payloads carry their binary array fields as raw ``bytes``
+        (:func:`repro.core.packfile.encode_blobs` renders them as base64
+        where JSON is needed).
 
         A corrupted record (CRC failure, key mismatch) is quarantined,
         dropped from the index and reported as a miss; OS-level errors also
         degrade to a miss -- counted in :attr:`StoreStats.io_errors` -- so a
-        broken cache never fails the sweep.  Keys absent from the pack index
-        fall back to the v1 per-file layout when one is present.
+        broken cache never fails the sweep.
         """
         self._ensure_loaded()
         location = self._index.get(key)
@@ -832,8 +670,6 @@ class SweepResultStore:
             self._refresh()
             location = self._index.get(key)
         if location is None:
-            if self._legacy:
-                return self._legacy_get(key)
             self.stats.misses += 1
             return None
         payload = self._read_location(key, location)
@@ -847,7 +683,7 @@ class SweepResultStore:
         """Fetch a batch of entries in one pass; misses are simply absent.
 
         Result-identical to calling :meth:`get` per key -- same payloads,
-        same hit/miss/corruption accounting, same v1 fallback -- but each
+        same hit/miss/corruption accounting -- but each
         pack segment is visited once in offset order, and loaded wholesale
         when the batch covers most of it, instead of seeking per key.  This
         is the read path of warm sweeps and batch merges, where per-entry
@@ -858,11 +694,10 @@ class SweepResultStore:
             # Pick up appends from concurrent sessions before concluding.
             self._refresh()
         by_segment: dict[str, list[tuple[str, _Location]]] = {}
-        absent: list[str] = []
         for key in keys:
             location = self._index.get(key)
             if location is None:
-                absent.append(key)
+                self.stats.misses += 1
             else:
                 by_segment.setdefault(location.segment, []).append(
                     (key, location)
@@ -890,13 +725,6 @@ class SweepResultStore:
                 else:
                     self.stats.hits += 1
                     result[key] = payload
-        for key in absent:
-            if self._legacy:
-                payload = self._legacy_get(key)
-                if payload is not None:
-                    result[key] = payload
-            else:
-                self.stats.misses += 1
         return result
 
     # -- maintenance --------------------------------------------------------
@@ -904,26 +732,20 @@ class SweepResultStore:
     def __len__(self) -> int:
         self._ensure_loaded()
         self._refresh()
-        total = len(self._index)
-        if self._legacy:
-            total += sum(1 for _ in _iter_legacy_files(self._root))
-        return total
+        return len(self._index)
 
     def entry_keys(self) -> list[str]:
-        """Sorted keys of every stored entry (both layouts)."""
+        """Sorted keys of every stored entry."""
         self._refresh()
-        keys = set(self._index)
-        if self._legacy:
-            keys.update(path.stem for path in _iter_legacy_files(self._root))
-        return sorted(keys)
+        return sorted(self._index)
 
     def snapshot(self) -> dict[str, str]:
         """Canonical-JSON payloads of every entry, keyed by entry key.
 
-        The canonical rendering is layout-independent, which is what makes
-        before/after-migration (and serial-vs-sharded) comparisons exact:
-        two stores holding the same results produce equal snapshots whatever
-        container they use.  Corrupt or unreadable entries are skipped.
+        The canonical rendering is independent of segment layout and write
+        order, which is what makes serial-vs-sharded comparisons exact: two
+        stores holding the same results produce equal snapshots.  Corrupt
+        or unreadable entries are skipped.
         """
         self._refresh()
         result: dict[str, str] = {}
@@ -934,19 +756,6 @@ class SweepResultStore:
             payload = self._read_location(key, location)
             if payload is not None:
                 result[key] = _canonical_json(encode_blobs(payload))
-        if self._legacy:
-            for path in _iter_legacy_files(self._root):
-                key = path.stem
-                if key in result:
-                    continue
-                try:
-                    document = json.loads(path.read_text(encoding="utf-8"))
-                    if not isinstance(document, dict) or document.get("key") != key:
-                        continue
-                except (OSError, ValueError, TypeError):
-                    continue
-                document.pop("key", None)
-                result[key] = _canonical_json(document)
         return result
 
     def clear(self) -> int:
@@ -981,20 +790,11 @@ class SweepResultStore:
                         pass
         except OSError:
             pass
-        for path in list(_iter_legacy_files(self._root)):
-            try:
-                path.unlink()
-                removed += 1
-            except FileNotFoundError:
-                continue
-            except OSError:
-                self.stats.io_errors += 1
         self._index.clear()
         self._segments.clear()
         self._coverage.clear()
         self._idx_progress.clear()
         self._recovered.clear()
-        self._legacy = False
         return removed
 
     def quarantined_count(self) -> int:
@@ -1004,40 +804,16 @@ class SweepResultStore:
             return 0
         return sum(1 for _ in quarantine.glob(f"*{QUARANTINE_SUFFIX}"))
 
-    def _legacy_stats(self) -> tuple[int, int, list[float]]:
-        """(count, bytes, mtimes) of unmigrated v1 entries."""
-        count = 0
-        total = 0
-        mtimes: list[float] = []
-        for path in _iter_legacy_files(self._root):
-            try:
-                stat = path.stat()
-            except FileNotFoundError:
-                continue
-            except OSError:
-                self.stats.io_errors += 1
-                continue
-            count += 1
-            total += stat.st_size
-            mtimes.append(stat.st_mtime)
-        return count, total, mtimes
-
     def disk_stats(self) -> StoreDiskStats:
         """Measure the store's on-disk footprint (``repro store stats``).
 
-        O(index) on the packfile layout: entry counts, byte totals and the
-        age range all come from the in-memory index -- no per-entry stat
-        calls.  Unmigrated v1 entries (if any) are still walked on disk.
+        O(index): entry counts, byte totals and the age range all come from
+        the in-memory index -- no per-entry stat calls.
         """
         self._refresh()
         entries = len(self._index)
         total_bytes = sum(loc.length for loc in self._index.values())
         times = [loc.timestamp for loc in self._index.values()]
-        if self._legacy:
-            legacy_count, legacy_bytes, legacy_mtimes = self._legacy_stats()
-            entries += legacy_count
-            total_bytes += legacy_bytes
-            times.extend(legacy_mtimes)
         quarantined = self.quarantined_count()
         if not entries:
             return StoreDiskStats(
@@ -1062,9 +838,8 @@ class SweepResultStore:
         ones have their bytes copied into ``quarantine/`` and are dropped
         via durable index tombstones, exactly as a read-path detection
         would.  Records recovered by the crash tail scan gain their missing
-        index lines, making the recovery durable.  Unmigrated v1 entries
-        are verified with the v1 rules.  The store remains fully usable
-        during and after the pass (``repro store verify``).
+        index lines, making the recovery durable.  The store remains fully
+        usable during and after the pass (``repro store verify``).
         """
         self._refresh()
         scanned = 0
@@ -1126,31 +901,6 @@ class SweepResultStore:
                         self._recovered.discard(key)
                     except OSError:
                         self.stats.io_errors += 1
-                valid += 1
-        if self._legacy:
-            for path in sorted(_iter_legacy_files(self._root)):
-                try:
-                    text = path.read_text(encoding="utf-8")
-                except FileNotFoundError:
-                    continue
-                except OSError:
-                    scanned += 1
-                    io_errors += 1
-                    self.stats.io_errors += 1
-                    continue
-                scanned += 1
-                key = path.stem
-                try:
-                    payload = json.loads(text)
-                    if not isinstance(payload, dict) or payload.get("key") != key:
-                        raise ValueError("entry does not match its key")
-                except (ValueError, TypeError):
-                    self.stats.corrupt += 1
-                    if self._quarantine_legacy(path):
-                        quarantined += 1
-                    else:
-                        io_errors += 1
-                    continue
                 valid += 1
         return StoreVerifyReport(
             scanned=scanned,
@@ -1273,133 +1023,35 @@ class SweepResultStore:
         if max_entries is None and max_bytes is None:
             return 0
         self._refresh()
-        # (timestamp, tie-break, size, kind, identity)
-        candidates: list[tuple[float, str, int, str, Any]] = []
-        for key, location in self._index.items():
-            candidates.append(
-                (location.timestamp, key, location.length, "pack", key)
-            )
-        if self._legacy:
-            for path in _iter_legacy_files(self._root):
-                try:
-                    stat = path.stat()
-                except FileNotFoundError:
-                    continue
-                except OSError:
-                    self.stats.io_errors += 1
-                    continue
-                candidates.append(
-                    (stat.st_mtime, str(path), stat.st_size, "legacy", path)
-                )
-        candidates.sort(key=lambda item: (item[0], item[1]))
+        # (timestamp, key as tie-break, size), oldest first.
+        candidates = sorted(
+            (location.timestamp, key, location.length)
+            for key, location in self._index.items()
+        )
         remaining = len(candidates)
-        remaining_bytes = sum(item[2] for item in candidates)
-        legacy_victims: list[pathlib.Path] = []
-        pack_victims: set[str] = set()
-        for _ts, _tie, size, kind, identity in candidates:
+        remaining_bytes = sum(size for _ts, _key, size in candidates)
+        victims: set[str] = set()
+        for _ts, key, size in candidates:
             over_entries = max_entries is not None and remaining > max_entries
             over_bytes = max_bytes is not None and remaining_bytes > max_bytes
             if not over_entries and not over_bytes:
                 break
-            if kind == "legacy":
-                legacy_victims.append(identity)
-            else:
-                pack_victims.add(identity)
+            victims.add(key)
             remaining -= 1
             remaining_bytes -= size
         removed = 0
-        for path in legacy_victims:
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                continue
-            except OSError:
-                self.stats.io_errors += 1
-                continue
-            removed += 1
         by_segment: dict[str, list[tuple[str, _Location]]] = collections.defaultdict(list)
         for key, location in self._index.items():
             by_segment[location.segment].append((key, location))
         for segment in sorted(by_segment):
             entries = by_segment[segment]
-            keep = [(key, loc) for key, loc in entries if key not in pack_victims]
+            keep = [(key, loc) for key, loc in entries if key not in victims]
             if len(keep) == len(entries):
                 continue
             if self._rewrite_segment(segment, keep):
                 removed += len(entries) - len(keep)
         return removed
 
-    def migrate(self) -> StoreMigrateReport:
-        """Repack every v1 JSON entry into the packfile layout, in place.
-
-        Valid entries keep their keys (the key schema never changed) and
-        their store times (the file mtime becomes the pack timestamp, so
-        prune ordering survives migration); the JSON file is removed only
-        after its record and index line are flushed, so a crash mid-migration
-        loses nothing -- rerunning completes the job.  Corrupt v1 entries
-        are quarantined exactly as a read would quarantine them; entries
-        that cannot be repacked due to I/O errors stay in place and remain
-        readable through the v1 fallback.  Exposed as ``repro store
-        migrate``.
-        """
-        self._refresh()
-        migrated = 0
-        quarantined = 0
-        io_errors = 0
-        for path in sorted(_iter_legacy_files(self._root)):
-            key = path.stem
-            try:
-                stat = path.stat()
-                text = path.read_text(encoding="utf-8")
-            except FileNotFoundError:
-                continue
-            except OSError:
-                io_errors += 1
-                self.stats.io_errors += 1
-                continue
-            try:
-                document = json.loads(text)
-                if not isinstance(document, dict) or document.get("key") != key:
-                    raise ValueError("entry does not match its key")
-            except (ValueError, TypeError):
-                self.stats.corrupt += 1
-                if self._quarantine_legacy(path):
-                    quarantined += 1
-                else:
-                    io_errors += 1
-                continue
-            document.pop("key", None)
-            try:
-                self._append_record(key, document, stat.st_mtime)
-            except OSError:
-                # Leave the v1 file in place: still readable via fallback.
-                self._close_writer()
-                io_errors += 1
-                self.stats.io_errors += 1
-                continue
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
-            except OSError:
-                # The pack copy exists and shadows the file; the leftover
-                # JSON only wastes space until the next migrate/clear.
-                io_errors += 1
-                self.stats.io_errors += 1
-            migrated += 1
-            try:
-                path.parent.rmdir()
-            except OSError:
-                pass
-        try:
-            self._root.mkdir(parents=True, exist_ok=True)
-            self._write_format_marker()
-        except OSError:
-            self.stats.io_errors += 1
-        self._legacy = any(True for _ in _iter_legacy_files(self._root))
-        return StoreMigrateReport(
-            migrated=migrated, quarantined=quarantined, io_errors=io_errors
-        )
 
 
 #: Default entry bound of a :class:`MemoryOverlayStore`.  Sized for whole

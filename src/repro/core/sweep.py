@@ -49,6 +49,7 @@ from repro.circuits.adders import (
     speculative_adder,
 )
 from repro.circuits.multipliers import MultiplierCircuit, array_multiplier
+from repro.circuits.operators import check_result_width
 from repro.circuits.signals import int_to_bits
 from repro.core.metrics import mean_squared_error
 from repro.core.resilience import ExecutionPolicy, ExecutionReport, run_shards
@@ -155,16 +156,24 @@ class CircuitSpec:
         registry generator -- such circuits still sweep (in-process) and
         still cache (keyed by netlist fingerprint), they just cannot be
         shipped to worker processes by name.
+
+        Raises
+        ------
+        ValueError
+            For a ``mul<N>x<M>`` multiplier whose product does not fit the
+            output word (see :func:`~repro.circuits.operators.check_result_width`).
         """
         if isinstance(circuit, MultiplierCircuit):
             match = _MULTIPLIER_NAME.match(circuit.name)
             if match is None:
                 return None
+            width_a, width_b = int(match.group(1)), int(match.group(2))
+            check_result_width(circuit.name, width_a + width_b)
             return cls(
                 kind="multiplier",
                 architecture="array",
-                width=int(match.group(1)),
-                width_b=int(match.group(2)),
+                width=width_a,
+                width_b=width_b,
             )
         if isinstance(circuit, SpeculativeAdderCircuit):
             return cls(
@@ -198,7 +207,8 @@ def _make_testbench(circuit: Any, library: StandardCellLibrary) -> Any:
     return AdderTestbench(circuit, library=library)
 
 
-def _exact_words(circuit: Any, in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
+def exact_words(circuit: Any, in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
+    """Golden (error-free) output words of an adder or multiplier."""
     if isinstance(circuit, MultiplierCircuit):
         return circuit.exact_product(in1, in2)
     return circuit.exact_sum(in1, in2)
@@ -302,7 +312,7 @@ def payload_to_measurement(
     in2_arr = np.asarray(in2, dtype=np.int64)
     latched = decode_int64_array(payload["latched_words"]).reshape(in1_arr.shape)
     if exact is None:
-        exact = _exact_words(circuit, in1_arr, in2_arr)
+        exact = exact_words(circuit, in1_arr, in2_arr)
     if exact_bits is None:
         exact_bits = int_to_bits(exact, circuit.output_width)
     latched_bits = int_to_bits(latched, circuit.output_width)
@@ -521,10 +531,6 @@ def verified_spec(circuit: Any, fingerprint: str) -> CircuitSpec | None:
     return spec
 
 
-#: Backwards-compatible alias of :func:`verified_spec`.
-_verified_spec = verified_spec
-
-
 def characterization_key_components(
     circuit: Any,
     library: StandardCellLibrary,
@@ -685,7 +691,7 @@ def _characterization_sweep_body(
     )
     if missing:
         record_simulated_units(len(missing))
-        spec = _verified_spec(circuit, fingerprint) if jobs > 1 else None
+        spec = verified_spec(circuit, fingerprint) if jobs > 1 else None
         shards = shard_triads(missing, jobs if spec is not None else 1)
         if spec is not None and len(shards) > 1:
             trace_context = current_context()
@@ -872,7 +878,7 @@ def _fault_sweep_body(
     )
     if missing_indices:
         record_simulated_units(len(missing_indices))
-        spec = _verified_spec(circuit, fingerprint) if jobs > 1 else None
+        spec = verified_spec(circuit, fingerprint) if jobs > 1 else None
         n_shards = min(jobs, len(missing_indices)) if spec is not None else 1
         chunks = [
             missing_indices[start::n_shards] for start in range(n_shards)

@@ -156,7 +156,9 @@ class DesignSpace:
         Adder architecture tags drawn from
         :data:`repro.circuits.adders.ADDER_GENERATORS`.
     widths:
-        Operand widths (the paper uses 8/16; 32/64 stress the generators).
+        Operand widths (the paper uses 8/16; wider ones stress the
+        generators, up to the 61-bit limit of
+        :func:`~repro.circuits.operators.check_result_width`).
     speculation_windows:
         ``None`` entries select the plain architectures; integer entries add
         the speculative operator with that carry window.

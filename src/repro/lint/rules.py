@@ -211,7 +211,7 @@ class JsonSortKeysRule(LintRule):
     """RPL004: ``json.dumps``/``json.dump`` without ``sort_keys=True``.
 
     Store entries, ``--json`` output and service responses are diffed
-    byte-for-byte by the CI gates (obs-smoke, store-migration); key order
+    byte-for-byte by the CI gates (sweep-cache, obs-smoke); key order
     must come from the data, not from dict insertion history.  Passing a
     computed ``sort_keys=...`` or ``**kwargs`` is accepted -- the rule only
     flags call sites that provably never sort.

@@ -35,7 +35,6 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.circuits.multipliers import MultiplierCircuit
 from repro.circuits.signals import int_to_bits
 from repro.core.resilience import ExecutionPolicy, ExecutionReport, run_shards
 from repro.core.store import (
@@ -45,7 +44,12 @@ from repro.core.store import (
     netlist_fingerprint,
     pack_float64_array,
 )
-from repro.core.sweep import CircuitSpec, record_simulated_units, verified_spec
+from repro.core.sweep import (
+    CircuitSpec,
+    exact_words,
+    record_simulated_units,
+    verified_spec,
+)
 from repro.core.triad import OperatingTriad, TriadGrid
 from repro.obs.trace import TraceContext, current_context, span, worker_scope
 from repro.simulation.engine import ENGINE_VERSION
@@ -139,12 +143,6 @@ def supply_scaling_grid(
 # ---------------------------------------------------------------------------
 
 
-def _exact_words(circuit: Any, in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
-    if isinstance(circuit, MultiplierCircuit):
-        return circuit.exact_product(in1, in2)
-    return circuit.exact_sum(in1, in2)
-
-
 def _simulate_range(
     circuit: Any,
     library: StandardCellLibrary,
@@ -176,7 +174,7 @@ def _simulate_range(
     batch = sampler.sample_range(circuit.netlist.gate_count, start, stop)
     leakage_multipliers = batch.leakage_multipliers(tech)
     assignment = circuit.input_assignment(in1, in2)
-    exact = _exact_words(circuit, in1, in2)
+    exact = exact_words(circuit, in1, in2)
     exact_bits = int_to_bits(exact, circuit.output_width)
     n_vectors = int(np.asarray(in1).size)
 

@@ -13,7 +13,6 @@ from repro.api.jobs import (
     Fig5Job,
     MonteCarloJob,
     SpeculateJob,
-    StoreMigrateJob,
     StorePruneJob,
     StoreStatsJob,
     StoreVerifyJob,
@@ -47,7 +46,6 @@ ALL_JOBS = [
     FaultSweepJob(operator="rca8", pattern=PatternOptions(vectors=128)),
     StoreStatsJob(),
     StoreVerifyJob(),
-    StoreMigrateJob(),
     StorePruneJob(max_entries=5),
 ]
 
@@ -67,6 +65,9 @@ class TestJsonRoundTrip:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="unknown job type"):
             job_from_json({"type": "frobnicate"})
+        # The store migration job was removed with the v1 store layout.
+        with pytest.raises(ValueError, match="unknown job type"):
+            job_from_json({"type": "store-migrate"})
 
     def test_missing_type_rejected(self):
         with pytest.raises(ValueError, match="'type' tag"):
@@ -104,6 +105,24 @@ class TestJobValidation:
             CharacterizeJob(operator="spa16")
         with pytest.raises(ValueError, match="window"):
             Fig5Job(operator="spa8w8")
+
+    def test_operator_result_must_fit_the_output_word(self):
+        # An adder's sum plus carry-out must fit the 62-bit output word.
+        for make in (CharacterizeJob, MonteCarloJob, FaultSweepJob, Fig5Job):
+            assert make(operator="rca61").operator == "rca61"
+            for operator in ("rca62", "rca63", "rca64"):
+                with pytest.raises(ValueError, match="at most 62 result bits"):
+                    make(operator=operator)
+        with pytest.raises(ValueError, match="at most 62 result bits"):
+            ExploreJob(architectures=("rca",), widths=(62,), windows=("none",))
+
+    def test_operator_width_limit_applies_to_job_documents(self):
+        with pytest.raises(ValueError, match="rca63 has a 64-bit result"):
+            jobs_from_document({"jobs": [{"type": "characterize", "operator": "rca63"}]})
+        with pytest.raises(ValueError, match="rca64 has a 65-bit result"):
+            job_from_json({"type": "montecarlo", "operator": "rca64"})
+        (job,) = jobs_from_document([{"type": "characterize", "operator": "rca61"}])
+        assert job == CharacterizeJob(operator="rca61")
 
     def test_pattern_validated_against_operator_width(self):
         with pytest.raises(ValueError, match="n_vectors must be positive"):

@@ -12,7 +12,6 @@ from repro.api.jobs import (
     Fig5Job,
     MonteCarloJob,
     SpeculateJob,
-    StoreMigrateJob,
     StorePruneJob,
     StoreStatsJob,
     SynthesizeJob,
@@ -189,29 +188,6 @@ class TestSessionRuns:
         pruned = session.run(StorePruneJob(max_entries=5))
         assert pruned.removed == 38 and pruned.stats.entries == 5
         assert "pruned 38 entries" in pruned.render()
-
-    def test_store_migrate_job_repacks_a_legacy_store(self, tmp_path):
-        from repro.core.store import (
-            SweepResultStore,
-            store_layout_version,
-            write_legacy_entry,
-        )
-
-        root = tmp_path / "cache"
-        warm = Session(store=root)
-        warm.run(CharacterizeJob(operator="rca8", pattern=SMALL))
-        legacy = tmp_path / "legacy"
-        for key, payload in SweepResultStore(root).snapshot().items():
-            write_legacy_entry(legacy, key, json.loads(payload))
-        assert store_layout_version(legacy) == 1
-
-        session = Session(store=legacy)
-        migrated = session.run(StoreMigrateJob())
-        assert migrated.report.migrated == 43
-        assert migrated.report.quarantined == 0
-        assert "migrated   : 43" in migrated.render()
-        assert store_layout_version(legacy) == 2
-        assert SweepResultStore(legacy).snapshot() == SweepResultStore(root).snapshot()
 
     def test_store_jobs_need_a_store(self, session):
         with pytest.raises(ValueError, match="no result store"):

@@ -9,7 +9,7 @@ from repro.circuits.adders import ADDER_GENERATORS
 class TestParseCircuitSpec:
     @pytest.mark.parametrize(
         "name, architecture, width",
-        [("rca8", "rca", 8), ("bka16", "bka", 16), ("ksa32", "ksa", 32), ("cska64", "cska", 64)],
+        [("rca8", "rca", 8), ("bka16", "bka", 16), ("ksa32", "ksa", 32), ("cska61", "cska", 61)],
     )
     def test_plain_adder_names(self, name, architecture, width):
         spec = parse_circuit_spec(name)
@@ -64,6 +64,17 @@ class TestOperatorSpec:
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError, match="width must be positive"):
             OperatorSpec("rca", 0)
+
+    def test_result_must_fit_the_output_word(self):
+        # Sum plus carry-out is width + 1 bits; the output word holds 62.
+        assert OperatorSpec("rca", 61).width == 61
+        assert OperatorSpec("spa", 61, 4).width == 61
+        with pytest.raises(ValueError, match="rca62 has a 63-bit result"):
+            OperatorSpec("rca", 62)
+        with pytest.raises(ValueError, match="spa62w4 has a 63-bit result"):
+            OperatorSpec("spa", 62, 4)
+        with pytest.raises(ValueError, match="cska64 has a 65-bit result"):
+            parse_circuit_spec("cska64")
 
     def test_json_round_trip(self):
         for spec in (OperatorSpec("rca", 8), OperatorSpec("spa", 16, 4)):

@@ -1,6 +1,10 @@
 """Tests of the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -375,6 +379,49 @@ class TestStoreCommand:
         with pytest.raises(SystemExit):
             main(["store"])
 
+    def _leftover_v1_root(self, tmp_path):
+        """Real entries rewritten in the removed one-file-per-entry layout."""
+        from repro.core.store import SweepResultStore
+
+        snapshot = SweepResultStore(self._populate(tmp_path)).snapshot()
+        root = tmp_path / "v1"
+        for key, document in snapshot.items():
+            path = root / key[:2] / f"{key}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(document, encoding="utf-8")
+        files = {path: path.read_bytes() for path in root.glob("*/*.json")}
+        assert files
+        return root, files
+
+    def test_stats_ignores_a_leftover_v1_layout(self, tmp_path, capsys):
+        root, files = self._leftover_v1_root(tmp_path)
+        capsys.readouterr()
+        assert main(["store", "stats", "--cache-dir", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "entries    : 0" in out and "total bytes: 0" in out
+        assert {path: path.read_bytes() for path in files} == files
+
+    def test_verify_ignores_a_leftover_v1_layout(self, tmp_path, capsys):
+        root, files = self._leftover_v1_root(tmp_path)
+        capsys.readouterr()
+        assert main(["store", "verify", "--cache-dir", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "scanned    : 0" in out and "quarantined: 0" in out
+        assert {path: path.read_bytes() for path in files} == files
+
+    def test_prune_all_leaves_a_leftover_v1_layout_in_place(self, tmp_path, capsys):
+        root, files = self._leftover_v1_root(tmp_path)
+        capsys.readouterr()
+        assert main(["store", "prune", "--cache-dir", str(root), "--all"]) == 0
+        assert "pruned 0 entries" in capsys.readouterr().out
+        assert {path: path.read_bytes() for path in files} == files
+
+    def test_migrate_subcommand_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["store", "migrate", "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
+
     def test_verify_reports_a_clean_store(self, tmp_path, capsys):
         cache = self._populate(tmp_path)
         capsys.readouterr()
@@ -411,33 +458,6 @@ class TestStoreCommand:
         assert main(["store", "verify", "--cache-dir", str(cache)]) == 0
         assert "io errors" in capsys.readouterr().out
 
-    def test_migrate_repacks_a_legacy_store(self, tmp_path, capsys):
-        from repro.core.store import (
-            SweepResultStore,
-            store_layout_version,
-            write_legacy_entry,
-        )
-
-        cache = self._populate(tmp_path)
-        legacy = tmp_path / "legacy"
-        snapshot = SweepResultStore(cache).snapshot()
-        for key, payload in snapshot.items():
-            write_legacy_entry(legacy, key, json.loads(payload))
-        capsys.readouterr()
-        assert main(["store", "migrate", "--cache-dir", str(legacy)]) == 0
-        out = capsys.readouterr().out
-        assert f"migrated   : {len(snapshot)}" in out
-        assert store_layout_version(legacy) == 2
-        assert SweepResultStore(legacy).snapshot() == snapshot
-        # The migrated store passes a subsequent fsck.
-        assert main(["store", "verify", "--cache-dir", str(legacy)]) == 0
-        assert "quarantined: 0" in capsys.readouterr().out
-
-    def test_migrate_is_a_no_op_on_a_current_store(self, tmp_path, capsys):
-        cache = self._populate(tmp_path)
-        capsys.readouterr()
-        assert main(["store", "migrate", "--cache-dir", str(cache)]) == 0
-        assert "migrated   : 0" in capsys.readouterr().out
 
 
 class TestResilienceFlags:
@@ -1136,6 +1156,13 @@ class TestBatchCommand:
         with pytest.raises(SystemExit, match="unknown job type"):
             main(["batch", jobs_file, "--no-cache"])
 
+    def test_too_wide_operator_is_a_clean_error(self, tmp_path):
+        jobs_file = self._write_jobs(
+            tmp_path, [{"type": "characterize", "operator": "rca63"}]
+        )
+        with pytest.raises(SystemExit, match="rca63 has a 64-bit result"):
+            main(["batch", jobs_file, "--no-cache"])
+
     def test_empty_document_is_a_clean_error(self, tmp_path):
         jobs_file = self._write_jobs(tmp_path, [])
         with pytest.raises(SystemExit, match="no jobs"):
@@ -1178,3 +1205,48 @@ class TestCleanErrorSurface:
         )
         with pytest.raises(SystemExit, match="cannot parse adder name"):
             main(["batch", str(path), "--no-cache"])
+
+
+class TestOperatorWidthLimit:
+    """Operators whose result overflows the 62-bit output word are usage
+    errors: exit status 2 and one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, width",
+        [
+            ("characterize", "62"),
+            ("characterize", "63"),
+            ("montecarlo", "62"),
+            ("montecarlo", "64"),
+            ("fig5", "62"),
+            ("faults", "62"),
+        ],
+    )
+    def test_too_wide_operator_is_a_usage_error(self, command, width, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--architecture", "rca", "--width", width, "--no-cache"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert err == [
+            f"repro {command}: error: rca{width} has a {int(width) + 1}-bit "
+            "result; at most 62 result bits are supported (adder width <= 61, "
+            "multiplier N+M <= 62)"
+        ]
+
+    def test_process_exits_2_without_a_traceback(self):
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        process = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "characterize", "--width", "62",
+             "--no-cache"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert process.returncode == 2
+        assert "Traceback" not in process.stderr
+        assert len(process.stderr.splitlines()) == 1
+        assert "rca62 has a 63-bit result" in process.stderr

@@ -13,7 +13,7 @@ from repro.core.packfile import (
     encode_record,
     scan_records,
 )
-from repro.core.store import encode_float64_array, encode_int64_array
+from repro.core.store import pack_float64_array, pack_int64_array
 
 KEY = "ab" * 32
 OTHER = "cd" * 32
@@ -30,32 +30,36 @@ class TestRoundTrip:
 
     def test_array_fields_decode_to_raw_bytes(self):
         payload = {
-            "latched_words": encode_int64_array(np.arange(64, dtype=np.int64)),
-            "ber_samples": encode_float64_array(np.linspace(0, 1, 33)),
+            "latched_words": pack_int64_array(np.arange(64, dtype=np.int64)),
+            "ber_samples": pack_float64_array(np.linspace(0, 1, 33)),
             "summary": {"ber": 0.5},
         }
         _, decoded, _ = decode_record(encode_record(KEY, payload))
-        # Blob fields come back raw (no base64 rebuild on the read path)...
-        assert decoded["latched_words"] == base64.b64decode(
-            payload["latched_words"]
-        )
-        assert decoded["ber_samples"] == base64.b64decode(payload["ber_samples"])
-        assert decoded["summary"] == payload["summary"]
-        # ...and encode_blobs restores the exact original text form.
-        assert encode_blobs(decoded) == payload
+        # Blob fields come back as the same raw bytes (no base64 on the
+        # read path)...
+        assert decoded == payload
+        assert isinstance(decoded["latched_words"], bytes)
+        # ...and encode_blobs renders them as base64 text for JSON.
+        assert encode_blobs(decoded) == {
+            "latched_words": base64.b64encode(payload["latched_words"]).decode(),
+            "ber_samples": base64.b64encode(payload["ber_samples"]).decode(),
+            "summary": {"ber": 0.5},
+        }
 
-    def test_raw_bytes_and_base64_text_encode_identical_records(self):
+    def test_base64_text_in_a_blob_field_is_not_decoded(self):
         raw = np.arange(64, dtype="<i8").tobytes()
-        as_text = encode_record(
-            KEY, {"latched_words": base64.b64encode(raw).decode("ascii")}
-        )
-        as_bytes = encode_record(KEY, {"latched_words": raw})
-        assert as_text == as_bytes
+        text = base64.b64encode(raw).decode("ascii")
+        record = encode_record(KEY, {"latched_words": text})
+        assert record != encode_record(KEY, {"latched_words": raw})
+        assert text.encode("ascii") in record  # kept as JSON text
+        _, decoded, _ = decode_record(record)
+        assert decoded == {"latched_words": text}
 
     def test_array_fields_are_stored_raw_not_base64(self):
         values = np.arange(256, dtype=np.int64)
-        encoded = encode_int64_array(values)
-        record = encode_record(KEY, {"latched_words": encoded})
+        raw = pack_int64_array(values)
+        encoded = base64.b64encode(raw).decode("ascii")
+        record = encode_record(KEY, {"latched_words": raw})
         # The raw little-endian bytes are in the record; the base64 text is
         # not (that is the 4:3 size saving).
         assert values.astype("<i8").tobytes() in record
@@ -63,15 +67,14 @@ class TestRoundTrip:
         assert len(record) < len(encoded) + 200
 
     def test_empty_array_field(self):
-        payload = {"latched_words": encode_int64_array(np.array([], dtype=np.int64))}
+        payload = {"latched_words": pack_int64_array(np.array([], dtype=np.int64))}
         _, decoded, _ = decode_record(encode_record(KEY, payload))
         assert decoded == {"latched_words": b""}
-        assert encode_blobs(decoded) == payload
+        assert encode_blobs(decoded) == {"latched_words": ""}
 
     def test_non_canonical_base64_stays_in_json(self):
-        # Anything that would not survive a decode/encode round trip must be
-        # carried verbatim in the JSON meta.
-        for value in ("not base64!!", "YWJjZA", 3.5, None, ["x"]):
+        # Anything that is not raw bytes is carried verbatim in the JSON meta.
+        for value in ("not base64!!", "YWJjZA", "YWJjZA==", 3.5, None, ["x"]):
             payload = {"latched_words": value}
             _, decoded, _ = decode_record(encode_record(KEY, payload))
             assert decoded == payload
@@ -93,7 +96,7 @@ class TestRoundTrip:
 class TestCorruptionDetection:
     def _record(self):
         return encode_record(
-            KEY, {"latched_words": encode_int64_array(np.arange(32)), "n": 1}
+            KEY, {"latched_words": pack_int64_array(np.arange(32)), "n": 1}
         )
 
     def test_every_single_byte_flip_is_detected(self):

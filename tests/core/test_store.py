@@ -1,5 +1,6 @@
 """Tests of the content-addressed sweep result store (packfile layout)."""
 
+import base64
 import dataclasses
 import json
 
@@ -19,13 +20,11 @@ from repro.core.store import (
     SweepResultStore,
     decode_float64_array,
     decode_int64_array,
-    encode_float64_array,
-    encode_int64_array,
     library_fingerprint,
     netlist_fingerprint,
     operand_fingerprint,
-    store_layout_version,
-    write_legacy_entry,
+    pack_float64_array,
+    pack_int64_array,
 )
 from repro.technology.fdsoi28 import FDSOI28_LVT
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
@@ -99,13 +98,13 @@ class TestFingerprints:
 
     def test_int64_array_round_trip(self):
         values = np.array([0, 1, -5, 2**62, -(2**62)], dtype=np.int64)
-        assert np.array_equal(decode_int64_array(encode_int64_array(values)), values)
+        assert np.array_equal(decode_int64_array(pack_int64_array(values)), values)
 
     def test_float64_array_round_trip_is_bit_exact(self):
         values = np.array(
             [0.0, -0.0, 1e-300, np.pi, np.nextafter(1.0, 2.0), 7.25e12]
         )
-        decoded = decode_float64_array(encode_float64_array(values))
+        decoded = decode_float64_array(pack_float64_array(values))
         assert decoded.dtype == np.float64
         assert np.array_equal(
             decoded.view(np.uint64), values.view(np.uint64)
@@ -113,7 +112,21 @@ class TestFingerprints:
 
     def test_float64_encoding_is_deterministic(self):
         values = np.random.default_rng(0).random(32)
-        assert encode_float64_array(values) == encode_float64_array(values.copy())
+        assert pack_float64_array(values) == pack_float64_array(values.copy())
+
+    @pytest.mark.parametrize(
+        "pack, decode",
+        [
+            (pack_int64_array, decode_int64_array),
+            (pack_float64_array, decode_float64_array),
+        ],
+    )
+    def test_decoders_take_raw_bytes_only(self, pack, decode):
+        # The base64 text form of an array is not a decoder input: nothing
+        # hands one over since the per-entry JSON layout was removed.
+        text = base64.b64encode(pack(np.arange(4))).decode("ascii")
+        with pytest.raises(TypeError):
+            decode(text)
 
 
 class TestEntryKeys:
@@ -135,8 +148,7 @@ class TestEntryKeys:
         assert a != b
 
     def test_keys_do_not_depend_on_the_container_version(self):
-        # STORE_VERSION names the on-disk layout only; mixing it into keys
-        # would orphan every migrated entry.
+        # STORE_VERSION names the on-disk layout only; keys name results.
         key = SweepResultStore.entry_key({"n": 1})
         assert key == SweepResultStore.entry_key({"n": 1})
         payload = {"n": 1, "store_format": store_module.STORE_FORMAT_VERSION}
@@ -164,25 +176,25 @@ class TestSweepResultStore:
         samples = np.random.default_rng(1).random(64)
         payload = {
             "summary": {"ber": 0.5},
-            "latched_words": encode_int64_array(words),
-            "ber_samples": encode_float64_array(samples),
+            "latched_words": pack_int64_array(words),
+            "ber_samples": pack_float64_array(samples),
         }
         store.put(key, payload)
         fetched = SweepResultStore(tmp_path).get(key)
-        # Warm reads hand the array fields back as raw bytes -- never
-        # re-encoded to base64 -- and the codec decodes them bit-exactly.
+        # Warm reads hand the array fields back as the same raw bytes --
+        # never re-encoded to base64 -- and the codec decodes them bit-exactly.
         assert isinstance(fetched["latched_words"], bytes)
         assert np.array_equal(decode_int64_array(fetched["latched_words"]), words)
         assert np.array_equal(
             decode_float64_array(fetched["ber_samples"]), samples
         )
-        # Through encode_blobs the payload is byte-identical to the input:
-        # warm entries compare equal to fresh computations.
-        assert encode_blobs(fetched) == payload
+        # The payload is byte-identical to the input: warm entries compare
+        # equal to fresh computations.
+        assert fetched == payload
 
     def test_non_canonical_base64_field_survives_verbatim(self, tmp_path):
-        # A blob-eligible field whose value is not canonical base64 must be
-        # kept as the literal string, never rewritten through a decode.
+        # A blob-eligible field holding text rather than bytes stays in the
+        # JSON meta as the literal string, never rewritten through a decode.
         store = SweepResultStore(tmp_path)
         key = store.entry_key({"n": "odd"})
         payload = {"latched_words": "not base64!!", "energy_samples": 12.5}
@@ -255,7 +267,6 @@ class TestSweepResultStore:
         assert not list(store.root.glob("*/*.json"))
         marker = json.loads((store.root / FORMAT_FILE).read_text(encoding="utf-8"))
         assert marker == {"store_version": STORE_VERSION}
-        assert store_layout_version(store.root) == STORE_VERSION
 
     def test_segments_rotate_at_the_size_cap(self, tmp_path, monkeypatch):
         monkeypatch.setattr(store_module, "MAX_SEGMENT_BYTES", 4096)
@@ -696,171 +707,94 @@ class TestConcurrentSessions:
         assert reader.stats.corrupt == 0
 
 
-class TestLegacyLayout:
-    """v1 one-JSON-file-per-entry stores read through and migrate."""
+class TestLeftoverV1Root:
+    """A root still holding v1 per-entry JSON files opens as a cold store.
 
-    def _legacy_fill(self, root, count):
+    Nothing reads, counts, prunes or deletes those files: they are inert
+    bytes until their owner deletes the two-hex directories.
+    """
+
+    def _seed_v1_files(self, root, count):
+        """Write ``count`` entries the way the v1 layout laid them out."""
         keys = []
         for n in range(count):
             key = SweepResultStore.entry_key({"n": n})
-            write_legacy_entry(root, key, {"n": n})
-            keys.append(key)
-        return keys
-
-    def test_legacy_entries_read_through(self, tmp_path):
-        keys = self._legacy_fill(tmp_path, 3)
-        store = SweepResultStore(tmp_path)
-        assert store_layout_version(tmp_path) == 1
-        assert len(store) == 3
-        assert all(store.get(key) == {"n": n} for n, key in enumerate(keys))
-        assert store.stats.hits == 3
-
-    def test_corrupt_legacy_entry_is_quarantined_v1_style(self, tmp_path):
-        (key,) = self._legacy_fill(tmp_path, 1)
-        path = tmp_path / key[:2] / f"{key}.json"
-        path.write_text("{ truncated garbage", encoding="utf-8")
-        store = SweepResultStore(tmp_path)
-        assert store.get(key) is None
-        assert store.stats.corrupt == 1
-        moved = tmp_path / QUARANTINE_DIR / (path.name + QUARANTINE_SUFFIX)
-        assert moved.is_file()
-        assert moved.read_text(encoding="utf-8") == "{ truncated garbage"
-
-    def test_legacy_entry_under_wrong_key_is_rejected(self, tmp_path):
-        store = SweepResultStore(tmp_path)
-        key_a = store.entry_key({"n": "a"})
-        key_b = store.entry_key({"n": "b"})
-        write_legacy_entry(tmp_path, key_a, {"v": 1})
-        source = tmp_path / key_a[:2] / f"{key_a}.json"
-        target = tmp_path / key_b[:2]
-        target.mkdir(parents=True, exist_ok=True)
-        (target / f"{key_b}.json").write_text(
-            source.read_text(encoding="utf-8"), encoding="utf-8"
-        )
-        assert store.get(key_b) is None
-        assert store.stats.corrupt == 1
-
-    def test_mixed_layouts_coexist(self, tmp_path):
-        legacy_keys = self._legacy_fill(tmp_path, 2)
-        store = SweepResultStore(tmp_path)
-        new_key = store.entry_key({"n": "new"})
-        store.put(new_key, {"v": "new"})
-        assert len(store) == 3
-        assert store.disk_stats().entries == 3
-        assert store.verify().valid == 3
-        assert sorted(store.entry_keys()) == sorted(legacy_keys + [new_key])
-
-    def test_prune_spans_both_layouts_oldest_first(self, tmp_path, ticking_clock):
-        import os
-
-        keys = self._legacy_fill(tmp_path, 2)
-        # Age the legacy entries far into the past.
-        for n, key in enumerate(keys):
-            os.utime(tmp_path / key[:2] / f"{key}.json", (n + 1, n + 1))
-        store = SweepResultStore(tmp_path)
-        new_key = store.entry_key({"n": "new"})
-        store.put(new_key, {"v": "new"})
-        assert store.prune(max_entries=1) == 2
-        assert store.get(new_key) is not None
-        assert store.get(keys[0]) is None
-
-    def test_clear_spans_both_layouts(self, tmp_path):
-        self._legacy_fill(tmp_path, 2)
-        store = SweepResultStore(tmp_path)
-        store.put(store.entry_key({"n": "new"}), {"v": 1})
-        assert store.clear() == 3
-        assert len(SweepResultStore(tmp_path)) == 0
-
-
-class TestMigration:
-    def _legacy_store(self, root, count):
-        keys = []
-        for n in range(count):
-            key = SweepResultStore.entry_key({"n": n})
-            write_legacy_entry(
-                root,
-                key,
-                {
-                    "n": n,
-                    "latched_words": encode_int64_array(
-                        np.arange(n + 4, dtype=np.int64)
-                    ),
-                },
+            document = encode_blobs(
+                {"n": n, "latched_words": pack_int64_array(np.arange(n + 4))}
+            )
+            document["key"] = key
+            path = root / key[:2] / f"{key}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(
+                json.dumps(document, sort_keys=True, separators=(",", ":")),
+                encoding="utf-8",
             )
             keys.append(key)
         return keys
 
-    def test_migrate_is_lossless(self, tmp_path):
-        self._legacy_store(tmp_path, 5)
+    def _v1_bytes(self, root):
+        return {
+            path.relative_to(root): path.read_bytes()
+            for path in sorted(root.glob("*/*.json"))
+        }
+
+    def test_v1_entries_read_as_misses(self, tmp_path):
+        keys = self._seed_v1_files(tmp_path, 3)
         store = SweepResultStore(tmp_path)
-        before = store.snapshot()
-        report = store.migrate()
-        assert report.migrated == 5
-        assert report.quarantined == 0
-        assert report.io_errors == 0
-        assert store.snapshot() == before
-        # And from a cold index load too.
+        assert all(store.get(key) is None for key in keys)
+        assert store.get_many(keys) == {}
+        assert store.stats.hits == 0
+        assert store.stats.misses == 6
+        assert store.stats.corrupt == 0
+        assert len(store) == 0
+        assert store.entry_keys() == []
+        assert store.snapshot() == {}
+
+    def test_disk_stats_count_only_pack_entries(self, tmp_path):
+        self._seed_v1_files(tmp_path, 3)
+        store = SweepResultStore(tmp_path)
+        empty = store.disk_stats()
+        assert (empty.entries, empty.total_bytes) == (0, 0)
+        assert empty.oldest_mtime is None
+        key = store.entry_key({"n": "new"})
+        store.put(key, {"v": 1})
+        (pack,) = _pack_files(store)
+        stats = SweepResultStore(tmp_path).disk_stats()
+        assert stats.entries == 1
+        assert stats.total_bytes == pack.stat().st_size
+
+    def test_put_and_get_work_beside_v1_files(self, tmp_path):
+        keys = self._seed_v1_files(tmp_path, 2)
+        store = SweepResultStore(tmp_path)
+        store.put(keys[0], {"n": "fresh"})
         fresh = SweepResultStore(tmp_path)
-        assert fresh.snapshot() == before
-        assert len(fresh) == 5
+        assert fresh.get(keys[0]) == {"n": "fresh"}
+        assert fresh.get(keys[1]) is None
+        assert fresh.entry_keys() == [keys[0]]
+        assert fresh.verify().scanned == 1
 
-    def test_migrate_removes_the_v1_files(self, tmp_path):
-        self._legacy_store(tmp_path, 3)
+    def test_prune_clear_and_verify_leave_v1_files_untouched(
+        self, tmp_path, ticking_clock
+    ):
+        self._seed_v1_files(tmp_path, 3)
+        before = self._v1_bytes(tmp_path)
+        assert len(before) == 3
         store = SweepResultStore(tmp_path)
-        store.migrate()
-        assert not list(tmp_path.glob("*/*.json"))
-        # Even the fan-out directories are gone.
-        leftovers = [
-            path
-            for path in tmp_path.iterdir()
-            if path.is_dir() and len(path.name) == 2
-        ]
-        assert leftovers == []
-        assert store_layout_version(tmp_path) == STORE_VERSION
-
-    def test_migrated_entries_stay_warm(self, tmp_path):
-        keys = self._legacy_store(tmp_path, 3)
-        SweepResultStore(tmp_path).migrate()
-        fresh = SweepResultStore(tmp_path)
-        for key in keys:
-            assert fresh.get(key) is not None
-        assert fresh.stats.hits == 3
-        assert fresh.stats.misses == 0
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        self._legacy_store(tmp_path, 2)
-        store = SweepResultStore(tmp_path)
-        assert store.migrate().migrated == 2
-        second = store.migrate()
-        assert second.migrated == 0
-        assert second.quarantined == 0
-        assert len(store) == 2
-
-    def test_migrate_on_an_empty_root_just_stamps_the_format(self, tmp_path):
-        store = SweepResultStore(tmp_path)
-        report = store.migrate()
-        assert report.migrated == 0
-        assert store_layout_version(tmp_path) == STORE_VERSION
-
-    def test_migrate_quarantines_corrupt_v1_entries(self, tmp_path):
-        keys = self._legacy_store(tmp_path, 3)
-        victim = tmp_path / keys[1][:2] / f"{keys[1]}.json"
-        victim.write_text("garbage", encoding="utf-8")
-        store = SweepResultStore(tmp_path)
-        report = store.migrate()
-        assert report.migrated == 2
-        assert report.quarantined == 1
-        assert store.quarantined_count() == 1
-        assert store.verify().valid == 2
-
-    def test_migrate_preserves_prune_ordering(self, tmp_path, ticking_clock):
-        import os
-
-        keys = self._legacy_store(tmp_path, 3)
-        for n, key in enumerate(keys):
-            os.utime(tmp_path / key[:2] / f"{key}.json", (n + 1, n + 1))
-        store = SweepResultStore(tmp_path)
-        store.migrate()
+        for n in range(3):
+            store.put(store.entry_key({"pack": n}), {"pack": n})
+        assert store.verify().scanned == 3
         assert store.prune(max_entries=1) == 2
-        assert store.get(keys[2]) is not None
-        assert store.get(keys[0]) is None and store.get(keys[1]) is None
+        assert self._v1_bytes(tmp_path) == before
+        assert store.clear() == 1
+        assert self._v1_bytes(tmp_path) == before
+        assert store.quarantined_count() == 0
+
+    def test_first_put_writes_the_format_marker_beside_v1_files(self, tmp_path):
+        self._seed_v1_files(tmp_path, 2)
+        before = self._v1_bytes(tmp_path)
+        assert not (tmp_path / FORMAT_FILE).exists()
+        store = SweepResultStore(tmp_path)
+        store.put(store.entry_key({"n": "new"}), {"v": 1})
+        marker = json.loads((tmp_path / FORMAT_FILE).read_text(encoding="utf-8"))
+        assert marker == {"store_version": STORE_VERSION}
+        assert self._v1_bytes(tmp_path) == before

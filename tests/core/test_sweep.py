@@ -90,6 +90,25 @@ class TestCircuitSpec:
     def test_unknown_circuit_yields_none(self):
         assert CircuitSpec.from_circuit(object()) is None
 
+    def test_multiplier_product_must_fit_the_output_word(self):
+        spec = CircuitSpec.from_circuit(array_multiplier(61, 1))
+        assert (spec.width, spec.width_b) == (61, 1)
+        with pytest.raises(ValueError, match="mul61x2 has a 63-bit result"):
+            CircuitSpec.from_circuit(array_multiplier(61, 2))
+
+    @pytest.mark.parametrize("width_a, width_b", [(31, 31), (1, 61), (40, 22)])
+    def test_multiplier_at_the_word_limit_is_accepted(self, width_a, width_b):
+        spec = CircuitSpec.from_circuit(array_multiplier(width_a, width_b))
+        assert (spec.width, spec.width_b) == (width_a, width_b)
+
+    @pytest.mark.parametrize("width_a, width_b", [(31, 32), (2, 61), (32, 32)])
+    def test_multiplier_past_the_word_limit_is_rejected(self, width_a, width_b):
+        name = f"mul{width_a}x{width_b}"
+        with pytest.raises(
+            ValueError, match=f"{name} has a {width_a + width_b}-bit result"
+        ):
+            CircuitSpec.from_circuit(array_multiplier(width_a, width_b))
+
     def test_speculative_sweep_shards_bit_identically(self, small_grid):
         from repro.circuits.adders import speculative_adder
 
@@ -150,6 +169,39 @@ class TestCharacterizationSweep:
         assert warm_store.stats.hits == len(small_grid)
         assert warm_store.stats.misses == 0
         assert warm == cold
+
+    def test_leftover_v1_entries_are_recomputed_cold(
+        self, tmp_path, small_grid, small_pattern
+    ):
+        adder = build_adder("rca", 8)
+        in1, in2 = generate_patterns(small_pattern)
+        stimulus = pattern_stimulus(small_pattern)
+        packed = SweepResultStore(tmp_path / "packed")
+        expected = run_characterization_sweep(
+            adder, small_grid, in1, in2, stimulus, store=packed
+        )
+        # The same entries, under the same keys, in the removed one-JSON-file-
+        # per-entry layout: the store does not read them.
+        v1_root = tmp_path / "v1"
+        for key, document in packed.snapshot().items():
+            path = v1_root / key[:2] / f"{key}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(document, encoding="utf-8")
+        before = {path: path.read_bytes() for path in v1_root.glob("*/*.json")}
+        assert len(before) == len(small_grid)
+        cold_store = SweepResultStore(v1_root)
+        cold = run_characterization_sweep(
+            adder, small_grid, in1, in2, stimulus, store=cold_store
+        )
+        assert cold_store.stats.hits == 0
+        assert cold_store.stats.stores == len(small_grid)
+        assert cold == expected
+        warm_store = SweepResultStore(v1_root)
+        run_characterization_sweep(
+            adder, small_grid, in1, in2, stimulus, store=warm_store
+        )
+        assert warm_store.stats.hits == len(small_grid)
+        assert {path: path.read_bytes() for path in before} == before
 
     def test_cache_invalidates_on_pattern_change(self, tmp_path, small_grid):
         adder = build_adder("rca", 8)

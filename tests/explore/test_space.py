@@ -57,9 +57,13 @@ class TestDesignSpace:
         assert [c.name for c in space] == ["rca8"]
 
     def test_supported_widths_all_build(self):
-        space = DesignSpace.from_axes(("rca",), (8, 16, 32, 64), (None,))
+        # 61 is the widest adder whose sum and carry-out fit the 62-bit
+        # output word.
+        space = DesignSpace.from_axes(("rca",), (8, 16, 32, 61), (None,))
         for candidate in space:
             assert candidate.build().width == candidate.width
+        with pytest.raises(ValueError, match="rca64 has a 65-bit result"):
+            DesignSpace.from_axes(("rca",), (64,), (None,)).candidates()
 
     def test_table3_subspace(self):
         names = {c.name for c in DesignSpace.table3_subspace()}

@@ -97,6 +97,26 @@ class TestEndpoints:
 
         run(main())
 
+    def test_removed_and_too_wide_jobs_are_rejected_at_admission(self, tmp_path):
+        async def main():
+            loop = asyncio.get_running_loop()
+            async with running_service(tmp_path / "store") as service:
+                status, doc, _ = await loop.run_in_executor(
+                    None, http_post, service.port, {"type": "store-migrate"}
+                )
+                assert status == 400
+                assert "unknown job type" in doc["error"]
+                status, doc, _ = await loop.run_in_executor(
+                    None,
+                    http_post,
+                    service.port,
+                    {"type": "characterize", "operator": "rca62"},
+                )
+                assert status == 400
+                assert "rca62 has a 63-bit result" in doc["error"]
+
+        run(main())
+
     def test_unknown_job_and_route_are_404(self, tmp_path):
         async def main():
             loop = asyncio.get_running_loop()
