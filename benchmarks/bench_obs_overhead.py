@@ -61,8 +61,8 @@ def test_tracing_overhead(tmp_path):
     pattern = PatternConfig(n_vectors=n_vectors, width=8, seed=2017)
 
     def run_sweep():
-        # A fresh flow per run keeps the engine's timing cache cold, so the
-        # per-triad engine.pass spans actually fire on every repetition.
+        # A fresh flow per run keeps the simulator's stimulus and arrival
+        # caches cold, so the engine.pass span fires on every repetition.
         flow = CharacterizationFlow.for_benchmark("rca", 8)
         flow.run(pattern=pattern, jobs=bench_jobs(), store=None)
 

@@ -289,8 +289,9 @@ class CharacterizationFlow:
         grid is sharded along ``(vdd, vbb)`` groups over ``jobs`` worker
         processes, per-triad summaries are looked up in (and persisted to)
         the optional result ``store``, and each worker reuses everything
-        that does not depend on the full triad -- golden settled bits per
-        pattern set, arrival times per ``(vdd, vbb)`` pair (see
+        that does not depend on the full triad -- golden settled bits and
+        one unit-``tau`` arrival pass per pattern set, scaled to each
+        ``(vdd, vbb)`` pair (see
         :meth:`repro.simulation.testbench.AdderTestbench.run_sweep`).
         Results are bit-identical for every combination of ``jobs`` and
         cache state.

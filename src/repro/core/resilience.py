@@ -300,6 +300,12 @@ def _init_worker() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+#: Longest wait for a destroyed pool's manager thread to finish.  With the
+#: workers terminated it exits in milliseconds; the bound only matters if
+#: its queue feeder is stuck writing to a dead worker.
+_MANAGER_JOIN_TIMEOUT_S = 5.0
+
+
 def _destroy_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a broken or hung pool down without waiting on its workers.
 
@@ -307,8 +313,17 @@ def _destroy_pool(pool: ProcessPoolExecutor) -> None:
     its timeout would keep its process alive indefinitely -- so the workers
     are terminated explicitly.  Reaching into ``_processes`` is unavoidable:
     the executor API offers no kill switch.
+
+    The executor's manager thread is then joined, with a bound: on its way
+    out it closes the pool's wakeup pipe, and left running that close races
+    the interpreter-exit hook of :mod:`concurrent.futures`, which writes to
+    the same pipe -- an ``OSError: [Errno 9]`` traceback at exit.  Once the
+    thread is joined, the pipe is closed and marked closed, so the hook
+    skips it.  ``shutdown(wait=False)`` drops the reference to the thread,
+    so it is taken first.
     """
     processes = dict(getattr(pool, "_processes", None) or {})
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
     for process in processes.values():
         try:
@@ -317,6 +332,8 @@ def _destroy_pool(pool: ProcessPoolExecutor) -> None:
             # Already-dead processes are the common cause; count the rest so
             # a pattern of unkillable workers shows up in the metrics dump.
             metrics.REGISTRY.counter("resilience.cleanup_errors").add()
+    if manager is not None:
+        manager.join(timeout=_MANAGER_JOIN_TIMEOUT_S)
 
 
 def run_shards(

@@ -363,10 +363,12 @@ def shard_triads(
     """Split a triad list into at most ``n_shards`` balanced shards.
 
     Triads sharing an operating point ``(vdd, vbb)`` always land in the same
-    shard, because settled bits are reused per pattern set and arrival times
-    per operating point -- splitting such a group across workers would
-    duplicate the expensive part of the sweep.  Assignment is deterministic:
-    groups (largest first) go to the currently lightest shard.
+    shard: its clocks share the arrivals scaled to that point (and the
+    supply's dynamic energy), which a split group would compute twice.
+    The expensive unit-``tau`` arrival pass runs once per shard whatever
+    the split, so per-point work is small and balancing by triad count
+    suffices.  Assignment is deterministic: groups (largest first) go to
+    the currently lightest shard.
     """
     if n_shards <= 0:
         raise ValueError("n_shards must be positive")
@@ -736,11 +738,12 @@ def _characterization_sweep_body(
                     payloads[triad] = payload
         else:
             bench = testbench or _make_testbench(circuit, library)
-            # One in-process chunk per (vdd, vbb) group: the sweep-level
+            # One in-process chunk per (vdd, vbb) group: the per-point
             # reuse lives inside a group, so chunking changes no numbers,
             # and the per-group store flush makes serial runs exactly as
             # crash-consistent as sharded ones.  The groups are consumed
-            # from one lazy sweep, so the stimulus is resolved once; ``zip``
+            # from one lazy sweep, so the stimulus is resolved (and its
+            # arrival pass run) once; ``zip``
             # draws from ``group`` first and so never takes a measurement
             # of the next group.
             groups: dict[tuple[float, float], list[OperatingTriad]] = {}

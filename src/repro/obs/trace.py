@@ -33,6 +33,7 @@ import dataclasses
 import json
 import os
 import secrets
+import sys
 import time
 from typing import Any, Iterator, Mapping
 
@@ -50,6 +51,17 @@ __all__ = [
 ]
 
 _ACTIVE: "Tracer | None" = None
+
+
+def _peak_rss_mb() -> float | None:
+    """Peak resident set size of this process in MB, or ``None``."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - not on POSIX
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in kilobytes on Linux, in bytes on macOS.
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 def _new_id() -> str:
@@ -278,8 +290,11 @@ def worker_scope(
     No-op when ``context`` is ``None`` (untraced run).  Otherwise a
     buffered tracer is activated for the block, a ``name`` span with a
     ``queue_wait_s`` attribute wraps it, and every record is appended to
-    the shared trace file in one write at exit.  Also safe in-process (the
-    serial fallback path): the previous active tracer is restored.
+    the shared trace file in one write at exit.  At task end the span also
+    records ``peak_rss_mb``, the process's peak resident set size so far
+    (``ru_maxrss``; ``None`` where the platform has no ``resource``
+    module).  Also safe in-process (the serial fallback path): the previous
+    active tracer is restored.
     """
     if context is None:
         yield
@@ -295,8 +310,11 @@ def worker_scope(
     previous = _ACTIVE
     _ACTIVE = tracer
     try:
-        with tracer.span(name, {**attrs, "queue_wait_s": queue_wait}):
-            yield
+        with tracer.span(name, {**attrs, "queue_wait_s": queue_wait}) as task:
+            try:
+                yield
+            finally:
+                task.set(peak_rss_mb=_peak_rss_mb())
     finally:
         _ACTIVE = previous
         tracer.close()

@@ -15,22 +15,27 @@ so that:
 * the data-dependent arrival-time propagation of the VOS timing simulator
   runs group-at-a-time over gathered ``(gates, vectors)`` blocks for small
   batches and gate by gate, in place, for large ones,
-* per-netlist metadata (capacitive net loads, level structure) and the
-  per-operating-point timing annotation are computed once and shared by
-  every simulation that follows.
+* per-netlist metadata (capacitive net loads, unit gate delays, level
+  structure) and the per-operating-point timing annotation are computed
+  once and shared by every simulation that follows.
 
 Caching contract
 ----------------
 * keyed on the **netlist** (weakly, so netlists can be garbage collected):
-  the compiled plan and the capacitive net loads per library;
+  the compiled plan, and per library the capacitive net loads and the unit
+  gate delays ``g_i`` (:func:`unit_gate_delays`) -- the operating-point
+  independent factor of every gate delay ``tau(vdd, vbb) * g_i``;
 * keyed on ``(vdd, vbb)``: gate delays / switch energies / leakage
   (:func:`annotation_arrays`), computed through the same float expressions
   and summation order as the legacy per-gate loop so annotations stay
   bit-identical with it;
-* keyed on the **pattern set** and ``(vdd, vbb)``: settled values, toggle
-  masks and arrival times are cached by :class:`~repro.simulation.timing_sim.
-  VosTimingSimulator`, so triads differing only in ``tclk`` re-run only the
-  latch comparison.
+* keyed on the **pattern set**: settled values, toggle masks and the
+  output arrival times of one unit-``tau`` pass are cached by
+  :class:`~repro.simulation.timing_sim.VosTimingSimulator`.  Every
+  operating point scales that one pass by its ``tau`` (max-plus arrival
+  commutes with positive scaling) and re-runs the exact per-point
+  recurrence only for the few vectors whose latch decision the scaling's
+  rounding could flip.
 """
 
 from __future__ import annotations
@@ -323,6 +328,7 @@ class CompiledNetlistPlan:
         )
         self._net_count = netlist.net_count
         self._gate_count = len(topo)
+        self._depth = netlist.logic_depth
         self._gate_output_nets = np.array(
             [gate.output for gate in topo], dtype=np.intp
         )
@@ -358,6 +364,11 @@ class CompiledNetlistPlan:
     def gate_count(self) -> int:
         """Number of gates in the compiled netlist."""
         return self._gate_count
+
+    @property
+    def depth(self) -> int:
+        """Maximum number of gates on any input-to-output path."""
+        return self._depth
 
     @property
     def gate_output_nets(self) -> np.ndarray:
@@ -550,9 +561,18 @@ def compile_plan(netlist: Netlist) -> CompiledNetlistPlan:
 # ---------------------------------------------------------------------------
 
 
-_NET_LOADS_CACHE: (
-    "weakref.WeakKeyDictionary[Netlist, weakref.WeakKeyDictionary[StandardCellLibrary, np.ndarray]]"
+_PER_LIBRARY_CACHE: (
+    "weakref.WeakKeyDictionary[Netlist, weakref.WeakKeyDictionary[StandardCellLibrary, dict[str, np.ndarray]]]"
 ) = weakref.WeakKeyDictionary()
+
+
+def _per_library(netlist: Netlist, library: StandardCellLibrary) -> dict:
+    """Weakly keyed ``(netlist, library)`` slot of the metadata cache."""
+    per_library = _PER_LIBRARY_CACHE.get(netlist)
+    if per_library is None:
+        per_library = weakref.WeakKeyDictionary()
+        _PER_LIBRARY_CACHE[netlist] = per_library
+    return per_library.setdefault(library, {})
 
 
 def net_loads(netlist: Netlist, library: StandardCellLibrary) -> np.ndarray:
@@ -561,11 +581,8 @@ def net_loads(netlist: Netlist, library: StandardCellLibrary) -> np.ndarray:
     Computed once per ``(netlist, library)`` pair and cached weakly -- the
     legacy flow recomputed this for every operating point of a sweep.
     """
-    per_library = _NET_LOADS_CACHE.get(netlist)
-    if per_library is None:
-        per_library = weakref.WeakKeyDictionary()
-        _NET_LOADS_CACHE[netlist] = per_library
-    loads = per_library.get(library)
+    slot = _per_library(netlist, library)
+    loads = slot.get("net_loads")
     if loads is None:
         tech = library.technology
         loads = np.zeros(netlist.net_count, dtype=float)
@@ -579,8 +596,40 @@ def net_loads(netlist: Netlist, library: StandardCellLibrary) -> np.ndarray:
         # A gate must at least drive its own parasitic output capacitance.
         loads += tech.parasitic_capacitance
         loads.setflags(write=False)
-        per_library[library] = loads
+        slot["net_loads"] = loads
     return loads
+
+
+def unit_gate_delays(netlist: Netlist, library: StandardCellLibrary) -> np.ndarray:
+    """Delay of every gate in units of ``tau``: ``g_i = p + LE * h``.
+
+    ``p`` is the cell's parasitic delay, ``LE`` its logical effort and ``h``
+    its electrical effort (load over own input capacitance and drive), all
+    independent of the operating point.  Indexed like
+    ``topological_gates``, cached per ``(netlist, library)`` and read-only.
+    This is the one definition of the bracket of
+    ``StandardCellLibrary.cell_delay``: :func:`annotation_arrays` multiplies
+    it by ``tau(vdd, vbb)``, so per-point delays are ``tau * g`` bit for bit.
+    """
+    slot = _per_library(netlist, library)
+    units = slot.get("unit_gate_delays")
+    if units is None:
+        plan = compile_plan(netlist)
+        loads = net_loads(netlist, library)
+        tech = library.technology
+        units = np.empty(plan.gate_count, dtype=float)
+        for gate_type, indices in plan.type_indices.items():
+            cell = library.cell(gate_type.value)
+            own_input_cap = cell.input_capacitance_factor * tech.gate_capacitance
+            electrical_effort = loads[plan.gate_output_nets[indices]] / (
+                own_input_cap * cell.drive_strength
+            )
+            units[indices] = (
+                cell.parasitic_delay + cell.logical_effort * electrical_effort
+            )
+        units.setflags(write=False)
+        slot["unit_gate_delays"] = units
+    return units
 
 
 def annotation_arrays(
@@ -592,25 +641,16 @@ def annotation_arrays(
     """Gate delays, switch energies, leakage power and critical path.
 
     Vectorised per cell type, but through the exact float expressions of
-    ``StandardCellLibrary.cell_delay`` so every per-gate delay is
+    ``StandardCellLibrary.cell_delay`` -- ``tau * (p + LE * h)``, with the
+    bracket from :func:`unit_gate_delays` -- so every per-gate delay is
     bit-identical with the legacy per-gate annotation loop.
     """
     plan = compile_plan(netlist)
-    loads = net_loads(netlist, library)
-    tech = library.technology
     tau = library.delay_model(vdd, vbb).tau
-    delays = np.empty(plan.gate_count, dtype=float)
+    delays = tau * unit_gate_delays(netlist, library)
     energies = np.empty(plan.gate_count, dtype=float)
     leakage_per_type: dict[GateType, float] = {}
     for gate_type, indices in plan.type_indices.items():
-        cell = library.cell(gate_type.value)
-        own_input_cap = cell.input_capacitance_factor * tech.gate_capacitance
-        electrical_effort = loads[plan.gate_output_nets[indices]] / (
-            own_input_cap * cell.drive_strength
-        )
-        delays[indices] = tau * (
-            cell.parasitic_delay + cell.logical_effort * electrical_effort
-        )
         energies[indices] = library.cell_switching_energy(gate_type.value, vdd)
         leakage_per_type[gate_type] = library.cell_leakage_power(
             gate_type.value, vdd, vbb

@@ -116,8 +116,8 @@ class MultiplierTestbench:
         ``triads`` is any iterable of objects with ``tclk`` / ``vdd`` /
         ``vbb`` attributes.  The operand-to-port binding and the golden
         product (with its bit matrix) are computed once for the whole sweep;
-        the simulator additionally reuses settled bits per pattern set and
-        arrival times per ``(vdd, vbb)`` pair, exactly like the adder sweep.
+        the simulator additionally reuses settled bits and one unit-``tau``
+        arrival pass per pattern set, exactly like the adder sweep.
         """
         return list(
             self.iter_sweep(in1, in2, triads, use_reference=use_reference)

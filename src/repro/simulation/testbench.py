@@ -161,8 +161,11 @@ class AdderTestbench:
         Everything that does not depend on the triad is computed once for the
         whole sweep: the operand-to-port binding, the golden sum and its bit
         matrix, and -- inside the simulator -- the resolved stimulus, the
-        settled bits and the per-``(vdd, vbb)`` arrival times, so a triad
-        differing only in ``tclk`` costs one latch comparison.
+        settled bits and one unit-``tau`` arrival pass, which each operating
+        point scales by its ``tau``, so a triad differing only in ``tclk``
+        costs one latch comparison.  Triads sharing ``(vdd, vbb)`` (or just
+        ``vdd``) are cheapest back to back: the scaled arrivals (and the
+        dynamic energy) are held for the latest point (supply) only.
         """
         return list(
             self.iter_sweep(in1, in2, triads, use_reference=use_reference)
@@ -270,9 +273,9 @@ def sweep_measurements(
 
     The triad-independent state (port binding, golden words and bit matrix)
     is taken pre-computed; the simulator adds its own sweep-level reuse
-    (the stimulus resolved once per sweep, settled bits per pattern set,
-    arrivals per ``(vdd, vbb)``).  Shared by the adder and multiplier
-    testbenches.
+    (the stimulus resolved once per sweep, settled bits and one unit-``tau``
+    arrival pass per pattern set, scaled to each operating point).  Shared
+    by the adder and multiplier testbenches.
     """
     triads = list(triads)
     if use_reference:

@@ -33,24 +33,37 @@ the operating triad, and the simulator caches accordingly:
   every operating point and by the variation passes.  At 77 MB for a 32-bit
   Kogge-Stone adder at 20k vectors it is the largest cached array, so a
   simulator holds the matrix of one stimulus at a time,
-* arrival times and per-vector dynamic energy additionally depend on
-  ``(vdd, vbb)`` and are cached per operating point,
+* so do the output arrival times, up to one factor: every gate delay is
+  ``tau(vdd, vbb) * g_i`` with ``g_i`` independent of the operating point
+  (:func:`~repro.simulation.engine.unit_gate_delays`), and max-plus arrival
+  commutes with positive scaling.  One **unit-tau** arrival pass per
+  stimulus therefore serves every operating point, which scales its output
+  arrivals by the point's ``tau``.  The few vectors whose scaled arrival
+  lies within the scaling's rounding bound of a clock are re-run through
+  the exact per-point recurrence, so every latch decision is the one a
+  per-point pass would make (see :meth:`VosTimingSimulator._latch`),
+* per-vector dynamic energy depends on the supply only and is held for the
+  latest ``(stimulus, vdd)`` pair,
 * only the latch and the leakage integral depend on ``tclk``.  The latch
   ``where(arrival <= tclk, settled, stale)`` is evaluated as the exact
   bitwise select ``settled ^ (toggled & ~(arrival <= tclk))``, with the
   output toggle mask ``toggled = settled ^ stale`` cached per stimulus.
 
 A triad-grid sweep (the paper's Fig. 4 flow: four clocks x seven supplies x
-body biases over one 4k-20k-vector pattern set) therefore performs the
-expensive work once per ``(vdd, vbb)`` pair instead of once per triad.
+body biases over one 4k-20k-vector pattern set) therefore performs one
+arrival pass per pattern set instead of one per ``(vdd, vbb)`` pair or per
+triad.  Monte Carlo passes are the exception: their sampled delay
+multipliers depend on the operating point, so they keep one batched pass
+per ``(vdd, vbb)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from collections import OrderedDict
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -61,9 +74,11 @@ from repro.obs.trace import span
 from repro.simulation import engine
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
 
-#: Bounded cache sizes (entries are full per-vector arrays, so keep few).
+#: Bounded stimulus cache size (entries are full per-vector arrays).
 _STIMULUS_CACHE_SIZE = 4
-_TIMING_CACHE_SIZE = 32
+
+#: Machine epsilon of the float64 arrival arithmetic.
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,6 +99,9 @@ class TimingAnnotation:
     critical_path_delay:
         Static (topological) critical path of the netlist in seconds --
         an upper bound on any data-dependent arrival time.
+    tau:
+        Technology time constant at the operating point in seconds:
+        ``gate_delays == tau * engine.unit_gate_delays(...)`` bit for bit.
     """
 
     vdd: float
@@ -92,6 +110,7 @@ class TimingAnnotation:
     gate_switch_energies: np.ndarray
     leakage_power: float
     critical_path_delay: float
+    tau: float
 
     @classmethod
     def annotate(
@@ -117,12 +136,8 @@ class TimingAnnotation:
             gate_switch_energies=energies,
             leakage_power=leakage,
             critical_path_delay=critical,
+            tau=library.delay_model(vdd, vbb).tau,
         )
-
-
-def _net_loads(netlist: Netlist, library: StandardCellLibrary) -> np.ndarray:
-    """Capacitive load on every net (cached; see :func:`engine.net_loads`)."""
-    return engine.net_loads(netlist, library)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,14 +159,6 @@ class _StimulusRecord:
 
 
 @dataclasses.dataclass(frozen=True)
-class _TimingRecord:
-    """Per-``(vdd, vbb)`` state of one pattern set (cached per simulator)."""
-
-    arrival_bits: np.ndarray
-    dynamic_energy: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True)
 class VosSimulationResult:
     """Result of a VOS timing simulation over a batch of vectors.
 
@@ -162,22 +169,37 @@ class VosSimulationResult:
         captured by the output register at the end of each cycle (LSB first).
     settled_bits:
         The error-free settled values of the outputs for the same vectors.
-    arrival_times:
-        Arrival time in seconds of each output bit, same shape.
     dynamic_energy:
         Per-vector dynamic energy in joules, shape ``(n_vectors,)``.
     static_energy:
         Per-vector leakage energy in joules (leakage power * Tclk).
     tclk:
         Clock period used for latching, in seconds.
+    arrival_pass:
+        Zero-argument callable returning :attr:`arrival_times`; it runs on
+        first access only.
     """
 
     latched_bits: np.ndarray
     settled_bits: np.ndarray
-    arrival_times: np.ndarray
     dynamic_energy: np.ndarray
     static_energy: np.ndarray
     tclk: float
+    arrival_pass: Callable[[], np.ndarray] = dataclasses.field(
+        repr=False, compare=False
+    )
+
+    @functools.cached_property
+    def arrival_times(self) -> np.ndarray:
+        """Arrival time in seconds of each output bit, like ``latched_bits``.
+
+        Read-only, and computed lazily: the latch itself does not need it,
+        so a sweep that never reads it never pays for the exact per-point
+        arrival pass behind it.
+        """
+        arrivals = self.arrival_pass()
+        arrivals.setflags(write=False)
+        return arrivals
 
     @property
     def n_vectors(self) -> int:
@@ -356,11 +378,15 @@ class VosTimingSimulator:
         self._output_net_array = np.array(self._output_nets, dtype=np.intp)
         self._annotation_cache: dict[tuple[float, float], TimingAnnotation] = {}
         self._stimulus_cache: "OrderedDict[bytes, _StimulusRecord]" = OrderedDict()
-        self._timing_cache: (
-            "OrderedDict[tuple[bytes, float, float], _TimingRecord]"
-        ) = OrderedDict()
-        # (stimulus key, float64 gate-output toggle matrix) of one stimulus.
+        # Each held for one stimulus at a time:
+        # (stimulus key, float64 gate-output toggle matrix),
         self._energy_operand: tuple[bytes, np.ndarray] | None = None
+        # (stimulus key, unit-tau output arrivals (vectors, outputs)),
+        self._unit_arrivals: tuple[bytes, np.ndarray] | None = None
+        # ((stimulus key, tau), scaled output arrivals) of one point,
+        self._scaled_arrivals: tuple[tuple[bytes, float], np.ndarray] | None = None
+        # ((stimulus key, vdd), per-vector dynamic energy).
+        self._dynamic_energy: tuple[tuple[bytes, float], np.ndarray] | None = None
 
     @property
     def netlist(self) -> Netlist:
@@ -434,13 +460,54 @@ class VosTimingSimulator:
     def _latch(
         self, stimulus: _StimulusRecord, tclk: float, vdd: float, vbb: float
     ) -> VosSimulationResult:
-        """Latch the outputs of a resolved stimulus under one triad."""
-        annotation = self.annotation(vdd, vbb)
-        timing = self._timing(stimulus, vdd, vbb, annotation)
+        """Latch the outputs of a resolved stimulus under one triad.
 
+        The output arrivals are the stimulus's unit-``tau`` pass scaled by
+        the point's ``tau``, yet every latch decision ``arrival <= tclk`` is
+        the one the exact per-point recurrence makes.  Let ``A`` be an
+        output arrival of that recurrence (gate delays ``fl(tau * g_i)``,
+        one rounded addition per gate), ``S = fl(tau * U)`` the scaled unit
+        arrival ``U``, ``T`` the real-number arrival both approximate and
+        ``u = eps / 2``.  Along a path of ``k <= depth`` gates:
+
+        * ``U`` is a fl-sum of ``k`` positive terms ``g_i``, within
+          ``(k - 1) u`` of the true sum, and the scaling rounds once more,
+          so ``S`` is within ``k u`` of ``T``;
+        * ``A`` is a fl-sum of ``k`` positive terms ``fl(tau * g_i)``, each
+          within ``u`` of ``tau * g_i``, so ``A`` is within ``k u`` of ``T``.
+
+        Maxima are exact and monotone, so both bounds carry through every
+        max-plus step, and ``|A - S| <= 2 depth u T = depth eps T``, which
+        is at most ``(depth + 1) eps A`` once the second-order terms are
+        absorbed.  Outside the band ``|S - tclk| <= (depth + 2) eps tclk``
+        (one more ``eps`` trades ``A`` for ``tclk``), ``S - tclk`` and
+        ``A - tclk`` therefore have the same sign and ``S`` latches as ``A``
+        does.  Vectors with an output inside the band are re-run through
+        the exact ``arrival_pass`` of the compiled plan with the point's
+        gate delays, and latched from that.
+        """
+        annotation = self.annotation(vdd, vbb)
+        scaled = self._point_arrivals(stimulus, annotation)
         latched = _latch_bits(
-            timing.arrival_bits, tclk, stimulus.toggled_bits, stimulus.settled_bits
+            scaled, tclk, stimulus.toggled_bits, stimulus.settled_bits
         )
+        # The band's edges round by half an ulp of tclk, well inside the
+        # spare eps of its width.
+        band = (self._plan.depth + 2) * _EPS * tclk
+        near = np.greater_equal(scaled, tclk - band)
+        near &= scaled <= tclk + band
+        if near.any():
+            vectors = np.flatnonzero(near.any(axis=1))
+            with span("engine.pass", kind="recheck", vectors=int(vectors.size)):
+                exact = self._exact_arrivals(
+                    stimulus.changed[:, vectors], annotation.gate_delays
+                )
+            latched[vectors] = _latch_bits(
+                exact,
+                tclk,
+                stimulus.toggled_bits[vectors],
+                stimulus.settled_bits[vectors],
+            )
         n_vectors = stimulus.n_vectors
         static_energy = np.full(n_vectors, annotation.leakage_power * tclk)
         # The cached arrays are shared across results of a sweep; they are
@@ -448,10 +515,12 @@ class VosTimingSimulator:
         return VosSimulationResult(
             latched_bits=latched,
             settled_bits=stimulus.settled_bits,
-            arrival_times=timing.arrival_bits,
-            dynamic_energy=timing.dynamic_energy,
+            dynamic_energy=self._point_dynamic_energy(stimulus, annotation),
             static_energy=static_energy,
             tclk=tclk,
+            arrival_pass=functools.partial(
+                self._exact_arrivals, stimulus.changed, annotation.gate_delays
+            ),
         )
 
     def run_reference(
@@ -523,10 +592,10 @@ class VosTimingSimulator:
         return VosSimulationResult(
             latched_bits=latched,
             settled_bits=settled,
-            arrival_times=arrivals,
             dynamic_energy=dynamic_energy,
             static_energy=static_energy,
             tclk=tclk,
+            arrival_pass=lambda: arrivals,
         )
 
     def run_variation_sweep(
@@ -544,10 +613,12 @@ class VosTimingSimulator:
         The expensive work -- the batched arrival pass over all instances --
         depends only on ``(vdd, vbb)`` and the sampled multipliers, so one
         call evaluates every clock period of an operating-point group against
-        the same arrival matrix (mirroring the sweep-level reuse of
-        :meth:`run`).  Logic values are variation-independent, so the cached
-        stimulus record (settled/stale bits, toggle masks) is shared with
-        nominal simulations of the same pattern set.
+        the same arrival matrix.  Unlike the nominal path, the pass cannot
+        be factored across operating points: the sampled multipliers
+        themselves depend on ``(vdd, vbb)``.  Logic values are
+        variation-independent, so the cached stimulus record (settled/stale
+        bits, toggle masks) and the per-supply dynamic energy are shared
+        with nominal simulations of the same pattern set.
 
         Parameters
         ----------
@@ -701,10 +772,7 @@ class VosTimingSimulator:
         # Free the full tensor before a first use of the stimulus casts its
         # toggle matrix, so the two never coexist.
         del arrival
-        # Same reduction expression as the cached nominal timing record.
-        dynamic_energy = annotation.gate_switch_energies @ self._toggle_matrix(
-            stimulus
-        )
+        dynamic_energy = self._point_dynamic_energy(stimulus, annotation)
         n_instances = multipliers.shape[0]
         if leakage_multipliers is None:
             leakage_power = np.full(n_instances, annotation.leakage_power)
@@ -794,38 +862,60 @@ class VosTimingSimulator:
             self._stimulus_cache.popitem(last=False)
         return record
 
-    def _timing(
-        self,
-        stimulus: _StimulusRecord,
-        vdd: float,
-        vbb: float,
-        annotation: TimingAnnotation,
-    ) -> _TimingRecord:
-        key = (stimulus.key, *_operating_point_key(vdd, vbb))
-        record = self._timing_cache.get(key)
-        if record is not None:
-            self._timing_cache.move_to_end(key)
-            return record
-        with span("engine.pass", kind="arrival", vectors=stimulus.n_vectors):
-            arrival = self._plan.arrival_pass(
-                stimulus.changed, annotation.gate_delays
-            )
-            arrival_bits = arrival[self._output_net_array].T.copy()
-            # Free the full tensor before a first use of the stimulus casts
-            # its toggle matrix, so the two never coexist.
-            del arrival
-            dynamic_energy = annotation.gate_switch_energies @ self._toggle_matrix(
-                stimulus
-            )
-        arrival_bits.setflags(write=False)
-        dynamic_energy.setflags(write=False)
-        record = _TimingRecord(
-            arrival_bits=arrival_bits, dynamic_energy=dynamic_energy
-        )
-        self._timing_cache[key] = record
-        while len(self._timing_cache) > _TIMING_CACHE_SIZE:
-            self._timing_cache.popitem(last=False)
-        return record
+    def _exact_arrivals(
+        self, changed: np.ndarray, gate_delays: np.ndarray
+    ) -> np.ndarray:
+        """Output arrivals ``(vectors, outputs)`` of one exact arrival pass."""
+        arrival = self._plan.arrival_pass(changed, gate_delays)
+        return arrival[self._output_net_array].T.copy()
+
+    def _point_arrivals(
+        self, stimulus: _StimulusRecord, annotation: TimingAnnotation
+    ) -> np.ndarray:
+        """Unit-``tau`` output arrivals of a stimulus scaled to one point.
+
+        The unit pass runs once per stimulus (the only full-width arrival
+        pass of a nominal sweep); the scaled copy is held for the latest
+        operating point, which the clocks of a sweep group share.
+        """
+        held = self._scaled_arrivals
+        key = (stimulus.key, annotation.tau)
+        if held is not None and held[0] == key:
+            return held[1]
+        self._scaled_arrivals = None
+        unit = self._unit_arrivals
+        if unit is None or unit[0] != stimulus.key:
+            # Release the previous stimulus's arrivals before the pass.
+            self._unit_arrivals = None
+            with span("engine.pass", kind="arrival", vectors=stimulus.n_vectors):
+                arrivals = self._exact_arrivals(
+                    stimulus.changed,
+                    engine.unit_gate_delays(self._netlist, self._library),
+                )
+            arrivals.setflags(write=False)
+            self._unit_arrivals = unit = (stimulus.key, arrivals)
+        scaled = annotation.tau * unit[1]
+        scaled.setflags(write=False)
+        self._scaled_arrivals = (key, scaled)
+        return scaled
+
+    def _point_dynamic_energy(
+        self, stimulus: _StimulusRecord, annotation: TimingAnnotation
+    ) -> np.ndarray:
+        """Per-vector dynamic energy ``gate_switch_energies @ toggles``.
+
+        The switch energies depend on the supply only, so the reduction is
+        held for the latest ``(stimulus, vdd)`` pair and shared by every
+        body bias and clock of that supply (and by the variation passes).
+        """
+        held = self._dynamic_energy
+        key = (stimulus.key, annotation.vdd)
+        if held is not None and held[0] == key:
+            return held[1]
+        energy = annotation.gate_switch_energies @ self._toggle_matrix(stimulus)
+        energy.setflags(write=False)
+        self._dynamic_energy = (key, energy)
+        return energy
 
     def _bind_inputs(self, inputs: Mapping[str, np.ndarray]) -> dict[int, np.ndarray]:
         ports = self._netlist.primary_inputs

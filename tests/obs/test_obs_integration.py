@@ -67,6 +67,8 @@ class TestTracedShardedRun:
             # process, with the queue wait measured from task creation.
             assert shard["parent_id"] == sweep_span["span_id"]
             assert shard["attrs"]["queue_wait_s"] >= 0.0
+            # The worker's own peak memory, read at shard end.
+            assert shard["attrs"]["peak_rss_mb"] > 0.0
             assert spans[shard["parent_id"]]["pid"] == os.getpid()
         assert {shard["pid"] for shard in shards} != {os.getpid()}
 
@@ -79,6 +81,17 @@ class TestTracedShardedRun:
         assert worker_passes
         for record in worker_passes:
             assert record["parent_id"] in shard_ids
+
+    def test_one_arrival_pass_per_shard(self, traced_run):
+        """Every operating point of a shard scales one unit-tau pass."""
+        _, records = traced_run
+        arrivals = [
+            record
+            for record in by_name(records, "engine.pass")
+            if record["attrs"]["kind"] == "arrival"
+        ]
+        shard_ids = [s["span_id"] for s in by_name(records, "sweep.shard")]
+        assert sorted(r["parent_id"] for r in arrivals) == sorted(shard_ids)
 
     def test_summary_funnel_matches_run_report(self, traced_run):
         result, records = traced_run

@@ -199,6 +199,7 @@ class TestContextPropagation:
         assert shard["parent_id"] == "parent"
         assert shard["attrs"]["units"] == 7
         assert shard["attrs"]["queue_wait_s"] >= 0.0
+        assert shard["attrs"]["peak_rss_mb"] > 0.0
         assert records["engine.pass"]["parent_id"] == shard["span_id"]
 
     def test_worker_scope_restores_previous_tracer(self, tmp_path):

@@ -170,11 +170,11 @@ class TestAnnotationParity:
     def test_vectorised_annotation_matches_per_gate_queries(self):
         adder = build_adder("rca", 8)
         netlist = adder.netlist
-        from repro.simulation.timing_sim import TimingAnnotation, _net_loads
+        from repro.simulation.timing_sim import TimingAnnotation
         from repro.technology.library import DEFAULT_LIBRARY
 
         annotation = TimingAnnotation.annotate(netlist, 0.7, 2.0)
-        loads = _net_loads(netlist, DEFAULT_LIBRARY)
+        loads = engine.net_loads(netlist, DEFAULT_LIBRARY)
         model = DEFAULT_LIBRARY.delay_model(0.7, 2.0)
         leakage = 0.0
         for index, gate in enumerate(netlist.topological_gates):
@@ -197,23 +197,38 @@ class TestAnnotationParity:
 
 
 class TestSweepReuse:
-    def test_clock_only_sweep_hits_timing_cache(self):
+    def test_sweep_runs_one_full_width_arrival_pass(self, monkeypatch):
         adder = build_adder("rca", 8)
         simulator = VosTimingSimulator(
             adder.netlist, output_ports=adder.output_ports()
         )
+        plan = engine.compile_plan(adder.netlist)
+        widths = []
+        original = plan.arrival_pass
+
+        def counting(changed, gate_delays):
+            widths.append(changed.shape[1])
+            return original(changed, gate_delays)
+
+        monkeypatch.setattr(plan, "arrival_pass", counting)
         assignment = adder.input_assignment(*_operands(8))
         base = simulator.annotation(0.6, 0.0).critical_path_delay
-        for factor in (0.3, 0.5, 0.8, 1.1):
-            compiled = simulator.run(assignment, tclk=base * factor, vdd=0.6)
-            reference = simulator.run_reference(
-                assignment, tclk=base * factor, vdd=0.6
-            )
-            assert np.array_equal(compiled.latched_bits, reference.latched_bits)
-        # One stimulus record and one (vdd, vbb) timing record serve all four
-        # clock periods.
+        points = ((0.6, 0.0), (0.8, 2.0), (0.5, -2.0))
+        for vdd, vbb in points:
+            for factor in (0.3, 0.5, 0.8, 1.1):
+                compiled = simulator.run(
+                    assignment, tclk=base * factor, vdd=vdd, vbb=vbb
+                )
+                reference = simulator.run_reference(
+                    assignment, tclk=base * factor, vdd=vdd, vbb=vbb
+                )
+                assert np.array_equal(
+                    compiled.latched_bits, reference.latched_bits
+                )
+        # One stimulus record and one unit-tau arrival pass serve all four
+        # clock periods at all three operating points.
         assert len(simulator._stimulus_cache) == 1
-        assert len(simulator._timing_cache) == 1
+        assert widths.count(N_VECTORS) == 1
 
     def test_shared_result_arrays_are_read_only(self):
         adder = build_adder("rca", 8)
