@@ -38,7 +38,18 @@ Quickstart::
     )
     for entry in result.characterization.sorted_by_energy():
         print(entry.label(), entry.ber_percent, entry.energy_per_operation_pj)
+
+Importing the package before NumPy pins BLAS to one thread per process
+(``OPENBLAS_NUM_THREADS`` / ``MKL_NUM_THREADS`` default to ``"1"``; a value
+the caller set is kept): the only parallelism is the ``jobs`` worker
+processes, so ``jobs=N`` keeps exactly N cores busy.
 """
+
+import os
+
+for _variable in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+del _variable
 
 from repro.core import (
     OperatingTriad,

@@ -467,10 +467,14 @@ def _payload_to_fault_result(payload: Mapping[str, Any]) -> FaultSimulationResul
 # ---------------------------------------------------------------------------
 
 
-def _split_characterization_shard(
-    task: _CharacterizationShard,
-) -> tuple[_CharacterizationShard, _CharacterizationShard]:
-    """Halve a characterization shard for the ``split-and-retry`` action."""
+def split_triad_shard(task: Any) -> tuple[Any, Any]:
+    """Halve a shard's ``triads`` for the ``split-and-retry`` action.
+
+    Serves every shard dataclass that carries a ``triads`` tuple: the
+    characterization shards here and the Monte Carlo shards of
+    :mod:`repro.variation.montecarlo`.  Each triad's payload is a function
+    of that triad alone, so the halves reproduce the shard's payloads.
+    """
     half = len(task.triads) // 2
     return (
         dataclasses.replace(task, triads=task.triads[:half]),
@@ -727,7 +731,7 @@ def _characterization_sweep_body(
                 policy=policy,
                 max_workers=len(tasks),
                 units=lambda task: len(task.triads),
-                split=_split_characterization_shard,
+                split=split_triad_shard,
                 validate=_validate_characterization_shard,
                 on_result=flush,
                 chaos=chaos,

@@ -64,6 +64,18 @@ def _peak_rss_mb() -> float | None:
     return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
+def _thread_count() -> int | None:
+    """Live threads of this process (``/proc/self/status``), or ``None``."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("Threads:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
 def _new_id() -> str:
     """Random 64-bit hex id, collision-safe across processes."""
     return secrets.token_hex(8)
@@ -293,8 +305,11 @@ def worker_scope(
     the shared trace file in one write at exit.  At task end the span also
     records ``peak_rss_mb``, the process's peak resident set size so far
     (``ru_maxrss``; ``None`` where the platform has no ``resource``
-    module).  Also safe in-process (the serial fallback path): the previous
-    active tracer is restored.
+    module), and ``threads``, its live thread count (omitted where there is
+    no ``/proc``): more than one means something besides the shard, such
+    as a BLAS thread pool, competes for the worker's core.  Also safe
+    in-process (the serial fallback path): the previous active tracer is
+    restored.
     """
     if context is None:
         yield
@@ -315,6 +330,9 @@ def worker_scope(
                 yield
             finally:
                 task.set(peak_rss_mb=_peak_rss_mb())
+                threads = _thread_count()
+                if threads is not None:
+                    task.set(threads=threads)
     finally:
         _ACTIVE = previous
         tracer.close()

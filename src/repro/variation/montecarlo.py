@@ -14,18 +14,21 @@ per-instance BER/energy into distribution statistics and yield
 Scale comes from the PR-2 orchestration layer, reused wholesale:
 
 * **Sharding.**  Sample ranges are fixed-size chunks (independent of the
-  worker count), distributed over a ``ProcessPoolExecutor``.  Workers rebuild
-  the circuit from its verified generator spec
-  (:func:`repro.core.sweep.verified_spec`), and every per-instance number
-  depends only on ``(seed, absolute sample index)`` -- so serial and sharded
-  runs are byte-identical, entry for entry.
+  worker count).  A shard is one sample range times a set of whole
+  ``(vdd, vbb)`` groups: ranges are split into groups
+  (:func:`repro.core.sweep.shard_triads`) until there are at least ``jobs``
+  pieces, so even a single range keeps every worker busy.  Shards run on a
+  ``ProcessPoolExecutor``; workers rebuild the circuit from its verified
+  generator spec (:func:`repro.core.sweep.verified_spec`), and every
+  per-instance number depends only on ``(seed, absolute sample index)`` --
+  so serial and sharded runs are byte-identical, entry for entry.
 * **Result store.**  Each ``(triad, sample range)`` summary persists in the
   content-addressed :class:`~repro.core.store.SweepResultStore`, keyed by
   (netlist fingerprint, corner-shifted library fingerprint, stimulus,
   corner, variation model + seed, sample-index range, triad, engine
-  version).  A warm rerun -- or a resumed run extending ``n_samples`` --
-  fetches completed ranges and performs **zero** timing simulations for
-  them.
+  version).  A warm rerun -- or a resumed run extending ``n_samples``, or
+  one interrupted part-way through a range -- simulates only the
+  ``(range, triad)`` entries the store lacks.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ from repro.core.sweep import (
     CircuitSpec,
     exact_words,
     record_simulated_units,
+    shard_triads,
+    split_triad_shard,
     verified_spec,
 )
 from repro.core.triad import OperatingTriad, TriadGrid
@@ -67,10 +72,12 @@ from repro.variation.stats import TriadVariationResult
 #: Version of the Monte Carlo payload dict layout (part of stored entries).
 MC_PAYLOAD_VERSION = 1
 
-#: Samples per shard/store entry.  Fixed (not derived from the worker count)
-#: so the sample-range decomposition -- and therefore every store entry -- is
+#: Samples per store entry.  Fixed (not derived from the worker count) so the
+#: sample-range decomposition -- and therefore every store entry -- is
 #: identical for any ``jobs`` value, and bounded so one range's batched
-#: arrival matrix stays comfortably in memory.
+#: arrival matrix stays comfortably in memory.  Parallelism does not hinge on
+#: it: a shard is a range times whole ``(vdd, vbb)`` groups, so a lone range
+#: still fills ``jobs`` workers.
 DEFAULT_SAMPLE_CHUNK = 32
 
 
@@ -155,7 +162,7 @@ def _simulate_range(
     stop: int,
     simulator: VosTimingSimulator | None = None,
 ) -> list[dict[str, Any]]:
-    """Simulate one sample range over every triad; payloads in triad order.
+    """Simulate one sample range over ``triads``; payloads in triad order.
 
     Triads are grouped by operating point so the batched arrival pass -- the
     expensive part -- runs once per ``(vdd, vbb)`` for the whole range, and
@@ -319,19 +326,20 @@ def run_montecarlo_sweep(
         *Base* standard-cell library; the run shifts it to ``config.corner``
         before sampling local mismatch around the corner nominal.
     jobs:
-        Worker processes; sample ranges shard across them.  ``1`` executes
-        in-process.  Results are byte-identical for every value.
+        Worker processes.  A shard is one sample range times whole
+        ``(vdd, vbb)`` groups; ranges are split by group until there are at
+        least ``jobs`` shards.  ``1`` executes in-process, one range at a
+        time.  Results are byte-identical for every value.
     store:
         Optional result store; completed ``(triad, range)`` entries are
-        fetched from / persisted to it (warm reruns simulate nothing).
-        Every completed range flushes immediately -- sharded or in-process
-        -- so an interrupted run resumes warm.
+        fetched from / persisted to it, and only the absent ones are
+        simulated (warm reruns simulate nothing).  Every completed shard or
+        range flushes immediately, so an interrupted run resumes warm.
     policy / chaos / report:
         Fault-tolerance knobs of the shard engine, as in
-        :func:`repro.core.sweep.run_characterization_sweep`.
-        Sample-range shards are never split on retry (the range
-        decomposition *is* the store-key layout), but all other recovery
-        actions apply.
+        :func:`repro.core.sweep.run_characterization_sweep`, including
+        ``split-and-retry``: store keys are per ``(range, triad)``, so a
+        halved shard stores the same entries.
 
     Returns
     -------
@@ -396,11 +404,12 @@ def _montecarlo_sweep_body(
     n_vectors = int(in1_arr.size)
     ranges = config.sample_ranges()
 
-    keys: dict[tuple[int, int], str] = {}
-    payloads: dict[tuple[int, int], dict[str, Any]] = {}
+    # One store entry (and one payload) per (sample range, triad) unit.
+    keys: dict[tuple[int, OperatingTriad], str] = {}
+    payloads: dict[tuple[int, OperatingTriad], dict[str, Any]] = {}
     for range_index, (start, stop) in enumerate(ranges):
-        for triad_index, triad in enumerate(triads):
-            keys[(range_index, triad_index)] = SweepResultStore.entry_key(
+        for triad in triads:
+            keys[(range_index, triad)] = SweepResultStore.entry_key(
                 {
                     **base_components,
                     "triad": {
@@ -414,32 +423,33 @@ def _montecarlo_sweep_body(
     if store is not None:
         with span("store.lookup", requested=len(keys)) as lookup_span:
             cached_batch = store.get_many(list(keys.values()))
-            for (range_index, triad_index), key in keys.items():
-                start, stop = ranges[range_index]
+            for unit, key in keys.items():
+                start, stop = ranges[unit[0]]
                 cached = cached_batch.get(key)
                 if _payload_usable(cached, n_vectors, start, stop):
-                    payloads[(range_index, triad_index)] = cached  # type: ignore[assignment]
+                    payloads[unit] = cached  # type: ignore[assignment]
             lookup_span.set(
                 hits=len(payloads), misses=len(keys) - len(payloads)
             )
 
-    missing = [
-        range_index
-        for range_index in range(len(ranges))
-        if any(
-            (range_index, triad_index) not in payloads
-            for triad_index in range(len(triads))
-        )
-    ]
-    sweep_span.set(
-        units=len(keys),
-        cached=len(payloads),
-        simulated=len(missing) * len(triads),
-    )
+    missing: dict[int, list[OperatingTriad]] = {}
+    for range_index, triad in keys:
+        if (range_index, triad) not in payloads:
+            missing.setdefault(range_index, []).append(triad)
+    n_missing = len(keys) - len(payloads)
+    sweep_span.set(units=len(keys), cached=len(payloads), simulated=n_missing)
     if missing:
-        record_simulated_units(len(missing) * len(triads))
+        record_simulated_units(n_missing)
         spec = verified_spec(circuit, fingerprint) if jobs > 1 else None
-        if spec is not None and jobs > 1 and len(missing) > 1:
+        # Split each range into (vdd, vbb) groups until there are at least
+        # ``jobs`` pieces: a lone range still fills every worker.
+        per_range = -(-jobs // len(missing)) if spec is not None else 1
+        pieces = [
+            (range_index, piece)
+            for range_index, range_triads in missing.items()
+            for piece in shard_triads(range_triads, per_range)
+        ]
+        if spec is not None and len(pieces) > 1:
             trace_context = current_context()
             tasks = [
                 _MonteCarloShard(
@@ -447,55 +457,56 @@ def _montecarlo_sweep_body(
                     library=shifted,
                     in1=in1_arr,
                     in2=in2_arr,
-                    triads=tuple((t.tclk, t.vdd, t.vbb) for t in triads),
+                    triads=tuple((t.tclk, t.vdd, t.vbb) for t in piece),
                     model=config.model,
                     seed=config.seed,
                     start=ranges[range_index][0],
                     stop=ranges[range_index][1],
                     trace=trace_context,
                 )
-                for range_index in missing
+                for range_index, piece in pieces
             ]
-            range_index_by_start = {
-                ranges[range_index][0]: range_index for range_index in missing
-            }
+            range_index_by_start = {start: i for i, (start, _) in enumerate(ranges)}
+            triad_by_coords = {(t.tclk, t.vdd, t.vbb): t for t in triads}
+
+            def units_of(task: _MonteCarloShard) -> list[tuple[int, OperatingTriad]]:
+                range_index = range_index_by_start[task.start]
+                return [
+                    (range_index, triad_by_coords[coords]) for coords in task.triads
+                ]
 
             def flush(task: _MonteCarloShard, result: list) -> None:
                 if store is None:
                     return
-                range_index = range_index_by_start[task.start]
                 with span("store.flush", entries=len(result)):
-                    for triad_index, payload in enumerate(result):
-                        store.put(keys[(range_index, triad_index)], payload)
+                    for unit, payload in zip(units_of(task), result):
+                        store.put(keys[unit], payload)
 
-            range_payloads = run_shards(
+            shard_payloads = run_shards(
                 tasks,
                 _run_montecarlo_shard,
                 policy=policy,
                 max_workers=min(jobs, len(tasks)),
                 units=lambda task: len(task.triads),
-                # No split: the sample-range decomposition is the store-key
-                # layout, so a halved shard would store nothing reusable.
-                split=None,
+                split=split_triad_shard,
                 validate=_validate_montecarlo_shard,
                 on_result=flush,
                 chaos=chaos,
                 report=report,
             )
-            for range_index, payload_list in zip(missing, range_payloads):
-                for triad_index, payload in enumerate(payload_list):
-                    payloads[(range_index, triad_index)] = payload
+            for task, result in zip(tasks, shard_payloads):
+                payloads.update(zip(units_of(task), result))
         else:
             simulator = VosTimingSimulator(
                 circuit.netlist,
                 output_ports=circuit.output_ports(),
                 library=shifted,
             )
-            for range_index in missing:
+            for range_index, range_triads in missing.items():
                 payload_list = _simulate_range(
                     circuit,
                     shifted,
-                    triads,
+                    range_triads,
                     in1_arr,
                     in2_arr,
                     config.model,
@@ -504,22 +515,16 @@ def _montecarlo_sweep_body(
                     ranges[range_index][1],
                     simulator=simulator,
                 )
-                for triad_index, payload in enumerate(payload_list):
-                    payloads[(range_index, triad_index)] = payload
+                units = [(range_index, triad) for triad in range_triads]
+                payloads.update(zip(units, payload_list))
                 if store is not None:
                     with span("store.flush", entries=len(payload_list)):
-                        for triad_index in range(len(payload_list)):
-                            store.put(
-                                keys[(range_index, triad_index)],
-                                payloads[(range_index, triad_index)],
-                            )
+                        for unit, payload in zip(units, payload_list):
+                            store.put(keys[unit], payload)
 
     results: list[TriadVariationResult] = []
-    for triad_index, triad in enumerate(triads):
-        parts = [
-            payloads[(range_index, triad_index)]
-            for range_index in range(len(ranges))
-        ]
+    for triad in triads:
+        parts = [payloads[(range_index, triad)] for range_index in range(len(ranges))]
         results.append(
             TriadVariationResult(
                 triad=triad,

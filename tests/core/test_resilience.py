@@ -479,8 +479,7 @@ class TestOrchestratorChaos:
         adder = build_adder("rca", 8)
         in1, in2 = generate_patterns(chaos_pattern)
         stimulus = pattern_stimulus(chaos_pattern)
-        # chunk=3 decomposes 6 samples into 2 ranges, so the run actually
-        # shards (a single range executes in-process and sees no chaos).
+        # chunk=3 decomposes 6 samples into 2 ranges: one shard per range.
         config = MonteCarloConfig(n_samples=6, seed=5, chunk=3)
         clean = run_montecarlo_sweep(
             adder, chaos_grid, in1, in2, stimulus, config=config
@@ -506,6 +505,42 @@ class TestOrchestratorChaos:
             assert np.array_equal(a.energy_samples, b.energy_samples)
         assert report.faulted
         assert report.corrupt_results >= 1
+
+    def test_single_range_montecarlo_split_and_retry_is_identical(
+        self, chaos_grid, chaos_pattern
+    ):
+        # One sample range shards by (vdd, vbb) group; a crashed shard is
+        # halved along its triads, whose store keys stay per (range, triad).
+        adder = build_adder("rca", 8)
+        in1, in2 = generate_patterns(chaos_pattern)
+        stimulus = pattern_stimulus(chaos_pattern)
+        config = MonteCarloConfig(n_samples=6, seed=5)
+        assert len(config.sample_ranges()) == 1
+        clean = run_montecarlo_sweep(
+            adder, chaos_grid, in1, in2, stimulus, config=config
+        )
+        chaos = ChaosPlan((ChaosRule(action="crash", shard=0, attempt=0),))
+        report = ExecutionReport()
+        faulted = run_montecarlo_sweep(
+            adder,
+            chaos_grid,
+            in1,
+            in2,
+            stimulus,
+            config=config,
+            jobs=2,
+            policy=ExecutionPolicy(max_retries=2, on_failure="split-and-retry"),
+            chaos=chaos,
+            report=report,
+        )
+        assert len(faulted) == len(clean)
+        for a, b in zip(clean, faulted):
+            assert a.triad == b.triad
+            assert np.array_equal(a.ber_samples, b.ber_samples)
+            assert np.array_equal(a.energy_samples, b.energy_samples)
+            assert np.array_equal(a.static_energy_samples, b.static_energy_samples)
+        assert report.crashes >= 1
+        assert report.splits >= 1
 
     def test_chaos_crash_with_packfile_flush_stays_consistent(
         self, chaos_grid, chaos_pattern, tmp_path

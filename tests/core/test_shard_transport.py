@@ -32,13 +32,13 @@ from repro.core.sweep import (
     _FaultShard,
     _run_characterization_shard,
     _run_fault_shard,
-    _split_characterization_shard,
     _split_fault_shard,
     _validate_characterization_shard,
     _validate_fault_shard,
     pattern_stimulus,
     run_characterization_sweep,
     run_fault_sweep,
+    split_triad_shard,
 )
 from repro.core.triad import TriadGrid
 from repro.explore.evaluator import CandidateEvaluator
@@ -182,8 +182,9 @@ class TestSplitKeepsOperands:
     @pytest.mark.parametrize(
         "kind, split",
         [
-            ("characterization", _split_characterization_shard),
+            ("characterization", split_triad_shard),
             ("faults", _split_fault_shard),
+            ("montecarlo", split_triad_shard),
         ],
     )
     def test_both_halves_carry_the_same_operands_and_cover_the_units(

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.circuits.adders import build_adder
+from repro.core.resilience import ExecutionReport
 from repro.core.store import SweepResultStore
-from repro.core.sweep import pattern_stimulus
+from repro.core.sweep import pattern_stimulus, simulated_unit_count
 from repro.core.triad import OperatingTriad, TriadGrid
 from repro.simulation.engine import CompiledNetlistPlan
 from repro.simulation.patterns import PatternConfig, generate_patterns
@@ -36,11 +37,41 @@ GRID = TriadGrid(
 )
 
 
-def _run(adder, stimulus, config, jobs=1, store=None):
+#: Four triads over two operating points: a lone sample range splits in two.
+SPLIT_GRID = TriadGrid(
+    [
+        OperatingTriad(tclk=4e-10, vdd=0.6, vbb=0.0),
+        OperatingTriad(tclk=3e-10, vdd=0.6, vbb=0.0),
+        OperatingTriad(tclk=4e-10, vdd=0.5, vbb=0.0),
+        OperatingTriad(tclk=3e-10, vdd=0.5, vbb=0.0),
+    ]
+)
+
+
+def _run(adder, stimulus, config, jobs=1, store=None, grid=GRID, report=None):
     in1, in2, stim = stimulus
     return run_montecarlo_sweep(
-        adder, GRID, in1, in2, stim, config=config, jobs=jobs, store=store
+        adder,
+        grid,
+        in1,
+        in2,
+        stim,
+        config=config,
+        jobs=jobs,
+        store=store,
+        report=report,
     )
+
+
+def _assert_same_samples(first, second):
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        assert a.triad == b.triad
+        assert np.array_equal(a.ber_samples, b.ber_samples)
+        assert np.array_equal(a.faulty_fraction_samples, b.faulty_fraction_samples)
+        assert np.array_equal(a.energy_samples, b.energy_samples)
+        assert np.array_equal(a.static_energy_samples, b.static_energy_samples)
+        assert a.dynamic_energy_per_operation == b.dynamic_energy_per_operation
 
 
 def _entry_files(root):
@@ -74,11 +105,37 @@ class TestDeterminism:
         sharded_entries = store_snapshot(sharded_store.root)
         assert serial_entries == sharded_entries
         assert len(serial_entries) == 3 * 3  # 3 triads x 3 sample ranges
-        for a, b in zip(serial, sharded):
-            assert np.array_equal(a.ber_samples, b.ber_samples)
-            assert np.array_equal(a.faulty_fraction_samples, b.faulty_fraction_samples)
-            assert np.array_equal(a.energy_samples, b.energy_samples)
-            assert a.dynamic_energy_per_operation == b.dynamic_energy_per_operation
+        _assert_same_samples(serial, sharded)
+
+    def test_single_range_shards_by_operating_point(
+        self, rca8_mc, stimulus_600, tmp_path
+    ):
+        """One sample range still fills two workers, byte-identically."""
+        config = MonteCarloConfig(n_samples=12, seed=5)
+        assert len(config.sample_ranges()) == 1
+        serial_store = SweepResultStore(tmp_path / "serial")
+        sharded_store = SweepResultStore(tmp_path / "sharded")
+        report = ExecutionReport()
+        serial = _run(
+            rca8_mc, stimulus_600, config, store=serial_store, grid=SPLIT_GRID
+        )
+        sharded = _run(
+            rca8_mc,
+            stimulus_600,
+            config,
+            jobs=2,
+            store=sharded_store,
+            grid=SPLIT_GRID,
+            report=report,
+        )
+        assert report.shards == 2
+
+        from _store_helpers import store_snapshot
+
+        serial_entries = store_snapshot(serial_store.root)
+        assert serial_entries == store_snapshot(sharded_store.root)
+        assert len(serial_entries) == len(SPLIT_GRID)
+        _assert_same_samples(serial, sharded)
 
     def test_different_variation_seed_changes_samples(self, rca8_mc, stimulus_600):
         low = _run(rca8_mc, stimulus_600, MonteCarloConfig(n_samples=8, seed=1))
@@ -123,6 +180,33 @@ class TestCaching:
         # ... and their samples are the prefix of the extended run.
         for a, b in zip(first, extended):
             assert np.array_equal(a.ber_samples, b.ber_samples[:8])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_partly_flushed_range_simulates_only_its_absent_triads(
+        self, rca8_mc, stimulus_600, tmp_path, jobs
+    ):
+        config = MonteCarloConfig(n_samples=12, seed=5)
+        cold_store = SweepResultStore(tmp_path / "cold")
+        cold = _run(rca8_mc, stimulus_600, config, store=cold_store, grid=SPLIT_GRID)
+
+        # A run interrupted part-way through the lone range: half its
+        # triads (the slower clock of each operating point) reached the
+        # store.
+        store = SweepResultStore(tmp_path / "resumed")
+        flushed = TriadGrid(list(SPLIT_GRID)[:2])
+        _run(rca8_mc, stimulus_600, config, store=store, grid=flushed)
+        store.stats.hits = store.stats.misses = 0
+        before = simulated_unit_count()
+        resumed = _run(
+            rca8_mc, stimulus_600, config, jobs=jobs, store=store, grid=SPLIT_GRID
+        )
+        assert simulated_unit_count() - before == len(SPLIT_GRID) - len(flushed)
+        assert store.stats.hits == len(flushed)
+
+        from _store_helpers import store_snapshot
+
+        assert store_snapshot(store.root) == store_snapshot(cold_store.root)
+        _assert_same_samples(cold, resumed)
 
     def test_corner_and_model_enter_the_cache_key(
         self, rca8_mc, stimulus_600, tmp_path
