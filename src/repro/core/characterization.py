@@ -381,7 +381,6 @@ class CharacterizationFlow:
             in1_arr = np.asarray(in1, dtype=np.int64)
             in2_arr = np.asarray(in2, dtype=np.int64)
             exact = self._adder.exact_sum(in1_arr, in2_arr)
-            exact_bits = _exact_bit_matrix(exact, self._adder.output_width)
             measurements = [
                 sweep_module.payload_to_measurement(
                     payload,
@@ -389,7 +388,6 @@ class CharacterizationFlow:
                     in1_arr,
                     in2_arr,
                     exact=exact,
-                    exact_bits=exact_bits,
                 )
                 for payload in payloads
             ]
@@ -413,12 +411,6 @@ class CharacterizationFlow:
         if isinstance(triads, TriadGrid):
             return triads
         return TriadGrid(list(triads))
-
-
-def _exact_bit_matrix(values: np.ndarray, width: int) -> np.ndarray:
-    from repro.circuits.signals import int_to_bits
-
-    return int_to_bits(values, width)
 
 
 def entry_from_payload(payload: Mapping[str, Any]) -> TriadCharacterization:

@@ -50,7 +50,6 @@ from repro.circuits.adders import (
 )
 from repro.circuits.multipliers import MultiplierCircuit, array_multiplier
 from repro.circuits.operators import check_result_width
-from repro.circuits.signals import int_to_bits
 from repro.core.metrics import mean_squared_error
 from repro.core.resilience import ExecutionPolicy, ExecutionReport, run_shards
 from repro.core.store import (
@@ -251,20 +250,32 @@ def measurement_to_payload(
 ) -> dict[str, Any]:
     """Condense one triad measurement into a payload dict.
 
-    The error rates are counts divided by their base:
-    ``ber = count_nonzero(error_bits) / error_bits.size``, ``bitwise_error``
-    per output bit over ``n_vectors`` and ``faulty_vector_fraction`` (see
-    :attr:`TriadMeasurement.faulty_vector_fraction`).  These are the same
-    doubles as the ``.mean()`` of the boolean matrices the flow used before:
-    such a mean sums 0.0/1.0 values, every partial sum is an integer below
-    ``2**53`` and so exact, and divides the total once by the element count
-    with correct rounding -- which is what the integer division does too.
-    ``mse`` and the energy means keep their float expressions, whose
-    summation order matters.  Payload statistics are therefore bit-identical
-    with a direct in-process summary.
+    The error rates are counts divided by their base, taken on the
+    per-vector error words ``err = latched_words ^ exact_words``: the
+    ``bitwise_error`` counts come from unpacking the nonzero words only,
+    ``ber`` is their total over ``n_vectors * output_width`` and
+    ``faulty_vector_fraction`` is the share of nonzero words (see
+    :attr:`TriadMeasurement.faulty_vector_fraction`).  These are the
+    same doubles as the ``.mean()`` of the boolean error matrices the flow
+    used before: such a mean sums 0.0/1.0 values, every partial sum is an
+    integer below ``2**53`` and so exact, and divides the total once by the
+    element count with correct rounding -- which is what the integer
+    division does too.  ``mse`` and the energy means keep their float
+    expressions, whose summation order matters.  Payload statistics are
+    therefore bit-identical with a direct in-process summary.
     """
-    error_bits = measurement.error_bits.reshape(-1, output_width)
-    n_rows = error_bits.shape[0]
+    err = np.bitwise_xor(measurement.latched_words, measurement.exact_words).ravel()
+    n_rows = err.size
+    faulty = err[err != 0].astype("<i8", copy=False)
+    bit_counts = np.count_nonzero(
+        np.unpackbits(
+            faulty.view(np.uint8).reshape(-1, 8),
+            axis=1,
+            count=output_width,
+            bitorder="little",
+        ),
+        axis=0,
+    )
     payload: dict[str, Any] = {
         "payload_version": PAYLOAD_VERSION,
         "triad": {
@@ -273,11 +284,9 @@ def measurement_to_payload(
             "vbb": measurement.vbb,
         },
         "n_vectors": measurement.n_vectors,
-        "ber": int(np.count_nonzero(error_bits)) / error_bits.size,
+        "ber": int(bit_counts.sum()) / (n_rows * output_width),
         "mse": mean_squared_error(measurement.exact_words, measurement.latched_words),
-        "bitwise_error": [
-            int(count) / n_rows for count in np.count_nonzero(error_bits, axis=0)
-        ],
+        "bitwise_error": [int(count) / n_rows for count in bit_counts],
         "energy_per_operation": measurement.energy_per_operation,
         "dynamic_energy_per_operation": measurement.dynamic_energy_per_operation,
         "static_energy_per_operation": measurement.static_energy_per_operation,
@@ -297,14 +306,13 @@ def payload_to_measurement(
     in1: np.ndarray,
     in2: np.ndarray,
     exact: np.ndarray | None = None,
-    exact_bits: np.ndarray | None = None,
 ) -> TriadMeasurement:
     """Rebuild the raw measurement of one triad from its payload.
 
-    Only the latched output words are stored; the golden words and the error
-    bit matrix are recomputed from the operands, which is deterministic and
-    exact.  ``exact`` / ``exact_bits`` are triad-independent -- pass them in
-    when rebuilding a whole sweep so they are computed once, not per triad.
+    Only the latched output words are stored; the golden words are
+    recomputed from the operands, which is deterministic and exact.
+    ``exact`` is triad-independent -- pass it in when rebuilding a whole
+    sweep so it is computed once, not per triad.
     """
     if "latched_words" not in payload:
         raise KeyError("payload does not carry latched words")
@@ -313,9 +321,6 @@ def payload_to_measurement(
     latched = decode_int64_array(payload["latched_words"]).reshape(in1_arr.shape)
     if exact is None:
         exact = exact_words(circuit, in1_arr, in2_arr)
-    if exact_bits is None:
-        exact_bits = int_to_bits(exact, circuit.output_width)
-    latched_bits = int_to_bits(latched, circuit.output_width)
     triad = payload["triad"]
     return TriadMeasurement(
         adder_name=circuit.name,
@@ -326,7 +331,7 @@ def payload_to_measurement(
         in2=in2_arr,
         latched_words=latched,
         exact_words=exact,
-        error_bits=latched_bits != exact_bits,
+        output_width=circuit.output_width,
         energy_per_operation=float(payload["energy_per_operation"]),
         dynamic_energy_per_operation=float(payload["dynamic_energy_per_operation"]),
         static_energy_per_operation=float(payload["static_energy_per_operation"]),
@@ -363,8 +368,8 @@ def shard_triads(
     """Split a triad list into at most ``n_shards`` balanced shards.
 
     Triads sharing an operating point ``(vdd, vbb)`` always land in the same
-    shard: its clocks share the arrivals scaled to that point (and the
-    supply's dynamic energy), which a split group would compute twice.
+    shard: its clocks share the point's annotation and the supply's dynamic
+    energy, which a split group would compute twice.
     The expensive unit-``tau`` arrival pass runs once per shard whatever
     the split, so per-point work is small and balancing by triad count
     suffices.  Assignment is deterministic: groups (largest first) go to

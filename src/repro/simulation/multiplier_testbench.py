@@ -9,7 +9,7 @@ benchmarks).
 
 Like :class:`~repro.simulation.testbench.AdderTestbench`, sweeps run on the
 compiled engine with sweep-level reuse (:meth:`MultiplierTestbench.run_sweep`
-computes the golden product and its bit matrix once per pattern set), so the
+computes the golden product once per pattern set), so the
 sweep orchestrator shards multiplier grids exactly like adder grids.
 """
 
@@ -20,7 +20,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.circuits.multipliers import MultiplierCircuit
-from repro.circuits.signals import int_to_bits
 from repro.simulation.testbench import (
     TriadMeasurement,
     measurement_from_result,
@@ -100,7 +99,6 @@ class MultiplierTestbench:
             vdd,
             vbb,
             exact,
-            int_to_bits(exact, self._multiplier.output_width),
         )
 
     def run_sweep(
@@ -115,8 +113,8 @@ class MultiplierTestbench:
 
         ``triads`` is any iterable of objects with ``tclk`` / ``vdd`` /
         ``vbb`` attributes.  The operand-to-port binding and the golden
-        product (with its bit matrix) are computed once for the whole sweep;
-        the simulator additionally reuses settled bits and one unit-``tau``
+        product are computed once for the whole sweep; the simulator
+        additionally reuses settled words and one unit-``tau``
         arrival pass per pattern set, exactly like the adder sweep.
         """
         return list(
@@ -145,7 +143,6 @@ class MultiplierTestbench:
             in1_arr,
             in2_arr,
             exact,
-            int_to_bits(exact, self._multiplier.output_width),
             triads,
             use_reference=use_reference,
         )

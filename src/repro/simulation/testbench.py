@@ -11,11 +11,13 @@ bit-wise error probability, energy efficiency).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.circuits.adders import AdderCircuit
+from repro.circuits.signals import int_to_bits
 from repro.simulation.timing_sim import VosSimulationResult, VosTimingSimulator
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
 
@@ -36,8 +38,8 @@ class TriadMeasurement:
         Output words captured by the output register each cycle.
     exact_words:
         Golden results (``in1 + in2``).
-    error_bits:
-        Boolean matrix (vectors x output bits) of faulty latched bits.
+    output_width:
+        Number of observed output bits.
     energy_per_operation:
         Mean total (dynamic + leakage) energy per operation, joules.
     dynamic_energy_per_operation:
@@ -54,7 +56,7 @@ class TriadMeasurement:
     in2: np.ndarray
     latched_words: np.ndarray
     exact_words: np.ndarray
-    error_bits: np.ndarray
+    output_width: int
     energy_per_operation: float
     dynamic_energy_per_operation: float
     static_energy_per_operation: float
@@ -64,10 +66,10 @@ class TriadMeasurement:
         """Number of applied operand pairs."""
         return int(self.in1.shape[0])
 
-    @property
-    def output_width(self) -> int:
-        """Number of observed output bits."""
-        return int(self.error_bits.shape[1])
+    @functools.cached_property
+    def error_bits(self) -> np.ndarray:
+        """Boolean matrix (vectors x output bits) of faulty latched bits."""
+        return int_to_bits(self.latched_words ^ self.exact_words, self.output_width)
 
     @property
     def faulty_vector_fraction(self) -> float:
@@ -159,13 +161,12 @@ class AdderTestbench:
         ``triads`` is any iterable of objects with ``tclk`` / ``vdd`` /
         ``vbb`` attributes (e.g. :class:`repro.core.triad.OperatingTriad`).
         Everything that does not depend on the triad is computed once for the
-        whole sweep: the operand-to-port binding, the golden sum and its bit
-        matrix, and -- inside the simulator -- the resolved stimulus, the
-        settled bits and one unit-``tau`` arrival pass, which each operating
-        point scales by its ``tau``, so a triad differing only in ``tclk``
-        costs one latch comparison.  Triads sharing ``(vdd, vbb)`` (or just
-        ``vdd``) are cheapest back to back: the scaled arrivals (and the
-        dynamic energy) are held for the latest point (supply) only.
+        whole sweep: the operand-to-port binding, the golden sum, and --
+        inside the simulator -- the resolved stimulus, the settled words and
+        one unit-``tau`` arrival pass with its per-vector maximum, which each
+        operating point scales by its ``tau``; a triad then touches only the
+        vectors that can be late.  Triads sharing ``vdd`` are cheapest back
+        to back: the dynamic energy is held for the latest supply only.
         """
         return list(
             self.iter_sweep(in1, in2, triads, use_reference=use_reference)
@@ -197,7 +198,6 @@ class AdderTestbench:
             in1_arr,
             in2_arr,
             exact,
-            _exact_bits(exact, self._adder.output_width),
             triads,
             use_reference=use_reference,
         )
@@ -211,7 +211,6 @@ class AdderTestbench:
         vdd: float,
         vbb: float,
     ) -> TriadMeasurement:
-        exact = self._adder.exact_sum(in1, in2)
         return measurement_from_result(
             self._adder.name,
             in1,
@@ -220,8 +219,7 @@ class AdderTestbench:
             tclk,
             vdd,
             vbb,
-            exact,
-            _exact_bits(exact, self._adder.output_width),
+            self._adder.exact_sum(in1, in2),
         )
 
 
@@ -234,12 +232,11 @@ def measurement_from_result(
     vdd: float,
     vbb: float,
     exact: np.ndarray,
-    exact_bits: np.ndarray,
 ) -> TriadMeasurement:
     """Assemble a :class:`TriadMeasurement` from one simulation result.
 
-    Shared by the adder and multiplier testbenches; ``exact`` /
-    ``exact_bits`` are the circuit's golden words and their bit matrix.
+    Shared by the adder and multiplier testbenches; ``exact`` holds the
+    circuit's golden words.
     """
     return TriadMeasurement(
         adder_name=name,
@@ -250,7 +247,7 @@ def measurement_from_result(
         in2=in2,
         latched_words=result.latched_words,
         exact_words=exact,
-        error_bits=result.latched_bits != exact_bits,
+        output_width=result.n_outputs,
         energy_per_operation=float(result.total_energy.mean()),
         dynamic_energy_per_operation=float(result.dynamic_energy.mean()),
         static_energy_per_operation=float(result.static_energy.mean()),
@@ -264,15 +261,14 @@ def sweep_measurements(
     in1: np.ndarray,
     in2: np.ndarray,
     exact: np.ndarray,
-    exact_bits: np.ndarray,
     triads: Iterable,
     *,
     use_reference: bool = False,
 ) -> Iterator[TriadMeasurement]:
     """Run one operand stream under every triad of a sweep, lazily.
 
-    The triad-independent state (port binding, golden words and bit matrix)
-    is taken pre-computed; the simulator adds its own sweep-level reuse
+    The triad-independent state (port binding, golden words) is taken
+    pre-computed; the simulator adds its own sweep-level reuse
     (the stimulus resolved once per sweep, settled bits and one unit-``tau``
     arrival pass per pattern set, scaled to each operating point).  Shared
     by the adder and multiplier testbenches.
@@ -289,12 +285,5 @@ def sweep_measurements(
         results = simulator.run_sweep(assignment, triads)
     for triad, result in zip(triads, results):
         yield measurement_from_result(
-            name, in1, in2, result, triad.tclk, triad.vdd, triad.vbb,
-            exact, exact_bits,
+            name, in1, in2, result, triad.tclk, triad.vdd, triad.vbb, exact
         )
-
-
-def _exact_bits(values: np.ndarray, width: int) -> np.ndarray:
-    from repro.circuits.signals import int_to_bits
-
-    return int_to_bits(values, width)

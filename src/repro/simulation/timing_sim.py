@@ -44,10 +44,14 @@ the operating triad, and the simulator caches accordingly:
   per-point pass would make (see :meth:`VosTimingSimulator._latch`),
 * per-vector dynamic energy depends on the supply only and is held for the
   latest ``(stimulus, vdd)`` pair,
-* only the latch and the leakage integral depend on ``tclk``.  The latch
-  ``where(arrival <= tclk, settled, stale)`` is evaluated as the exact
-  bitwise select ``settled ^ (toggled & ~(arrival <= tclk))``, with the
-  output toggle mask ``toggled = settled ^ stale`` cached per stimulus.
+* only the latch and the leakage integral depend on ``tclk``.  A quiet
+  net's arrival is 0, so only toggled outputs can be late and the latch
+  ``where(arrival <= tclk, settled, stale)`` is the exact bitwise flip
+  ``settled ^ (arrival > tclk)``.  It runs on per-vector int64 output
+  words: rounding is monotone, so ``tau`` times the per-vector maximum of
+  the unit arrivals (cached with them) is the maximum of the scaled
+  arrivals, and only the vectors whose maximum reaches the clock's
+  rounding band are scaled and flipped at all.
 
 A triad-grid sweep (the paper's Fig. 4 flow: four clocks x seven supplies x
 body biases over one 4k-20k-vector pattern set) therefore performs one
@@ -69,7 +73,7 @@ import numpy as np
 
 from repro.circuits.cells import evaluate_gate
 from repro.circuits.netlist import Netlist
-from repro.circuits.signals import bits_to_int
+from repro.circuits.signals import bits_to_int, int_to_bits
 from repro.obs.trace import span
 from repro.simulation import engine
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
@@ -146,8 +150,7 @@ class _StimulusRecord:
 
     ``changed`` holds the toggle mask of every net -- the sensitisation
     information all arrival/energy computations run on; settled/stale bits
-    and their difference ``toggled_bits`` are kept for the observed outputs
-    only.
+    and the settled output words are kept for the observed outputs only.
     """
 
     key: bytes
@@ -155,7 +158,7 @@ class _StimulusRecord:
     changed: np.ndarray
     settled_bits: np.ndarray
     stale_bits: np.ndarray
-    toggled_bits: np.ndarray
+    settled_words: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,11 +167,13 @@ class VosSimulationResult:
 
     Attributes
     ----------
-    latched_bits:
-        Boolean array of shape ``(n_vectors, n_outputs)`` -- the values
-        captured by the output register at the end of each cycle (LSB first).
-    settled_bits:
-        The error-free settled values of the outputs for the same vectors.
+    latched_words:
+        Per-vector int64 words captured by the output register at the end
+        of each cycle (output bit ``i`` is word bit ``i``).
+    settled_words:
+        The error-free settled output words for the same vectors.
+    n_outputs:
+        Number of observed output bits.
     dynamic_energy:
         Per-vector dynamic energy in joules, shape ``(n_vectors,)``.
     static_energy:
@@ -180,8 +185,9 @@ class VosSimulationResult:
         first access only.
     """
 
-    latched_bits: np.ndarray
-    settled_bits: np.ndarray
+    latched_words: np.ndarray
+    settled_words: np.ndarray
+    n_outputs: int
     dynamic_energy: np.ndarray
     static_energy: np.ndarray
     tclk: float
@@ -201,25 +207,25 @@ class VosSimulationResult:
         arrivals.setflags(write=False)
         return arrivals
 
+    @functools.cached_property
+    def latched_bits(self) -> np.ndarray:
+        """Read-only ``(n_vectors, n_outputs)`` bits of :attr:`latched_words`."""
+        return _read_only(int_to_bits(self.latched_words, self.n_outputs))
+
+    @functools.cached_property
+    def settled_bits(self) -> np.ndarray:
+        """Read-only bit matrix of :attr:`settled_words`."""
+        return _read_only(int_to_bits(self.settled_words, self.n_outputs))
+
     @property
     def n_vectors(self) -> int:
         """Number of simulated vectors."""
-        return self.latched_bits.shape[0]
-
-    @property
-    def latched_words(self) -> np.ndarray:
-        """Latched outputs assembled into integers (LSB-first bit order)."""
-        return bits_to_int(self.latched_bits)
-
-    @property
-    def settled_words(self) -> np.ndarray:
-        """Error-free outputs assembled into integers."""
-        return bits_to_int(self.settled_bits)
+        return self.latched_words.shape[0]
 
     @property
     def error_bits(self) -> np.ndarray:
         """Boolean matrix of bit errors (latched != settled)."""
-        return self.latched_bits != self.settled_bits
+        return int_to_bits(self.latched_words ^ self.settled_words, self.n_outputs)
 
     @property
     def total_energy(self) -> np.ndarray:
@@ -381,10 +387,9 @@ class VosTimingSimulator:
         # Each held for one stimulus at a time:
         # (stimulus key, float64 gate-output toggle matrix),
         self._energy_operand: tuple[bytes, np.ndarray] | None = None
-        # (stimulus key, unit-tau output arrivals (vectors, outputs)),
-        self._unit_arrivals: tuple[bytes, np.ndarray] | None = None
-        # ((stimulus key, tau), scaled output arrivals) of one point,
-        self._scaled_arrivals: tuple[tuple[bytes, float], np.ndarray] | None = None
+        # (stimulus key, unit-tau output arrivals (vectors, outputs), their
+        # per-vector maximum),
+        self._unit_arrivals: tuple[bytes, np.ndarray, np.ndarray] | None = None
         # ((stimulus key, vdd), per-vector dynamic energy).
         self._dynamic_energy: tuple[tuple[bytes, float], np.ndarray] | None = None
 
@@ -485,36 +490,46 @@ class VosTimingSimulator:
         does.  Vectors with an output inside the band are re-run through
         the exact ``arrival_pass`` of the compiled plan with the point's
         gate delays, and latched from that.
+
+        Only candidate vectors are scaled at all: rounding is monotone, so
+        ``fl(tau * max U) == max fl(tau * U)`` and the scaled per-vector
+        maximum of the unit arrivals picks every vector with an output at
+        or above the band's lower edge.  Every other output is on time and
+        not near the clock, and keeps its settled bit.  A quiet output's
+        arrival is 0, so a late output has toggled and latching it flips
+        its settled bit: ``latched = settled ^ pack(arrival > tclk)``.
         """
         annotation = self.annotation(vdd, vbb)
-        scaled = self._point_arrivals(stimulus, annotation)
-        latched = _latch_bits(
-            scaled, tclk, stimulus.toggled_bits, stimulus.settled_bits
-        )
+        unit, unit_max = self._unit_arrivals_of(stimulus)
         # The band's edges round by half an ulp of tclk, well inside the
         # spare eps of its width.
         band = (self._plan.depth + 2) * _EPS * tclk
-        near = np.greater_equal(scaled, tclk - band)
-        near &= scaled <= tclk + band
-        if near.any():
-            vectors = np.flatnonzero(near.any(axis=1))
-            with span("engine.pass", kind="recheck", vectors=int(vectors.size)):
-                exact = self._exact_arrivals(
-                    stimulus.changed[:, vectors], annotation.gate_delays
-                )
-            latched[vectors] = _latch_bits(
-                exact,
-                tclk,
-                stimulus.toggled_bits[vectors],
-                stimulus.settled_bits[vectors],
-            )
+        rows = np.flatnonzero(annotation.tau * unit_max >= tclk - band)
+        latched = stimulus.settled_words
+        if rows.size:
+            scaled = unit[rows]
+            scaled *= annotation.tau
+            late = scaled > tclk
+            near = np.greater_equal(scaled, tclk - band)
+            near &= scaled <= tclk + band
+            if near.any():
+                recheck = np.flatnonzero(near.any(axis=1))
+                with span("engine.pass", kind="recheck", vectors=int(recheck.size)):
+                    exact = self._exact_arrivals(
+                        stimulus.changed[:, rows[recheck]], annotation.gate_delays
+                    )
+                late[recheck] = exact > tclk
+            latched = latched.copy()
+            latched[rows] ^= bits_to_int(late)
+            latched.setflags(write=False)
         n_vectors = stimulus.n_vectors
         static_energy = np.full(n_vectors, annotation.leakage_power * tclk)
         # The cached arrays are shared across results of a sweep; they are
         # marked read-only instead of being copied per triad.
         return VosSimulationResult(
-            latched_bits=latched,
-            settled_bits=stimulus.settled_bits,
+            latched_words=latched,
+            settled_words=stimulus.settled_words,
+            n_outputs=len(self._output_nets),
             dynamic_energy=self._point_dynamic_energy(stimulus, annotation),
             static_energy=static_energy,
             tclk=tclk,
@@ -590,8 +605,9 @@ class VosTimingSimulator:
         latched = np.where(on_time, settled, stale)
         static_energy = np.full(n_vectors, annotation.leakage_power * tclk)
         return VosSimulationResult(
-            latched_bits=latched,
-            settled_bits=settled,
+            latched_words=bits_to_int(latched),
+            settled_words=bits_to_int(settled),
+            n_outputs=len(self._output_nets),
             dynamic_energy=dynamic_energy,
             static_energy=static_energy,
             tclk=tclk,
@@ -645,9 +661,7 @@ class VosTimingSimulator:
         arrival_bits = np.ascontiguousarray(batch.output_arrival.transpose(1, 2, 0))
         return [
             VariationSimulationResult(
-                latched_bits=_latch_bits(
-                    arrival_bits, tclk, stimulus.toggled_bits, stimulus.settled_bits
-                ),
+                latched_bits=_latch_bits(arrival_bits, tclk, stimulus.settled_bits),
                 settled_bits=stimulus.settled_bits,
                 arrival_times=arrival_bits,
                 dynamic_energy=batch.dynamic_energy,
@@ -687,14 +701,13 @@ class VosTimingSimulator:
                 "expected_bits must have shape "
                 f"{stimulus.settled_bits.shape}; got {expected.shape}"
             )
-        # latched ^ expected == (settled ^ expected) ^ (toggled & late), with
-        # both masks laid out (outputs, 1, vectors) like the arrival tensor.
+        # latched ^ expected == (settled ^ expected) ^ late, with the mask
+        # laid out (outputs, 1, vectors) like the arrival tensor.
         mismatch = np.ascontiguousarray((stimulus.settled_bits ^ expected).T)[:, None]
-        toggled = np.ascontiguousarray(stimulus.toggled_bits.T)[:, None]
         n_vectors, n_outputs = expected.shape
         results = []
         for tclk in tclks:
-            errors = _latch_bits(batch.output_arrival, tclk, toggled, mismatch)
+            errors = _latch_bits(batch.output_arrival, tclk, mismatch)
             results.append(
                 VariationErrorCounts(
                     bit_errors=np.count_nonzero(errors, axis=(0, 2)),
@@ -846,8 +859,8 @@ class VosTimingSimulator:
         stale = np.ascontiguousarray(
             engine.unpack_vectors(old_words[outputs], n_vectors).T
         )
-        toggled = settled ^ stale
-        for array in (changed, settled, stale, toggled):
+        settled_words = bits_to_int(settled)
+        for array in (changed, settled, stale, settled_words):
             array.setflags(write=False)
         record = _StimulusRecord(
             key=key,
@@ -855,7 +868,7 @@ class VosTimingSimulator:
             changed=changed,
             settled_bits=settled,
             stale_bits=stale,
-            toggled_bits=toggled,
+            settled_words=settled_words,
         )
         self._stimulus_cache[key] = record
         while len(self._stimulus_cache) > _STIMULUS_CACHE_SIZE:
@@ -869,22 +882,16 @@ class VosTimingSimulator:
         arrival = self._plan.arrival_pass(changed, gate_delays)
         return arrival[self._output_net_array].T.copy()
 
-    def _point_arrivals(
-        self, stimulus: _StimulusRecord, annotation: TimingAnnotation
-    ) -> np.ndarray:
-        """Unit-``tau`` output arrivals of a stimulus scaled to one point.
+    def _unit_arrivals_of(
+        self, stimulus: _StimulusRecord
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Unit-``tau`` output arrivals of a stimulus and their per-vector max.
 
         The unit pass runs once per stimulus (the only full-width arrival
-        pass of a nominal sweep); the scaled copy is held for the latest
-        operating point, which the clocks of a sweep group share.
+        pass of a nominal sweep) and is held for the latest stimulus.
         """
-        held = self._scaled_arrivals
-        key = (stimulus.key, annotation.tau)
-        if held is not None and held[0] == key:
-            return held[1]
-        self._scaled_arrivals = None
-        unit = self._unit_arrivals
-        if unit is None or unit[0] != stimulus.key:
+        held = self._unit_arrivals
+        if held is None or held[0] != stimulus.key:
             # Release the previous stimulus's arrivals before the pass.
             self._unit_arrivals = None
             with span("engine.pass", kind="arrival", vectors=stimulus.n_vectors):
@@ -892,12 +899,11 @@ class VosTimingSimulator:
                     stimulus.changed,
                     engine.unit_gate_delays(self._netlist, self._library),
                 )
-            arrivals.setflags(write=False)
-            self._unit_arrivals = unit = (stimulus.key, arrivals)
-        scaled = annotation.tau * unit[1]
-        scaled.setflags(write=False)
-        self._scaled_arrivals = (key, scaled)
-        return scaled
+            maxima = arrivals.max(axis=1)
+            for array in (arrivals, maxima):
+                array.setflags(write=False)
+            self._unit_arrivals = held = (stimulus.key, arrivals, maxima)
+        return held[1], held[2]
 
     def _point_dynamic_energy(
         self, stimulus: _StimulusRecord, annotation: TimingAnnotation
@@ -933,23 +939,25 @@ class VosTimingSimulator:
         return bound
 
 
-def _latch_bits(
-    arrival: np.ndarray, tclk: float, toggled: np.ndarray, base: np.ndarray
-) -> np.ndarray:
-    """``base ^ (toggled & ~(arrival <= tclk))``, element by element.
+def _latch_bits(arrival: np.ndarray, tclk: float, base: np.ndarray) -> np.ndarray:
+    """``base ^ (arrival > tclk)``, element by element.
 
-    With ``base = settled`` this is the latch ``where(arrival <= tclk,
-    settled, stale)``: since ``stale == settled ^ toggled`` it picks exactly
-    the same bit for every element, ties ``arrival == tclk`` included, with
-    boolean operations on one temporary.  With ``base = settled ^ expected``
-    it is the error matrix ``latched != expected``.  ``toggled`` and
-    ``base`` broadcast against ``arrival``, in whatever layout it has.
+    Arrival passes leave a quiet output at arrival 0, so only a toggled
+    output (``stale == settled ^ 1``) can be late.  With ``base = settled``
+    this is therefore the latch ``where(arrival <= tclk, settled, stale)``
+    for every element, ties ``arrival == tclk`` included, on one boolean
+    temporary.  With ``base = settled ^ expected`` it is the error matrix
+    ``latched != expected``.  ``base`` broadcasts against ``arrival``, in
+    whatever layout it has.
     """
-    latched = np.less_equal(arrival, tclk)
-    np.logical_not(latched, out=latched)
-    latched &= toggled
+    latched = np.greater(arrival, tclk)
     latched ^= base
     return latched
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _operating_point_key(vdd: float, vbb: float) -> tuple[float, float]:
