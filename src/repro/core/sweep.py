@@ -1,43 +1,46 @@
 """Sharded, cache-backed sweep orchestration.
 
 The paper's core experiment (the Fig. 4 flow feeding Fig. 5/8 and Tables
-III-IV) is a grid sweep of operating triads per operator.  PR 1 made one
-triad cheap; this module makes the *grid* scale:
+III-IV) is a grid sweep of operating triads per operator.  This repository
+sweeps two more grids of independent units: stuck-at fault sites
+(:func:`run_fault_sweep`) and ``(sample range, triad)`` Monte Carlo entries
+(:func:`repro.variation.montecarlo.run_montecarlo_sweep`).  All three run
+through one driver, :func:`run_unit_sweep`:
 
-* **Sharding.**  A triad grid is split into shards along ``(vdd, vbb)``
-  groups -- the axis the simulator's sweep-level reuse is keyed on -- so
-  each worker pays the per-operating-point arrival computation exactly once
-  for its shard.  Shard assignment is deterministic (greedy balance over
-  sorted groups) and the merge is by grid order, so results are bit-identical
-  to a serial sweep regardless of worker count or completion order.
-* **Worker processes.**  Shards execute on a ``ProcessPoolExecutor``
-  (``jobs`` workers).  Workers rebuild the circuit from its generator name;
-  the parent verifies the rebuilt netlist fingerprint matches before
-  dispatching, and falls back to in-process execution for circuits the
-  registry cannot reproduce.  Shard tasks pickle the operand arrays.
-* **Result store.**  Each triad's summary is a pure function of (circuit,
-  stimulus, triad, library, engine version); completed entries are persisted
-  in a content-addressed :class:`~repro.core.store.SweepResultStore`, so
-  repeated sweeps -- across CLI runs, benchmark sessions and CI jobs -- skip
-  the timing simulation entirely.
+* **Result store.**  Each unit's payload is a pure function of its store
+  key (circuit, stimulus, unit, library, engine version ...); the driver
+  reads the whole grid from the content-addressed
+  :class:`~repro.core.store.SweepResultStore` in one batch and simulates
+  only the units it lacks, so repeated sweeps -- across CLI runs, benchmark
+  sessions and CI jobs -- skip the simulation entirely.
+* **One shard type, one split rule.**  Missing units are cut into pieces
+  by their :class:`SweepKind` (triads by whole ``(vdd, vbb)`` group, the
+  axis the simulator's reuse is keyed on; fault sites round-robin; Monte
+  Carlo triads by group within one sample range).  With ``jobs > 1`` each
+  piece becomes a :class:`_Shard` on the fault-tolerant pool of
+  :func:`~repro.core.resilience.run_shards`: workers rebuild the circuit
+  from a generator spec whose netlist fingerprint the parent verified, the
+  operands travel pickled with the task, and ``split-and-retry`` halves a
+  shard's units.  Otherwise the pieces run in-process on one simulator.
+* **Crash consistency.**  Every completed shard, and in-process every
+  flush block of its kind, is written to the store at once, so a run killed
+  mid-flight resumes warm.  Results merge by grid order, so they are
+  bit-identical for any worker count or completion order.
 
 Everything travels as JSON-serialisable *payload* dicts (exact float / int64
 round-trips), whether a result comes from this process, a worker, or the
-on-disk store; the conversion back to :class:`TriadCharacterization` /
+on-disk store; each kind's payloads carry its own layout version, and the
+conversion back to :class:`TriadCharacterization` /
 :class:`TriadMeasurement` is therefore identical on every path.
-
-The same machinery shards the structural fault campaigns of
-:mod:`repro.simulation.fault_injection` (fault sites instead of triads, see
-:func:`run_fault_sweep`), and multiplier grids run through the identical
-entry points because :class:`MultiplierTestbench` shares the testbench
-interface.
+Multiplier grids run through the identical entry points because
+:class:`MultiplierTestbench` shares the testbench interface.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -252,7 +255,7 @@ def measurement_to_payload(
 
     The error rates are counts divided by their base, taken on the
     per-vector error words ``err = latched_words ^ exact_words``: the
-    ``bitwise_error`` counts come from unpacking the nonzero words only,
+    ``bitwise_error`` counts mask each output bit of the nonzero words only,
     ``ber`` is their total over ``n_vectors * output_width`` and
     ``faulty_vector_fraction`` is the share of nonzero words (see
     :attr:`TriadMeasurement.faulty_vector_fraction`).  These are the
@@ -266,16 +269,10 @@ def measurement_to_payload(
     """
     err = np.bitwise_xor(measurement.latched_words, measurement.exact_words).ravel()
     n_rows = err.size
-    faulty = err[err != 0].astype("<i8", copy=False)
-    bit_counts = np.count_nonzero(
-        np.unpackbits(
-            faulty.view(np.uint8).reshape(-1, 8),
-            axis=1,
-            count=output_width,
-            bitorder="little",
-        ),
-        axis=0,
-    )
+    faulty = err[err != 0]
+    bit_counts = [
+        int(np.count_nonzero(faulty & (1 << bit))) for bit in range(output_width)
+    ]
     payload: dict[str, Any] = {
         "payload_version": PAYLOAD_VERSION,
         "triad": {
@@ -284,9 +281,9 @@ def measurement_to_payload(
             "vbb": measurement.vbb,
         },
         "n_vectors": measurement.n_vectors,
-        "ber": int(bit_counts.sum()) / (n_rows * output_width),
+        "ber": sum(bit_counts) / (n_rows * output_width),
         "mse": mean_squared_error(measurement.exact_words, measurement.latched_words),
-        "bitwise_error": [int(count) / n_rows for count in bit_counts],
+        "bitwise_error": [count / n_rows for count in bit_counts],
         "energy_per_operation": measurement.energy_per_operation,
         "dynamic_energy_per_operation": measurement.dynamic_energy_per_operation,
         "static_energy_per_operation": measurement.static_energy_per_operation,
@@ -362,6 +359,16 @@ def payload_usable(
 # ---------------------------------------------------------------------------
 
 
+def _by_operating_point(
+    triads: Sequence[OperatingTriad],
+) -> dict[tuple[float, float], list[OperatingTriad]]:
+    """Triads grouped by ``(vdd, vbb)``, groups in first-appearance order."""
+    groups: dict[tuple[float, float], list[OperatingTriad]] = {}
+    for triad in triads:
+        groups.setdefault((triad.vdd, triad.vbb), []).append(triad)
+    return groups
+
+
 def shard_triads(
     triads: Sequence[OperatingTriad], n_shards: int
 ) -> list[list[OperatingTriad]]:
@@ -377,9 +384,7 @@ def shard_triads(
     """
     if n_shards <= 0:
         raise ValueError("n_shards must be positive")
-    groups: dict[tuple[float, float], list[OperatingTriad]] = {}
-    for triad in triads:
-        groups.setdefault((triad.vdd, triad.vbb), []).append(triad)
+    groups = _by_operating_point(triads)
     ordered = sorted(
         groups.items(), key=lambda item: (-len(item[1]), item[0][0], item[0][1])
     )
@@ -393,64 +398,178 @@ def shard_triads(
 
 
 # ---------------------------------------------------------------------------
-# Worker entry points (module level: picklable)
+# Sweep kinds (the per-kind part of the one sweep driver)
 # ---------------------------------------------------------------------------
 
 
+class SweepKind(Protocol):
+    """What :func:`run_unit_sweep` asks of one kind of sweep unit.
+
+    Implementations are small frozen dataclasses: picklable (they ride in
+    every :class:`_Shard`) and hashable (a unit is identified by its
+    ``(kind, unit)`` pair).  They hold whatever besides the circuit and the
+    operands a unit's simulation needs -- the cell library, the Monte Carlo
+    sample range ...
+    """
+
+    #: ``kind`` attribute of the ``sweep.shard`` span.
+    name: str
+    #: Layout version every payload of this kind carries.
+    payload_version: int
+
+    def entry_key(self, base_components: Mapping[str, Any], unit: Any) -> str:
+        """Store key of one unit within the sweep ``base_components`` name."""
+
+    def usable(self, payload: Mapping[str, Any], n_vectors: int) -> bool:
+        """Whether a cached payload serves the unit it is stored under."""
+
+    def plan(self, units: list[Any], n_shards: int | None) -> list[list[Any]]:
+        """Split ``units`` into pool pieces, or into the in-process flush
+        blocks when ``n_shards`` is ``None``."""
+
+    def simulator(self, circuit: Any) -> Any:
+        """The reusable simulator :meth:`run` works on."""
+
+    def run(
+        self,
+        simulator: Any,
+        circuit: Any,
+        in1: np.ndarray,
+        in2: np.ndarray,
+        pieces: Sequence[Sequence[Any]],
+    ) -> Iterator[list[dict[str, Any]]]:
+        """Yield one payload list per piece, in piece and unit order."""
+
+    def shard_attributes(self) -> dict[str, Any]:
+        """Attributes of the ``sweep.shard`` span besides kind and units."""
+
+
 @dataclasses.dataclass(frozen=True)
-class _CharacterizationShard:
-    spec: CircuitSpec
+class _CharacterizationKind:
+    """Units are :class:`OperatingTriad` values; in-process, each
+    ``(vdd, vbb)`` group is one flush block."""
+
     library: StandardCellLibrary
-    in1: np.ndarray
-    in2: np.ndarray
-    triads: tuple[tuple[float, float, float], ...]
     keep_latched: bool
-    trace: TraceContext | None = None
 
+    name = "characterization"
+    payload_version = PAYLOAD_VERSION
 
-def _run_characterization_shard(task: _CharacterizationShard) -> list[dict[str, Any]]:
-    with worker_scope(
-        task.trace, "sweep.shard", kind="characterization", units=len(task.triads)
-    ):
-        circuit = task.spec.build()
-        testbench = _make_testbench(circuit, task.library)
-        triads = [OperatingTriad(tclk=t, vdd=v, vbb=b) for t, v, b in task.triads]
-        measurements = testbench.run_sweep(task.in1, task.in2, triads)
-        return [
-            measurement_to_payload(m, circuit.output_width, task.keep_latched)
-            for m in measurements
-        ]
+    def entry_key(
+        self, base_components: Mapping[str, Any], unit: OperatingTriad
+    ) -> str:
+        return characterization_entry_key(base_components, unit)
+
+    def usable(self, payload: Mapping[str, Any], n_vectors: int) -> bool:
+        return payload_usable(payload, n_vectors, self.keep_latched)
+
+    def plan(
+        self, units: list[OperatingTriad], n_shards: int | None
+    ) -> list[list[OperatingTriad]]:
+        if n_shards is None:
+            return list(_by_operating_point(units).values())
+        return shard_triads(units, n_shards)
+
+    def simulator(self, circuit: Any) -> Any:
+        return _make_testbench(circuit, self.library)
+
+    def run(
+        self,
+        simulator: Any,
+        circuit: Any,
+        in1: np.ndarray,
+        in2: np.ndarray,
+        pieces: Sequence[Sequence[OperatingTriad]],
+    ) -> Iterator[list[dict[str, Any]]]:
+        # The pieces are consumed from one lazy sweep, so the stimulus is
+        # resolved (and its arrival pass run) once; ``zip`` draws from
+        # ``piece`` first and so never takes a measurement of the next piece.
+        measurements = simulator.iter_sweep(
+            in1, in2, [triad for piece in pieces for triad in piece]
+        )
+        for piece in pieces:
+            yield [
+                measurement_to_payload(
+                    measurement, circuit.output_width, self.keep_latched
+                )
+                for _, measurement in zip(piece, measurements)
+            ]
+
+    def shard_attributes(self) -> dict[str, Any]:
+        return {}
 
 
 @dataclasses.dataclass(frozen=True)
-class _FaultShard:
-    spec: CircuitSpec
-    in1: np.ndarray
-    in2: np.ndarray
-    faults: tuple[tuple[int, bool], ...]
-    trace: TraceContext | None = None
+class _FaultKind:
+    """Units are :class:`StuckAtFault` sites; in-process, every
+    :data:`SERIAL_FAULT_FLUSH_BLOCK` sites are one flush block.
 
+    Stuck-at simulation is purely functional, so no cell library enters
+    the simulation or the key.
+    """
 
-def _run_fault_shard(task: _FaultShard) -> list[dict[str, Any]]:
-    with worker_scope(
-        task.trace, "sweep.shard", kind="faults", units=len(task.faults)
-    ):
-        circuit = task.spec.build()
-        simulator = StuckAtFaultSimulator(
+    name = "faults"
+    payload_version = PAYLOAD_VERSION
+
+    def entry_key(
+        self, base_components: Mapping[str, Any], unit: StuckAtFault
+    ) -> str:
+        return SweepResultStore.entry_key(
+            {
+                **base_components,
+                "fault": {"net": unit.net, "value": bool(unit.stuck_value)},
+            }
+        )
+
+    def usable(self, payload: Mapping[str, Any], n_vectors: int) -> bool:
+        return (
+            payload.get("payload_version") == PAYLOAD_VERSION
+            and payload.get("n_vectors") == n_vectors
+        )
+
+    def plan(
+        self, units: list[StuckAtFault], n_shards: int | None
+    ) -> list[list[StuckAtFault]]:
+        if n_shards is None:
+            return [
+                units[start : start + SERIAL_FAULT_FLUSH_BLOCK]
+                for start in range(0, len(units), SERIAL_FAULT_FLUSH_BLOCK)
+            ]
+        n_shards = min(n_shards, len(units))
+        return [units[start::n_shards] for start in range(n_shards)]
+
+    def simulator(self, circuit: Any) -> StuckAtFaultSimulator:
+        return StuckAtFaultSimulator(
             circuit.netlist, output_ports=circuit.output_ports()
         )
-        assignment = circuit.input_assignment(task.in1, task.in2)
-        faults = [
-            StuckAtFault(net=net, stuck_value=value) for net, value in task.faults
-        ]
-        results = simulator.run(assignment, faults)
-        return [_fault_result_to_payload(result) for result in results]
+
+    def run(
+        self,
+        simulator: StuckAtFaultSimulator,
+        circuit: Any,
+        in1: np.ndarray,
+        in2: np.ndarray,
+        pieces: Sequence[Sequence[StuckAtFault]],
+    ) -> Iterator[list[dict[str, Any]]]:
+        assignment = circuit.input_assignment(in1, in2)
+        n_vectors = int(in1.size)
+        for piece in pieces:
+            yield [
+                _fault_result_to_payload(result, n_vectors)
+                for result in simulator.run(assignment, piece)
+            ]
+
+    def shard_attributes(self) -> dict[str, Any]:
+        return {}
 
 
-def _fault_result_to_payload(result: FaultSimulationResult) -> dict[str, Any]:
+def _fault_result_to_payload(
+    result: FaultSimulationResult, n_vectors: int
+) -> dict[str, Any]:
     return {
         "payload_version": PAYLOAD_VERSION,
         "fault": {"net": result.fault.net, "value": bool(result.fault.stuck_value)},
+        "n_vectors": n_vectors,
         "detected": bool(result.detected),
         "faulty_vector_fraction": result.faulty_vector_fraction,
         "ber": result.ber,
@@ -468,58 +587,70 @@ def _payload_to_fault_result(payload: Mapping[str, Any]) -> FaultSimulationResul
 
 
 # ---------------------------------------------------------------------------
-# Resilience hooks (split / validate callbacks of the shard engine)
+# The shard (one pool task) and its worker / split / validate hooks
 # ---------------------------------------------------------------------------
 
 
-def split_triad_shard(task: Any) -> tuple[Any, Any]:
-    """Halve a shard's ``triads`` for the ``split-and-retry`` action.
+@dataclasses.dataclass(frozen=True)
+class _Shard:
+    """A piece of one kind's units, shipped to a worker process.
 
-    Serves every shard dataclass that carries a ``triads`` tuple: the
-    characterization shards here and the Monte Carlo shards of
-    :mod:`repro.variation.montecarlo`.  Each triad's payload is a function
-    of that triad alone, so the halves reproduce the shard's payloads.
+    The operands travel inline (the pool pickles them with the task); the
+    worker rebuilds the circuit from ``spec``.
     """
-    half = len(task.triads) // 2
+
+    kind: SweepKind
+    spec: CircuitSpec
+    in1: np.ndarray
+    in2: np.ndarray
+    units: tuple[Any, ...]
+    trace: TraceContext | None = None
+
+
+def _run_shard(task: _Shard) -> list[dict[str, Any]]:
+    """Worker entry point: one payload per unit of ``task``, in unit order."""
+    with worker_scope(
+        task.trace,
+        "sweep.shard",
+        kind=task.kind.name,
+        units=len(task.units),
+        **task.kind.shard_attributes(),
+    ):
+        circuit = task.spec.build()
+        [payloads] = task.kind.run(
+            task.kind.simulator(circuit), circuit, task.in1, task.in2, [task.units]
+        )
+        return payloads
+
+
+def _split_shard(task: _Shard) -> tuple[_Shard, _Shard]:
+    """Halve a shard's units for the ``split-and-retry`` action.
+
+    Each unit's payload is a function of that unit alone, so the halves
+    reproduce the shard's payloads.
+    """
+    half = len(task.units) // 2
     return (
-        dataclasses.replace(task, triads=task.triads[:half]),
-        dataclasses.replace(task, triads=task.triads[half:]),
+        dataclasses.replace(task, units=task.units[:half]),
+        dataclasses.replace(task, units=task.units[half:]),
     )
 
 
-def _split_fault_shard(task: _FaultShard) -> tuple[_FaultShard, _FaultShard]:
-    """Halve a fault-campaign shard for the ``split-and-retry`` action."""
-    half = len(task.faults) // 2
-    return (
-        dataclasses.replace(task, faults=task.faults[:half]),
-        dataclasses.replace(task, faults=task.faults[half:]),
-    )
-
-
-def _valid_payload_list(result: Any, expected: int) -> bool:
-    """Parent-side shard-result check: one well-versioned payload per unit.
+def _validate_shard(task: _Shard, result: Any) -> bool:
+    """Parent-side shard-result check: one payload per unit, of the kind's
+    payload version.
 
     This is what catches a worker that completed but returned garbage (the
     chaos harness's ``corrupt`` action, a partially pickled result ...): the
     engine treats a failing result like any other shard failure.
     """
-    if not isinstance(result, list) or len(result) != expected:
+    if not isinstance(result, list) or len(result) != len(task.units):
         return False
     return all(
         isinstance(payload, Mapping)
-        and payload.get("payload_version") == PAYLOAD_VERSION
+        and payload.get("payload_version") == task.kind.payload_version
         for payload in result
     )
-
-
-def _validate_characterization_shard(
-    task: _CharacterizationShard, result: Any
-) -> bool:
-    return _valid_payload_list(result, len(task.triads))
-
-
-def _validate_fault_shard(task: _FaultShard, result: Any) -> bool:
-    return _valid_payload_list(result, len(task.faults))
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +706,116 @@ def characterization_entry_key(
             "triad": {"tclk": triad.tclk, "vdd": triad.vdd, "vbb": triad.vbb},
         }
     )
+
+
+def run_unit_sweep(
+    name: str,
+    circuit: Any,
+    in1: np.ndarray,
+    in2: np.ndarray,
+    base_components: Mapping[str, Any],
+    units: Sequence[tuple[SweepKind, Any]],
+    *,
+    jobs: int,
+    store: SweepResultStore | None,
+    policy: ExecutionPolicy | None,
+    chaos: ChaosPlan | None,
+    report: ExecutionReport | None,
+    simulator: Any = None,
+) -> list[dict[str, Any]]:
+    """The one sweep driver: payloads of ``units``, looked up or simulated.
+
+    ``units`` are ``(kind, unit)`` pairs in grid order (see
+    :class:`SweepKind`); ``base_components`` name the sweep in the store.
+    Every unit the store holds a usable payload for is answered from it; the
+    rest are recorded as simulated and split into pieces by their kind.
+    With ``jobs > 1`` and a circuit the registry rebuilds identically, the
+    pieces run as :class:`_Shard` tasks on the fault-tolerant pool, each
+    kind split so there are at least ``jobs`` pieces (a lone Monte Carlo
+    range still fills every worker).  Otherwise they run in-process on one
+    ``simulator`` -- the caller's, or one the first kind builds -- in the
+    kind's flush blocks.  Every completed piece flushes to the store at
+    once, so a run killed mid-flight resumes warm.  Returns the payloads in
+    ``units`` order.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    with span("sweep", kind=name, jobs=jobs) as sweep_span:
+        in1_arr = np.asarray(in1, dtype=np.int64)
+        in2_arr = np.asarray(in2, dtype=np.int64)
+        n_vectors = int(in1_arr.size)
+        keys = {
+            (kind, unit): kind.entry_key(base_components, unit)
+            for kind, unit in units
+        }
+        payloads: dict[tuple[SweepKind, Any], dict[str, Any]] = {}
+        if store is not None:
+            # One batch read for the whole grid: segments are visited in offset
+            # order instead of seeking per key, which is what keeps warm sweeps
+            # fast on multi-thousand-entry stores.
+            with span("store.lookup", requested=len(keys)) as lookup_span:
+                cached_batch = store.get_many(list(keys.values()))
+                for (kind, unit), key in keys.items():
+                    cached = cached_batch.get(key)
+                    if cached is not None and kind.usable(cached, n_vectors):
+                        payloads[(kind, unit)] = cached
+                lookup_span.set(hits=len(payloads), misses=len(keys) - len(payloads))
+
+        missing: dict[SweepKind, list[Any]] = {}
+        for kind, unit in keys:
+            if (kind, unit) not in payloads:
+                missing.setdefault(kind, []).append(unit)
+        n_missing = len(keys) - len(payloads)
+        sweep_span.set(units=len(keys), cached=len(payloads), simulated=n_missing)
+        if not missing:
+            return [payloads[unit] for unit in units]
+        record_simulated_units(n_missing)
+
+        def accept(kind: SweepKind, piece: Sequence[Any], result: list) -> None:
+            payloads.update(zip([(kind, unit) for unit in piece], result))
+            if store is not None:
+                with span("store.flush", entries=len(result)):
+                    for unit, payload in zip(piece, result):
+                        store.put(keys[(kind, unit)], payload)
+
+        spec = verified_spec(circuit, base_components["circuit"]) if jobs > 1 else None
+        pieces: list[tuple[SweepKind, list[Any]]] = []
+        if spec is not None:
+            per_kind = -(-jobs // len(missing))
+            pieces = [
+                (kind, piece)
+                for kind, kind_units in missing.items()
+                for piece in kind.plan(kind_units, per_kind)
+            ]
+        if len(pieces) > 1:
+            trace_context = current_context()
+            tasks = [
+                _Shard(kind, spec, in1_arr, in2_arr, tuple(piece), trace_context)
+                for kind, piece in pieces
+            ]
+            # ``run_shards`` hands every accepted (sub)task to ``on_result``
+            # exactly once, so merging there covers every unit.
+            run_shards(
+                tasks,
+                _run_shard,
+                policy=policy,
+                max_workers=min(jobs, len(tasks)),
+                units=lambda task: len(task.units),
+                split=_split_shard,
+                validate=_validate_shard,
+                on_result=lambda task, result: accept(task.kind, task.units, result),
+                chaos=chaos,
+                report=report,
+            )
+        else:
+            if simulator is None:
+                simulator = next(iter(missing)).simulator(circuit)
+            for kind, kind_units in missing.items():
+                blocks = kind.plan(kind_units, None)
+                results = kind.run(simulator, circuit, in1_arr, in2_arr, blocks)
+                for block, result in zip(blocks, results):
+                    accept(kind, block, result)
+        return [payloads[unit] for unit in units]
 
 
 def run_characterization_sweep(
@@ -635,148 +876,21 @@ def run_characterization_sweep(
     -------
     list of payload dicts in grid order.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    with span("sweep", kind="characterization", jobs=jobs) as sweep_span:
-        return _characterization_sweep_body(
-            circuit,
-            grid,
-            in1,
-            in2,
-            stimulus,
-            library=library,
-            jobs=jobs,
-            store=store,
-            keep_latched=keep_latched,
-            testbench=testbench,
-            policy=policy,
-            chaos=chaos,
-            report=report,
-            sweep_span=sweep_span,
-        )
-
-
-def _characterization_sweep_body(
-    circuit: Any,
-    grid: TriadGrid,
-    in1: np.ndarray,
-    in2: np.ndarray,
-    stimulus: Mapping[str, Any],
-    *,
-    library: StandardCellLibrary,
-    jobs: int,
-    store: SweepResultStore | None,
-    keep_latched: bool,
-    testbench: Any,
-    policy: ExecutionPolicy | None,
-    chaos: ChaosPlan | None,
-    report: ExecutionReport | None,
-    sweep_span: Any,
-) -> list[dict[str, Any]]:
-    """Body of :func:`run_characterization_sweep` under its ``sweep`` span."""
-    in1_arr = np.asarray(in1, dtype=np.int64)
-    in2_arr = np.asarray(in2, dtype=np.int64)
-    base_components = characterization_key_components(circuit, library, stimulus)
-    fingerprint = base_components["circuit"]
-    n_vectors = int(in1_arr.size)
-
-    keys: dict[OperatingTriad, str] = {}
-    payloads: dict[OperatingTriad, dict[str, Any]] = {}
-    for triad in grid:
-        keys[triad] = characterization_entry_key(base_components, triad)
-    if store is not None:
-        # One batch read for the whole grid: segments are visited in offset
-        # order instead of seeking per key, which is what keeps warm sweeps
-        # fast on multi-thousand-entry stores.
-        with span("store.lookup", requested=len(keys)) as lookup_span:
-            cached_batch = store.get_many([keys[triad] for triad in grid])
-            for triad in grid:
-                cached = cached_batch.get(keys[triad])
-                if payload_usable(cached, n_vectors, keep_latched):
-                    payloads[triad] = cached  # type: ignore[assignment]
-            lookup_span.set(hits=len(payloads), misses=len(keys) - len(payloads))
-
-    missing = [triad for triad in grid if triad not in payloads]
-    sweep_span.set(
-        units=len(keys), cached=len(payloads), simulated=len(missing)
+    kind = _CharacterizationKind(library, keep_latched)
+    return run_unit_sweep(
+        kind.name,
+        circuit,
+        in1,
+        in2,
+        characterization_key_components(circuit, library, stimulus),
+        [(kind, triad) for triad in grid],
+        jobs=jobs,
+        store=store,
+        policy=policy,
+        chaos=chaos,
+        report=report,
+        simulator=testbench,
     )
-    if missing:
-        record_simulated_units(len(missing))
-        spec = verified_spec(circuit, fingerprint) if jobs > 1 else None
-        shards = shard_triads(missing, jobs if spec is not None else 1)
-        if spec is not None and len(shards) > 1:
-            trace_context = current_context()
-            tasks = [
-                _CharacterizationShard(
-                    spec=spec,
-                    library=library,
-                    in1=in1_arr,
-                    in2=in2_arr,
-                    triads=tuple((t.tclk, t.vdd, t.vbb) for t in shard),
-                    keep_latched=keep_latched,
-                    trace=trace_context,
-                )
-                for shard in shards
-            ]
-            key_by_coords = {
-                (triad.tclk, triad.vdd, triad.vbb): keys[triad]
-                for triad in missing
-            }
-
-            def flush(task: _CharacterizationShard, result: list) -> None:
-                if store is None:
-                    return
-                with span("store.flush", entries=len(result)):
-                    for coords, payload in zip(task.triads, result):
-                        store.put(key_by_coords[coords], payload)
-
-            shard_payloads = run_shards(
-                tasks,
-                _run_characterization_shard,
-                policy=policy,
-                max_workers=len(tasks),
-                units=lambda task: len(task.triads),
-                split=split_triad_shard,
-                validate=_validate_characterization_shard,
-                on_result=flush,
-                chaos=chaos,
-                report=report,
-            )
-            for shard, shard_result in zip(shards, shard_payloads):
-                for triad, payload in zip(shard, shard_result):
-                    payloads[triad] = payload
-        else:
-            bench = testbench or _make_testbench(circuit, library)
-            # One in-process chunk per (vdd, vbb) group: the per-point
-            # reuse lives inside a group, so chunking changes no numbers,
-            # and the per-group store flush makes serial runs exactly as
-            # crash-consistent as sharded ones.  The groups are consumed
-            # from one lazy sweep, so the stimulus is resolved (and its
-            # arrival pass run) once; ``zip``
-            # draws from ``group`` first and so never takes a measurement
-            # of the next group.
-            groups: dict[tuple[float, float], list[OperatingTriad]] = {}
-            for triad in missing:
-                groups.setdefault((triad.vdd, triad.vbb), []).append(triad)
-            measurements = bench.iter_sweep(
-                in1_arr,
-                in2_arr,
-                [triad for group in groups.values() for triad in group],
-            )
-            for group in groups.values():
-                group_payloads = []
-                for triad, measurement in zip(group, measurements):
-                    payload = measurement_to_payload(
-                        measurement, circuit.output_width, keep_latched
-                    )
-                    payloads[triad] = payload
-                    group_payloads.append((keys[triad], payload))
-                if store is not None:
-                    with span("store.flush", entries=len(group_payloads)):
-                        for key, payload in group_payloads:
-                            store.put(key, payload)
-
-    return [payloads[triad] for triad in grid]
 
 
 def run_fault_sweep(
@@ -795,177 +909,38 @@ def run_fault_sweep(
     """Run a stuck-at fault campaign, sharded over fault sites and cached.
 
     The fault list (default: the full single-stuck-at universe of the
-    circuit) is split into contiguous chunks across ``jobs`` workers; each
-    worker evaluates its chunk on the compiled packed engine.  Per-fault
-    results are stored content-addressed, keyed on (circuit, stimulus,
-    fault, engine version) -- the cell library does not enter the key because
-    stuck-at simulation is purely functional.
+    circuit) is dealt round-robin across ``jobs`` workers; each worker
+    evaluates its chunk on the compiled packed engine.  Per-fault results
+    are stored content-addressed, keyed on (circuit, stimulus, fault, engine
+    version) -- the cell library does not enter the key because stuck-at
+    simulation is purely functional.
 
     ``policy`` / ``chaos`` / ``report`` configure and account the
     fault-tolerant shard engine exactly as in
     :func:`run_characterization_sweep`; completed shards (and, in-process,
     fixed-size fault blocks) flush to the store immediately.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    with span("sweep", kind="faults", jobs=jobs) as sweep_span:
-        return _fault_sweep_body(
-            circuit,
-            in1,
-            in2,
-            stimulus,
-            faults=faults,
-            jobs=jobs,
-            store=store,
-            policy=policy,
-            chaos=chaos,
-            report=report,
-            sweep_span=sweep_span,
-        )
-
-
-def _fault_sweep_body(
-    circuit: Any,
-    in1: np.ndarray,
-    in2: np.ndarray,
-    stimulus: Mapping[str, Any],
-    *,
-    faults: Sequence[StuckAtFault] | None,
-    jobs: int,
-    store: SweepResultStore | None,
-    policy: ExecutionPolicy | None,
-    chaos: ChaosPlan | None,
-    report: ExecutionReport | None,
-    sweep_span: Any,
-) -> list[FaultSimulationResult]:
-    """Body of :func:`run_fault_sweep` under its ``sweep`` span."""
-    in1_arr = np.asarray(in1, dtype=np.int64)
-    in2_arr = np.asarray(in2, dtype=np.int64)
-    fault_list = list(
-        enumerate_stuck_at_faults(circuit.netlist) if faults is None else faults
-    )
-    fingerprint = netlist_fingerprint(circuit.netlist)
-    base_components: dict[str, Any] = {
+    if faults is None:
+        faults = enumerate_stuck_at_faults(circuit.netlist)
+    base_components = {
         "scenario": "stuck_at",
         "engine_version": ENGINE_VERSION,
-        "circuit": fingerprint,
+        "circuit": netlist_fingerprint(circuit.netlist),
         "circuit_name": circuit.name,
         "stimulus": dict(stimulus),
     }
-    n_vectors = int(in1_arr.size)
-
-    keys: list[str] = []
-    results: dict[int, FaultSimulationResult] = {}
-    missing_indices: list[int] = []
-    for fault in fault_list:
-        keys.append(
-            SweepResultStore.entry_key(
-                {
-                    **base_components,
-                    "fault": {
-                        "net": fault.net,
-                        "value": bool(fault.stuck_value),
-                    },
-                }
-            )
-        )
-    with span("store.lookup", requested=len(keys)) as lookup_span:
-        cached_batch = store.get_many(keys) if store is not None else {}
-        for index in range(len(fault_list)):
-            cached = cached_batch.get(keys[index])
-            if (
-                cached is not None
-                and cached.get("payload_version") == PAYLOAD_VERSION
-                and cached.get("n_vectors", n_vectors) == n_vectors
-            ):
-                results[index] = _payload_to_fault_result(cached)
-            else:
-                missing_indices.append(index)
-        lookup_span.set(hits=len(results), misses=len(missing_indices))
-
-    sweep_span.set(
-        units=len(fault_list),
-        cached=len(results),
-        simulated=len(missing_indices),
+    kind = _FaultKind()
+    payloads = run_unit_sweep(
+        kind.name,
+        circuit,
+        in1,
+        in2,
+        base_components,
+        [(kind, fault) for fault in faults],
+        jobs=jobs,
+        store=store,
+        policy=policy,
+        chaos=chaos,
+        report=report,
     )
-    if missing_indices:
-        record_simulated_units(len(missing_indices))
-        spec = verified_spec(circuit, fingerprint) if jobs > 1 else None
-        n_shards = min(jobs, len(missing_indices)) if spec is not None else 1
-        chunks = [
-            missing_indices[start::n_shards] for start in range(n_shards)
-        ]
-        key_by_fault = {
-            (fault_list[i].net, bool(fault_list[i].stuck_value)): keys[i]
-            for i in missing_indices
-        }
-        if spec is not None and len(chunks) > 1:
-            trace_context = current_context()
-            tasks = [
-                _FaultShard(
-                    spec=spec,
-                    in1=in1_arr,
-                    in2=in2_arr,
-                    faults=tuple(
-                        (fault_list[i].net, bool(fault_list[i].stuck_value))
-                        for i in chunk
-                    ),
-                    trace=trace_context,
-                )
-                for chunk in chunks
-            ]
-
-            def flush(task: _FaultShard, result: list) -> None:
-                if store is None:
-                    return
-                with span("store.flush", entries=len(result)):
-                    for site, payload in zip(task.faults, result):
-                        store.put(
-                            key_by_fault[site], {**payload, "n_vectors": n_vectors}
-                        )
-
-            chunk_payloads = run_shards(
-                tasks,
-                _run_fault_shard,
-                policy=policy,
-                max_workers=len(tasks),
-                units=lambda task: len(task.faults),
-                split=_split_fault_shard,
-                validate=_validate_fault_shard,
-                on_result=flush,
-                chaos=chaos,
-                report=report,
-            )
-            for chunk, chunk_result in zip(chunks, chunk_payloads):
-                for index, payload in zip(chunk, chunk_result):
-                    results[index] = _payload_to_fault_result(payload)
-        else:
-            simulator = StuckAtFaultSimulator(
-                circuit.netlist, output_ports=circuit.output_ports()
-            )
-            assignment = circuit.input_assignment(in1_arr, in2_arr)
-            # Fixed-size in-process blocks, flushed to the store as they
-            # complete, so an interrupted serial campaign also resumes warm.
-            for block_start in range(
-                0, len(missing_indices), SERIAL_FAULT_FLUSH_BLOCK
-            ):
-                block = missing_indices[
-                    block_start : block_start + SERIAL_FAULT_FLUSH_BLOCK
-                ]
-                block_results = simulator.run(
-                    assignment, [fault_list[i] for i in block]
-                )
-                block_payloads = []
-                for index, result in zip(block, block_results):
-                    payload = {
-                        **_fault_result_to_payload(result),
-                        "n_vectors": n_vectors,
-                    }
-                    results[index] = _payload_to_fault_result(payload)
-                    block_payloads.append((keys[index], payload))
-                if store is not None:
-                    with span("store.flush", entries=len(block_payloads)):
-                        for key, payload in block_payloads:
-                            store.put(key, payload)
-
-    return [results[index] for index in range(len(fault_list))]
+    return [_payload_to_fault_result(payload) for payload in payloads]

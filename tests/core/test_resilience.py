@@ -402,6 +402,33 @@ def chaos_pattern():
 RECOVERY_POLICY = ExecutionPolicy(max_retries=2, shard_timeout_s=30.0)
 
 
+def _comparable_sweep(kind, grid, pattern, **kwargs):
+    """Run one sweep kind on rca8; its results in an ``==``-comparable form."""
+    adder = build_adder("rca", 8)
+    in1, in2 = generate_patterns(pattern)
+    stimulus = pattern_stimulus(pattern)
+    if kind == "characterization":
+        return run_characterization_sweep(adder, grid, in1, in2, stimulus, **kwargs)
+    if kind == "faults":
+        return run_fault_sweep(adder, in1, in2, stimulus, **kwargs)
+    # chunk=3 decomposes 6 samples into 2 ranges: one shard per range.
+    config = MonteCarloConfig(n_samples=6, seed=5, chunk=3)
+    results = run_montecarlo_sweep(
+        adder, grid, in1, in2, stimulus, config=config, **kwargs
+    )
+    return [
+        (
+            result.triad,
+            result.ber_samples.tobytes(),
+            result.faulty_fraction_samples.tobytes(),
+            result.energy_samples.tobytes(),
+            result.static_energy_samples.tobytes(),
+            result.dynamic_energy_per_operation,
+        )
+        for result in results
+    ]
+
+
 class TestOrchestratorChaos:
     def test_characterization_sweep_identical_under_chaos(
         self, chaos_grid, chaos_pattern
@@ -427,27 +454,25 @@ class TestOrchestratorChaos:
         assert report.faulted
         assert report.crashes >= 1
 
+    @pytest.mark.parametrize("kind", ["characterization", "faults", "montecarlo"])
     def test_characterization_sweep_rejects_corrupt_payloads(
-        self, chaos_grid, chaos_pattern
+        self, kind, chaos_grid, chaos_pattern
     ):
-        adder = build_adder("rca", 8)
-        in1, in2 = generate_patterns(chaos_pattern)
-        stimulus = pattern_stimulus(chaos_pattern)
-        clean = run_characterization_sweep(adder, chaos_grid, in1, in2, stimulus)
+        # Every kind ships two shards here, so shard 1 exists for each.
+        clean = _comparable_sweep(kind, chaos_grid, chaos_pattern)
         chaos = ChaosPlan((ChaosRule(action="corrupt", shard=1, attempt=0),))
         report = ExecutionReport()
-        faulted = run_characterization_sweep(
-            adder,
+        faulted = _comparable_sweep(
+            kind,
             chaos_grid,
-            in1,
-            in2,
-            stimulus,
+            chaos_pattern,
             jobs=2,
             policy=RECOVERY_POLICY,
             chaos=chaos,
             report=report,
         )
         assert faulted == clean
+        assert report.shards == 2
         assert report.corrupt_results >= 1
         assert report.recovered_shards >= 1
 

@@ -1,10 +1,12 @@
 """Tests of how sharded sweeps ship their operands to worker processes.
 
-Shard tasks carry the operand arrays inline: each task is a frozen
-dataclass whose ``in1``/``in2`` fields are plain ``np.ndarray`` values, and
-the process pool pickles them with the rest of the task.  There is one way
-to ship operands and no setting that selects another, so these tests pin
-down that path (pickling, splitting, validation, in-process replay), check
+Characterization, fault and Monte Carlo sweeps ship the one shard type,
+``_Shard``: a frozen dataclass of a per-kind value, the circuit spec, the
+operands and the units.  The operand arrays travel inline: ``in1``/``in2``
+are plain ``np.ndarray`` values, and the process pool pickles them with the
+rest of the task.  There is one way to ship operands and no setting that
+selects another, so these tests pin down that path for every kind
+(pickling, splitting, validation, in-process replay), check
 that a parallel sweep never creates a shared-memory segment, and check that
 the settings of the retired shared-memory transport are rejected loudly
 instead of being silently ignored.
@@ -28,35 +30,38 @@ from repro.core.resilience import ExecutionReport, run_shards
 from repro.core.sweep import (
     PAYLOAD_VERSION,
     CircuitSpec,
-    _CharacterizationShard,
-    _FaultShard,
-    _run_characterization_shard,
-    _run_fault_shard,
-    _split_fault_shard,
-    _validate_characterization_shard,
-    _validate_fault_shard,
+    _CharacterizationKind,
+    _FaultKind,
+    _run_shard,
+    _Shard,
+    _split_shard,
+    _validate_shard,
     pattern_stimulus,
     run_characterization_sweep,
     run_fault_sweep,
-    split_triad_shard,
 )
-from repro.core.triad import TriadGrid
+from repro.core.triad import OperatingTriad, TriadGrid
 from repro.explore.evaluator import CandidateEvaluator
+from repro.simulation.fault_injection import StuckAtFault
 from repro.simulation.patterns import PatternConfig, generate_patterns
 from repro.technology.library import DEFAULT_LIBRARY
 from repro.variation.montecarlo import (
     MC_PAYLOAD_VERSION,
     MonteCarloConfig,
-    _MonteCarloShard,
-    _run_montecarlo_shard,
-    _validate_montecarlo_shard,
+    _MonteCarloKind,
     run_montecarlo_sweep,
 )
 
 KINDS = ("characterization", "faults", "montecarlo")
 
-TRIADS = ((0.5, 1.0, 0.0), (0.3, 0.7, 0.0), (0.3, 0.5, 2.0))
-FAULT_SITES = ((3, False), (3, True), (5, False), (7, True))
+TRIADS = tuple(
+    OperatingTriad(tclk=tclk, vdd=vdd, vbb=vbb)
+    for tclk, vdd, vbb in ((0.5, 1.0, 0.0), (0.3, 0.7, 0.0), (0.3, 0.5, 2.0))
+)
+FAULT_SITES = tuple(
+    StuckAtFault(net=net, stuck_value=value)
+    for net, value in ((3, False), (3, True), (5, False), (7, True))
+)
 
 
 def _operands(case):
@@ -89,47 +94,24 @@ OPERAND_CASES = ("single-vector", "paper-stimulus", "strided-view", "read-only")
 def _task(kind, in1, in2):
     spec = CircuitSpec(kind="adder", architecture="rca", width=8)
     if kind == "characterization":
-        return _CharacterizationShard(
-            spec=spec,
-            library=DEFAULT_LIBRARY,
-            in1=in1,
-            in2=in2,
-            triads=TRIADS,
-            keep_latched=False,
-        )
+        sweep_kind = _CharacterizationKind(DEFAULT_LIBRARY, keep_latched=False)
+        return _Shard(sweep_kind, spec, in1, in2, TRIADS)
     if kind == "faults":
-        return _FaultShard(spec=spec, in1=in1, in2=in2, faults=FAULT_SITES)
+        return _Shard(_FaultKind(), spec, in1, in2, FAULT_SITES)
     if kind == "montecarlo":
         config = MonteCarloConfig(n_samples=4, seed=5, chunk=2)
-        return _MonteCarloShard(
-            spec=spec,
-            library=DEFAULT_LIBRARY,
-            in1=in1,
-            in2=in2,
-            triads=TRIADS,
-            model=config.model,
-            seed=config.seed,
-            start=0,
-            stop=2,
+        sweep_kind = _MonteCarloKind(
+            DEFAULT_LIBRARY, config.model, config.seed, start=0, stop=2
         )
+        return _Shard(sweep_kind, spec, in1, in2, TRIADS)
     raise AssertionError(kind)
 
 
-WORKERS = {
-    "characterization": _run_characterization_shard,
-    "faults": _run_fault_shard,
-    "montecarlo": _run_montecarlo_shard,
+VERSIONS = {
+    "characterization": PAYLOAD_VERSION,
+    "faults": PAYLOAD_VERSION,
+    "montecarlo": MC_PAYLOAD_VERSION,
 }
-
-VALIDATORS = {
-    "characterization": (_validate_characterization_shard, PAYLOAD_VERSION),
-    "faults": (_validate_fault_shard, PAYLOAD_VERSION),
-    "montecarlo": (_validate_montecarlo_shard, MC_PAYLOAD_VERSION),
-}
-
-
-def _units(task):
-    return len(task.faults) if isinstance(task, _FaultShard) else len(task.triads)
 
 
 def _round_trip(task):
@@ -172,67 +154,55 @@ class TestInlineOperands:
             for operand in generate_patterns(pattern)
         )
         task = _task(kind, in1, in2)
-        worker = WORKERS[kind]
-        local = worker(task)
-        assert len(local) == _units(task)
-        assert worker(_round_trip(task)) == local
+        local = _run_shard(task)
+        assert len(local) == len(task.units)
+        assert _run_shard(_round_trip(task)) == local
 
 
 class TestSplitKeepsOperands:
-    @pytest.mark.parametrize(
-        "kind, split",
-        [
-            ("characterization", split_triad_shard),
-            ("faults", _split_fault_shard),
-            ("montecarlo", split_triad_shard),
-        ],
-    )
-    def test_both_halves_carry_the_same_operands_and_cover_the_units(
-        self, kind, split
-    ):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_both_halves_carry_the_same_operands_and_cover_the_units(self, kind):
         in1, in2 = _operands("strided-view")
         task = _task(kind, in1, in2)
-        first, second = split(task)
+        first, second = _split_shard(task)
         for half in (first, second):
+            assert half.kind is task.kind
             assert half.in1 is task.in1
             assert half.in2 is task.in2
-        if kind == "faults":
-            assert first.faults + second.faults == task.faults
-        else:
-            assert first.triads + second.triads == task.triads
-        assert _units(first) == _units(task) // 2
+        assert first.units + second.units == task.units
+        assert len(first.units) == len(task.units) // 2
 
 
 def _payloads(task, version):
-    return [{"payload_version": version} for _ in range(_units(task))]
+    return [{"payload_version": version} for _ in range(len(task.units))]
 
 
 class TestShardValidation:
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_current_payload_per_unit_is_accepted(self, kind):
-        validate, version = VALIDATORS[kind]
+        version = VERSIONS[kind]
         task = _task(kind, *_operands("single-vector"))
-        assert validate(task, _payloads(task, version))
+        assert _validate_shard(task, _payloads(task, version))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_missing_unit_is_rejected(self, kind):
-        validate, version = VALIDATORS[kind]
+        version = VERSIONS[kind]
         task = _task(kind, *_operands("single-vector"))
-        assert not validate(task, _payloads(task, version)[:-1])
+        assert not _validate_shard(task, _payloads(task, version)[:-1])
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_stale_payload_version_is_rejected(self, kind):
-        validate, version = VALIDATORS[kind]
+        version = VERSIONS[kind]
         task = _task(kind, *_operands("single-vector"))
         payloads = _payloads(task, version)
         payloads[-1] = {"payload_version": version - 1}
-        assert not validate(task, payloads)
+        assert not _validate_shard(task, payloads)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_non_list_result_is_rejected(self, kind):
-        validate, version = VALIDATORS[kind]
+        version = VERSIONS[kind]
         task = _task(kind, *_operands("single-vector"))
-        assert not validate(task, tuple(_payloads(task, version)))
+        assert not _validate_shard(task, tuple(_payloads(task, version)))
 
 
 @pytest.fixture

@@ -8,15 +8,20 @@ from repro.circuits.multipliers import array_multiplier
 from repro.core.characterization import CharacterizationFlow
 from repro.core.store import SweepResultStore
 from repro.core.sweep import (
+    SERIAL_FAULT_FLUSH_BLOCK,
     CircuitSpec,
     pattern_stimulus,
     run_characterization_sweep,
     run_fault_sweep,
     shard_triads,
+    simulated_unit_count,
 )
 from repro.core.triad import OperatingTriad, TriadGrid
-from repro.simulation.fault_injection import StuckAtFault
+from repro.obs.report import load_trace
+from repro.obs.trace import Tracer, activated
+from repro.simulation.fault_injection import StuckAtFault, enumerate_stuck_at_faults
 from repro.simulation.patterns import PatternConfig, generate_patterns
+from repro.variation.montecarlo import MonteCarloConfig, run_montecarlo_sweep
 
 
 @pytest.fixture(scope="module")
@@ -433,3 +438,73 @@ class TestFaultSweep:
         assert warm_store.stats.misses == 0
         assert warm == cold
         assert [r.fault for r in warm] == faults
+
+    def test_cached_payload_without_vector_count_is_recomputed(self, tmp_path):
+        adder = build_adder("rca", 8)
+        config = PatternConfig(n_vectors=200, width=8, seed=9)
+        in1, in2 = generate_patterns(config)
+        stimulus = pattern_stimulus(config)
+        faults = [
+            StuckAtFault(net=1, stuck_value=True),
+            StuckAtFault(net=2, stuck_value=False),
+        ]
+        store = SweepResultStore(tmp_path)
+        cold = run_fault_sweep(adder, in1, in2, stimulus, faults=faults, store=store)
+        for key in store.entry_keys():
+            payload = dict(store.get(key))
+            assert payload.pop("n_vectors") == config.n_vectors
+            store.put(key, payload)
+        before = simulated_unit_count()
+        rerun = run_fault_sweep(
+            adder, in1, in2, stimulus, faults=faults, store=SweepResultStore(tmp_path)
+        )
+        assert simulated_unit_count() - before == len(faults)
+        assert rerun == cold
+
+
+class TestInProcessFlushGranularity:
+    """In-process sweeps flush one store batch per kind-specific block.
+
+    Characterization flushes once per ``(vdd, vbb)`` group, fault campaigns
+    once per :data:`SERIAL_FAULT_FLUSH_BLOCK` sites and Monte Carlo once per
+    sample range -- the unit of work an interrupted run loses at most.
+    """
+
+    @pytest.mark.parametrize("kind", ["characterization", "faults", "montecarlo"])
+    def test_entries_per_flush_match_the_blocks(
+        self, kind, tmp_path, small_grid, small_pattern
+    ):
+        adder = build_adder("rca", 8)
+        in1, in2 = generate_patterns(small_pattern)
+        stimulus = pattern_stimulus(small_pattern)
+        store = SweepResultStore(tmp_path / "store")
+        trace = tmp_path / "trace.jsonl"
+        tracer = Tracer(trace)
+        with activated(tracer):
+            if kind == "characterization":
+                run_characterization_sweep(
+                    adder, small_grid, in1, in2, stimulus, store=store
+                )
+                # 2 clocks at each of 3 supplies x 2 body biases.
+                expected = [2] * 6
+            elif kind == "faults":
+                run_fault_sweep(adder, in1, in2, stimulus, store=store)
+                n_faults = len(enumerate_stuck_at_faults(adder.netlist))
+                assert n_faults > SERIAL_FAULT_FLUSH_BLOCK
+                full, rest = divmod(n_faults, SERIAL_FAULT_FLUSH_BLOCK)
+                expected = [SERIAL_FAULT_FLUSH_BLOCK] * full + [rest] * (rest > 0)
+            else:
+                # Ranges (0, 3), (3, 6) and (6, 7), each over the whole grid.
+                config = MonteCarloConfig(n_samples=7, seed=5, chunk=3)
+                run_montecarlo_sweep(
+                    adder, small_grid, in1, in2, stimulus, config=config, store=store
+                )
+                expected = [len(small_grid)] * 3
+        tracer.close()
+        flushes = [
+            record["attrs"]["entries"]
+            for record in load_trace(trace)
+            if record["name"] == "store.flush"
+        ]
+        assert flushes == expected
+        assert store.stats.stores == sum(expected)
