@@ -79,6 +79,7 @@ from repro.core.resilience import (
     ExecutionPolicy,
     ExecutionReport,
     ShardExecutionError,
+    pool_scope,
 )
 from repro.core.speculation import DynamicSpeculationController
 from repro.core.store import MemoryOverlayStore, SweepResultStore
@@ -374,12 +375,16 @@ class Session:
         Every result carries a :class:`~repro.obs.report.RunReport` in its
         ``run`` field -- counter-only work accounting that is identical
         whether or not the session traces.
+
+        The job's sweeps share one worker pool
+        (:func:`~repro.core.resilience.pool_scope`), forked by the first
+        dispatch and reaped before this call returns.
         """
         try:
             handler = _HANDLERS[type(job)]
         except KeyError:
             raise TypeError(f"unknown job type {type(job).__name__!r}") from None
-        with self._lock:
+        with self._lock, pool_scope():
             if active_tracer() is not None:
                 # Called from run_batch (or another traced scope): the
                 # session span is already open; contribute only the job span.
@@ -752,12 +757,14 @@ class Session:
         union lowers into one sharded executor pass per (circuit, stimulus)
         group; the jobs then execute in order against the warm session
         overlay.  Per-job results come back in input order together with a
-        :class:`BatchReport`.
+        :class:`BatchReport`.  Every sweep of the batch dispatches to one
+        worker pool, forked on first use and reaped before this call
+        returns.
         """
         job_list = list(jobs)
         if not job_list:
             raise ValueError("run_batch needs at least one job")
-        with self._lock:
+        with self._lock, pool_scope():
             with activated(self._tracer):
                 with span("session", jobs=len(job_list)) as session_span:
                     return self._run_batch_body(job_list, session_span)

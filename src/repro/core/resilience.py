@@ -13,7 +13,7 @@ misbehaves.
 
 * a crashed worker (``BrokenProcessPool``) or a shard running past the
   per-shard timeout fails only the *unfinished* shards -- the pool is torn
-  down, rebuilt, and exactly those shards are requeued;
+  down, re-forked on the next round, and exactly those shards are requeued;
 * the policy's failure action decides what a requeue looks like: plain
   ``retry``, ``split-and-retry`` (halve an oversized shard so a repeated
   OOM gets a smaller bite), ``serial-fallback`` (run the shard in-process
@@ -38,10 +38,18 @@ resort -- is never sabotaged.
 
 Every recovery step is accounted in an :class:`ExecutionReport`, surfaced
 through the API results and the CLI so silent degradation is visible.
+
+The pool itself belongs to a :func:`pool_scope`: every dispatch inside one
+scope leases the same lazily forked pool, so a caller that runs many small
+sweeps in a row (a :class:`~repro.api.session.Session` call, above all an
+exploration) forks its workers once.  A dispatch outside any scope opens
+its own, so it forks and reaps a pool of its own.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import dataclasses
 import signal
 import time
@@ -54,7 +62,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.obs import metrics
 from repro.obs.trace import span
@@ -171,9 +179,10 @@ class ExecutionReport(metrics.RegistryView):
         Failed shard attempts, of any kind (crash, timeout, corrupt result,
         worker exception).
     timeouts / crashes / corrupt_results:
-        Failed attempts by cause.  ``crashes`` counts attempts lost to a
-        broken pool -- a single dying worker fails every in-flight shard,
-        and each counts once.
+        Failed attempts by cause, except ``crashes``: it counts worker
+        processes that died on their own (a chaos exit, an OOM kill), once
+        per worker.  One dying worker breaks the pool and fails every
+        in-flight shard; those attempts count under ``failures`` only.
     retries / requeues / splits:
         Recovery actions: failures that were retried in the pool, items
         put back on the queue (a split enqueues two), and shards halved.
@@ -181,7 +190,8 @@ class ExecutionReport(metrics.RegistryView):
         Shards completed by trusted in-process execution (policy choice or
         retries exhausted).
     pool_rebuilds:
-        Times the worker pool was torn down and rebuilt.
+        Times a broken or timed-out worker pool was torn down; the next
+        round forks a fresh one.
     recovered_shards:
         Shards that failed at least once but eventually completed.
     wall_time_lost_s:
@@ -306,7 +316,7 @@ def _init_worker() -> None:
 _MANAGER_JOIN_TIMEOUT_S = 5.0
 
 
-def _destroy_pool(pool: ProcessPoolExecutor) -> None:
+def _destroy_pool(pool: ProcessPoolExecutor) -> int:
     """Tear a broken or hung pool down without waiting on its workers.
 
     ``shutdown`` alone never kills a wedged worker -- a shard sleeping past
@@ -321,6 +331,12 @@ def _destroy_pool(pool: ProcessPoolExecutor) -> None:
     thread is joined, the pipe is closed and marked closed, so the hook
     skips it.  ``shutdown(wait=False)`` drops the reference to the thread,
     so it is taken first.
+
+    Returns how many workers died on their own: every exit code other than
+    a clean ``0`` or the ``-SIGTERM`` of this teardown (or of the
+    executor's own, which terminates the survivors of a broken pool).  A
+    chaos crash exits with :data:`~repro.testing.chaos.CRASH_EXIT_CODE`,
+    an OOM kill with ``-SIGKILL``.
     """
     processes = dict(getattr(pool, "_processes", None) or {})
     manager = getattr(pool, "_executor_manager_thread", None)
@@ -334,6 +350,85 @@ def _destroy_pool(pool: ProcessPoolExecutor) -> None:
             metrics.REGISTRY.counter("resilience.cleanup_errors").add()
     if manager is not None:
         manager.join(timeout=_MANAGER_JOIN_TIMEOUT_S)
+    return sum(
+        process.exitcode not in (None, 0, -signal.SIGTERM)
+        for process in processes.values()
+    )
+
+
+@dataclasses.dataclass
+class _PoolSlot:
+    """The worker pool of one :func:`pool_scope`, forked on first use."""
+
+    pool: ProcessPoolExecutor | None = None
+    workers: int = 0
+
+    def acquire(self, max_workers: int) -> ProcessPoolExecutor:
+        """The scope's pool of exactly ``max_workers`` workers.
+
+        A pool of another size is shut down and replaced, so a dispatch
+        never runs more than its own ``max_workers`` shards at once.
+        """
+        if self.pool is not None and self.workers != max_workers:
+            self.close()
+        if self.pool is None:
+            self.pool = ProcessPoolExecutor(
+                max_workers=max_workers, initializer=_init_worker
+            )
+            self.workers = max_workers
+        return self.pool
+
+    def close(self, *, kill: bool = False) -> int:
+        """Shut the pool down (if any) and empty the slot.
+
+        ``kill`` tears it down with :func:`_destroy_pool` and returns its
+        count of workers that died on their own; otherwise the shutdown
+        waits for the workers to exit, so they are reaped (and their peak
+        RSS lands in ``RUSAGE_CHILDREN``) before the caller goes on.
+        """
+        pool, self.pool = self.pool, None
+        if pool is None:
+            return 0
+        if kill:
+            return _destroy_pool(pool)
+        pool.shutdown(wait=True, cancel_futures=True)
+        return 0
+
+
+_SCOPE: "contextvars.ContextVar[_PoolSlot | None]" = contextvars.ContextVar(
+    "repro_pool_scope", default=None
+)
+
+
+@contextlib.contextmanager
+def pool_scope() -> Iterator[_PoolSlot]:
+    """Share one worker pool among every :func:`run_shards` in the block.
+
+    The pool is forked by the first dispatch that needs one and reused by
+    the later ones; a dispatch whose pool broke or timed out clears the
+    slot, and the next round forks afresh.  Nested scopes join the
+    outermost one, which shuts the pool down and reaps its workers at its
+    end.  A block that raises may leave shards running, so its pool is
+    never handed on: an interrupt (also one that lands between dispatches)
+    terminates the workers, any other error shuts the pool down once the
+    running shards finish.
+
+    A pooled worker outlives the dispatch that forked it, so a shard must
+    read nothing from parent state set after the fork: everything it needs
+    travels pickled with the task or with its chaos rule.
+    """
+    outer = _SCOPE.get()
+    slot = outer if outer is not None else _PoolSlot()
+    token = None if outer is not None else _SCOPE.set(slot)
+    try:
+        yield slot
+    except BaseException as error:
+        slot.close(kill=isinstance(error, KeyboardInterrupt))
+        raise
+    finally:
+        if token is not None:
+            _SCOPE.reset(token)
+            slot.close()
 
 
 def run_shards(
@@ -363,7 +458,9 @@ def run_shards(
     policy:
         The :class:`ExecutionPolicy`; defaults to :data:`DEFAULT_POLICY`.
     max_workers:
-        Pool size; defaults to ``len(tasks)``.
+        Pool size; defaults to ``len(tasks)``.  The pool is leased from the
+        open :func:`pool_scope` (reused when its size matches, replaced
+        otherwise), or from a scope of this call's own.
     units:
         Number of units in a task.  Required (together with ``split``) for
         ``split-and-retry`` to actually split; also enables the final
@@ -508,9 +605,8 @@ def _run_shards(
                 _Item(item.index, item.offset, item.task, item.attempt + 1)
             )
 
-    pool: ProcessPoolExecutor | None = None
     pool_failures = 0
-    try:
+    with pool_scope() as slot:
         while pending:
             if pool_failures > policy.max_retries:
                 # The pool itself keeps dying: trust only this process.
@@ -528,10 +624,7 @@ def _run_shards(
                 )
                 report.backoff_wait_s += delay
                 time.sleep(delay)
-            if pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=max_workers, initializer=_init_worker
-                )
+            pool = slot.acquire(max_workers)
             round_start = time.monotonic()
             broken = False
             failed_items: list[_Item] = []
@@ -547,7 +640,6 @@ def _run_shards(
                 except BrokenExecutor:
                     broken = True
                     report.failures += 1
-                    report.crashes += 1
                     failed_items.append(item)
                     continue
                 in_flight[future] = item
@@ -583,10 +675,10 @@ def _run_shards(
                         result = future.result()
                     except (BrokenExecutor, CancelledError):
                         # One dying worker breaks the pool and fails every
-                        # in-flight future; each shard counts one attempt.
+                        # in-flight future; each shard counts one attempt,
+                        # the worker one crash (counted at teardown).
                         broken = True
                         report.failures += 1
-                        report.crashes += 1
                         failed_items.append(item)
                     except Exception:
                         report.failures += 1
@@ -605,20 +697,9 @@ def _run_shards(
             if broken:
                 report.pool_rebuilds += 1
                 pool_failures += 1
-                _destroy_pool(pool)
-                pool = None
+                report.crashes += slot.close(kill=True)
             for item in failed_items:
                 handle_failure(item)
-    except KeyboardInterrupt:
-        # Cancel what never ran, kill the pool, and let the caller exit
-        # cleanly; completed shards were already flushed via on_result.
-        if pool is not None:
-            _destroy_pool(pool)
-            pool = None
-        raise
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
 
     # Trusted in-process completion of everything the pool could not finish.
     # Chaos never applies here (see _invoke), so a scripted fault can delay

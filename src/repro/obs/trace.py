@@ -299,22 +299,32 @@ def worker_scope(
 ) -> Iterator[None]:
     """Trace one worker-side task under the parent's span.
 
-    No-op when ``context`` is ``None`` (untraced run).  Otherwise a
-    buffered tracer is activated for the block, a ``name`` span with a
-    ``queue_wait_s`` attribute wraps it, and every record is appended to
-    the shared trace file in one write at exit.  At task end the span also
-    records ``peak_rss_mb``, the process's peak resident set size so far
+    When ``context`` is ``None`` (untraced task) the block runs with
+    tracing disabled, whatever tracer a forked worker inherited from its
+    parent: a pooled worker outlives the dispatch that forked it, so the
+    task alone says whether to trace.  Otherwise a buffered tracer is
+    activated for the block, a ``name`` span with a ``queue_wait_s``
+    attribute wraps it, and every record is appended to the shared trace
+    file in one write at exit.  At task end the span also records
+    ``peak_rss_mb``, the process's peak resident set size so far
     (``ru_maxrss``; ``None`` where the platform has no ``resource``
-    module), and ``threads``, its live thread count (omitted where there is
-    no ``/proc``): more than one means something besides the shard, such
-    as a BLAS thread pool, competes for the worker's core.  Also safe
+    module) -- in a pooled worker, the high-water mark of its whole
+    lifetime, earlier shards of the same session call included -- and
+    ``threads``, its live thread count (omitted where there is no
+    ``/proc``): more than one means something besides the shard, such as
+    a BLAS thread pool, competes for the worker's core.  Also safe
     in-process (the serial fallback path): the previous active tracer is
     restored.
     """
-    if context is None:
-        yield
-        return
     global _ACTIVE
+    previous = _ACTIVE
+    if context is None:
+        _ACTIVE = None
+        try:
+            yield
+        finally:
+            _ACTIVE = previous
+        return
     tracer = Tracer(
         context.path,
         trace_id=context.trace_id,
@@ -322,7 +332,6 @@ def worker_scope(
         buffered=True,
     )
     queue_wait = max(0.0, clock.wall_time() - context.created_at)
-    previous = _ACTIVE
     _ACTIVE = tracer
     try:
         with tracer.span(name, {**attrs, "queue_wait_s": queue_wait}) as task:

@@ -1,5 +1,6 @@
 """Tests of the Session facade: every workflow through one entry point."""
 
+import dataclasses
 import json
 
 import pytest
@@ -294,3 +295,119 @@ class TestResilienceIntegration:
 
         with pytest.raises(SessionError):
             session.run(StoreVerifyJob())
+
+
+def _result_bodies(batch):
+    """Result documents without their ``"run"`` work accounting."""
+    return [
+        {key: value for key, value in result.to_json().items() if key != "run"}
+        for result in batch.results
+    ]
+
+
+def _shard_pids_by_sweep(trace):
+    """Worker pids of each dispatching sweep's shards, in sweep order."""
+    from repro.obs.report import load_trace
+
+    records = load_trace(trace)
+    sweeps = sorted(
+        (record for record in records if record["name"] == "sweep"),
+        key=lambda record: record["t0_s"],
+    )
+    pids = {sweep["span_id"]: set() for sweep in sweeps}
+    for record in records:
+        if record["name"] == "sweep.shard":
+            pids[record["parent_id"]].add(record["pid"])
+    return [pids[sweep["span_id"]] for sweep in sweeps if pids[sweep["span_id"]]]
+
+
+class TestPoolLifetime:
+    """One worker pool per Session call, observed on real worker processes."""
+
+    @staticmethod
+    def _jobs(workers):
+        sweep = SweepOptions(jobs=workers)
+        return [
+            CharacterizeJob(operator="bka8", pattern=SMALL, sweep=sweep),
+            MonteCarloJob(
+                operator="rca8",
+                pattern=PatternOptions(vectors=200, seed=3),
+                samples=8,
+                sweep=sweep,
+            ),
+            FaultSweepJob(
+                operator="rca8",
+                pattern=PatternOptions(vectors=300, seed=5),
+                sweep=sweep,
+            ),
+        ]
+
+    @staticmethod
+    def _run(tmp_path, name, jobs, workers):
+        from _store_helpers import store_snapshot
+
+        store = tmp_path / f"{name}-store"
+        trace = tmp_path / f"{name}.jsonl"
+        session = Session(store=store, jobs=workers, trace=trace)
+        batch = session.run_batch(jobs)
+        return batch, store_snapshot(store), trace
+
+    def test_batch_dispatches_share_one_pool_reaped_on_return(self, tmp_path):
+        import multiprocessing
+
+        pooled, pooled_store, trace = self._run(
+            tmp_path, "pooled", self._jobs(2), 2
+        )
+        assert multiprocessing.active_children() == []
+        per_sweep = _shard_pids_by_sweep(trace)
+        assert len(per_sweep) == 3
+        assert len(set().union(*per_sweep)) == 2
+        assert not pooled.report.execution.faulted
+
+        serial, serial_store, _ = self._run(tmp_path, "serial", self._jobs(1), 1)
+        assert pooled_store == serial_store
+        assert _result_bodies(pooled) == _result_bodies(serial)
+
+    def test_a_broken_pool_is_replaced_for_later_dispatches(
+        self, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+
+        from repro.testing.chaos import CHAOS_ENV
+
+        sweep = SweepOptions(jobs=2)
+        # 96 samples are three sample ranges, so only this first dispatch
+        # has a shard 2 for the chaos rule to crash; the two fault
+        # campaigns after it ship two shards each.
+        jobs = [
+            MonteCarloJob(
+                operator="rca8",
+                pattern=PatternOptions(vectors=120, seed=3),
+                samples=96,
+                supply_voltages=(1.0, 0.7),
+                sweep=sweep,
+            ),
+            FaultSweepJob(operator="rca8", pattern=SMALL, sweep=sweep),
+            FaultSweepJob(operator="bka8", pattern=SMALL, sweep=sweep),
+        ]
+        in_process = [dataclasses.replace(job, sweep=None) for job in jobs]
+        serial, serial_store, _ = self._run(tmp_path, "serial", in_process, 1)
+        monkeypatch.setenv(CHAOS_ENV, '[{"action": "crash", "shard": 2}]')
+        pooled, pooled_store, trace = self._run(tmp_path, "pooled", jobs, 2)
+
+        assert multiprocessing.active_children() == []
+        execution = pooled.report.execution
+        assert execution.pool_rebuilds == 1
+        assert execution.crashes == 1
+        assert pooled.results[0].execution.pool_rebuilds == 1
+        assert not pooled.results[1].execution.faulted
+        assert not pooled.results[2].execution.faulted
+        first, *later = _shard_pids_by_sweep(trace)
+        assert len(later) == 2
+        fresh = set().union(*later)
+        # The crashed dispatch's retry round forked the pool that the two
+        # later dispatches reuse.
+        assert len(fresh) == 2
+        assert first & fresh
+        assert pooled_store == serial_store
+        assert _result_bodies(pooled) == _result_bodies(serial)

@@ -522,6 +522,34 @@ class TestResilienceFlags:
         assert "execution:" in captured.err
         assert "crashed" in captured.err
 
+    def test_chaos_explore_counts_one_crash_per_dead_worker(
+        self, monkeypatch, capsys
+    ):
+        # Each of the six evaluations dispatches two shards and the rule
+        # crashes shard 0's worker in every one: six workers die, and the
+        # shard each takes down with it counts as a failed attempt only.
+        common = [
+            "explore",
+            "--budget",
+            "12",
+            "--widths",
+            "8",
+            "16",
+            "--vectors",
+            "1000",
+            "--no-cache",
+        ]
+        assert main(common) == 0
+        serial_out = capsys.readouterr().out
+        monkeypatch.setenv(
+            "REPRO_CHAOS", '[{"action": "crash", "shard": 0, "attempt": 0}]'
+        )
+        assert main(common + ["--jobs", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == serial_out
+        assert "(6 crashed," in captured.err
+        assert "6 pool rebuild(s)" in captured.err
+
     def test_fail_action_exits_cleanly_under_chaos(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", '[{"action": "crash", "shard": 0}]')
         with pytest.raises(SystemExit, match="sweep execution failed"):

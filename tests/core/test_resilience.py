@@ -8,7 +8,9 @@ deterministic (keyed on shard index and attempt), so each test reproduces
 the same failure sequence on every run.
 """
 
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.core.resilience import (
     ExecutionPolicy,
     ExecutionReport,
     ShardExecutionError,
+    pool_scope,
     run_shards,
 )
 from repro.core.store import SweepResultStore
@@ -55,6 +58,21 @@ def _crash_once(task):
         os._exit(32)
     offset = int(base.sum())
     return [value + offset for value in values]
+
+
+def _nap_then_double(task):
+    """Shard body that sleeps ``task[0]`` seconds, then doubles the rest."""
+    delay, values = task
+    time.sleep(delay)
+    return [value * 2 for value in values]
+
+
+def _pids(task):
+    return [os.getpid() for _ in task]
+
+
+def _live_children():
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 def _units(task):
@@ -256,6 +274,89 @@ class TestCrashRecovery:
         assert report.recovered_shards >= 1
 
 
+    def test_one_dying_worker_counts_one_crash(self):
+        # Shard 1 sleeps, so it is still in flight when shard 0's worker
+        # dies: the broken pool fails both attempts, but one worker crashed.
+        chaos = ChaosPlan((ChaosRule(action="crash", shard=0, attempt=0),))
+        report = ExecutionReport()
+        result = run_shards(
+            [(0.0, [1]), (0.5, [2])],
+            _nap_then_double,
+            chaos=chaos,
+            report=report,
+        )
+        assert result == [[2], [4]]
+        assert report.crashes == 1
+        assert report.failures == 2
+        assert report.retries == 2
+        assert report.pool_rebuilds == 1
+
+
+class TestPoolScope:
+    """Dispatches inside one :func:`pool_scope` share its worker pool."""
+
+    def test_dispatches_share_the_pool_and_it_is_reaped_at_exit(self):
+        with pool_scope():
+            first = run_shards([[1], [2]], _pids)
+            workers = _live_children()
+            second = run_shards([[3], [4]], _pids)
+            assert _live_children() == workers
+        assert multiprocessing.active_children() == []
+        assert len(workers) == 2
+        assert {pid for [pid] in first + second} <= workers
+
+    def test_without_a_scope_each_dispatch_forks_its_own_pool(self):
+        first = run_shards([[1], [2]], _pids)
+        assert multiprocessing.active_children() == []
+        second = run_shards([[3], [4]], _pids)
+        assert not {pid for [pid] in first} & {pid for [pid] in second}
+
+    def test_nested_scopes_join_the_outer_pool(self):
+        with pool_scope() as outer:
+            run_shards([[1], [2]], _pids)
+            with pool_scope() as inner:
+                assert inner is outer
+            assert outer.pool is not None
+        assert outer.pool is None
+
+    def test_a_pool_of_another_size_is_replaced(self):
+        with pool_scope():
+            wide = run_shards([[1], [2]], _pids, max_workers=2)
+            narrow = run_shards([[3], [4], [5]], _pids, max_workers=1)
+            assert len(_live_children()) == 1
+        assert len({pid for [pid] in narrow}) == 1
+        assert not {pid for [pid] in wide} & {pid for [pid] in narrow}
+
+    def test_a_broken_pool_is_reforked_without_a_second_rebuild(self):
+        chaos = ChaosPlan((ChaosRule(action="crash", shard=0, attempt=0),))
+        broken, clean = ExecutionReport(), ExecutionReport()
+        with pool_scope():
+            assert run_shards(TASKS, _double, chaos=chaos, report=broken) == EXPECTED
+            assert run_shards(TASKS, _double, report=clean) == EXPECTED
+        assert broken.pool_rebuilds == 1
+        assert broken.crashes == 1
+        assert not clean.faulted
+
+    def test_a_failed_dispatch_does_not_hand_on_its_pool(self):
+        with pool_scope() as slot:
+            run_shards([[1], [2]], _pids)
+            with pytest.raises(ShardExecutionError):
+                run_shards(
+                    [[1], [2]],
+                    _boom,
+                    policy=ExecutionPolicy(on_failure="fail"),
+                )
+            assert slot.pool is None
+            assert multiprocessing.active_children() == []
+
+    def test_interrupt_between_dispatches_kills_the_pool(self):
+        with pytest.raises(KeyboardInterrupt):
+            with pool_scope():
+                run_shards([[1], [2]], _pids)
+                raise KeyboardInterrupt
+        assert multiprocessing.active_children() == []
+
+
 class TestBackoffCap:
     def test_exponential_backoff_is_capped_and_accounted(self, monkeypatch):
         # Three consecutive crashes of shard 0 drive retry rounds 1..3.
@@ -315,6 +416,8 @@ class TestTimeoutRecovery:
         assert report.timeouts >= 1
         assert report.pool_rebuilds >= 1
         assert report.wall_time_lost_s > 0.0
+        # Workers killed by the teardown did not die on their own.
+        assert report.crashes == 0
 
 
 class TestCorruptionRecovery:

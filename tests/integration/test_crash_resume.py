@@ -32,6 +32,19 @@ CHARACTERIZE = [
     "7",
 ]
 
+#: An exploration of many small sweeps: one dispatch per evaluation.
+EXPLORE = [
+    "explore",
+    "--budget",
+    "24",
+    "--widths",
+    "8",
+    "16",
+    "32",
+    "--vectors",
+    "2000",
+]
+
 
 def _environment(chaos=None):
     env = os.environ.copy()
@@ -131,22 +144,20 @@ def test_killed_sweep_resumes_warm_and_matches_fault_free_output(tmp_path):
         assert after[key] == payload
 
 
-def _start_interruptible_run(store):
-    """A sharded CLI sweep whose shard 0 hangs, in its own process group."""
+def _start_pooled(arguments, store, chaos=None):
+    """A ``--jobs 2`` CLI run over ``store``, in its own process group."""
     return subprocess.Popen(
         [
             sys.executable,
             "-m",
             "repro.cli",
-            *CHARACTERIZE,
+            *arguments,
             "--jobs",
             "2",
             "--cache-dir",
             str(store),
         ],
-        env=_environment(
-            chaos=[{"action": "hang", "shard": 0, "attempt": 0, "hang_s": 600}]
-        ),
+        env=_environment(chaos),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -154,18 +165,82 @@ def _start_interruptible_run(store):
     )
 
 
-def _interrupt_runs(stores):
-    """Start one run per store, Ctrl-C each once it has flushed a shard.
+def _start_interruptible_run(store):
+    """A sharded CLI sweep whose shard 0 hangs."""
+    return _start_pooled(
+        CHARACTERIZE,
+        store,
+        chaos=[{"action": "hang", "shard": 0, "attempt": 0, "hang_s": 600}],
+    )
 
-    The runs go concurrently; returns ``(returncode, stderr)`` per store.
+
+def _start_explore(store):
+    """A sharded CLI exploration: many small dispatches."""
+    return _start_pooled(EXPLORE, store)
+
+
+def _has_flushed(process, store):
+    return bool(_entries(store))
+
+
+def _children(pid):
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children", encoding="ascii") as handle:
+            return [int(token) for token in handle.read().split()]
+    except OSError:
+        return []
+
+
+def _state(pid):
+    """The one-letter scheduler state of ``pid`` (``R``, ``S`` ...), or None."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return None
+
+
+def _pool_idles(process, store, samples=50, interval_s=0.002):
+    """Whether, within ``samples`` looks, the run's forked pool sat idle.
+
+    Idle means both workers wait for work while the parent itself runs:
+    the run is between two dispatches, not inside one.
     """
-    processes = [_start_interruptible_run(store) for store in stores]
+    for _ in range(samples):
+        workers = _children(process.pid)
+        if (
+            len(workers) == 2
+            and _state(process.pid) == "R"
+            and all(_state(worker) == "S" for worker in workers)
+        ):
+            return True
+        time.sleep(interval_s)
+    return False
+
+
+def _group_alive(pgid):
+    """Whether any process of the process group ``pgid`` still exists."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _interrupt_runs(stores, start=_start_interruptible_run, ready=_has_flushed):
+    """Start one run per store, Ctrl-C each once ``ready(process, store)``.
+
+    The runs go concurrently.  Returns ``(returncode, stderr, survived)``
+    per store, where ``survived`` says whether any process of the run's
+    group (a pool worker, say) outlived it.
+    """
+    processes = [start(store) for store in stores]
     try:
         pending = dict(enumerate(processes))
         deadline = time.monotonic() + 300
         while pending and time.monotonic() < deadline:
             for index, process in list(pending.items()):
-                if process.poll() is not None or _entries(stores[index]):
+                if process.poll() is not None or ready(process, stores[index]):
                     os.killpg(process.pid, signal.SIGINT)
                     del pending[index]
             time.sleep(0.1)
@@ -174,11 +249,11 @@ def _interrupt_runs(stores):
         outcomes = []
         for process in processes:
             _, stderr = process.communicate(timeout=120)
-            outcomes.append((process.returncode, stderr))
+            outcomes.append((process.returncode, stderr, _group_alive(process.pid)))
         return outcomes
     finally:
         for process in processes:
-            if process.poll() is None:
+            if process.poll() is None or _group_alive(process.pid):
                 os.killpg(process.pid, signal.SIGKILL)
                 process.wait(timeout=60)
 
@@ -186,11 +261,29 @@ def _interrupt_runs(stores):
 def test_interrupted_run_exits_130_without_traceback(tmp_path):
     """Ctrl-C mid-sweep: clean exit code 130, persisted progress, no spew."""
     store = tmp_path / "store"
-    [(returncode, stderr)] = _interrupt_runs([store])
+    [(returncode, stderr, survived)] = _interrupt_runs([store])
     assert returncode == 130
     assert "Traceback" not in stderr
     assert "rerun to resume warm" in stderr
+    assert not survived
     assert _entries(store)
+
+
+def test_interrupt_while_the_pool_idles_between_evaluations(tmp_path):
+    """Ctrl-C between two of an exploration's dispatches.
+
+    One worker pool serves every evaluation of the run, so the interrupt
+    can land while the pool waits for the next dispatch: the workers must
+    still die with the run, which exits 130 without a traceback.
+    """
+    store = tmp_path / "store"
+    [(returncode, stderr, survived)] = _interrupt_runs(
+        [store], start=_start_explore, ready=_pool_idles
+    )
+    assert returncode == 130, stderr
+    assert "Traceback" not in stderr
+    assert "rerun to resume warm" in stderr
+    assert not survived
 
 
 #: Interrupted runs of the regression loop, and how many run at once.
@@ -214,7 +307,9 @@ def test_interrupted_runs_never_print_an_exit_traceback(tmp_path):
             tmp_path / f"store-{index}"
             for index in range(wave, wave + INTERRUPT_LOOP_WAVE)
         ]
-        for store, (returncode, stderr) in zip(stores, _interrupt_runs(stores)):
-            if returncode != 130 or "Traceback" in stderr:
-                failures.append((store.name, returncode, stderr))
+        for store, (returncode, stderr, survived) in zip(
+            stores, _interrupt_runs(stores)
+        ):
+            if returncode != 130 or "Traceback" in stderr or survived:
+                failures.append((store.name, returncode, stderr, survived))
     assert not failures, failures

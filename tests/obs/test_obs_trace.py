@@ -185,6 +185,19 @@ class TestContextPropagation:
         with worker_scope(None, "sweep.shard", units=3):
             assert active_tracer() is None
 
+    def test_untraced_task_ignores_an_inherited_tracer(self, tmp_path):
+        # A pooled worker forked while its parent traced must not write
+        # spans of a later, untraced task into the parent's trace file.
+        inherited = Tracer(tmp_path / "parent.jsonl")
+        with activated(inherited):
+            with worker_scope(None, "sweep.shard"):
+                assert active_tracer() is None
+                with span("engine.pass"):
+                    pass
+            assert active_tracer() is inherited
+        inherited.close()
+        assert not (tmp_path / "parent.jsonl").exists()
+
     def test_worker_scope_reparents_and_records_queue_wait(self, tmp_path):
         trace = tmp_path / "t.jsonl"
         context = TraceContext(
