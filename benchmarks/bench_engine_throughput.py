@@ -8,15 +8,15 @@ Two measurements, persisted so future PRs have a perf trajectory:
     gate, fed with the seed's vector-major stimulus layout (whose per-port
     bit columns are strided views -- reproduced here verbatim so the
     baseline stays the code this PR replaced),
-  - the in-repo per-gate reference path (``run_reference``, same loop but
+  - the in-repo per-gate oracle (``reference.logic_values``, same loop but
     fed with the engine's bit-major contiguous layout),
   - the compiled level-packed engine on boolean arrays (``run``),
   - the compiled engine in bit-packed uint64 mode, 64 vectors per word
     (``run_outputs``).
 
 * **Fig. 4 characterization sweep** of the same adder over its full matched
-  triad grid, engine (sweep-level reuse) vs the per-gate reference loop, with
-  bit-identical BER/energy assertions.
+  triad grid, engine (sweep-level reuse) vs the per-gate oracle
+  (``reference.sweep``), with bit-identical BER/energy assertions.
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ import numpy as np
 from _bench_utils import Metric, bench_vectors, write_metrics, write_output
 
 from repro.circuits.adders import build_adder
-from repro.core.characterization import CharacterizationFlow
+from repro.core.characterization import CharacterizationFlow, entry_from_payload
+from repro.core.sweep import measurement_to_payload
+from repro.simulation import reference as oracle
 from repro.simulation.logic_sim import LogicSimulator
-from repro.simulation.patterns import PatternConfig
+from repro.simulation.patterns import PatternConfig, generate_patterns
 
 #: The golden-simulation measurement uses at least a 64 K-vector stimulus
 #: (about 3x the paper's 20 K): below that, Python call overhead -- not
@@ -94,7 +96,7 @@ def test_engine_throughput(benchmark):
     seed_assignment = _seed_assignment(adder, in1, in2)
 
     # Bit-exactness of every path against the seed loop.
-    seed_values = simulator.run_reference(seed_assignment)
+    seed_values = oracle.logic_values(adder.netlist, seed_assignment)
     compiled_values = simulator.run(assignment)
     packed_outputs = simulator.run_outputs(assignment)
     for net in seed_values:
@@ -102,8 +104,8 @@ def test_engine_throughput(benchmark):
     for port, net in adder.netlist.primary_outputs.items():
         assert np.array_equal(packed_outputs[port], seed_values[net])
 
-    t_seed = _best_time(lambda: simulator.run_reference(seed_assignment))
-    t_reference = _best_time(lambda: simulator.run_reference(assignment))
+    t_seed = _best_time(lambda: oracle.logic_values(adder.netlist, seed_assignment))
+    t_reference = _best_time(lambda: oracle.logic_values(adder.netlist, assignment))
     t_compiled = _best_time(lambda: simulator.run(assignment))
     t_packed = _best_time(lambda: simulator.run_outputs(assignment))
     packed_speedup = t_seed / t_packed
@@ -130,9 +132,16 @@ def test_engine_throughput(benchmark):
 
     flow_reference = CharacterizationFlow(build_adder("rca", 8))
     start = time.perf_counter()
-    reference = flow_reference.run(
-        pattern=pattern, keep_measurements=False, use_reference=True
-    )
+    reference_results = [
+        entry_from_payload(
+            measurement_to_payload(measurement, adder.output_width, False)
+        )
+        for measurement in oracle.sweep(
+            flow_reference.testbench,
+            *generate_patterns(pattern),
+            flow_reference.default_triad_grid(),
+        )
+    ]
     t_sweep_reference = time.perf_counter() - start
 
     flow_engine = CharacterizationFlow(build_adder("rca", 8))
@@ -140,11 +149,11 @@ def test_engine_throughput(benchmark):
     engine = flow_engine.run(pattern=pattern, keep_measurements=False)
     t_sweep_engine = time.perf_counter() - start
 
-    assert [e.ber for e in reference.results] == [e.ber for e in engine.results]
-    assert [e.energy_per_operation for e in reference.results] == [
+    assert [e.ber for e in reference_results] == [e.ber for e in engine.results]
+    assert [e.energy_per_operation for e in reference_results] == [
         e.energy_per_operation for e in engine.results
     ]
-    assert [e.mse for e in reference.results] == [e.mse for e in engine.results]
+    assert [e.mse for e in reference_results] == [e.mse for e in engine.results]
     sweep_speedup = t_sweep_reference / t_sweep_engine
 
     lines += [

@@ -18,7 +18,7 @@ from _bench_utils import Metric, write_metrics, write_output
 from repro.analysis.figures import fig8_ber_energy_series, render_fig8
 from repro.core.triad import OperatingTriad
 from repro.simulation.patterns import PatternConfig, generate_patterns
-from repro.simulation.testbench import AdderTestbench
+from repro.simulation.testbench import OperatorTestbench
 from repro.circuits.adders import build_adder
 
 
@@ -60,7 +60,7 @@ def test_fig8_all_adders(benchmark, benchmark_characterizations):
     )
 
     adder = build_adder("rca", 8)
-    testbench = AdderTestbench(adder)
+    testbench = OperatorTestbench(adder)
     in1, in2 = generate_patterns(PatternConfig(n_vectors=1000, width=8, seed=3))
     triad = OperatingTriad(tclk=0.28e-9, vdd=0.6, vbb=0.0)
     benchmark(

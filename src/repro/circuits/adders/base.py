@@ -76,7 +76,7 @@ class AdderCircuit:
             assignment["__const1"] = np.ones(in1_arr.shape, dtype=bool)
         return assignment
 
-    def exact_sum(self, in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
+    def exact_words(self, in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
         """Golden reference result (``in1 + in2``) as integers."""
         return np.asarray(in1, dtype=np.int64) + np.asarray(in2, dtype=np.int64)
 

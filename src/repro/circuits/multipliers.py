@@ -61,8 +61,8 @@ class MultiplierCircuit:
             assignment["__const0"] = np.zeros(in1_arr.shape, dtype=bool)
         return assignment
 
-    def exact_product(self, in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
-        """Golden reference product as integers."""
+    def exact_words(self, in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
+        """Golden reference product (``in1 * in2``) as integers."""
         return np.asarray(in1, dtype=np.int64) * np.asarray(in2, dtype=np.int64)
 
     def output_ports(self) -> tuple[str, ...]:

@@ -22,7 +22,7 @@ from repro.core.resilience import ExecutionPolicy, ExecutionReport
 from repro.core.store import SweepResultStore
 from repro.core.triad import OperatingTriad, TriadGrid, matched_triad_grid
 from repro.simulation.patterns import PatternConfig, generate_patterns
-from repro.simulation.testbench import AdderTestbench, TriadMeasurement
+from repro.simulation.testbench import OperatorTestbench, TriadMeasurement
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
 from repro.testing.chaos import ChaosPlan
 
@@ -204,7 +204,7 @@ class CharacterizationFlow:
             raise ValueError("sta_margin must be >= 1.0")
         self._adder = adder
         self._library = library
-        self._testbench = AdderTestbench(adder, library=library)
+        self._testbench = OperatorTestbench(adder, library=library)
         self._sta_margin = sta_margin
 
     @classmethod
@@ -224,7 +224,7 @@ class CharacterizationFlow:
         return self._adder
 
     @property
-    def testbench(self) -> AdderTestbench:
+    def testbench(self) -> OperatorTestbench:
         """The underlying testbench (exposed for custom experiments)."""
         return self._testbench
 
@@ -276,7 +276,6 @@ class CharacterizationFlow:
         pattern: PatternConfig | None = None,
         operands: tuple[np.ndarray, np.ndarray] | None = None,
         keep_measurements: bool = True,
-        use_reference: bool = False,
         jobs: int = 1,
         store: SweepResultStore | None = None,
         policy: ExecutionPolicy | None = None,
@@ -292,7 +291,7 @@ class CharacterizationFlow:
         that does not depend on the full triad -- golden settled bits and
         one unit-``tau`` arrival pass per pattern set, scaled to each
         ``(vdd, vbb)`` pair (see
-        :meth:`repro.simulation.testbench.AdderTestbench.run_sweep`).
+        :meth:`repro.simulation.testbench.OperatorTestbench.run_sweep`).
         Results are bit-identical for every combination of ``jobs`` and
         cache state.
 
@@ -307,10 +306,6 @@ class CharacterizationFlow:
             Explicit operand arrays, overriding ``pattern``.
         keep_measurements:
             Whether to retain raw per-triad outputs (needed for Algorithm 1).
-        use_reference:
-            Run the legacy per-gate simulation loop without sweep-level
-            reuse (engine-parity validation and benchmarks only); forces
-            serial, uncached execution.
         jobs:
             Worker processes for the sweep (``1`` = in-process).
         store:
@@ -347,31 +342,21 @@ class CharacterizationFlow:
             seed = config.seed
             stimulus = sweep_module.pattern_stimulus(config)
 
-        if use_reference:
-            payloads = [
-                sweep_module.measurement_to_payload(
-                    measurement, self._adder.output_width, keep_measurements
-                )
-                for measurement in self._testbench.run_sweep(
-                    in1, in2, grid, use_reference=True
-                )
-            ]
-        else:
-            payloads = sweep_module.run_characterization_sweep(
-                self._adder,
-                grid,
-                in1,
-                in2,
-                stimulus,
-                library=self._library,
-                jobs=jobs,
-                store=store,
-                keep_latched=keep_measurements,
-                testbench=self._testbench,
-                policy=policy,
-                chaos=chaos,
-                report=report,
-            )
+        payloads = sweep_module.run_characterization_sweep(
+            self._adder,
+            grid,
+            in1,
+            in2,
+            stimulus,
+            library=self._library,
+            jobs=jobs,
+            store=store,
+            keep_latched=keep_measurements,
+            testbench=self._testbench,
+            policy=policy,
+            chaos=chaos,
+            report=report,
+        )
 
         results = [entry_from_payload(payload) for payload in payloads]
         measurements: list[TriadMeasurement] = []
@@ -380,7 +365,7 @@ class CharacterizationFlow:
             # the whole sweep, not per payload.
             in1_arr = np.asarray(in1, dtype=np.int64)
             in2_arr = np.asarray(in2, dtype=np.int64)
-            exact = self._adder.exact_sum(in1_arr, in2_arr)
+            exact = self._adder.exact_words(in1_arr, in2_arr)
             measurements = [
                 sweep_module.payload_to_measurement(
                     payload,

@@ -32,8 +32,9 @@ round-trips), whether a result comes from this process, a worker, or the
 on-disk store; each kind's payloads carry its own layout version, and the
 conversion back to :class:`TriadCharacterization` /
 :class:`TriadMeasurement` is therefore identical on every path.
-Multiplier grids run through the identical entry points because
-:class:`MultiplierTestbench` shares the testbench interface.
+Multiplier grids run through the identical entry points: one
+:class:`~repro.simulation.testbench.OperatorTestbench` drives adders and
+multipliers alike.
 """
 
 from __future__ import annotations
@@ -73,9 +74,8 @@ from repro.simulation.fault_injection import (
     StuckAtFaultSimulator,
     enumerate_stuck_at_faults,
 )
-from repro.simulation.multiplier_testbench import MultiplierTestbench
 from repro.simulation.patterns import PatternConfig
-from repro.simulation.testbench import AdderTestbench, TriadMeasurement
+from repro.simulation.testbench import OperatorTestbench, TriadMeasurement
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
 from repro.testing.chaos import ChaosPlan
 
@@ -203,19 +203,6 @@ class CircuitSpec:
         raise ValueError(f"unknown circuit kind {self.kind!r}")
 
 
-def _make_testbench(circuit: Any, library: StandardCellLibrary) -> Any:
-    if isinstance(circuit, MultiplierCircuit):
-        return MultiplierTestbench(circuit, library=library)
-    return AdderTestbench(circuit, library=library)
-
-
-def exact_words(circuit: Any, in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
-    """Golden (error-free) output words of an adder or multiplier."""
-    if isinstance(circuit, MultiplierCircuit):
-        return circuit.exact_product(in1, in2)
-    return circuit.exact_sum(in1, in2)
-
-
 # ---------------------------------------------------------------------------
 # Stimulus descriptors (cache-key components + operand resolution)
 # ---------------------------------------------------------------------------
@@ -317,7 +304,7 @@ def payload_to_measurement(
     in2_arr = np.asarray(in2, dtype=np.int64)
     latched = decode_int64_array(payload["latched_words"]).reshape(in1_arr.shape)
     if exact is None:
-        exact = exact_words(circuit, in1_arr, in2_arr)
+        exact = circuit.exact_words(in1_arr, in2_arr)
     triad = payload["triad"]
     return TriadMeasurement(
         adder_name=circuit.name,
@@ -471,7 +458,7 @@ class _CharacterizationKind:
         return shard_triads(units, n_shards)
 
     def simulator(self, circuit: Any) -> Any:
-        return _make_testbench(circuit, self.library)
+        return OperatorTestbench(circuit, library=self.library)
 
     def run(
         self,

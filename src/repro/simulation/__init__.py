@@ -19,11 +19,16 @@ simulations; this package provides the functional equivalent:
   bit-flip baseline against which the VOS model is compared, plus
   gate-level single-stuck-at fault simulation on the compiled packed
   engine (shardable across worker processes by :mod:`repro.core.sweep`).
-* :mod:`repro.simulation.testbench`  -- per-triad measurement runs combining
-  functional results with energy estimates.
+* :mod:`repro.simulation.testbench`  -- per-triad measurement runs of an
+  adder or multiplier combining functional results with energy estimates.
 * :mod:`repro.simulation.engine`     -- compiled level-packed evaluation
   plans, bit-packed (64 vectors/word) golden simulation, and the cached
   per-netlist / per-operating-point metadata all simulators share.
+
+Each simulator has one simulation path.  The per-gate loops the engine
+replaced live on as the oracle :mod:`repro.simulation.reference`, which
+only the parity tests and the throughput benchmark import (it is not
+imported here).
 """
 
 from repro.simulation.engine import (
@@ -56,8 +61,7 @@ from repro.simulation.fault_injection import (
     FaultSimulationResult,
     enumerate_stuck_at_faults,
 )
-from repro.simulation.testbench import TriadMeasurement, AdderTestbench
-from repro.simulation.multiplier_testbench import MultiplierTestbench
+from repro.simulation.testbench import TriadMeasurement, OperatorTestbench
 
 __all__ = [
     "LogicSimulator",
@@ -80,8 +84,7 @@ __all__ = [
     "StuckAtFaultSimulator",
     "FaultSimulationResult",
     "enumerate_stuck_at_faults",
-    "AdderTestbench",
-    "MultiplierTestbench",
+    "OperatorTestbench",
     "TriadMeasurement",
     "CompiledNetlistPlan",
     "compile_plan",

@@ -46,7 +46,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.circuits.cells import GATE_WORD_FUNCTIONS, GateType, evaluate_gate
+from repro.circuits.cells import GATE_WORD_FUNCTIONS, GateType
 from repro.circuits.netlist import Netlist
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
 
@@ -745,16 +745,3 @@ def evaluate_packed(
     words, n_vectors = pack_bound_inputs(plan.net_count, bound_inputs)
     return plan.evaluate(words), n_vectors
 
-
-def reference_evaluate_values(
-    netlist: Netlist, bound_inputs: Mapping[int, np.ndarray]
-) -> dict[int, np.ndarray]:
-    """Legacy per-gate functional evaluation (one Python call per gate).
-
-    Kept as the parity/benchmark reference for the compiled engine.
-    """
-    values: dict[int, np.ndarray] = dict(bound_inputs)
-    for gate in netlist.topological_gates:
-        gate_inputs = [values[net] for net in gate.inputs]
-        values[gate.output] = evaluate_gate(gate.gate_type, gate_inputs)
-    return values

@@ -9,8 +9,9 @@ Evaluation runs on the compiled level-packed plan of
 :mod:`repro.simulation.engine`: one vectorised bitwise operation settles an
 entire level of same-typed gates, and batched 1-D stimulus is additionally
 bit-packed into ``uint64`` words (64 vectors per word) when only the primary
-outputs are needed.  The legacy per-gate path is kept as
-:meth:`LogicSimulator.run_reference` for parity tests and benchmarks.
+outputs are needed.  The legacy per-gate loop it replaced is the oracle
+:func:`repro.simulation.reference.logic_values`, for parity tests and
+benchmarks.
 """
 
 from __future__ import annotations
@@ -57,14 +58,6 @@ class LogicSimulator:
         bound = self._bind_inputs(inputs)
         values = engine.evaluate_values(self._netlist, bound)
         return {net: values[net] for net in self._plan.driven_nets}
-
-    def run_reference(
-        self, inputs: Mapping[str, np.ndarray]
-    ) -> dict[int, np.ndarray]:
-        """Legacy per-gate evaluation (parity reference for the engine)."""
-        return engine.reference_evaluate_values(
-            self._netlist, self._bind_inputs(inputs)
-        )
 
     def run_outputs(self, inputs: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Compute settled values for the primary outputs only.

@@ -1,22 +1,22 @@
-"""Per-triad measurement runs for adder circuits.
+"""Per-triad measurement runs for operator circuits.
 
 The testbench plays the role of the paper's automated SPICE test scripts: it
-applies a pattern set to an adder under one operating triad, captures the
-latched outputs, compares them with the golden outputs and records energy.
-The raw measurements are consumed by :mod:`repro.core.characterization`,
-which aggregates them into the statistics the paper reports (BER, MSE,
-bit-wise error probability, energy efficiency).
+applies a pattern set to an operator (an adder or an array multiplier) under
+one operating triad, captures the latched outputs, compares them with the
+golden outputs and records energy.  The raw measurements are consumed by
+:mod:`repro.core.characterization`, which aggregates them into the
+statistics the paper reports (BER, MSE, bit-wise error probability, energy
+efficiency).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from repro.circuits.adders import AdderCircuit
 from repro.circuits.signals import int_to_bits
 from repro.simulation.timing_sim import VosSimulationResult, VosTimingSimulator
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
@@ -24,7 +24,7 @@ from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
 
 @dataclasses.dataclass(frozen=True)
 class TriadMeasurement:
-    """Raw measurement of an adder under one operating triad.
+    """Raw measurement of an operator under one operating triad.
 
     Attributes
     ----------
@@ -37,7 +37,7 @@ class TriadMeasurement:
     latched_words:
         Output words captured by the output register each cycle.
     exact_words:
-        Golden results (``in1 + in2``).
+        Golden results (``in1 + in2`` or ``in1 * in2``).
     output_width:
         Number of observed output bits.
     energy_per_operation:
@@ -82,33 +82,37 @@ class TriadMeasurement:
         return int(np.count_nonzero(mismatches)) / mismatches.size
 
 
-class AdderTestbench:
-    """Reusable testbench for one adder circuit.
+class OperatorTestbench:
+    """Reusable testbench for one operator circuit.
 
     Parameters
     ----------
-    adder:
-        The circuit under test.
+    circuit:
+        The circuit under test: an
+        :class:`~repro.circuits.adders.AdderCircuit` or a
+        :class:`~repro.circuits.multipliers.MultiplierCircuit`, or anything
+        else with their ``name``, ``netlist``, ``output_ports()``,
+        ``input_assignment(in1, in2)`` and ``exact_words(in1, in2)``.
     library:
         Standard-cell library used for delays and energies.
     """
 
     def __init__(
         self,
-        adder: AdderCircuit,
+        circuit: Any,
         library: StandardCellLibrary = DEFAULT_LIBRARY,
     ) -> None:
-        self._adder = adder
+        self._circuit = circuit
         self._simulator = VosTimingSimulator(
-            adder.netlist,
-            output_ports=adder.output_ports(),
+            circuit.netlist,
+            output_ports=circuit.output_ports(),
             library=library,
         )
 
     @property
-    def adder(self) -> AdderCircuit:
+    def circuit(self) -> Any:
         """The circuit under test."""
-        return self._adder
+        return self._circuit
 
     @property
     def simulator(self) -> VosTimingSimulator:
@@ -117,10 +121,8 @@ class AdderTestbench:
 
     def nominal_critical_path(self, vdd: float | None = None, vbb: float = 0.0) -> float:
         """Static critical path delay (seconds) at the given operating point."""
-        supply = self._simulator.annotation(
-            vdd if vdd is not None else DEFAULT_LIBRARY.technology.vdd_nominal, vbb
-        )
-        return supply.critical_path_delay
+        supply = DEFAULT_LIBRARY.technology.vdd_nominal if vdd is None else vdd
+        return self._simulator.annotation(supply, vbb).critical_path_delay
 
     def run_triad(
         self,
@@ -129,56 +131,36 @@ class AdderTestbench:
         tclk: float,
         vdd: float,
         vbb: float = 0.0,
-        *,
-        use_reference: bool = False,
     ) -> TriadMeasurement:
-        """Apply an operand stream under one operating triad.
-
-        ``use_reference=True`` runs the legacy per-gate simulation loop
-        instead of the compiled engine (parity tests / benchmarks only).
-        """
-        in1_arr = np.asarray(in1, dtype=np.int64)
-        in2_arr = np.asarray(in2, dtype=np.int64)
-        if in1_arr.shape != in2_arr.shape:
-            raise ValueError("in1 and in2 must have the same shape")
-        assignment = self._adder.input_assignment(in1_arr, in2_arr)
-        simulate = (
-            self._simulator.run_reference if use_reference else self._simulator.run
+        """Apply an operand stream under one operating triad."""
+        in1_arr, in2_arr = _operands(in1, in2)
+        result = self._simulator.run(
+            self._circuit.input_assignment(in1_arr, in2_arr),
+            tclk=tclk,
+            vdd=vdd,
+            vbb=vbb,
         )
-        result = simulate(assignment, tclk=tclk, vdd=vdd, vbb=vbb)
-        return self._to_measurement(in1_arr, in2_arr, result, tclk, vdd, vbb)
+        return self.measurement(in1_arr, in2_arr, result, vdd, vbb)
 
     def run_sweep(
-        self,
-        in1: np.ndarray,
-        in2: np.ndarray,
-        triads: Iterable,
-        *,
-        use_reference: bool = False,
+        self, in1: np.ndarray, in2: np.ndarray, triads: Iterable
     ) -> list[TriadMeasurement]:
         """Apply one operand stream under every triad of a sweep.
 
         ``triads`` is any iterable of objects with ``tclk`` / ``vdd`` /
         ``vbb`` attributes (e.g. :class:`repro.core.triad.OperatingTriad`).
         Everything that does not depend on the triad is computed once for the
-        whole sweep: the operand-to-port binding, the golden sum, and --
+        whole sweep: the operand-to-port binding, the golden words, and --
         inside the simulator -- the resolved stimulus, the settled words and
         one unit-``tau`` arrival pass with its per-vector maximum, which each
         operating point scales by its ``tau``; a triad then touches only the
         vectors that can be late.  Triads sharing ``vdd`` are cheapest back
         to back: the dynamic energy is held for the latest supply only.
         """
-        return list(
-            self.iter_sweep(in1, in2, triads, use_reference=use_reference)
-        )
+        return list(self.iter_sweep(in1, in2, triads))
 
     def iter_sweep(
-        self,
-        in1: np.ndarray,
-        in2: np.ndarray,
-        triads: Iterable,
-        *,
-        use_reference: bool = False,
+        self, in1: np.ndarray, in2: np.ndarray, triads: Iterable
     ) -> Iterator[TriadMeasurement]:
         """:meth:`run_sweep`, yielding each measurement as it is computed.
 
@@ -186,104 +168,53 @@ class AdderTestbench:
         follow as the iterator is consumed, so a caller can store them in
         batches while the whole stream shares one resolved stimulus.
         """
-        in1_arr = np.asarray(in1, dtype=np.int64)
-        in2_arr = np.asarray(in2, dtype=np.int64)
-        if in1_arr.shape != in2_arr.shape:
-            raise ValueError("in1 and in2 must have the same shape")
-        exact = self._adder.exact_sum(in1_arr, in2_arr)
-        return sweep_measurements(
-            self._simulator,
-            self._adder.name,
-            self._adder.input_assignment(in1_arr, in2_arr),
-            in1_arr,
-            in2_arr,
-            exact,
-            triads,
-            use_reference=use_reference,
+        in1_arr, in2_arr = _operands(in1, in2)
+        exact = self._circuit.exact_words(in1_arr, in2_arr)
+        triads = list(triads)
+        results = self._simulator.run_sweep(
+            self._circuit.input_assignment(in1_arr, in2_arr), triads
+        )
+        return (
+            self.measurement(in1_arr, in2_arr, result, triad.vdd, triad.vbb, exact)
+            for triad, result in zip(triads, results)
         )
 
-    def _to_measurement(
+    def measurement(
         self,
         in1: np.ndarray,
         in2: np.ndarray,
         result: VosSimulationResult,
-        tclk: float,
         vdd: float,
         vbb: float,
+        exact: np.ndarray | None = None,
     ) -> TriadMeasurement:
-        return measurement_from_result(
-            self._adder.name,
-            in1,
-            in2,
-            result,
-            tclk,
-            vdd,
-            vbb,
-            self._adder.exact_sum(in1, in2),
+        """The :class:`TriadMeasurement` of one simulation result.
+
+        ``in1`` and ``in2`` are the int64 operand arrays the result was
+        simulated from; ``exact`` holds their golden words when the caller
+        already has them (a sweep computes them once).
+        """
+        if exact is None:
+            exact = self._circuit.exact_words(in1, in2)
+        return TriadMeasurement(
+            adder_name=self._circuit.name,
+            tclk=result.tclk,
+            vdd=vdd,
+            vbb=vbb,
+            in1=in1,
+            in2=in2,
+            latched_words=result.latched_words,
+            exact_words=exact,
+            output_width=result.n_outputs,
+            energy_per_operation=float(result.total_energy.mean()),
+            dynamic_energy_per_operation=float(result.dynamic_energy.mean()),
+            static_energy_per_operation=float(result.static_energy.mean()),
         )
 
 
-def measurement_from_result(
-    name: str,
-    in1: np.ndarray,
-    in2: np.ndarray,
-    result: VosSimulationResult,
-    tclk: float,
-    vdd: float,
-    vbb: float,
-    exact: np.ndarray,
-) -> TriadMeasurement:
-    """Assemble a :class:`TriadMeasurement` from one simulation result.
-
-    Shared by the adder and multiplier testbenches; ``exact`` holds the
-    circuit's golden words.
-    """
-    return TriadMeasurement(
-        adder_name=name,
-        tclk=tclk,
-        vdd=vdd,
-        vbb=vbb,
-        in1=in1,
-        in2=in2,
-        latched_words=result.latched_words,
-        exact_words=exact,
-        output_width=result.n_outputs,
-        energy_per_operation=float(result.total_energy.mean()),
-        dynamic_energy_per_operation=float(result.dynamic_energy.mean()),
-        static_energy_per_operation=float(result.static_energy.mean()),
-    )
-
-
-def sweep_measurements(
-    simulator: VosTimingSimulator,
-    name: str,
-    assignment: dict[str, np.ndarray],
-    in1: np.ndarray,
-    in2: np.ndarray,
-    exact: np.ndarray,
-    triads: Iterable,
-    *,
-    use_reference: bool = False,
-) -> Iterator[TriadMeasurement]:
-    """Run one operand stream under every triad of a sweep, lazily.
-
-    The triad-independent state (port binding, golden words) is taken
-    pre-computed; the simulator adds its own sweep-level reuse
-    (the stimulus resolved once per sweep, settled bits and one unit-``tau``
-    arrival pass per pattern set, scaled to each operating point).  Shared
-    by the adder and multiplier testbenches.
-    """
-    triads = list(triads)
-    if use_reference:
-        results = (
-            simulator.run_reference(
-                assignment, tclk=triad.tclk, vdd=triad.vdd, vbb=triad.vbb
-            )
-            for triad in triads
-        )
-    else:
-        results = simulator.run_sweep(assignment, triads)
-    for triad, result in zip(triads, results):
-        yield measurement_from_result(
-            name, in1, in2, result, triad.tclk, triad.vdd, triad.vbb, exact
-        )
+def _operands(in1: np.ndarray, in2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    in1_arr = np.asarray(in1, dtype=np.int64)
+    in2_arr = np.asarray(in2, dtype=np.int64)
+    if in1_arr.shape != in2_arr.shape:
+        raise ValueError("in1 and in2 must have the same shape")
+    return in1_arr, in2_arr

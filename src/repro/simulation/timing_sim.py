@@ -25,7 +25,7 @@ Sweep-level result reuse
 Everything except the final latch comparison is independent of some part of
 the operating triad, and the simulator caches accordingly:
 
-* settled/stale values and toggle masks depend only on the **pattern set**
+* settled values and toggle masks depend only on the **pattern set**
   (they are computed once per stimulus, via the bit-packed engine mode),
 * so does the float64 toggle matrix of the gate outputs, the operand of the
   dynamic-energy reduction ``gate_switch_energies @ toggles``: it is cast
@@ -71,7 +71,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.circuits.cells import evaluate_gate
 from repro.circuits.netlist import Netlist
 from repro.circuits.signals import bits_to_int, int_to_bits
 from repro.obs.trace import span
@@ -149,15 +148,15 @@ class _StimulusRecord:
     """Triad-independent state of one pattern set (cached per simulator).
 
     ``changed`` holds the toggle mask of every net -- the sensitisation
-    information all arrival/energy computations run on; settled/stale bits
-    and the settled output words are kept for the observed outputs only.
+    information all arrival/energy computations run on; settled bits and
+    words are kept for the observed outputs only.  A stale output bit is
+    ``settled ^ changed``.
     """
 
     key: bytes
     n_vectors: int
     changed: np.ndarray
     settled_bits: np.ndarray
-    stale_bits: np.ndarray
     settled_words: np.ndarray
 
 
@@ -239,68 +238,11 @@ class VosSimulationResult:
 
 
 @dataclasses.dataclass(frozen=True)
-class VariationSimulationResult:
-    """Result of one VOS simulation over a *batch* of variation instances.
-
-    The instance axis is the leading axis of every per-instance array: one
-    simulation pass evaluates ``n_instances`` sampled netlists against the
-    shared stimulus (logic values and toggle masks are variation-independent,
-    so settled bits carry no instance axis).
-
-    Attributes
-    ----------
-    latched_bits:
-        Boolean array ``(n_instances, n_vectors, n_outputs)`` -- the values
-        each sampled instance latches at the end of each cycle (LSB first).
-    settled_bits:
-        Error-free settled output values, ``(n_vectors, n_outputs)``.
-    arrival_times:
-        Arrival time in seconds of each output bit per instance,
-        ``(n_instances, n_vectors, n_outputs)``.
-    dynamic_energy:
-        Per-vector dynamic energy in joules, shape ``(n_vectors,)`` --
-        toggle counts and switched capacitance do not vary across instances.
-    static_energy_per_operation:
-        Leakage energy per cycle of each instance in joules, shape
-        ``(n_instances,)`` (instance leakage power times ``tclk``).
-    tclk:
-        Clock period used for latching, in seconds.
-    """
-
-    latched_bits: np.ndarray
-    settled_bits: np.ndarray
-    arrival_times: np.ndarray
-    dynamic_energy: np.ndarray
-    static_energy_per_operation: np.ndarray
-    tclk: float
-
-    @property
-    def n_instances(self) -> int:
-        """Number of simulated variation instances."""
-        return self.latched_bits.shape[0]
-
-    @property
-    def n_vectors(self) -> int:
-        """Number of simulated vectors."""
-        return self.latched_bits.shape[1]
-
-    @property
-    def error_bits(self) -> np.ndarray:
-        """Per-instance bit errors against the settled values."""
-        return self.latched_bits != self.settled_bits[None, :, :]
-
-    @property
-    def energy_per_operation(self) -> np.ndarray:
-        """Mean total energy per operation of each instance, joules."""
-        return float(self.dynamic_energy.mean()) + self.static_energy_per_operation
-
-
-@dataclasses.dataclass(frozen=True)
 class VariationErrorCounts:
     """Per-instance error counts of one clock of a variation batch.
 
-    The reduction :meth:`VosTimingSimulator.run_variation_counts` returns
-    instead of latched bits.  The rates are integer counts divided by their
+    What :meth:`VosTimingSimulator.run_variation_counts` returns: counts,
+    not latched bits.  The rates are integer counts divided by their
     base, which gives the same doubles as the mean of the corresponding
     boolean matrix (an exact integer sum divided once, correctly rounded).
 
@@ -337,17 +279,6 @@ class VariationErrorCounts:
     def faulty_fraction(self) -> np.ndarray:
         """Per-instance fraction of vectors with a faulty output word."""
         return self.faulty_vectors / self.n_vectors
-
-
-@dataclasses.dataclass(frozen=True)
-class _VariationBatch:
-    """One batched arrival pass of a variation batch, before latching."""
-
-    stimulus: _StimulusRecord
-    #: Arrival times of the observed outputs, ``(outputs, instances, vectors)``.
-    output_arrival: np.ndarray
-    dynamic_energy: np.ndarray
-    leakage_power: np.ndarray
 
 
 class VosTimingSimulator:
@@ -538,139 +469,6 @@ class VosTimingSimulator:
             ),
         )
 
-    def run_reference(
-        self,
-        inputs: Mapping[str, np.ndarray],
-        tclk: float,
-        vdd: float,
-        vbb: float = 0.0,
-        previous_inputs: Mapping[str, np.ndarray] | None = None,
-    ) -> VosSimulationResult:
-        """Legacy per-gate simulation loop, without any sweep-level reuse.
-
-        Kept as the parity reference for the compiled engine path: logic
-        values, arrival times and latched bits follow the seed
-        implementation exactly, and the parity tests compare the two paths
-        bit for bit.  The one deliberate deviation from the seed is the
-        dynamic-energy reduction: both paths reduce the per-gate toggle
-        matrix with the same ``energies @ toggles`` expression (the seed
-        accumulated ``+=`` per gate, which differs at ULP level), so
-        engine-vs-reference energy comparisons are exact.
-        """
-        if tclk <= 0:
-            raise ValueError("tclk must be positive")
-        annotation = self.annotation(vdd, vbb)
-        current = self._bind_inputs(inputs)
-        previous = (
-            self._bind_inputs(previous_inputs)
-            if previous_inputs is not None
-            else {net: _shift_right(values) for net, values in current.items()}
-        )
-
-        n_vectors = next(iter(current.values())).shape[0]
-        new_values: dict[int, np.ndarray] = dict(current)
-        old_values: dict[int, np.ndarray] = dict(previous)
-        arrival: dict[int, np.ndarray] = {
-            net: np.zeros(n_vectors, dtype=float) for net in current
-        }
-        changed_gates = np.zeros(
-            (self._netlist.gate_count, n_vectors), dtype=bool
-        )
-
-        for index, gate in enumerate(self._netlist.topological_gates):
-            gate_inputs_new = [new_values[net] for net in gate.inputs]
-            gate_inputs_old = [old_values[net] for net in gate.inputs]
-            out_new = evaluate_gate(gate.gate_type, gate_inputs_new)
-            out_old = evaluate_gate(gate.gate_type, gate_inputs_old)
-            changed = out_new != out_old
-            input_arrival = np.zeros(n_vectors, dtype=float)
-            for net in gate.inputs:
-                contribution = np.where(
-                    new_values[net] != old_values[net], arrival[net], 0.0
-                )
-                np.maximum(input_arrival, contribution, out=input_arrival)
-            gate_delay = annotation.gate_delays[index]
-            arrival[gate.output] = np.where(changed, input_arrival + gate_delay, 0.0)
-            new_values[gate.output] = out_new
-            old_values[gate.output] = out_old
-            changed_gates[index] = changed
-
-        dynamic_energy = annotation.gate_switch_energies @ changed_gates.astype(
-            np.float64
-        )
-        settled = np.stack([new_values[net] for net in self._output_nets], axis=-1)
-        stale = np.stack([old_values[net] for net in self._output_nets], axis=-1)
-        arrivals = np.stack([arrival[net] for net in self._output_nets], axis=-1)
-        on_time = arrivals <= tclk
-        latched = np.where(on_time, settled, stale)
-        static_energy = np.full(n_vectors, annotation.leakage_power * tclk)
-        return VosSimulationResult(
-            latched_words=bits_to_int(latched),
-            settled_words=bits_to_int(settled),
-            n_outputs=len(self._output_nets),
-            dynamic_energy=dynamic_energy,
-            static_energy=static_energy,
-            tclk=tclk,
-            arrival_pass=lambda: arrivals,
-        )
-
-    def run_variation_sweep(
-        self,
-        inputs: Mapping[str, np.ndarray],
-        tclks: Sequence[float],
-        vdd: float,
-        vbb: float = 0.0,
-        delay_multipliers: np.ndarray | None = None,
-        leakage_multipliers: np.ndarray | None = None,
-        previous_inputs: Mapping[str, np.ndarray] | None = None,
-    ) -> list[VariationSimulationResult]:
-        """Simulate a batch of variation instances under several clocks.
-
-        The expensive work -- the batched arrival pass over all instances --
-        depends only on ``(vdd, vbb)`` and the sampled multipliers, so one
-        call evaluates every clock period of an operating-point group against
-        the same arrival matrix.  Unlike the nominal path, the pass cannot
-        be factored across operating points: the sampled multipliers
-        themselves depend on ``(vdd, vbb)``.  Logic values are
-        variation-independent, so the cached stimulus record (settled/stale
-        bits, toggle masks) and the per-supply dynamic energy are shared
-        with nominal simulations of the same pattern set.
-
-        Parameters
-        ----------
-        inputs, previous_inputs:
-            As in :meth:`run`.
-        tclks:
-            Clock periods in seconds; one result is returned per entry.
-        vdd, vbb:
-            Operating voltages shared by the batch.
-        delay_multipliers:
-            Per-instance per-gate delay multipliers, shape
-            ``(n_instances, gate_count)``; ``None`` runs one nominal
-            instance.  All values must be positive.
-        leakage_multipliers:
-            Optional per-instance per-gate leakage-power multipliers of the
-            same shape; ``None`` leaves every instance at nominal leakage.
-        """
-        batch = self._variation_pass(
-            inputs, tclks, vdd, vbb, delay_multipliers, leakage_multipliers,
-            previous_inputs,
-        )
-        stimulus = batch.stimulus
-        # (n_outputs, n_instances, n_vectors) -> (n_instances, n_vectors, n_outputs)
-        arrival_bits = np.ascontiguousarray(batch.output_arrival.transpose(1, 2, 0))
-        return [
-            VariationSimulationResult(
-                latched_bits=_latch_bits(arrival_bits, tclk, stimulus.settled_bits),
-                settled_bits=stimulus.settled_bits,
-                arrival_times=arrival_bits,
-                dynamic_energy=batch.dynamic_energy,
-                static_energy_per_operation=batch.leakage_power * tclk,
-                tclk=float(tclk),
-            )
-            for tclk in tclks
-        ]
-
     def run_variation_counts(
         self,
         inputs: Mapping[str, np.ndarray],
@@ -681,80 +479,43 @@ class VosTimingSimulator:
         delay_multipliers: np.ndarray | None = None,
         leakage_multipliers: np.ndarray | None = None,
     ) -> list[VariationErrorCounts]:
-        """Per-instance error counts of :meth:`run_variation_sweep`.
+        """Error counts of a batch of variation instances under several clocks.
 
-        Runs the same batched pass, but reduces each clock straight to the
-        number of faulty latched bits and faulty vectors of every instance,
-        compared with ``expected_bits`` (``(n_vectors, n_outputs)`` golden
-        bits).  No ``(instances, vectors, outputs)`` latched array and no
-        transposed arrival copy is built: :func:`_latch_bits` yields the
-        error matrix directly, on the arrival tensor in the layout the pass
-        leaves it, ``(outputs, instances, vectors)``.
+        The expensive work -- one batched arrival pass over all instances --
+        depends only on ``(vdd, vbb)`` and the sampled multipliers, so one
+        call evaluates every clock period of an operating-point group against
+        the same arrival tensor.  Unlike the nominal path, the pass cannot be
+        factored across operating points: the sampled multipliers themselves
+        depend on ``(vdd, vbb)``.  Logic values are variation-independent, so
+        the cached stimulus record (settled bits, toggle masks) and the
+        per-supply dynamic energy are shared with nominal simulations of the
+        same pattern set.
+
+        Each clock reduces straight to the number of faulty latched bits and
+        faulty vectors of every instance, compared with ``expected_bits``.
+        No ``(instances, vectors, outputs)`` latched array and no transposed
+        arrival copy is built: :func:`_latch_bits` yields the error matrix
+        directly, on the arrival tensor in the layout the pass leaves it,
+        ``(outputs, instances, vectors)``.
+
+        Parameters
+        ----------
+        inputs:
+            As in :meth:`run`; the stream provides its own previous vectors.
+        tclks:
+            Clock periods in seconds; one result is returned per entry.
+        vdd, vbb:
+            Operating voltages shared by the batch.
+        expected_bits:
+            Golden output bits, ``(n_vectors, n_outputs)``.
+        delay_multipliers:
+            Per-instance per-gate delay multipliers, shape
+            ``(n_instances, gate_count)``; ``None`` runs one nominal
+            instance.  All values must be positive.
+        leakage_multipliers:
+            Optional per-instance per-gate leakage-power multipliers of the
+            same shape; ``None`` leaves every instance at nominal leakage.
         """
-        batch = self._variation_pass(
-            inputs, tclks, vdd, vbb, delay_multipliers, leakage_multipliers, None
-        )
-        stimulus = batch.stimulus
-        expected = np.asarray(expected_bits, dtype=bool)
-        if expected.shape != stimulus.settled_bits.shape:
-            raise ValueError(
-                "expected_bits must have shape "
-                f"{stimulus.settled_bits.shape}; got {expected.shape}"
-            )
-        # latched ^ expected == (settled ^ expected) ^ late, with the mask
-        # laid out (outputs, 1, vectors) like the arrival tensor.
-        mismatch = np.ascontiguousarray((stimulus.settled_bits ^ expected).T)[:, None]
-        n_vectors, n_outputs = expected.shape
-        results = []
-        for tclk in tclks:
-            errors = _latch_bits(batch.output_arrival, tclk, mismatch)
-            results.append(
-                VariationErrorCounts(
-                    bit_errors=np.count_nonzero(errors, axis=(0, 2)),
-                    faulty_vectors=np.count_nonzero(errors.any(axis=0), axis=1),
-                    n_vectors=n_vectors,
-                    n_outputs=n_outputs,
-                    dynamic_energy=batch.dynamic_energy,
-                    static_energy_per_operation=batch.leakage_power * tclk,
-                    tclk=float(tclk),
-                )
-            )
-        return results
-
-    def run_variation(
-        self,
-        inputs: Mapping[str, np.ndarray],
-        tclk: float,
-        vdd: float,
-        vbb: float = 0.0,
-        delay_multipliers: np.ndarray | None = None,
-        leakage_multipliers: np.ndarray | None = None,
-        previous_inputs: Mapping[str, np.ndarray] | None = None,
-    ) -> VariationSimulationResult:
-        """Single-clock convenience wrapper of :meth:`run_variation_sweep`."""
-        return self.run_variation_sweep(
-            inputs,
-            [tclk],
-            vdd,
-            vbb,
-            delay_multipliers=delay_multipliers,
-            leakage_multipliers=leakage_multipliers,
-            previous_inputs=previous_inputs,
-        )[0]
-
-    # -- cached sweep state ----------------------------------------------------
-
-    def _variation_pass(
-        self,
-        inputs: Mapping[str, np.ndarray],
-        tclks: Sequence[float],
-        vdd: float,
-        vbb: float,
-        delay_multipliers: np.ndarray | None,
-        leakage_multipliers: np.ndarray | None,
-        previous_inputs: Mapping[str, np.ndarray] | None,
-    ) -> _VariationBatch:
-        """Validate a variation batch and run its batched arrival pass."""
         if not tclks:
             raise ValueError("tclks must not be empty")
         if any(tclk <= 0 for tclk in tclks):
@@ -771,7 +532,26 @@ class VosTimingSimulator:
             )
         if np.any(multipliers <= 0):
             raise ValueError("delay multipliers must be positive")
-        stimulus = self._stimulus(inputs, previous_inputs)
+        if leakage_multipliers is None:
+            leakage_power = np.full(multipliers.shape[0], annotation.leakage_power)
+        else:
+            leak_scale = np.asarray(leakage_multipliers, dtype=float)
+            if leak_scale.shape != multipliers.shape:
+                raise ValueError(
+                    "leakage_multipliers must match delay_multipliers shape "
+                    f"{multipliers.shape}; got {leak_scale.shape}"
+                )
+            per_gate = engine.gate_leakage_powers(
+                self._netlist, vdd, vbb, self._library
+            )
+            leakage_power = leak_scale @ per_gate
+        stimulus = self._stimulus(inputs, None)
+        expected = np.asarray(expected_bits, dtype=bool)
+        if expected.shape != stimulus.settled_bits.shape:
+            raise ValueError(
+                "expected_bits must have shape "
+                f"{stimulus.settled_bits.shape}; got {expected.shape}"
+            )
 
         gate_delays = annotation.gate_delays[None, :] * multipliers
         with span(
@@ -786,26 +566,27 @@ class VosTimingSimulator:
         # toggle matrix, so the two never coexist.
         del arrival
         dynamic_energy = self._point_dynamic_energy(stimulus, annotation)
-        n_instances = multipliers.shape[0]
-        if leakage_multipliers is None:
-            leakage_power = np.full(n_instances, annotation.leakage_power)
-        else:
-            leak_scale = np.asarray(leakage_multipliers, dtype=float)
-            if leak_scale.shape != multipliers.shape:
-                raise ValueError(
-                    "leakage_multipliers must match delay_multipliers shape "
-                    f"{multipliers.shape}; got {leak_scale.shape}"
+        # latched ^ expected == (settled ^ expected) ^ late, with the mask
+        # laid out (outputs, 1, vectors) like the arrival tensor.
+        mismatch = np.ascontiguousarray((stimulus.settled_bits ^ expected).T)[:, None]
+        n_vectors, n_outputs = expected.shape
+        results = []
+        for tclk in tclks:
+            errors = _latch_bits(output_arrival, tclk, mismatch)
+            results.append(
+                VariationErrorCounts(
+                    bit_errors=np.count_nonzero(errors, axis=(0, 2)),
+                    faulty_vectors=np.count_nonzero(errors.any(axis=0), axis=1),
+                    n_vectors=n_vectors,
+                    n_outputs=n_outputs,
+                    dynamic_energy=dynamic_energy,
+                    static_energy_per_operation=leakage_power * tclk,
+                    tclk=float(tclk),
                 )
-            per_gate = engine.gate_leakage_powers(
-                self._netlist, vdd, vbb, self._library
             )
-            leakage_power = leak_scale @ per_gate
-        return _VariationBatch(
-            stimulus=stimulus,
-            output_arrival=output_arrival,
-            dynamic_energy=dynamic_energy,
-            leakage_power=leakage_power,
-        )
+        return results
+
+    # -- cached sweep state ----------------------------------------------------
 
     def _toggle_matrix(self, stimulus: _StimulusRecord) -> np.ndarray:
         """Float64 gate-output toggle matrix of a stimulus, ``(gates, vectors)``.
@@ -856,18 +637,14 @@ class VosTimingSimulator:
         settled = np.ascontiguousarray(
             engine.unpack_vectors(new_words[outputs], n_vectors).T
         )
-        stale = np.ascontiguousarray(
-            engine.unpack_vectors(old_words[outputs], n_vectors).T
-        )
         settled_words = bits_to_int(settled)
-        for array in (changed, settled, stale, settled_words):
+        for array in (changed, settled, settled_words):
             array.setflags(write=False)
         record = _StimulusRecord(
             key=key,
             n_vectors=n_vectors,
             changed=changed,
             settled_bits=settled,
-            stale_bits=stale,
             settled_words=settled_words,
         )
         self._stimulus_cache[key] = record

@@ -51,7 +51,7 @@ from repro.core.store import (
     netlist_fingerprint,
     pack_float64_array,
 )
-from repro.core.sweep import exact_words, run_unit_sweep, shard_triads
+from repro.core.sweep import run_unit_sweep, shard_triads
 from repro.core.triad import OperatingTriad, TriadGrid
 from repro.simulation.engine import ENGINE_VERSION
 from repro.simulation.timing_sim import VosTimingSimulator
@@ -220,7 +220,7 @@ class _MonteCarloKind:
         )
         leakage_multipliers = batch.leakage_multipliers(tech)
         assignment = circuit.input_assignment(in1, in2)
-        exact_bits = int_to_bits(exact_words(circuit, in1, in2), circuit.output_width)
+        exact_bits = int_to_bits(circuit.exact_words(in1, in2), circuit.output_width)
         n_vectors = int(in1.size)
         for piece in pieces:
             groups: dict[tuple[float, float], list[OperatingTriad]] = {}

@@ -111,10 +111,10 @@ class TestAdderCircuitWrapper:
         with pytest.raises(ValueError, match="same shape"):
             rca8.input_assignment(np.array([1, 2]), np.array([1]))
 
-    def test_exact_sum_reference(self, rca8):
+    def test_exact_words_reference(self, rca8):
         in1 = np.array([10, 250])
         in2 = np.array([20, 250])
-        assert np.array_equal(rca8.exact_sum(in1, in2), np.array([30, 500]))
+        assert np.array_equal(rca8.exact_words(in1, in2), np.array([30, 500]))
 
 
 class TestSpeculativeAdder:
@@ -167,10 +167,10 @@ class TestSpeculativeAdder:
 
     def test_window_shortens_the_critical_path(self):
         from repro.circuits.adders import speculative_adder
-        from repro.simulation.testbench import AdderTestbench
+        from repro.simulation.testbench import OperatorTestbench
 
-        windowed = AdderTestbench(speculative_adder(16, 4)).nominal_critical_path()
-        exact = AdderTestbench(build_adder("rca", 16)).nominal_critical_path()
+        windowed = OperatorTestbench(speculative_adder(16, 4)).nominal_critical_path()
+        exact = OperatorTestbench(build_adder("rca", 16)).nominal_critical_path()
         assert windowed < exact
 
     def test_structure_and_naming(self):

@@ -59,10 +59,10 @@ class TestArrayMultiplier:
         with pytest.raises(ValueError):
             array_multiplier(4, -1)
 
-    def test_exact_product_reference(self):
+    def test_exact_words_reference(self):
         multiplier = array_multiplier(4)
         assert np.array_equal(
-            multiplier.exact_product(np.array([3, 5]), np.array([7, 11])),
+            multiplier.exact_words(np.array([3, 5]), np.array([7, 11])),
             np.array([21, 55]),
         )
 

@@ -13,7 +13,7 @@ import pytest
 from repro.circuits.adders import build_adder
 from repro.core.characterization import AdderCharacterization, CharacterizationFlow
 from repro.simulation.patterns import PatternConfig
-from repro.simulation.testbench import AdderTestbench
+from repro.simulation.testbench import OperatorTestbench
 
 
 @pytest.fixture(scope="session")
@@ -43,7 +43,7 @@ def bka16():
 @pytest.fixture(scope="session")
 def rca8_testbench(rca8):
     """Testbench bound to the 8-bit RCA."""
-    return AdderTestbench(rca8)
+    return OperatorTestbench(rca8)
 
 
 @pytest.fixture(scope="session")

@@ -357,12 +357,14 @@ class TestWarmCacheFig4:
         """Acceptance: a warm-cache Fig. 4 sweep runs no timing simulation.
 
         The warm run must (a) produce bit-identical results, (b) never enter
-        ``VosTimingSimulator.run`` / ``run_sweep`` / ``run_reference``, and
-        (c) finish at least 5x faster than the cold run.
+        ``VosTimingSimulator.run`` / ``run_sweep`` or the per-gate oracle
+        ``reference.vos_run``, and (c) finish at least 5x faster than the
+        cold run.
         """
         import time
 
         from repro.core.characterization import characterize_benchmarks
+        from repro.simulation import reference
         from repro.simulation.timing_sim import VosTimingSimulator
 
         benchmarks = (("rca", 8),)
@@ -382,7 +384,7 @@ class TestWarmCacheFig4:
 
         monkeypatch.setattr(VosTimingSimulator, "run", _forbidden)
         monkeypatch.setattr(VosTimingSimulator, "run_sweep", _forbidden)
-        monkeypatch.setattr(VosTimingSimulator, "run_reference", _forbidden)
+        monkeypatch.setattr(reference, "vos_run", _forbidden)
         # Best of three warm runs: the cache property under test is
         # deterministic, so de-noise the wall clock against CI load spikes.
         warm_seconds = float("inf")

@@ -5,7 +5,7 @@ batches and compared against a pure-Python reference computed with integer
 arithmetic -- the exact sum for the plain adders and the array multiplier,
 and a windowed-carry functional model for the speculative ``spa<w>w<k>``
 family.  A second family of properties asserts the packed compiled engine
-agrees bit for bit with the legacy per-gate ``run_reference`` path on
+agrees bit for bit with the per-gate oracle ``reference.vos_run`` on
 circuits whose timing was shifted to a process corner or by sampled
 per-gate variation -- the configurations the variation subsystem simulates.
 """
@@ -17,6 +17,8 @@ import pytest
 
 from repro.circuits.adders import ADDER_GENERATORS, build_adder, speculative_adder
 from repro.circuits.multipliers import array_multiplier
+from repro.simulation import engine
+from repro.simulation import reference as oracle
 from repro.simulation.logic_sim import LogicSimulator
 from repro.simulation.timing_sim import VosTimingSimulator
 from repro.technology.corners import (
@@ -137,7 +139,7 @@ class TestMultiplierDifferential:
 
 
 class TestShiftedTimingParity:
-    """Packed engine vs ``run_reference`` on corner/variation-shifted timing."""
+    """Packed engine vs the per-gate oracle on corner/variation-shifted timing."""
 
     @pytest.mark.parametrize("corner", list(ProcessCorner))
     def test_engine_matches_reference_at_every_corner(self, corner):
@@ -150,13 +152,13 @@ class TestShiftedTimingParity:
         assignment = adder.input_assignment(in1, in2)
         tclk = simulator.annotation(1.0, 0.0).critical_path_delay * 0.6
         engine_result = simulator.run(assignment, tclk=tclk, vdd=0.55, vbb=0.0)
-        reference = simulator.run_reference(assignment, tclk=tclk, vdd=0.55, vbb=0.0)
+        reference = oracle.vos_run(simulator, assignment, tclk=tclk, vdd=0.55, vbb=0.0)
         assert np.array_equal(engine_result.latched_bits, reference.latched_bits)
         assert np.array_equal(engine_result.arrival_times, reference.arrival_times)
         assert np.array_equal(engine_result.dynamic_energy, reference.dynamic_energy)
 
     def test_variation_batch_matches_per_instance_reference(self):
-        """Batched variation pass == per-instance single-delay arrival passes."""
+        """Batched variation counts and arrivals == one oracle run per instance."""
         adder = build_adder("bka", 8)
         simulator = VosTimingSimulator(
             adder.netlist, output_ports=adder.output_ports()
@@ -170,23 +172,40 @@ class TestShiftedTimingParity:
             batch.current_multipliers, batch.vt_offsets, 0.6, 0.0
         )
         tclk = annotation.critical_path_delay * 0.5
-        batched = simulator.run_variation(
-            assignment, tclk, 0.6, 0.0, delay_multipliers=multipliers
+        golden = simulator.run(assignment, tclk=tclk, vdd=0.6).settled_bits
+        (batched,) = simulator.run_variation_counts(
+            assignment, [tclk], 0.6, 0.0, golden, delay_multipliers=multipliers
         )
+        changed = simulator._stimulus(assignment, None).changed
+        arrival = engine.compile_plan(adder.netlist).batched_arrival_pass(
+            changed, annotation.gate_delays[None, :] * multipliers
+        )[_output_nets(adder)]
+        assert batched.bit_errors.any()
         for instance in range(multipliers.shape[0]):
-            single = simulator.run_variation(
+            (single,) = simulator.run_variation_counts(
+                assignment,
+                [tclk],
+                0.6,
+                0.0,
+                golden,
+                delay_multipliers=multipliers[instance : instance + 1],
+            )
+            reference = oracle.vos_run(
+                simulator,
                 assignment,
                 tclk,
                 0.6,
                 0.0,
-                delay_multipliers=multipliers[instance : instance + 1],
+                gate_delays=annotation.gate_delays * multipliers[instance],
             )
-            assert np.array_equal(
-                batched.latched_bits[instance], single.latched_bits[0]
+            errors = reference.latched_bits != golden
+            assert single.bit_errors[0] == batched.bit_errors[instance]
+            assert single.faulty_vectors[0] == batched.faulty_vectors[instance]
+            assert batched.bit_errors[instance] == np.count_nonzero(errors)
+            assert batched.faulty_vectors[instance] == np.count_nonzero(
+                errors.any(axis=1)
             )
-            assert np.array_equal(
-                batched.arrival_times[instance], single.arrival_times[0]
-            )
+            assert np.array_equal(arrival[:, instance].T, reference.arrival_times)
 
     def test_unit_multipliers_reproduce_nominal_latched_bits(self):
         adder = build_adder("rca", 8)
@@ -198,13 +217,25 @@ class TestShiftedTimingParity:
         tclk = simulator.annotation(0.6, 0.0).critical_path_delay * 0.5
         nominal = simulator.run(assignment, tclk=tclk, vdd=0.6, vbb=0.0)
         gate_count = adder.netlist.gate_count
-        variation = simulator.run_variation(
-            assignment,
-            tclk,
-            0.6,
-            0.0,
-            delay_multipliers=np.ones((1, gate_count)),
+        unit = np.ones((1, gate_count))
+        # Zero errors against the nominal latched bits: the same latch.
+        (variation,) = simulator.run_variation_counts(
+            assignment, [tclk], 0.6, 0.0, nominal.latched_bits, delay_multipliers=unit
         )
-        assert np.array_equal(variation.latched_bits[0], nominal.latched_bits)
-        assert np.array_equal(variation.arrival_times[0], nominal.arrival_times)
+        assert variation.bit_errors[0] == 0
+        (against_golden,) = simulator.run_variation_counts(
+            assignment, [tclk], 0.6, 0.0, nominal.settled_bits, delay_multipliers=unit
+        )
+        assert against_golden.bit_errors[0] == np.count_nonzero(nominal.error_bits)
+        assert against_golden.bit_errors[0] > 0
+        changed = simulator._stimulus(assignment, None).changed
+        arrival = engine.compile_plan(adder.netlist).batched_arrival_pass(
+            changed, simulator.annotation(0.6, 0.0).gate_delays[None, :] * unit
+        )[_output_nets(adder)]
+        assert np.array_equal(arrival[:, 0].T, nominal.arrival_times)
         assert np.array_equal(variation.dynamic_energy, nominal.dynamic_energy)
+
+
+def _output_nets(circuit):
+    outputs = circuit.netlist.primary_outputs
+    return np.array([outputs[port] for port in circuit.output_ports()])

@@ -17,6 +17,7 @@ from repro.circuits.builder import NetlistBuilder
 from repro.circuits.cells import GATE_ARITY, GateType
 from repro.circuits.multipliers import array_multiplier
 from repro.simulation import engine
+from repro.simulation import reference as oracle
 from repro.simulation.timing_sim import VosTimingSimulator
 
 THRESHOLD = engine._GROUP_LOOP_THRESHOLD
@@ -110,8 +111,8 @@ class TestAboveThresholdParity:
         tclk = simulator.annotation(1.0, 0.0).critical_path_delay * 0.55
         for vdd, vbb in OPERATING_POINTS:
             compiled = simulator.run(assignment, tclk=tclk, vdd=vdd, vbb=vbb)
-            reference = simulator.run_reference(
-                assignment, tclk=tclk, vdd=vdd, vbb=vbb
+            reference = oracle.vos_run(
+                simulator, assignment, tclk=tclk, vdd=vdd, vbb=vbb
             )
             for field in (
                 "arrival_times",

@@ -1,7 +1,8 @@
 """Parity tests: the compiled level-packed engine vs the per-gate reference.
 
 The engine (bit-packed words, per-level group dispatch, sweep-level reuse)
-must be an *exact* drop-in for the legacy per-gate simulation loop: same
+must be an *exact* drop-in for the per-gate loops of the oracle module
+:mod:`repro.simulation.reference`: same
 logic values, arrival times, latched bits and energies, bit for bit, for
 every adder architecture in the registry.
 """
@@ -17,10 +18,12 @@ from repro.circuits.cells import (
     evaluate_gate,
 )
 from repro.circuits.multipliers import array_multiplier
-from repro.core.characterization import CharacterizationFlow
+from repro.core.characterization import CharacterizationFlow, entry_from_payload
+from repro.core.sweep import measurement_to_payload
 from repro.simulation import engine
+from repro.simulation import reference as oracle
 from repro.simulation.logic_sim import LogicSimulator
-from repro.simulation.patterns import PatternConfig
+from repro.simulation.patterns import PatternConfig, generate_patterns
 from repro.simulation.timing_sim import VosTimingSimulator
 
 ARCHITECTURES = sorted(ADDER_GENERATORS)
@@ -96,7 +99,7 @@ class TestLogicParity:
         adder = build_adder(architecture, width)
         simulator = LogicSimulator(adder.netlist)
         assignment = adder.input_assignment(*_operands(width))
-        reference = simulator.run_reference(assignment)
+        reference = oracle.logic_values(adder.netlist, assignment)
         compiled = simulator.run(assignment)
         assert set(reference) == set(compiled)
         for net in reference:
@@ -107,7 +110,7 @@ class TestLogicParity:
         adder = build_adder(architecture, width)
         simulator = LogicSimulator(adder.netlist)
         assignment = adder.input_assignment(*_operands(width))
-        reference = simulator.run_reference(assignment)
+        reference = oracle.logic_values(adder.netlist, assignment)
         outputs = simulator.run_outputs(assignment)
         for port, net in adder.netlist.primary_outputs.items():
             assert np.array_equal(outputs[port], reference[net])
@@ -119,7 +122,7 @@ class TestLogicParity:
         assignment = multiplier.input_assignment(
             rng.integers(0, 16, N_VECTORS), rng.integers(0, 16, N_VECTORS)
         )
-        reference = simulator.run_reference(assignment)
+        reference = oracle.logic_values(multiplier.netlist, assignment)
         compiled = simulator.run(assignment)
         for net in reference:
             assert np.array_equal(reference[net], compiled[net])
@@ -136,8 +139,8 @@ class TestTimingParity:
         tclk = simulator.annotation(1.0, 0.0).critical_path_delay * 0.55
         for vdd, vbb in ((1.0, 0.0), (0.6, 0.0), (0.6, 2.0), (0.5, -2.0)):
             compiled = simulator.run(assignment, tclk=tclk, vdd=vdd, vbb=vbb)
-            reference = simulator.run_reference(
-                assignment, tclk=tclk, vdd=vdd, vbb=vbb
+            reference = oracle.vos_run(
+                simulator, assignment, tclk=tclk, vdd=vdd, vbb=vbb
             )
             assert np.array_equal(compiled.latched_bits, reference.latched_bits)
             assert np.array_equal(compiled.settled_bits, reference.settled_bits)
@@ -158,8 +161,8 @@ class TestTimingParity:
         compiled = simulator.run(
             current, tclk=tclk, vdd=0.6, previous_inputs=previous
         )
-        reference = simulator.run_reference(
-            current, tclk=tclk, vdd=0.6, previous_inputs=previous
+        reference = oracle.vos_run(
+            simulator, current, tclk=tclk, vdd=0.6, previous_inputs=previous
         )
         assert np.array_equal(compiled.latched_bits, reference.latched_bits)
         assert np.array_equal(compiled.arrival_times, reference.arrival_times)
@@ -219,8 +222,8 @@ class TestSweepReuse:
                 compiled = simulator.run(
                     assignment, tclk=base * factor, vdd=vdd, vbb=vbb
                 )
-                reference = simulator.run_reference(
-                    assignment, tclk=base * factor, vdd=vdd, vbb=vbb
+                reference = oracle.vos_run(
+                    simulator, assignment, tclk=base * factor, vdd=vdd, vbb=vbb
                 )
                 assert np.array_equal(
                     compiled.latched_bits, reference.latched_bits
@@ -243,22 +246,20 @@ class TestSweepReuse:
             result.arrival_times[0, 0] = 1.0
 
     def test_characterization_engine_matches_reference(self):
-        flow_args = dict(
-            pattern=PatternConfig(n_vectors=600, width=4, seed=11),
-            keep_measurements=False,
-        )
-        engine_run = CharacterizationFlow(build_adder("rca", 4)).run(**flow_args)
-        reference_run = CharacterizationFlow(build_adder("rca", 4)).run(
-            use_reference=True, **flow_args
-        )
-        assert [e.ber for e in engine_run.results] == [
-            e.ber for e in reference_run.results
+        pattern = PatternConfig(n_vectors=600, width=4, seed=11)
+        flow = CharacterizationFlow(build_adder("rca", 4))
+        engine_run = flow.run(pattern=pattern, keep_measurements=False)
+        grid = flow.default_triad_grid()
+        reference_results = [
+            entry_from_payload(measurement_to_payload(measurement, 5, False))
+            for measurement in oracle.sweep(
+                flow.testbench, *generate_patterns(pattern), grid
+            )
         ]
-        assert [e.energy_per_operation for e in engine_run.results] == [
-            e.energy_per_operation for e in reference_run.results
+        assert [_fields(entry) for entry in engine_run.results] == [
+            _fields(entry) for entry in reference_results
         ]
-        assert [e.mse for e in engine_run.results] == [
-            e.mse for e in reference_run.results
-        ]
-        for a, b in zip(engine_run.results, reference_run.results):
-            assert np.array_equal(a.bitwise_error, b.bitwise_error)
+
+
+def _fields(entry):
+    return {**vars(entry), "bitwise_error": entry.bitwise_error.tolist()}

@@ -13,6 +13,8 @@ import pytest
 from repro.circuits.adders import build_adder
 from repro.circuits.signals import bits_to_int, int_to_bits
 from repro.core.sweep import measurement_to_payload
+from repro.simulation import engine
+from repro.simulation import reference as oracle
 from repro.simulation.testbench import TriadMeasurement
 from repro.simulation.timing_sim import (
     VariationErrorCounts,
@@ -65,6 +67,17 @@ class TestBitsToInt:
             bits_to_int(np.zeros((4, 63), dtype=bool))
 
 
+def _output_nets(simulator):
+    outputs = simulator.netlist.primary_outputs
+    return np.array([outputs[port] for port in simulator.output_ports])
+
+
+def _stale_bits(simulator, assignment):
+    """Previous-cycle output bits: the settled bits, flipped where toggled."""
+    stimulus = simulator._stimulus(assignment, None)
+    return stimulus.settled_bits ^ stimulus.changed[_output_nets(simulator)].T
+
+
 # ---------------------------------------------------------------------------
 # Latch select
 # ---------------------------------------------------------------------------
@@ -94,10 +107,10 @@ class TestLatchSelect:
         )
         probe = simulator.run(assignment, tclk=1e-9, vdd=0.7)
         arrivals = np.unique(probe.arrival_times[probe.arrival_times > 0])
-        stale = simulator._stimulus(assignment, None).stale_bits
+        stale = _stale_bits(simulator, assignment)
         for tclk in arrivals[:: max(1, len(arrivals) // 12)]:
             result = simulator.run(assignment, tclk=float(tclk), vdd=0.7)
-            reference = simulator.run_reference(assignment, tclk=float(tclk), vdd=0.7)
+            reference = oracle.vos_run(simulator, assignment, tclk=float(tclk), vdd=0.7)
             expected = np.where(result.arrival_times <= tclk, result.settled_bits, stale)
             assert np.array_equal(result.latched_bits, expected)
             assert np.array_equal(result.latched_bits, reference.latched_bits)
@@ -204,7 +217,10 @@ class TestMonteCarloCounts:
 
     @pytest.mark.parametrize("n_vectors", [1, 2, 257])
     @pytest.mark.parametrize("expected_kind", ["golden", "zeros", "ones", "random"])
-    def test_counts_match_latched_means(self, rca8, rca8_batch, n_vectors, expected_kind):
+    def test_counts_match_latched_means(
+        self, rca8, rca8_batch, n_vectors, expected_kind
+    ):
+        """Each instance's counts equal the means of the oracle's latched bits."""
         simulator, multipliers, leakage = rca8_batch
         rng = np.random.default_rng(n_vectors)
         in1 = rng.integers(0, 256, n_vectors)
@@ -212,51 +228,61 @@ class TestMonteCarloCounts:
         assignment = rca8.input_assignment(in1, in2)
         width = rca8.output_width
         expected_bits = {
-            "golden": int_to_bits(rca8.exact_sum(in1, in2), width),
+            "golden": int_to_bits(rca8.exact_words(in1, in2), width),
             "zeros": np.zeros((n_vectors, width), dtype=bool),
             "ones": np.ones((n_vectors, width), dtype=bool),
             "random": rng.random((n_vectors, width)) < 0.5,
         }[expected_kind]
-        critical = simulator.annotation(0.6, 0.0).critical_path_delay
+        annotation = simulator.annotation(0.6, 0.0)
+        critical = annotation.critical_path_delay
         tclks = [critical * scale for scale in (0.2, 0.45, 0.7, 1.1)]
-        sweep = simulator.run_variation_sweep(
-            assignment, tclks, 0.6, 0.0,
-            delay_multipliers=multipliers, leakage_multipliers=leakage,
-        )
         counts = simulator.run_variation_counts(
             assignment, tclks, 0.6, 0.0, expected_bits,
             delay_multipliers=multipliers, leakage_multipliers=leakage,
         )
-        for result, count in zip(sweep, counts):
-            errors = result.latched_bits != expected_bits[None, :, :]
+        leakage_power = leakage @ engine.gate_leakage_powers(rca8.netlist, 0.6, 0.0)
+        for tclk, count in zip(tclks, counts):
+            errors = np.stack([
+                oracle.vos_run(
+                    simulator, assignment, tclk, 0.6, 0.0,
+                    gate_delays=annotation.gate_delays * instance,
+                ).latched_bits != expected_bits
+                for instance in multipliers
+            ])
             assert _hex(count.ber) == _hex(errors.mean(axis=(1, 2)))
             assert _hex(count.faulty_fraction) == _hex(errors.any(axis=2).mean(axis=1))
-            assert count.dynamic_energy.tobytes() == result.dynamic_energy.tobytes()
+            nominal = oracle.vos_run(simulator, assignment, tclk, 0.6, 0.0)
+            assert count.dynamic_energy.tobytes() == nominal.dynamic_energy.tobytes()
             assert count.static_energy_per_operation.tobytes() == (
-                result.static_energy_per_operation.tobytes()
+                (leakage_power * tclk).tobytes()
             )
-            assert count.tclk == result.tclk
+            assert count.tclk == tclk
 
-    def test_latched_sweep_matches_where(self, rca8, rca8_batch):
+    def test_counts_at_arrival_ties_match_where(self, rca8, rca8_batch):
+        """Clocks on observed batched arrivals latch like the boolean ``where``."""
         simulator, multipliers, _ = rca8_batch
         rng = np.random.default_rng(2)
         assignment = rca8.input_assignment(
             rng.integers(0, 256, 400), rng.integers(0, 256, 400)
         )
-        probe = simulator.run_variation(
-            assignment, 1e-9, 0.6, 0.0, delay_multipliers=multipliers
-        )
         stimulus = simulator._stimulus(assignment, None)
-        ties = np.unique(probe.arrival_times[probe.arrival_times > 0])[::25]
-        for result in simulator.run_variation_sweep(
-            assignment, list(ties), 0.6, 0.0, delay_multipliers=multipliers
-        ):
-            expected = np.where(
-                result.arrival_times <= result.tclk,
-                stimulus.settled_bits[None],
-                stimulus.stale_bits[None],
-            )
-            assert np.array_equal(result.latched_bits, expected)
+        plan = engine.compile_plan(rca8.netlist)
+        gate_delays = simulator.annotation(0.6, 0.0).gate_delays * multipliers
+        arrival = plan.batched_arrival_pass(stimulus.changed, gate_delays)
+        # (outputs, instances, vectors) -> (instances, vectors, outputs)
+        arrival = arrival[_output_nets(simulator)].transpose(1, 2, 0)
+        ties = np.unique(arrival[arrival > 0])[::25]
+        settled = stimulus.settled_bits
+        stale = _stale_bits(simulator, assignment)
+        counts = simulator.run_variation_counts(
+            assignment, list(ties), 0.6, 0.0, settled, delay_multipliers=multipliers
+        )
+        for tclk, count in zip(ties, counts):
+            latched = np.where(arrival <= tclk, settled[None], stale[None])
+            errors = latched != settled[None]
+            assert np.array_equal(count.bit_errors, errors.sum(axis=(1, 2)))
+            assert np.array_equal(count.faulty_vectors, errors.any(axis=2).sum(axis=1))
+        assert any(count.bit_errors.any() for count in counts)
 
     def test_expected_bits_shape_checked(self, rca8, rca8_batch):
         simulator, multipliers, _ = rca8_batch
@@ -271,10 +297,10 @@ class TestMonteCarloCounts:
 def test_ksa32_payload_unchanged_by_reduction():
     """End to end: a ksa32 sweep payload equals the former mean expressions."""
     from repro.core.triad import OperatingTriad
-    from repro.simulation.testbench import AdderTestbench
+    from repro.simulation.testbench import OperatorTestbench
 
     adder = build_adder("ksa", 32)
-    testbench = AdderTestbench(adder)
+    testbench = OperatorTestbench(adder)
     rng = np.random.default_rng(2017)
     in1 = rng.integers(0, 1 << 32, 3000)
     in2 = rng.integers(0, 1 << 32, 3000)

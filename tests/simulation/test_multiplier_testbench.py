@@ -1,16 +1,17 @@
-"""Tests of the multiplier testbench (VOS characterization beyond adders)."""
+"""The operator testbench on a multiplier (VOS characterization beyond adders)."""
 
 import numpy as np
 import pytest
 
 from repro.circuits.multipliers import array_multiplier
 from repro.core.metrics import bit_error_rate
-from repro.simulation.multiplier_testbench import MultiplierTestbench
+from repro.simulation import reference as oracle
+from repro.simulation.testbench import OperatorTestbench
 
 
 @pytest.fixture(scope="module")
 def mul4_testbench():
-    return MultiplierTestbench(array_multiplier(4))
+    return OperatorTestbench(array_multiplier(4))
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ class TestMultiplierTestbench:
 
     def test_multiplier_critical_path_longer_than_adder(self, rca8_testbench, mul4_testbench):
         # A 4x4 array multiplier has a longer carry structure than the 8-bit RCA.
-        mul8 = MultiplierTestbench(array_multiplier(8))
+        mul8 = OperatorTestbench(array_multiplier(8))
         assert mul8.nominal_critical_path() > rca8_testbench.nominal_critical_path()
         assert mul4_testbench.nominal_critical_path() > 0
 
@@ -58,6 +59,7 @@ class TestMultiplierTestbench:
     def test_measurement_metadata(self, mul4_testbench, mul_operands):
         in1, in2 = mul_operands
         measurement = mul4_testbench.run_triad(in1, in2, tclk=1e-9, vdd=1.0)
+        assert mul4_testbench.circuit.name == "mul4x4"
         assert measurement.adder_name == "mul4x4"
         assert measurement.output_width == 8
         assert measurement.n_vectors == in1.size
@@ -93,9 +95,7 @@ class TestMultiplierSweep:
         in1, in2 = mul_operands
         triads = self._triads(mul4_testbench)
         engine_sweep = mul4_testbench.run_sweep(in1, in2, triads)
-        reference_sweep = mul4_testbench.run_sweep(
-            in1, in2, triads, use_reference=True
-        )
+        reference_sweep = oracle.sweep(mul4_testbench, in1, in2, triads)
         for fast, reference in zip(engine_sweep, reference_sweep):
             assert np.array_equal(fast.latched_words, reference.latched_words)
             assert np.array_equal(fast.error_bits, reference.error_bits)

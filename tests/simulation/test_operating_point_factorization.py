@@ -13,7 +13,7 @@ on, and the bit-identity of the factored gate delays.
 import numpy as np
 import pytest
 
-from repro.circuits.adders import build_adder
+from repro.circuits.adders import AdderCircuit, build_adder
 from repro.circuits.multipliers import array_multiplier
 from repro.core.characterization import CharacterizationFlow
 from repro.core.sweep import measurement_to_payload
@@ -21,8 +21,8 @@ from repro.core.triad import TriadGrid
 from repro.obs.report import load_trace
 from repro.obs.trace import Tracer, activated
 from repro.simulation import engine
-from repro.simulation.multiplier_testbench import MultiplierTestbench
-from repro.simulation.testbench import AdderTestbench
+from repro.simulation import reference as oracle
+from repro.simulation.testbench import OperatorTestbench
 from repro.technology.library import DEFAULT_LIBRARY
 
 EPS = float(np.finfo(np.float64).eps)
@@ -36,12 +36,8 @@ N_VECTORS = 300
 
 def _testbench(name):
     if name.startswith("mul"):
-        return MultiplierTestbench(array_multiplier(int(name[3:])))
-    return AdderTestbench(build_adder(name[:3], int(name[3:])))
-
-
-def _circuit(bench):
-    return getattr(bench, "adder", None) or bench.multiplier
+        return OperatorTestbench(array_multiplier(int(name[3:])))
+    return OperatorTestbench(build_adder(name[:3], int(name[3:])))
 
 
 def _default_grid(bench):
@@ -51,8 +47,8 @@ def _default_grid(bench):
     use: 1.8x, 1x, 0.7x and 0.5x the critical path over every paper supply
     and body bias.
     """
-    circuit = _circuit(bench)
-    if isinstance(bench, AdderTestbench):
+    circuit = bench.circuit
+    if isinstance(circuit, AdderCircuit):
         return list(CharacterizationFlow(circuit).default_triad_grid())
     critical_ns = bench.nominal_critical_path() * 1e9
     return list(
@@ -63,10 +59,10 @@ def _default_grid(bench):
 
 
 def _operands(bench, n=N_VECTORS, seed=2017):
-    circuit = _circuit(bench)
+    circuit = bench.circuit
     widths = (
         (circuit.width, circuit.width)
-        if isinstance(bench, AdderTestbench)
+        if isinstance(circuit, AdderCircuit)
         else (circuit.width_a, circuit.width_b)
     )
     rng = np.random.default_rng(seed)
@@ -78,14 +74,14 @@ def _points(grid):
 
 
 def _output_nets(bench):
-    circuit = _circuit(bench)
+    circuit = bench.circuit
     ports = circuit.netlist.primary_outputs
     return [ports[port] for port in circuit.output_ports()]
 
 
 def _changed(bench, in1, in2):
     """Toggle mask of every net for a streamed operand pair."""
-    circuit = _circuit(bench)
+    circuit = bench.circuit
     netlist = circuit.netlist
     current = {
         netlist.primary_inputs[port]: np.asarray(values, dtype=bool)
@@ -101,7 +97,7 @@ def _changed(bench, in1, in2):
 
 
 def _output_arrivals(bench, changed, gate_delays):
-    plan = engine.compile_plan(_circuit(bench).netlist)
+    plan = engine.compile_plan(bench.circuit.netlist)
     return plan.arrival_pass(changed, gate_delays)[_output_nets(bench)].T
 
 
@@ -116,7 +112,7 @@ def case(request):
 class TestFactoredDelays:
     def test_annotation_delays_are_tau_times_unit_delays(self, case):
         bench, grid, _, _ = case
-        netlist = _circuit(bench).netlist
+        netlist = bench.circuit.netlist
         units = engine.unit_gate_delays(netlist, DEFAULT_LIBRARY)
         for vdd, vbb in _points(grid):
             delays, *_ = engine.annotation_arrays(netlist, vdd, vbb)
@@ -128,7 +124,7 @@ class TestFactoredDelays:
 
     def test_unit_delays_are_cached_and_read_only(self, case):
         bench, _, _, _ = case
-        netlist = _circuit(bench).netlist
+        netlist = bench.circuit.netlist
         units = engine.unit_gate_delays(netlist, DEFAULT_LIBRARY)
         assert engine.unit_gate_delays(netlist, DEFAULT_LIBRARY) is units
         assert np.all(units > 0)
@@ -137,7 +133,7 @@ class TestFactoredDelays:
 
     def test_plan_depth_is_the_longest_gate_path(self, case):
         bench, _, _, _ = case
-        netlist = _circuit(bench).netlist
+        netlist = bench.circuit.netlist
         plan = engine.compile_plan(netlist)
         assert plan.depth == netlist.logic_depth
         # A unit-delay static pass counts the gates on the longest path.
@@ -149,7 +145,7 @@ class TestScalingErrorModel:
     def test_scaled_arrivals_stay_within_the_rounding_bound(self, case):
         """``|A_exact - tau * A_unit| <= (depth + 1) eps A_exact`` everywhere."""
         bench, grid, in1, in2 = case
-        netlist = _circuit(bench).netlist
+        netlist = bench.circuit.netlist
         depth = engine.compile_plan(netlist).depth
         changed = _changed(bench, in1, in2)
         unit = _output_arrivals(
@@ -170,9 +166,9 @@ class TestScalingErrorModel:
 class TestSweepParity:
     def test_sweep_matches_reference_on_default_grid(self, case):
         bench, grid, in1, in2 = case
-        width = _circuit(bench).output_width
+        width = bench.circuit.output_width
         swept = bench.run_sweep(in1, in2, grid)
-        reference = bench.run_sweep(in1, in2, grid, use_reference=True)
+        reference = list(oracle.sweep(bench, in1, in2, grid))
         assert len(swept) == len(reference) == len(grid)
         for got, expected in zip(swept, reference):
             assert np.array_equal(got.latched_words, expected.latched_words)
@@ -210,7 +206,7 @@ class TestForcedTies:
     @pytest.mark.parametrize("side", ["below", "tie", "above"])
     def test_recheck_latches_like_reference(self, case, side, tmp_path):
         bench, grid, in1, in2 = case
-        circuit = _circuit(bench)
+        circuit = bench.circuit
         netlist = circuit.netlist
         simulator = bench.simulator
         assignment = circuit.input_assignment(in1, in2)
@@ -220,7 +216,7 @@ class TestForcedTies:
         )
         for vdd, vbb in _points(grid):
             annotation = simulator.annotation(vdd, vbb)
-            probe = simulator.run_reference(assignment, tclk=1.0, vdd=vdd, vbb=vbb)
+            probe = oracle.vos_run(simulator, assignment, tclk=1.0, vdd=vdd, vbb=vbb)
             exact = probe.arrival_times
             scaled = annotation.tau * unit
             if side == "below":
@@ -240,7 +236,7 @@ class TestForcedTies:
             tmp_path,
             lambda: simulator.run(assignment, tclk=tclk, vdd=vdd, vbb=vbb),
         )
-        reference = simulator.run_reference(assignment, tclk=tclk, vdd=vdd, vbb=vbb)
+        reference = oracle.vos_run(simulator, assignment, tclk=tclk, vdd=vdd, vbb=vbb)
         assert spans, "the recheck pass did not run"
         assert all(span["attrs"]["vectors"] >= 1 for span in spans)
         assert np.array_equal(result.latched_bits, reference.latched_bits)
@@ -249,7 +245,7 @@ class TestForcedTies:
 
     def test_far_clocks_skip_the_recheck(self, case, tmp_path):
         bench, grid, in1, in2 = case
-        circuit = _circuit(bench)
+        circuit = bench.circuit
         assignment = circuit.input_assignment(in1, in2)
         triad = grid[0]
         # Far beyond any arrival, and below every toggling arrival.

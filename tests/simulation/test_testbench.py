@@ -1,12 +1,10 @@
-"""Tests of the per-triad adder testbench."""
+"""Tests of the per-triad operator testbench on an adder."""
 
 import numpy as np
 import pytest
 
-from repro.simulation.testbench import AdderTestbench
 
-
-class TestAdderTestbench:
+class TestOperatorTestbench:
     def test_measurement_fields_consistent(self, rca8_testbench, random_operand_batch):
         in1, in2 = random_operand_batch
         measurement = rca8_testbench.run_triad(in1, in2, tclk=0.5e-9, vdd=1.0, vbb=0.0)
@@ -44,6 +42,6 @@ class TestAdderTestbench:
         assert nominal > 0
         assert forward < nominal
 
-    def test_adder_and_simulator_exposed(self, rca8_testbench, rca8):
-        assert rca8_testbench.adder is rca8
+    def test_circuit_and_simulator_exposed(self, rca8_testbench, rca8):
+        assert rca8_testbench.circuit is rca8
         assert rca8_testbench.simulator.netlist is rca8.netlist

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.simulation import reference as oracle
 from repro.simulation.timing_sim import TimingAnnotation, VosTimingSimulator
 from repro.technology.library import DEFAULT_LIBRARY
 
@@ -297,13 +298,13 @@ class TestEnergyOperand:
         for triad, result in zip(triads, simulator.run_sweep(assignment, triads)):
             energies = simulator.annotation(triad.vdd, triad.vbb).gate_switch_energies
             expected = energies @ toggles.astype(np.float64)
-            reference = simulator.run_reference(
-                assignment, tclk=triad.tclk, vdd=triad.vdd, vbb=triad.vbb
+            reference = oracle.vos_run(
+                simulator, assignment, tclk=triad.tclk, vdd=triad.vdd, vbb=triad.vbb
             )
             assert result.dynamic_energy.tobytes() == expected.tobytes()
             assert result.dynamic_energy.tobytes() == reference.dynamic_energy.tobytes()
-            variation = simulator.run_variation(
-                assignment, triad.tclk, triad.vdd, triad.vbb
+            (variation,) = simulator.run_variation_counts(
+                assignment, [triad.tclk], triad.vdd, triad.vbb, result.settled_bits
             )
             assert variation.dynamic_energy.tobytes() == expected.tobytes()
 
@@ -325,8 +326,9 @@ class TestEnergyOperand:
         # Further operating points, Monte Carlo passes and repeated sweeps of
         # the same stream reuse the one matrix: no second cast happened.
         simulator.run(assignment, tclk=0.5e-9, vdd=0.8, vbb=0.0)
-        simulator.run_variation_sweep(
+        simulator.run_variation_counts(
             assignment, [0.4e-9, 0.8e-9], 0.65, 0.0,
+            np.zeros((len(operands[0]), rca8.output_width), dtype=bool),
             delay_multipliers=np.full((3, rca8.netlist.gate_count), 1.1),
         )
         list(simulator.run_sweep(assignment, triads))

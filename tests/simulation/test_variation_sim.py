@@ -88,10 +88,16 @@ class TestGateLeakagePowers:
         assert np.all(reverse_biased < nominal)
 
 
-class TestRunVariationSweep:
+def _golden(simulator, assignment):
+    """Settled output bits of a stream: the expected bits of a batch."""
+    return simulator.run(assignment, tclk=1.0, vdd=1.0).settled_bits
+
+
+class TestRunVariationCounts:
     def test_shares_one_arrival_matrix_across_clocks(self, bka8_setup, monkeypatch):
         adder, simulator, assignment = bka8_setup
         annotation = simulator.annotation(0.6, 0.0)
+        golden = _golden(simulator, assignment)
         calls = {"count": 0}
         original = engine.CompiledNetlistPlan.batched_arrival_pass
 
@@ -103,25 +109,29 @@ class TestRunVariationSweep:
             engine.CompiledNetlistPlan, "batched_arrival_pass", counting
         )
         critical = annotation.critical_path_delay
-        results = simulator.run_variation_sweep(
+        results = simulator.run_variation_counts(
             assignment,
             [critical * 0.4, critical * 0.6, critical * 1.2],
             0.6,
             0.0,
+            golden,
             delay_multipliers=np.ones((3, adder.netlist.gate_count)),
         )
         assert calls["count"] == 1
         assert len(results) == 3
         # Tighter clocks can only latch a superset of the errors.
-        errors = [result.error_bits.sum() for result in results]
+        errors = [result.bit_errors.sum() for result in results]
         assert errors[0] >= errors[1] >= errors[2]
+        assert errors[0] > 0
 
     def test_nominal_leakage_when_no_multipliers_given(self, bka8_setup):
         adder, simulator, assignment = bka8_setup
         annotation = simulator.annotation(0.8, 0.0)
         tclk = annotation.critical_path_delay
-        result = simulator.run_variation(assignment, tclk, 0.8, 0.0)
-        assert result.n_instances == 1
+        (result,) = simulator.run_variation_counts(
+            assignment, [tclk], 0.8, 0.0, _golden(simulator, assignment)
+        )
+        assert result.bit_errors.shape == (1,)
         assert result.static_energy_per_operation[0] == pytest.approx(
             annotation.leakage_power * tclk
         )
@@ -130,51 +140,44 @@ class TestRunVariationSweep:
         adder, simulator, assignment = bka8_setup
         gate_count = adder.netlist.gate_count
         tclk = simulator.annotation(0.8, 0.0).critical_path_delay
-        doubled = simulator.run_variation(
+        golden = _golden(simulator, assignment)
+        (doubled,) = simulator.run_variation_counts(
             assignment,
-            tclk,
+            [tclk],
             0.8,
             0.0,
+            golden,
             delay_multipliers=np.ones((1, gate_count)),
             leakage_multipliers=np.full((1, gate_count), 2.0),
         )
-        nominal = simulator.run_variation(assignment, tclk, 0.8, 0.0)
+        (nominal,) = simulator.run_variation_counts(
+            assignment, [tclk], 0.8, 0.0, golden
+        )
         assert doubled.static_energy_per_operation[0] == pytest.approx(
             2.0 * nominal.static_energy_per_operation[0]
-        )
-
-    def test_energy_per_operation_combines_components(self, bka8_setup):
-        adder, simulator, assignment = bka8_setup
-        tclk = simulator.annotation(0.8, 0.0).critical_path_delay
-        result = simulator.run_variation(assignment, tclk, 0.8, 0.0)
-        assert result.energy_per_operation[0] == pytest.approx(
-            float(result.dynamic_energy.mean())
-            + result.static_energy_per_operation[0]
         )
 
     def test_invalid_arguments_rejected(self, bka8_setup):
         adder, simulator, assignment = bka8_setup
         gate_count = adder.netlist.gate_count
-        with pytest.raises(ValueError):
-            simulator.run_variation_sweep(assignment, [], 0.6)
-        with pytest.raises(ValueError):
-            simulator.run_variation_sweep(assignment, [-1e-9], 0.6)
-        with pytest.raises(ValueError):
-            simulator.run_variation(
-                assignment, 1e-9, 0.6, delay_multipliers=np.ones((1, gate_count + 2))
+        golden = _golden(simulator, assignment)
+
+        def run(tclks, **kwargs):
+            return simulator.run_variation_counts(
+                assignment, tclks, 0.6, 0.0, golden, **kwargs
             )
+
         with pytest.raises(ValueError):
-            simulator.run_variation(
-                assignment,
-                1e-9,
-                0.6,
-                delay_multipliers=np.zeros((1, gate_count)),
-            )
+            run([])
         with pytest.raises(ValueError):
-            simulator.run_variation(
-                assignment,
-                1e-9,
-                0.6,
+            run([-1e-9])
+        with pytest.raises(ValueError):
+            run([1e-9], delay_multipliers=np.ones((1, gate_count + 2)))
+        with pytest.raises(ValueError):
+            run([1e-9], delay_multipliers=np.zeros((1, gate_count)))
+        with pytest.raises(ValueError):
+            run(
+                [1e-9],
                 delay_multipliers=np.ones((2, gate_count)),
                 leakage_multipliers=np.ones((1, gate_count)),
             )

@@ -19,7 +19,12 @@ an observed scaled arrival and one ulp either side of it.
 import numpy as np
 import pytest
 
-from repro.circuits.adders import ADDER_GENERATORS, build_adder, parse_adder_name
+from repro.circuits.adders import (
+    ADDER_GENERATORS,
+    AdderCircuit,
+    build_adder,
+    parse_adder_name,
+)
 from repro.circuits.multipliers import array_multiplier
 from repro.circuits.signals import int_to_bits
 from repro.core.characterization import CharacterizationFlow
@@ -30,8 +35,7 @@ from repro.core.triad import OperatingTriad, TriadGrid
 from repro.obs.report import load_trace
 from repro.obs.trace import Tracer, activated
 from repro.simulation import engine
-from repro.simulation.multiplier_testbench import MultiplierTestbench
-from repro.simulation.testbench import AdderTestbench
+from repro.simulation.testbench import OperatorTestbench
 from repro.technology.library import DEFAULT_LIBRARY
 
 N_VECTORS = 1500
@@ -39,12 +43,8 @@ N_VECTORS = 1500
 
 def _testbench(name):
     if name.startswith("mul"):
-        return MultiplierTestbench(array_multiplier(int(name[3:])))
-    return AdderTestbench(build_adder(*parse_adder_name(name)))
-
-
-def _circuit(bench):
-    return getattr(bench, "adder", None) or bench.multiplier
+        return OperatorTestbench(array_multiplier(int(name[3:])))
+    return OperatorTestbench(build_adder(*parse_adder_name(name)))
 
 
 def _default_points(bench):
@@ -53,18 +53,18 @@ def _default_points(bench):
     Multipliers have no paper grid; they take every paper supply and body
     bias, like the rule adders without one use.
     """
-    if isinstance(bench, AdderTestbench):
-        grid = CharacterizationFlow(bench.adder).default_triad_grid()
+    if isinstance(bench.circuit, AdderCircuit):
+        grid = CharacterizationFlow(bench.circuit).default_triad_grid()
     else:
         grid = TriadGrid.from_product([1.0])
     return sorted({(triad.vdd, triad.vbb) for triad in grid})
 
 
 def _operands(bench, seed=2017):
-    circuit = _circuit(bench)
+    circuit = bench.circuit
     widths = (
         (circuit.width, circuit.width)
-        if isinstance(bench, AdderTestbench)
+        if isinstance(circuit, AdderCircuit)
         else (circuit.width_a, circuit.width_b)
     )
     rng = np.random.default_rng(seed)
@@ -72,23 +72,27 @@ def _operands(bench, seed=2017):
 
 
 def _outputs(bench):
-    circuit = _circuit(bench)
+    circuit = bench.circuit
     ports = circuit.netlist.primary_outputs
     return np.array([ports[port] for port in circuit.output_ports()])
 
 
 def _stimulus(bench, in1, in2):
-    circuit = _circuit(bench)
-    return bench.simulator._stimulus(circuit.input_assignment(in1, in2), None)
+    return bench.simulator._stimulus(bench.circuit.input_assignment(in1, in2), None)
+
+
+def _stale_bits(bench, stimulus):
+    """Previous-cycle output bits: the settled bits, flipped where toggled."""
+    return stimulus.settled_bits ^ stimulus.changed[_outputs(bench)].T
 
 
 def _output_arrivals(bench, changed, gate_delays):
-    plan = engine.compile_plan(_circuit(bench).netlist)
+    plan = engine.compile_plan(bench.circuit.netlist)
     return plan.arrival_pass(changed, gate_delays)[_outputs(bench)].T
 
 
 def _unit_arrivals(bench, changed):
-    netlist = _circuit(bench).netlist
+    netlist = bench.circuit.netlist
     return _output_arrivals(
         bench, changed, engine.unit_gate_delays(netlist, DEFAULT_LIBRARY)
     )
@@ -106,8 +110,8 @@ class TestInvariants:
         return bench, stimulus, _unit_arrivals(bench, stimulus.changed)
 
     def test_quiet_outputs_arrive_at_zero(self, case):
-        _, stimulus, unit = case
-        quiet = ~(stimulus.settled_bits ^ stimulus.stale_bits)
+        bench, stimulus, unit = case
+        quiet = ~(stimulus.settled_bits ^ _stale_bits(bench, stimulus))
         assert quiet.any() and (~quiet).any()
         assert np.all(unit[quiet] == 0.0)
         assert np.signbit(unit[quiet]).sum() == 0
@@ -127,21 +131,17 @@ class TestInvariants:
 
 def _oracle(bench, in1, in2, triad):
     """Rates and latched words of one triad from the former boolean forms."""
-    circuit = _circuit(bench)
+    circuit = bench.circuit
     simulator = bench.simulator
     stimulus = _stimulus(bench, in1, in2)
     annotation = simulator.annotation(triad.vdd, triad.vbb)
     arrival = _output_arrivals(bench, stimulus.changed, annotation.gate_delays)
     latched_bits = np.where(
-        arrival <= triad.tclk, stimulus.settled_bits, stimulus.stale_bits
+        arrival <= triad.tclk, stimulus.settled_bits, _stale_bits(bench, stimulus)
     )
     weights = np.int64(1) << np.arange(latched_bits.shape[1], dtype=np.int64)
     latched = (latched_bits.astype(np.int64) * weights).sum(axis=1)
-    exact = (
-        circuit.exact_sum(in1, in2)
-        if isinstance(bench, AdderTestbench)
-        else circuit.exact_product(in1, in2)
-    )
+    exact = circuit.exact_words(in1, in2)
     errors = latched_bits != int_to_bits(exact, circuit.output_width)
     n_vectors = errors.shape[0]
     return {
@@ -189,7 +189,7 @@ class TestBandExactness:
     @pytest.mark.parametrize("keep_latched", [False, True])
     def test_payloads_match_boolean_oracle(self, name, keep_latched, tmp_path):
         bench = _testbench(name)
-        circuit = _circuit(bench)
+        circuit = bench.circuit
         in1, in2 = _operands(bench)
         triads = _band_triads(bench, in1, in2)
         path = tmp_path / "trace.jsonl"
@@ -223,7 +223,7 @@ class TestBandExactness:
         in1, in2 = _operands(bench)
         (triad,) = _band_triads(bench, in1, in2)[4:5]
         (measurement,) = bench.run_sweep(in1, in2, [triad])
-        payload = measurement_to_payload(measurement, bench.adder.output_width, True)
+        payload = measurement_to_payload(measurement, bench.circuit.output_width, True)
         assert payload["ber"] > 0.0
         assert "error_bits" not in measurement.__dict__
         # Computed on demand, it agrees with the payload.

@@ -1,10 +1,14 @@
 """Smoke tests of the top-level public API surface."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
 import repro
+
+ORACLE = "repro.simulation.reference"
 
 
 class TestPublicApi:
@@ -68,3 +72,49 @@ class TestPublicApi:
         )
         assert isinstance(batch.report, repro.BatchReport)
         assert batch.report.simulated_units == 0  # session already warm
+
+    def test_simulation_exports_one_testbench(self):
+        import repro.simulation as simulation
+        from repro.simulation.logic_sim import LogicSimulator
+        from repro.simulation.timing_sim import VosTimingSimulator
+
+        assert "OperatorTestbench" in simulation.__all__
+        for name in ("AdderTestbench", "MultiplierTestbench"):
+            assert name not in simulation.__all__
+            assert not hasattr(simulation, name)
+        assert not hasattr(VosTimingSimulator, "run_reference")
+        assert not hasattr(VosTimingSimulator, "run_variation_sweep")
+        assert not hasattr(LogicSimulator, "run_reference")
+
+
+def _imported_modules(path, package):
+    """Absolute names of the modules a source file imports (or names)."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            parts = base + (tuple(node.module.split(".")) if node.module else ())
+            module = ".".join(parts)
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Constant) and node.value == ORACLE:
+            yield ORACLE
+
+
+def test_no_production_module_imports_the_oracle():
+    """Only tests and benchmarks import the per-gate reference loops."""
+    root = pathlib.Path(repro.__file__).parent
+    oracle_path = root / "simulation" / "reference.py"
+    assert oracle_path.exists()
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path == oracle_path:
+            continue
+        package = path.relative_to(root.parent).with_suffix("").parts[:-1]
+        if any(
+            name == ORACLE or name.startswith(ORACLE + ".")
+            for name in _imported_modules(path, package)
+        ):
+            offenders.append(str(path.relative_to(root.parent)))
+    assert offenders == []
