@@ -27,8 +27,9 @@ prints the typed result's rendering.  The commands:
 * ``repro batch``           -- run a JSON job-spec file through one session:
   sweep work units shared between jobs are deduplicated and simulated once,
 * ``repro serve``           -- characterization-as-a-service: serve job
-  submissions over HTTP through one session, batching concurrent requests
-  into deduplicated sweep windows (see :mod:`repro.serve`),
+  submissions over HTTP through one session; a job submitted to an idle
+  service runs at once, and jobs submitted while a window runs are batched
+  into the next deduplicated sweep window (see :mod:`repro.serve`),
 * ``repro store``           -- inspect (``stats``), verify (``verify``: fsck
   pass quarantining corrupt entries) and bound (``prune``) the on-disk
   sweep result store,
@@ -373,18 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port; 0 picks a free port (printed on the readiness line)",
     )
     serve.add_argument(
-        "--window",
-        type=float,
-        default=0.05,
-        help="admission batch window in seconds: requests arriving within "
-        "one window run as a single deduplicated session batch "
-        "(default: 0.05)",
-    )
-    serve.add_argument(
         "--max-batch",
         type=int,
         default=16,
-        help="most jobs dispatched per batch window (default: 16)",
+        help="most jobs dispatched per batch window; jobs queued while a "
+        "window runs form the next one (default: 16)",
     )
     serve.add_argument(
         "--rate",
@@ -823,7 +817,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         lambda: ServeConfig(
             host=args.host,
             port=args.port,
-            window_s=args.window,
             max_batch_jobs=args.max_batch,
             rate_per_s=args.rate,
             burst=args.burst,

@@ -55,6 +55,7 @@ import hashlib
 import json
 import os
 import pathlib
+import weakref
 from typing import Any, BinaryIO, Mapping, Sequence
 
 import numpy as np
@@ -99,6 +100,12 @@ MAX_SEGMENT_BYTES = 64 * 1024 * 1024
 # ---------------------------------------------------------------------------
 
 
+#: Fingerprints of live netlists and libraries, by identity.  Both are
+#: immutable once built, and every sweep keys on them: a warm request would
+#: otherwise rehash them in its planner pass and again in its sweep.
+_FINGERPRINTS: weakref.WeakKeyDictionary[Any, str] = weakref.WeakKeyDictionary()
+
+
 def netlist_fingerprint(netlist: Netlist) -> str:
     """Stable content hash of a netlist's structure.
 
@@ -106,6 +113,13 @@ def netlist_fingerprint(netlist: Netlist) -> str:
     topological order -- two netlists with the same fingerprint simulate
     identically, whatever generator built them.
     """
+    fingerprint = _FINGERPRINTS.get(netlist)
+    if fingerprint is None:
+        fingerprint = _FINGERPRINTS[netlist] = _hash_netlist(netlist)
+    return fingerprint
+
+
+def _hash_netlist(netlist: Netlist) -> str:
     digest = hashlib.sha256()
     digest.update(f"nets={netlist.net_count}".encode())
     for port, net in sorted(netlist.primary_inputs.items()):
@@ -126,6 +140,13 @@ def library_fingerprint(library: StandardCellLibrary) -> str:
     description, so a retuned library never reuses results computed with the
     old parameters.
     """
+    fingerprint = _FINGERPRINTS.get(library)
+    if fingerprint is None:
+        fingerprint = _FINGERPRINTS[library] = _hash_library(library)
+    return fingerprint
+
+
+def _hash_library(library: StandardCellLibrary) -> str:
     digest = hashlib.sha256()
     digest.update(_canonical_json(dataclasses.asdict(library.technology)).encode())
     for name in library.cell_names:

@@ -303,24 +303,20 @@ def payload_to_measurement(
     in1_arr = np.asarray(in1, dtype=np.int64)
     in2_arr = np.asarray(in2, dtype=np.int64)
     latched = decode_int64_array(payload["latched_words"]).reshape(in1_arr.shape)
-    if exact is None:
-        exact = circuit.exact_words(in1_arr, in2_arr)
     triad = payload["triad"]
-    return TriadMeasurement(
-        adder_name=circuit.name,
-        tclk=float(triad["tclk"]),
-        vdd=float(triad["vdd"]),
-        vbb=float(triad["vbb"]),
-        in1=in1_arr,
-        in2=in2_arr,
-        latched_words=latched,
-        exact_words=exact,
-        output_width=circuit.output_width,
-        energy_per_operation=float(payload["energy_per_operation"]),
-        dynamic_energy_per_operation=float(payload["dynamic_energy_per_operation"]),
-        static_energy_per_operation=float(payload["static_energy_per_operation"]),
+    return TriadMeasurement.of_circuit(
+        circuit,
+        in1_arr,
+        in2_arr,
+        latched,
+        tclk=triad["tclk"],
+        vdd=triad["vdd"],
+        vbb=triad["vbb"],
+        energy=payload["energy_per_operation"],
+        dynamic_energy=payload["dynamic_energy_per_operation"],
+        static_energy=payload["static_energy_per_operation"],
+        exact=exact,
     )
-
 
 def payload_usable(
     payload: Mapping[str, Any] | None, n_vectors: int, keep_latched: bool

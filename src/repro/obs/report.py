@@ -181,7 +181,7 @@ class TraceSummary:
     shards: int
     shard_queue_wait_s: float
     shard_compute_s: float
-    service: Mapping[str, int] = dataclasses.field(default_factory=dict)
+    service: Mapping[str, float] = dataclasses.field(default_factory=dict)
 
     def render(self) -> str:
         lines = [
@@ -221,7 +221,8 @@ class TraceSummary:
                 f"{self.service.get('hot_hits', 0)} hot, "
                 f"{self.service.get('rate_limited', 0)} rate-limited, "
                 f"{self.service.get('batch_windows', 0)} window(s) / "
-                f"{self.service.get('batched_jobs', 0)} job(s)"
+                f"{self.service.get('batched_jobs', 0)} job(s), "
+                f"queue wait {self.service.get('queue_wait_s', 0.0):.3f}s"
             )
         return "\n".join(lines)
 
@@ -250,7 +251,8 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> TraceSummary:
     ``session`` spans; shard timing sums ``sweep.shard`` spans' queue-wait
     attribute against their wall time.  Traces recorded by ``repro serve``
     additionally yield a service section (request / admission / hot-tier /
-    batch-window counts from the ``serve.*`` spans).
+    batch-window counts from the ``serve.*`` spans, and the total time
+    windows' oldest jobs waited in the queue before dispatch).
     """
     by_name: dict[str, list[Mapping[str, Any]]] = {}
     for record in records:
@@ -283,7 +285,7 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> TraceSummary:
             if key in attrs:
                 funnel[key] = funnel.get(key, 0) + int(attrs[key])
 
-    service: dict[str, int] = {}
+    service: dict[str, float] = {}
     request_records = by_name.get("serve.request", ())
     if request_records:
         service["requests"] = len(request_records)
@@ -301,6 +303,10 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> TraceSummary:
         service["batch_windows"] = len(window_records)
         service["batched_jobs"] = sum(
             int((r.get("attrs") or {}).get("jobs", 0)) for r in window_records
+        )
+        service["queue_wait_s"] = sum(
+            float((r.get("attrs") or {}).get("queue_wait_s", 0.0))
+            for r in window_records
         )
 
     shard_records = by_name.get("sweep.shard", ())

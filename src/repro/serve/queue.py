@@ -20,6 +20,7 @@ import asyncio
 import dataclasses
 import heapq
 import secrets
+import time
 from collections import deque
 from typing import Any
 
@@ -62,6 +63,9 @@ class JobRecord:
     batch: dict[str, Any] | None = None
     error: str | None = None
     done: asyncio.Event = dataclasses.field(default_factory=asyncio.Event)
+    #: Monotonic admission time; a window's queue wait runs from its
+    #: oldest record's admission to the window's dispatch.
+    admitted_s: float = dataclasses.field(default_factory=time.monotonic)
 
     @property
     def terminal(self) -> bool:

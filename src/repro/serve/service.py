@@ -20,11 +20,16 @@ wraps one :class:`repro.api.Session` behind a small HTTP surface
 Execution model.  The event loop only ever *admits* work: requests are
 rate-limited per client (token bucket), validated, deduplicated against a
 hot-result LRU, and parked in a fair round-robin admission queue.  A single
-batch loop drains the queue in small time windows and hands each window to
-``session.run_batch`` on a dedicated one-thread executor -- so N clients
-submitting overlapping jobs inside one window collapse into *one* sharded
-executor pass (the session's batch planner dedups identical work units),
-and the session's reentrant lock is only ever taken from that one thread.
+batch loop hands queued jobs to ``session.run_batch`` on a dedicated
+one-thread executor, so the session's reentrant lock is only ever taken
+from that one thread.  Batching is work-conserving ("busy-period"): when
+the session is idle a queued job is dispatched at once, in a window of its
+own; jobs admitted while a window runs queue up and form the next window
+(at most ``max_batch_jobs``), so N clients submitting overlapping jobs
+under load collapse into *one* sharded executor pass (the session's batch
+planner dedups identical work units).  An identical job admitted after its
+twin's window has finished is answered from the store or the hot tier, so
+no unit is simulated twice either way.
 
 Shutdown.  SIGTERM/SIGINT request a *graceful drain*: new submissions get
 ``503``, queued and in-flight windows run to completion, event streams
@@ -40,6 +45,7 @@ import dataclasses
 import itertools
 import json
 import signal
+import time
 from collections import OrderedDict
 from typing import Any
 
@@ -89,7 +95,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8765
-    window_s: float = 0.05
     max_batch_jobs: int = 16
     rate_per_s: float = 20.0
     burst: int = 40
@@ -98,8 +103,6 @@ class ServeConfig:
     max_clients: int = 1024
 
     def __post_init__(self) -> None:
-        if self.window_s < 0:
-            raise ValueError("window_s must be non-negative")
         if self.max_batch_jobs < 1:
             raise ValueError("max_batch_jobs must be at least 1")
         if self.rate_per_s <= 0:
@@ -203,7 +206,7 @@ class CharacterizationService:
 
     The service owns nothing about how jobs *execute* -- that is entirely
     the session's business.  It owns admission (validation, rate limits,
-    fairness, dedup windows), result distribution, and telemetry.
+    fairness, batch windows), result distribution, and telemetry.
     """
 
     def __init__(
@@ -270,8 +273,7 @@ class CharacterizationService:
                     loop.add_signal_handler(signum, self.request_drain)
         print(
             f"repro serve: listening on http://{self._config.host}:{self.port} "
-            f"(window {self._config.window_s * 1000:.0f}ms, "
-            f"max batch {self._config.max_batch_jobs})",
+            f"(max batch {self._config.max_batch_jobs})",
             flush=True,
         )
         await self._batch_loop()
@@ -300,23 +302,23 @@ class CharacterizationService:
                 self._new_work.clear()
                 await self._wait_for_work_or_drain()
                 continue
-            # The batch window: give concurrent clients a beat to pile
-            # their jobs into this window so the planner dedups them.
-            if self._config.window_s > 0:
-                await asyncio.sleep(self._config.window_s)
+            # Busy-period batching: everything queued while the previous
+            # window ran forms this one, so no wait is needed to collect it.
             window = self._queue.take_window(self._config.max_batch_jobs)
-            if not window:
-                continue
+            queue_wait_s = time.monotonic() - min(
+                record.admitted_s for record in window
+            )
             self._batches += 1
             metrics.REGISTRY.counter("serve.batches").add()
             metrics.REGISTRY.counter("serve.batch_jobs").add(len(window))
+            metrics.REGISTRY.histogram("serve.queue_wait_s").observe(queue_wait_s)
             for record in window:
                 record.state = JobState.RUNNING
                 record.add_event(
                     f"running: dispatched in a window of {len(window)} job(s)"
                 )
             await self._notify_progress()
-            with self._batch_span(len(window)) as batch_span:
+            with self._batch_span(len(window), queue_wait_s) as batch_span:
                 outcome, payload = await loop.run_in_executor(
                     self._executor,
                     self._execute_window,
@@ -627,7 +629,7 @@ class CharacterizationService:
             "metrics": metrics.REGISTRY.snapshot(),
         }
 
-    def _batch_span(self, jobs: int) -> Any:
+    def _batch_span(self, jobs: int, queue_wait_s: float) -> Any:
         if self._trace_path is None:
             return contextlib.nullcontext(_NULL_SPAN)
         tracer = Tracer(self._trace_path, trace_id=self._trace_id, buffered=True)
@@ -635,7 +637,10 @@ class CharacterizationService:
         @contextlib.contextmanager
         def traced() -> Any:
             try:
-                with tracer.span("serve.batch_window", {"jobs": jobs}) as span:
+                with tracer.span(
+                    "serve.batch_window",
+                    {"jobs": jobs, "queue_wait_s": queue_wait_s},
+                ) as span:
                     yield span
             finally:
                 tracer.close()

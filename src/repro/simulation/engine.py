@@ -692,6 +692,31 @@ def gate_leakage_powers(
 # ---------------------------------------------------------------------------
 
 
+def bind_inputs(
+    netlist: Netlist, inputs: Mapping[str, np.ndarray]
+) -> dict[int, np.ndarray]:
+    """Boolean primary-input arrays keyed by input net id.
+
+    The one input-binding rule of every simulator: ``inputs`` must name
+    exactly the netlist's primary input ports -- a missing or an unknown
+    port is a ``ValueError`` -- and every array must have the same shape.
+    """
+    expected = netlist.primary_inputs
+    missing = set(expected) - set(inputs)
+    if missing:
+        raise ValueError(f"missing values for primary inputs: {sorted(missing)}")
+    unknown = set(inputs) - set(expected)
+    if unknown:
+        raise ValueError(f"unknown primary inputs: {sorted(unknown)}")
+    bound = {
+        net: np.asarray(inputs[port], dtype=bool) for port, net in expected.items()
+    }
+    shapes = {array.shape for array in bound.values()}
+    if len(shapes) > 1:
+        raise ValueError(f"primary input arrays have inconsistent shapes: {shapes}")
+    return bound
+
+
 def evaluate_values(
     netlist: Netlist, bound_inputs: Mapping[int, np.ndarray]
 ) -> np.ndarray:

@@ -258,21 +258,10 @@ class StuckAtFaultSimulator:
         return fault_coverage(self.run(inputs, faults))
 
     def _bind_inputs(self, inputs: Mapping[str, np.ndarray]) -> dict[int, np.ndarray]:
-        ports = self._netlist.primary_inputs
-        missing = set(ports) - set(inputs)
-        if missing:
-            raise ValueError(f"missing values for primary inputs: {sorted(missing)}")
-        bound: dict[int, np.ndarray] = {}
-        shapes = set()
-        for port, net in ports.items():
-            array = np.atleast_1d(np.asarray(inputs[port], dtype=bool))
-            if array.ndim != 1:
-                raise ValueError("fault simulation expects 1-D pattern arrays")
-            shapes.add(array.shape)
-            bound[net] = array
-        if len(shapes) > 1:
-            raise ValueError(f"primary input arrays have inconsistent shapes: {shapes}")
-        return bound
+        bound = engine.bind_inputs(self._netlist, inputs)
+        if any(array.ndim > 1 for array in bound.values()):
+            raise ValueError("fault simulation expects 1-D pattern arrays")
+        return {net: np.atleast_1d(array) for net, array in bound.items()}
 
 
 def _tail_mask(n_vectors: int, n_words: int) -> np.ndarray:

@@ -55,7 +55,7 @@ class LogicSimulator:
         dict
             Mapping from net id to its boolean value array.
         """
-        bound = self._bind_inputs(inputs)
+        bound = engine.bind_inputs(self._netlist, inputs)
         values = engine.evaluate_values(self._netlist, bound)
         return {net: values[net] for net in self._plan.driven_nets}
 
@@ -65,7 +65,7 @@ class LogicSimulator:
         For 1-D vector batches this uses the bit-packed engine mode: the
         whole batch is evaluated 64 vectors per machine word.
         """
-        bound = self._bind_inputs(inputs)
+        bound = engine.bind_inputs(self._netlist, inputs)
         outputs = self._netlist.primary_outputs
         if next(iter(bound.values())).ndim == 1:
             words, n_vectors = engine.evaluate_packed(self._netlist, bound)
@@ -88,25 +88,6 @@ class LogicSimulator:
         outputs = self.run_outputs(inputs)
         bits = np.stack([outputs[port] for port in output_ports], axis=-1)
         return bits_to_int(bits)
-
-    def _bind_inputs(self, inputs: Mapping[str, np.ndarray]) -> dict[int, np.ndarray]:
-        expected = set(self._netlist.primary_inputs)
-        provided = set(inputs)
-        missing = expected - provided
-        if missing:
-            raise ValueError(f"missing values for primary inputs: {sorted(missing)}")
-        unknown = provided - expected
-        if unknown:
-            raise ValueError(f"unknown primary inputs: {sorted(unknown)}")
-        values: dict[int, np.ndarray] = {}
-        shapes = set()
-        for port, net in self._netlist.primary_inputs.items():
-            array = np.asarray(inputs[port], dtype=bool)
-            shapes.add(array.shape)
-            values[net] = array
-        if len(shapes) > 1:
-            raise ValueError(f"primary input arrays have inconsistent shapes: {shapes}")
-        return values
 
 
 def simulate_outputs(

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.circuits.cells import evaluate_gate
 from repro.circuits.netlist import Netlist
+from repro.simulation import engine
 from repro.simulation.timing_sim import TimingAnnotation
 from repro.technology.corners import VariabilityModel
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
@@ -164,12 +165,9 @@ class EventDrivenSimulator:
 
     def _settled_values(self, inputs: Mapping[str, bool]) -> dict[int, bool]:
         """Zero-delay settled state of every net for the given inputs."""
-        ports = self._netlist.primary_inputs
-        missing = set(ports) - set(inputs)
-        if missing:
-            raise ValueError(f"missing values for primary inputs: {sorted(missing)}")
         values: dict[int, bool] = {
-            net: bool(inputs[port]) for port, net in ports.items()
+            net: bool(value)
+            for net, value in engine.bind_inputs(self._netlist, inputs).items()
         }
         for gate in self._netlist.topological_gates:
             gate_inputs = [np.asarray(values[net]) for net in gate.inputs]

@@ -81,6 +81,46 @@ class TriadMeasurement:
         mismatches = self.latched_words != self.exact_words
         return int(np.count_nonzero(mismatches)) / mismatches.size
 
+    @classmethod
+    def of_circuit(
+        cls,
+        circuit: Any,
+        in1: np.ndarray,
+        in2: np.ndarray,
+        latched_words: np.ndarray,
+        *,
+        tclk: float,
+        vdd: float,
+        vbb: float,
+        energy: float,
+        dynamic_energy: float,
+        static_energy: float,
+        exact: np.ndarray | None = None,
+    ) -> "TriadMeasurement":
+        """The measurement of ``circuit`` latching ``latched_words``.
+
+        The one constructor for both a fresh simulation result and a stored
+        payload.  ``in1`` and ``in2`` are the int64 operand arrays;
+        ``exact`` holds their golden words when the caller already has
+        them (a sweep computes them once), else they are computed here.
+        """
+        if exact is None:
+            exact = circuit.exact_words(in1, in2)
+        return cls(
+            adder_name=circuit.name,
+            tclk=float(tclk),
+            vdd=float(vdd),
+            vbb=float(vbb),
+            in1=in1,
+            in2=in2,
+            latched_words=latched_words,
+            exact_words=exact,
+            output_width=circuit.output_width,
+            energy_per_operation=float(energy),
+            dynamic_energy_per_operation=float(dynamic_energy),
+            static_energy_per_operation=float(static_energy),
+        )
+
 
 class OperatorTestbench:
     """Reusable testbench for one operator circuit.
@@ -91,8 +131,9 @@ class OperatorTestbench:
         The circuit under test: an
         :class:`~repro.circuits.adders.AdderCircuit` or a
         :class:`~repro.circuits.multipliers.MultiplierCircuit`, or anything
-        else with their ``name``, ``netlist``, ``output_ports()``,
-        ``input_assignment(in1, in2)`` and ``exact_words(in1, in2)``.
+        else with their ``name``, ``netlist``, ``output_width``,
+        ``output_ports()``, ``input_assignment(in1, in2)`` and
+        ``exact_words(in1, in2)``.
     library:
         Standard-cell library used for delays and energies.
     """
@@ -194,23 +235,19 @@ class OperatorTestbench:
         simulated from; ``exact`` holds their golden words when the caller
         already has them (a sweep computes them once).
         """
-        if exact is None:
-            exact = self._circuit.exact_words(in1, in2)
-        return TriadMeasurement(
-            adder_name=self._circuit.name,
+        return TriadMeasurement.of_circuit(
+            self._circuit,
+            in1,
+            in2,
+            result.latched_words,
             tclk=result.tclk,
             vdd=vdd,
             vbb=vbb,
-            in1=in1,
-            in2=in2,
-            latched_words=result.latched_words,
-            exact_words=exact,
-            output_width=result.n_outputs,
-            energy_per_operation=float(result.total_energy.mean()),
-            dynamic_energy_per_operation=float(result.dynamic_energy.mean()),
-            static_energy_per_operation=float(result.static_energy.mean()),
+            energy=result.total_energy.mean(),
+            dynamic_energy=result.dynamic_energy.mean(),
+            static_energy=result.static_energy.mean(),
+            exact=exact,
         )
-
 
 def _operands(in1: np.ndarray, in2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in1_arr = np.asarray(in1, dtype=np.int64)

@@ -606,6 +606,10 @@ class VosTimingSimulator:
         self._energy_operand = (stimulus.key, toggles)
         return toggles
 
+    def _bind_inputs(self, inputs: Mapping[str, np.ndarray]) -> dict[int, np.ndarray]:
+        bound = engine.bind_inputs(self._netlist, inputs)
+        return {net: np.atleast_1d(array) for net, array in bound.items()}
+
     def _stimulus(
         self,
         inputs: Mapping[str, np.ndarray],
@@ -699,21 +703,6 @@ class VosTimingSimulator:
         energy.setflags(write=False)
         self._dynamic_energy = (key, energy)
         return energy
-
-    def _bind_inputs(self, inputs: Mapping[str, np.ndarray]) -> dict[int, np.ndarray]:
-        ports = self._netlist.primary_inputs
-        missing = set(ports) - set(inputs)
-        if missing:
-            raise ValueError(f"missing values for primary inputs: {sorted(missing)}")
-        bound: dict[int, np.ndarray] = {}
-        shapes = set()
-        for port, net in ports.items():
-            array = np.atleast_1d(np.asarray(inputs[port], dtype=bool))
-            shapes.add(array.shape)
-            bound[net] = array
-        if len(shapes) > 1:
-            raise ValueError(f"primary input arrays have inconsistent shapes: {shapes}")
-        return bound
 
 
 def _latch_bits(arrival: np.ndarray, tclk: float, base: np.ndarray) -> np.ndarray:

@@ -86,6 +86,18 @@ class TestFingerprints:
         )
         assert library_fingerprint(retuned) != library_fingerprint(DEFAULT_LIBRARY)
 
+    def test_fingerprints_are_hashed_once_per_object(self, monkeypatch):
+        netlist = build_adder("rca", 8).netlist
+        library = StandardCellLibrary()
+        first = (netlist_fingerprint(netlist), library_fingerprint(library))
+
+        def rehash(_):
+            raise AssertionError("a memoized fingerprint was hashed again")
+
+        monkeypatch.setattr(store_module, "_hash_netlist", rehash)
+        monkeypatch.setattr(store_module, "_hash_library", rehash)
+        assert (netlist_fingerprint(netlist), library_fingerprint(library)) == first
+
     def test_operand_fingerprint_tracks_content_and_shape(self):
         in1 = np.arange(100)
         in2 = np.arange(100)[::-1].copy()

@@ -212,6 +212,26 @@ class TestSummarizeTrace:
         assert "batch dedup: 10 planned, 4 deduped" in text
         assert "shards: 2 shard(s)" in text
 
+    def test_service_section_totals_window_queue_wait(self):
+        records = [
+            make_record(span_id="r1", name="serve.request", attrs={"status": 202}),
+            make_record(
+                span_id="w1",
+                name="serve.batch_window",
+                attrs={"jobs": 1, "queue_wait_s": 0.25},
+            ),
+            make_record(
+                span_id="w2",
+                name="serve.batch_window",
+                attrs={"jobs": 3, "queue_wait_s": 0.5},
+            ),
+        ]
+        summary = summarize_trace(records)
+        assert summary.service["batch_windows"] == 2
+        assert summary.service["batched_jobs"] == 4
+        assert summary.service["queue_wait_s"] == pytest.approx(0.75)
+        assert "2 window(s) / 4 job(s), queue wait 0.750s" in summary.render()
+
     def test_render_empty_trace(self):
         text = summarize_trace([]).render()
         assert "0 span(s)" in text

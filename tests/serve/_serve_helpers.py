@@ -2,19 +2,57 @@
 
 The service runs on the test's own event loop; HTTP clients run on
 executor threads with stdlib ``http.client``, so requests exercise the
-real socket path end to end.
+real socket path end to end.  Window composition is made deterministic by
+:class:`GatedSession`, never by timing: holding its gate keeps one window
+running, so every job posted meanwhile queues up for the next window.
 """
 
 import asyncio
 import contextlib
 import http.client
 import json
+import threading
 
 import pytest
 
 from repro.api.options import StoreOptions
 from repro.api.session import Session
 from repro.serve import CharacterizationService, ServeConfig
+
+
+#: Longest a gated window waits for its gate, so a failing test cannot
+#: hang the drain forever.
+GATE_TIMEOUT_S = 60.0
+
+
+class GatedSession(Session):
+    """A session whose ``run_batch`` blocks until :attr:`gate` is set.
+
+    :attr:`busy` is set as soon as a window enters ``run_batch``, so a test
+    can wait for the service to be busy before posting the jobs that must
+    share the next window.  Once set, the gate stays open.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.gate = threading.Event()
+        self.busy = threading.Event()
+
+    def run_batch(self, jobs):
+        self.busy.set()
+        self.gate.wait(GATE_TIMEOUT_S)
+        return super().run_batch(jobs)
+
+
+def gated_session(store_dir):
+    """A :class:`GatedSession` over a store in ``store_dir``, closed gate."""
+    return GatedSession.from_options(StoreOptions(cache_dir=str(store_dir)), jobs=1)
+
+
+async def wait_busy(session):
+    """Wait until a window of ``session`` is blocked on its gate."""
+    loop = asyncio.get_running_loop()
+    assert await loop.run_in_executor(None, session.busy.wait, GATE_TIMEOUT_S)
 
 
 @contextlib.asynccontextmanager
@@ -24,7 +62,6 @@ async def running_service(store_dir, *, trace=None, session=None, **config):
         session = Session.from_options(
             StoreOptions(cache_dir=str(store_dir)), jobs=1
         )
-    config.setdefault("window_s", 0.02)
     service = CharacterizationService(
         session, ServeConfig(port=0, **config), trace=trace
     )
@@ -34,6 +71,8 @@ async def running_service(store_dir, *, trace=None, session=None, **config):
         yield service
     finally:
         service.request_drain()
+        if isinstance(session, GatedSession):
+            session.gate.set()
         assert await runner == 0
 
 

@@ -1,26 +1,38 @@
 """Concurrent-client tests: the acceptance criteria of the serving layer.
 
 N parallel clients submitting the same characterization against a cold
-store must collapse into ONE batch window whose planner dedups the
-overlapping work down to a single simulated pass -- and every client must
-receive result JSON byte-identical to a direct ``Session.run`` of the
-same job.
+store while the service is busy must collapse into ONE batch window whose
+planner dedups the overlapping work down to a single simulated pass -- and
+every client must receive result JSON byte-identical to a direct
+``Session.run`` of the same job.  Batching is busy-period: a job posted to
+an idle service runs at once in a window of its own.
 """
 
 import asyncio
 import json
 
-from _serve_helpers import http_post, running_service, wait_terminal
+from _serve_helpers import (
+    gated_session,
+    http_get,
+    http_post,
+    running_service,
+    wait_busy,
+    wait_terminal,
+)
 
 from repro.api.jobs import job_from_json
 from repro.api.session import Session
 from repro.core.sweep import simulated_unit_count
+from repro.obs import metrics
+from repro.obs.report import load_trace, summarize_trace
 
 CHARACTERIZE = {
     "type": "characterize",
     "operator": "rca8",
     "pattern": {"vectors": 240},
 }
+#: Holds the gated session busy; simulates nothing.
+BLOCKER = {"type": "synthesize", "operators": ["rca8"]}
 
 
 def grid_size() -> int:
@@ -35,12 +47,17 @@ class TestOverlappingClients:
 
         async def main():
             loop = asyncio.get_running_loop()
-            # A wide admission window guarantees all four concurrent posts
-            # land in the same batch.
+            session = gated_session(tmp_path / "store")
             async with running_service(
-                tmp_path / "store", window_s=0.4
+                tmp_path / "store", session=session
             ) as service:
                 before = simulated_unit_count()
+                # The blocker's window holds the session busy, so all four
+                # concurrent posts queue up and form the next window.
+                _, blocker, _ = await loop.run_in_executor(
+                    None, http_post, service.port, BLOCKER, "blocker"
+                )
+                await wait_busy(session)
                 posts = [
                     loop.run_in_executor(
                         None, http_post, service.port, CHARACTERIZE, client
@@ -48,6 +65,8 @@ class TestOverlappingClients:
                     for client in clients
                 ]
                 submitted = await asyncio.gather(*posts)
+                session.gate.set()
+                await wait_terminal(service.port, blocker["id"])
                 finals = await asyncio.gather(
                     *(
                         wait_terminal(service.port, doc["id"])
@@ -93,7 +112,6 @@ class TestOverlappingClients:
                 tmp_path / "store",
                 rate_per_s=0.001,
                 burst=2,
-                window_s=0.2,
             ) as service:
                 posts = [
                     loop.run_in_executor(
@@ -122,3 +140,90 @@ class TestOverlappingClients:
                     assert final["status"] == "done"
 
         asyncio.run(main())
+
+
+class TestBusyPeriodBatching:
+    def test_job_posted_to_an_idle_service_runs_in_a_window_of_one(
+        self, tmp_path
+    ):
+        async def main():
+            loop = asyncio.get_running_loop()
+            batches = metrics.REGISTRY.counter("serve.batches")
+            async with running_service(tmp_path / "store") as service:
+                before = batches.value
+                _, doc, _ = await loop.run_in_executor(
+                    None, http_post, service.port, CHARACTERIZE
+                )
+                final = await wait_terminal(service.port, doc["id"])
+                assert batches.value - before == 1
+                return final
+
+        final = asyncio.run(main())
+        assert final["status"] == "done"
+        assert final["batch"]["jobs"] == 1
+        assert final["batch"]["simulated_units"] == grid_size()
+
+    def test_jobs_posted_while_a_window_runs_share_the_next_window(
+        self, tmp_path
+    ):
+        trace = tmp_path / "serve.jsonl"
+        distinct = [
+            {**CHARACTERIZE, "pattern": {"vectors": 240, "seed": seed}}
+            for seed in (1, 2, 3)
+        ]
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            batches = metrics.REGISTRY.counter("serve.batches")
+            session = gated_session(tmp_path / "store")
+            async with running_service(
+                tmp_path / "store", session=session, trace=str(trace)
+            ) as service:
+                before = batches.value
+                _, blocker, _ = await loop.run_in_executor(
+                    None, http_post, service.port, BLOCKER, "blocker"
+                )
+                await wait_busy(session)
+                submitted = await asyncio.gather(
+                    *(
+                        loop.run_in_executor(
+                            None, http_post, service.port, job, f"client-{i}"
+                        )
+                        for i, job in enumerate(distinct)
+                    )
+                )
+                _, health = await loop.run_in_executor(
+                    None, http_get, service.port, "/v1/healthz"
+                )
+                assert health["running"] == 1
+                assert health["queued"] == len(distinct)
+                session.gate.set()
+                first = await wait_terminal(service.port, blocker["id"])
+                finals = await asyncio.gather(
+                    *(
+                        wait_terminal(service.port, doc["id"])
+                        for _, doc, _ in submitted
+                    )
+                )
+                _, stats = await loop.run_in_executor(
+                    None, http_get, service.port, "/v1/stats"
+                )
+                assert batches.value - before == 2
+                return first, finals, stats
+
+        first, finals, stats = asyncio.run(main())
+        assert first["batch"]["jobs"] == 1
+        for final in finals:
+            assert final["status"] == "done"
+            assert final["batch"]["jobs"] == len(distinct)
+        assert stats["metrics"]["serve.queue_wait_s"]["count"] >= 2
+
+        # Each window's span carries its queue wait, and the trace summary
+        # totals them on its service line.
+        windows = [r for r in load_trace(trace) if r["name"] == "serve.batch_window"]
+        assert [r["attrs"]["jobs"] for r in windows] == [1, len(distinct)]
+        waits = [r["attrs"]["queue_wait_s"] for r in windows]
+        assert all(wait >= 0 for wait in waits)
+        summary = summarize_trace(load_trace(trace))
+        assert summary.service["queue_wait_s"] == sum(waits)
+        assert "queue wait" in summary.render()

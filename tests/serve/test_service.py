@@ -14,9 +14,11 @@ from repro.api.jobs import job_from_json
 from repro.api.session import Session
 from repro.serve import ServeConfig
 from _serve_helpers import (
+    gated_session,
     http_get,
     http_post,
     running_service,
+    wait_busy,
     wait_terminal,
 )
 
@@ -241,13 +243,19 @@ class TestDrain:
     def test_draining_service_refuses_new_jobs_and_finishes_old(self, tmp_path):
         async def main():
             loop = asyncio.get_running_loop()
-            # A wide batch window keeps the submitted job queued while the
-            # drain probe runs, so the sequence is deterministic.
+            # The gate holds the first job's window running and the second
+            # job queued while the drain probe runs, so the sequence is
+            # deterministic.
+            session = gated_session(tmp_path / "store")
             async with running_service(
-                tmp_path / "store", window_s=0.5
+                tmp_path / "store", session=session
             ) as service:
-                _, doc, _ = await loop.run_in_executor(
+                _, running, _ = await loop.run_in_executor(
                     None, http_post, service.port, SYNTH
+                )
+                await wait_busy(session)
+                _, queued, _ = await loop.run_in_executor(
+                    None, http_post, service.port, CHARACTERIZE
                 )
                 service.request_drain()
                 status, refused, _ = await loop.run_in_executor(
@@ -255,11 +263,14 @@ class TestDrain:
                 )
                 assert status == 503
                 assert "draining" in refused["error"]
-                # The already-admitted job still runs to completion; wait on
-                # the record itself -- the listener may close right after.
-                record = service._records[doc["id"]]
-                await asyncio.wait_for(record.done.wait(), timeout=60)
-                assert record.state == "done"
+                session.gate.set()
+                # The in-flight and the queued job still run to completion;
+                # wait on the records themselves -- the listener may close
+                # right after.
+                for doc in (running, queued):
+                    record = service._records[doc["id"]]
+                    await asyncio.wait_for(record.done.wait(), timeout=60)
+                    assert record.state == "done"
             # exiting the context asserts the run() exit code is 0
 
         run(main())
@@ -296,8 +307,6 @@ class TestFailures:
 
 class TestConfigValidation:
     def test_serve_config_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            ServeConfig(window_s=-1)
         with pytest.raises(ValueError):
             ServeConfig(max_batch_jobs=0)
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuits.adders import build_adder
 from repro.simulation import reference as oracle
 from repro.simulation.timing_sim import TimingAnnotation, VosTimingSimulator
 from repro.technology.library import DEFAULT_LIBRARY
@@ -142,6 +143,16 @@ class TestVosTimingSimulation:
     def test_missing_input_rejected(self, rca8_simulator):
         with pytest.raises(ValueError, match="missing values"):
             rca8_simulator.run({"a0": np.array([True])}, tclk=1e-9, vdd=1.0)
+
+    def test_unknown_input_rejected(self):
+        rca4 = build_adder("rca", 4)
+        simulator = VosTimingSimulator(
+            rca4.netlist, output_ports=rca4.output_ports()
+        )
+        inputs = rca4.input_assignment(np.array([3]), np.array([5]))
+        inputs["typo_port"] = np.array([True])
+        with pytest.raises(ValueError, match="unknown primary inputs"):
+            simulator.run(inputs, tclk=1e-9, vdd=1.0)
 
     def test_mean_energy_property(self, rca8, rca8_simulator, operands):
         in1, in2 = operands
