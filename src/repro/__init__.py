@@ -74,7 +74,6 @@ from repro.circuits import build_adder, ripple_carry_adder, brent_kung_adder
 from repro.explore import (
     CandidateEvaluator,
     DesignSpace,
-    OperatorCandidate,
     ParetoFrontier,
     TriadSpec,
     run_search,
@@ -135,7 +134,6 @@ __all__ = [
     "synthesize",
     "DesignSpace",
     "TriadSpec",
-    "OperatorCandidate",
     "CandidateEvaluator",
     "ParetoFrontier",
     "run_search",

@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.circuits.adders import build_adder
 from repro.core.calibration import calibrate_probability_table
 from repro.core.characterization import AdderCharacterization, CharacterizationFlow
 from repro.core.metrics import normalized_hamming_distance, signal_to_noise_ratio_db
@@ -267,11 +266,6 @@ def render_fig8(series: Fig8Series) -> str:
     ):
         lines.append(f"{label:<32}{ber:>10.2f}{energy:>12.4f}")
     return "\n".join(lines)
-
-
-def build_adder_name(architecture: str, width: int) -> str:
-    """Helper mirroring the benchmark naming convention (``rca8`` ...)."""
-    return build_adder(architecture, width).name
 
 
 # -- Exploration: the BER-vs-energy Pareto frontier ----------------------------

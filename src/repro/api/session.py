@@ -26,7 +26,6 @@ exposes exactly two entry points:
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import pathlib
 import threading
@@ -68,7 +67,7 @@ from repro.api.results import (
 from repro.api.spec import OperatorSpec, parse_circuit_spec
 from repro.core import sweep as sweep_module
 from repro.core.calibration import calibrate_probability_table
-from repro.core.characterization import CharacterizationFlow
+from repro.core.characterization import CharacterizationFlow, FlowCache
 from repro.core.dataset import (
     load_characterization,
     save_characterization,
@@ -108,12 +107,6 @@ class SessionError(ValueError):
     CLI converts exactly this type into a clean one-line exit; everything
     else keeps its traceback.
     """
-
-
-#: Characterization flows kept alive per session (bounded like the
-#: exploration evaluator's cache: rebuilding an evicted flow costs only a
-#: generator run plus a plan compile).
-FLOW_CACHE_SIZE = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -275,9 +268,7 @@ class Session:
             backing = SweepResultStore(store)
         self._view = MemoryOverlayStore(backing)
         self._lock = threading.RLock()
-        self._flows: collections.OrderedDict[
-            OperatorSpec, CharacterizationFlow
-        ] = collections.OrderedDict()
+        self._flows = FlowCache(library, sta_margin)
 
     @classmethod
     def from_options(
@@ -331,17 +322,7 @@ class Session:
         """The (cached) characterization flow of one operator spec."""
         if isinstance(spec, str):
             spec = parse_circuit_spec(spec)
-        flow = self._flows.get(spec)
-        if flow is None:
-            flow = CharacterizationFlow(
-                spec.build(), library=self._library, sta_margin=self._sta_margin
-            )
-            self._flows[spec] = flow
-            if len(self._flows) > FLOW_CACHE_SIZE:
-                self._flows.popitem(last=False)
-        else:
-            self._flows.move_to_end(spec)
-        return flow
+        return self._flows.get(spec)
 
     def _jobs_for(self, job: Any) -> int:
         sweep = getattr(job, "sweep", None)

@@ -59,8 +59,9 @@ def parse_adder_name(name: str) -> tuple[str, int]:
     """Split a benchmark-style adder name into ``(architecture, width)``.
 
     ``"rca8"`` -> ``("rca", 8)``, ``"bka16"`` -> ``("bka", 16)`` ...  This is
-    the inverse of the ``AdderCircuit.name`` convention, used by the CLI and
-    by the sweep orchestrator to rebuild circuits inside worker processes.
+    the inverse of the ``AdderCircuit.name`` convention, used by
+    :func:`repro.circuits.operators.parse_circuit_spec` to read operator
+    names.
     """
     for architecture in sorted(ADDER_GENERATORS, key=len, reverse=True):
         if name.lower().startswith(architecture):

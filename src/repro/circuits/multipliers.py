@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.circuits.builder import NetlistBuilder
 from repro.circuits.netlist import Netlist
+from repro.circuits.operators import check_result_width
 from repro.circuits.signals import int_to_bits
 
 
@@ -76,12 +77,20 @@ def array_multiplier(width_a: int, width_b: int | None = None) -> MultiplierCirc
     Partial products are AND gates; each row of the array adds one shifted
     partial-product row with a rank of full adders, carries saved diagonally;
     a final ripple stage merges the last carry row.
+
+    Raises
+    ------
+    ValueError
+        For a non-positive width, or a product that does not fit the output
+        word (see :func:`~repro.circuits.operators.check_result_width`).
     """
     if width_b is None:
         width_b = width_a
     if width_a <= 0 or width_b <= 0:
         raise ValueError("operand widths must be positive")
-    builder = NetlistBuilder(f"mul{width_a}x{width_b}")
+    name = f"mul{width_a}x{width_b}"
+    check_result_width(name, width_a + width_b)
+    builder = NetlistBuilder(name)
     a_nets = [builder.add_input(f"a{i}") for i in range(width_a)]
     b_nets = [builder.add_input(f"b{j}") for j in range(width_b)]
     zero = builder.constant_zero()

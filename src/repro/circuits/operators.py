@@ -1,16 +1,14 @@
 """Canonical operator specifications and name parsing.
 
-Every front-end used to carry its own copy of the operator-name grammar:
-``cli.py`` had ``_parse_adder_name``/``_parse_windows``, the design-space
-module re-validated ``spa<width>w<window>`` structure in
-:class:`~repro.explore.space.OperatorCandidate`, and the sweep orchestrator
-re-derived generator coordinates from circuit names.  This module is the
-single source of truth: an :class:`OperatorSpec` is the validated
-``(architecture, width, window)`` triple, :func:`parse_circuit_spec` is the
-one parser of benchmark-style names (``"rca8"``, ``"bka16"``, ``"spa16w4"``
-...), and :func:`parse_windows` is the one reader of speculation-window
-tokens.  Malformed names fail here, at job-construction time, with a clear
-message -- not deep inside a sweep.
+This module is the single source of truth of the operator axis: an
+:class:`OperatorSpec` is the validated ``(architecture, width, window)``
+triple -- the jobs' operators and the design space's candidates alike --
+:func:`parse_circuit_spec` is the one parser of benchmark-style names
+(``"rca8"``, ``"bka16"``, ``"spa16w4"`` ...), :func:`parse_windows` is the
+one reader of speculation-window tokens, and :func:`check_result_width` is
+the one output-word limit, which the adder specs and the multiplier
+generator both apply.  Malformed names fail here, at job-construction time,
+with a clear message -- not deep inside a sweep.
 
 The implementation lives in the circuits layer (right beside the adder
 generators it lowers to) so every consumer -- the design-space module, the

@@ -72,7 +72,6 @@ from repro.core.store import (
     operand_fingerprint,
 )
 from repro.core.sweep import (
-    CircuitSpec,
     run_characterization_sweep,
     run_fault_sweep,
     shard_triads,
@@ -131,7 +130,6 @@ __all__ = [
     "library_fingerprint",
     "netlist_fingerprint",
     "operand_fingerprint",
-    "CircuitSpec",
     "run_characterization_sweep",
     "run_fault_sweep",
     "shard_triads",

@@ -11,12 +11,14 @@ run on exactly the same data.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.circuits.adders import AdderCircuit, build_adder
+from repro.circuits.operators import OperatorSpec
 from repro.core import sweep as sweep_module
 from repro.core.resilience import ExecutionPolicy, ExecutionReport
 from repro.core.store import SweepResultStore
@@ -396,6 +398,44 @@ class CharacterizationFlow:
         if isinstance(triads, TriadGrid):
             return triads
         return TriadGrid(list(triads))
+
+
+#: Characterization flows one :class:`FlowCache` keeps alive.  Bounded: a
+#: large design space would otherwise pin every built netlist and testbench
+#: in memory, and rebuilding an evicted flow costs only a generator run plus
+#: a plan compile.
+FLOW_CACHE_SIZE = 64
+
+
+class FlowCache:
+    """Least-recently-used characterization flows, keyed by operator spec.
+
+    A :class:`~repro.api.session.Session` keeps one for its jobs and every
+    exploration evaluator keeps its own, so an evaluator's flows (and their
+    stimulus caches) are freed with the evaluator, not kept for the
+    session's lifetime.
+    """
+
+    def __init__(self, library: StandardCellLibrary, sta_margin: float) -> None:
+        self._library = library
+        self._sta_margin = sta_margin
+        self._flows: collections.OrderedDict[
+            OperatorSpec, CharacterizationFlow
+        ] = collections.OrderedDict()
+
+    def get(self, spec: OperatorSpec) -> CharacterizationFlow:
+        """The flow of ``spec``, built on first use."""
+        flow = self._flows.get(spec)
+        if flow is None:
+            flow = CharacterizationFlow(
+                spec.build(), library=self._library, sta_margin=self._sta_margin
+            )
+            self._flows[spec] = flow
+            if len(self._flows) > FLOW_CACHE_SIZE:
+                self._flows.popitem(last=False)
+        else:
+            self._flows.move_to_end(spec)
+        return flow
 
 
 def entry_from_payload(payload: Mapping[str, Any]) -> TriadCharacterization:

@@ -18,8 +18,7 @@ through one driver, :func:`run_unit_sweep`:
   axis the simulator's reuse is keyed on; fault sites round-robin; Monte
   Carlo triads by group within one sample range).  With ``jobs > 1`` each
   piece becomes a :class:`_Shard` on the fault-tolerant pool of
-  :func:`~repro.core.resilience.run_shards`: workers rebuild the circuit
-  from a generator spec whose netlist fingerprint the parent verified, the
+  :func:`~repro.core.resilience.run_shards`: the built circuit and the
   operands travel pickled with the task, and ``split-and-retry`` halves a
   shard's units.  Otherwise the pieces run in-process on one simulator.
 * **Crash consistency.**  Every completed shard, and in-process every
@@ -40,20 +39,10 @@ multipliers alike.
 from __future__ import annotations
 
 import dataclasses
-import re
 from typing import Any, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from repro.circuits.adders import (
-    AdderCircuit,
-    SpeculativeAdderCircuit,
-    build_adder,
-    parse_adder_name,
-    speculative_adder,
-)
-from repro.circuits.multipliers import MultiplierCircuit, array_multiplier
-from repro.circuits.operators import check_result_width
 from repro.core.metrics import mean_squared_error
 from repro.core.resilience import ExecutionPolicy, ExecutionReport, run_shards
 from repro.core.store import (
@@ -117,90 +106,6 @@ def record_simulated_units(count: int) -> None:
     if count < 0:
         raise ValueError("count must be non-negative")
     _SIMULATED_UNITS.add(int(count))
-
-
-# ---------------------------------------------------------------------------
-# Circuit specs (what a worker process needs to rebuild the circuit)
-# ---------------------------------------------------------------------------
-
-_MULTIPLIER_NAME = re.compile(r"^mul(\d+)x(\d+)$")
-
-
-@dataclasses.dataclass(frozen=True)
-class CircuitSpec:
-    """Generator coordinates of a circuit, picklable for worker processes.
-
-    Attributes
-    ----------
-    kind:
-        ``"adder"`` or ``"multiplier"``.
-    architecture:
-        Adder architecture name (``"rca"`` ...); ``"array"`` for multipliers.
-    width:
-        Operand width (``width_a`` for multipliers).
-    width_b:
-        Second operand width of a multiplier; ``None`` for adders.
-    window:
-        Carry look-back window of a speculative adder; ``None`` otherwise.
-    """
-
-    kind: str
-    architecture: str
-    width: int
-    width_b: int | None = None
-    window: int | None = None
-
-    @classmethod
-    def from_circuit(cls, circuit: Any) -> "CircuitSpec | None":
-        """Derive the spec of a generator-built circuit, or ``None``.
-
-        Returns ``None`` when the circuit's name does not map back onto a
-        registry generator -- such circuits still sweep (in-process) and
-        still cache (keyed by netlist fingerprint), they just cannot be
-        shipped to worker processes by name.
-
-        Raises
-        ------
-        ValueError
-            For a ``mul<N>x<M>`` multiplier whose product does not fit the
-            output word (see :func:`~repro.circuits.operators.check_result_width`).
-        """
-        if isinstance(circuit, MultiplierCircuit):
-            match = _MULTIPLIER_NAME.match(circuit.name)
-            if match is None:
-                return None
-            width_a, width_b = int(match.group(1)), int(match.group(2))
-            check_result_width(circuit.name, width_a + width_b)
-            return cls(
-                kind="multiplier",
-                architecture="array",
-                width=width_a,
-                width_b=width_b,
-            )
-        if isinstance(circuit, SpeculativeAdderCircuit):
-            return cls(
-                kind="adder",
-                architecture=circuit.architecture,
-                width=circuit.width,
-                window=circuit.window,
-            )
-        if isinstance(circuit, AdderCircuit):
-            try:
-                architecture, width = parse_adder_name(circuit.name)
-            except ValueError:
-                return None
-            return cls(kind="adder", architecture=architecture, width=width)
-        return None
-
-    def build(self) -> Any:
-        """Rebuild the circuit from its generator."""
-        if self.kind == "adder":
-            if self.window is not None:
-                return speculative_adder(self.width, self.window)
-            return build_adder(self.architecture, self.width)
-        if self.kind == "multiplier":
-            return array_multiplier(self.width, self.width_b)
-        raise ValueError(f"unknown circuit kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +483,12 @@ def _payload_to_fault_result(payload: Mapping[str, Any]) -> FaultSimulationResul
 class _Shard:
     """A piece of one kind's units, shipped to a worker process.
 
-    The operands travel inline (the pool pickles them with the task); the
-    worker rebuilds the circuit from ``spec``.
+    The circuit and the operands travel inline: the pool pickles them with
+    the task, and the worker simulates the unpickled circuit.
     """
 
     kind: SweepKind
-    spec: CircuitSpec
+    circuit: Any
     in1: np.ndarray
     in2: np.ndarray
     units: tuple[Any, ...]
@@ -599,9 +504,12 @@ def _run_shard(task: _Shard) -> list[dict[str, Any]]:
         units=len(task.units),
         **task.kind.shard_attributes(),
     ):
-        circuit = task.spec.build()
         [payloads] = task.kind.run(
-            task.kind.simulator(circuit), circuit, task.in1, task.in2, [task.units]
+            task.kind.simulator(task.circuit),
+            task.circuit,
+            task.in1,
+            task.in2,
+            [task.units],
         )
         return payloads
 
@@ -639,21 +547,6 @@ def _validate_shard(task: _Shard, result: Any) -> bool:
 # ---------------------------------------------------------------------------
 # Orchestration
 # ---------------------------------------------------------------------------
-
-
-def verified_spec(circuit: Any, fingerprint: str) -> CircuitSpec | None:
-    """Spec whose rebuilt netlist is proven identical to ``circuit``'s.
-
-    Shared by every orchestrator that ships circuits to worker processes by
-    generator name (characterization, fault campaigns, and the Monte Carlo
-    variation sweeps of :mod:`repro.variation.montecarlo`).
-    """
-    spec = CircuitSpec.from_circuit(circuit)
-    if spec is None:
-        return None
-    if netlist_fingerprint(spec.build().netlist) != fingerprint:
-        return None
-    return spec
 
 
 def characterization_key_components(
@@ -712,12 +605,12 @@ def run_unit_sweep(
     :class:`SweepKind`); ``base_components`` name the sweep in the store.
     Every unit the store holds a usable payload for is answered from it; the
     rest are recorded as simulated and split into pieces by their kind.
-    With ``jobs > 1`` and a circuit the registry rebuilds identically, the
-    pieces run as :class:`_Shard` tasks on the fault-tolerant pool, each
-    kind split so there are at least ``jobs`` pieces (a lone Monte Carlo
-    range still fills every worker).  Otherwise they run in-process on one
-    ``simulator`` -- the caller's, or one the first kind builds -- in the
-    kind's flush blocks.  Every completed piece flushes to the store at
+    With ``jobs > 1`` each kind is split so there are at least ``jobs``
+    pieces (a lone Monte Carlo range still fills every worker), and the
+    pieces run as :class:`_Shard` tasks, each carrying the circuit itself,
+    on the fault-tolerant pool.  With ``jobs == 1``, or when the units form
+    a single piece, they run in-process on one ``simulator`` (the caller's,
+    or one the first kind builds) in the kind's flush blocks.  Every completed piece flushes to the store at
     once, so a run killed mid-flight resumes warm.  Returns the payloads in
     ``units`` order.
     """
@@ -761,9 +654,8 @@ def run_unit_sweep(
                     for unit, payload in zip(piece, result):
                         store.put(keys[(kind, unit)], payload)
 
-        spec = verified_spec(circuit, base_components["circuit"]) if jobs > 1 else None
         pieces: list[tuple[SweepKind, list[Any]]] = []
-        if spec is not None:
+        if jobs > 1:
             per_kind = -(-jobs // len(missing))
             pieces = [
                 (kind, piece)
@@ -773,7 +665,7 @@ def run_unit_sweep(
         if len(pieces) > 1:
             trace_context = current_context()
             tasks = [
-                _Shard(kind, spec, in1_arr, in2_arr, tuple(piece), trace_context)
+                _Shard(kind, circuit, in1_arr, in2_arr, tuple(piece), trace_context)
                 for kind, piece in pieces
             ]
             # ``run_shards`` hands every accepted (sub)task to ``on_result``

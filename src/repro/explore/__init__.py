@@ -28,12 +28,7 @@ Quickstart::
         print(point.operator_name, point.triad.label(), point.ber, point.energy_per_operation)
 """
 
-from repro.explore.space import (
-    DesignSpace,
-    OperatorCandidate,
-    TriadSpec,
-    build_operator,
-)
+from repro.explore.space import DesignSpace, TriadSpec
 from repro.explore.evaluator import CandidateEvaluation, CandidateEvaluator, DesignPoint
 from repro.explore.frontier import FrontierPoint, ParetoFrontier
 from repro.explore.search import (
@@ -47,9 +42,7 @@ from repro.explore.search import (
 
 __all__ = [
     "DesignSpace",
-    "OperatorCandidate",
     "TriadSpec",
-    "build_operator",
     "CandidateEvaluator",
     "CandidateEvaluation",
     "DesignPoint",

@@ -17,20 +17,20 @@ the search strategies need (BER, energy) points, not raw latched words.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 from typing import Sequence
 
 import numpy as np
 
+from repro.circuits.operators import OperatorSpec
 from repro.core import sweep as sweep_module
-from repro.core.characterization import CharacterizationFlow
+from repro.core.characterization import CharacterizationFlow, FlowCache
 from repro.core.resilience import ExecutionPolicy, ExecutionReport
 from repro.core.store import SweepResultStore
 from repro.core.triad import OperatingTriad
 from repro.explore.frontier import FrontierPoint
 from repro.obs.trace import span
-from repro.explore.space import DesignSpace, OperatorCandidate, TriadSpec
+from repro.explore.space import DesignSpace, TriadSpec
 from repro.simulation.patterns import PatternConfig, generate_patterns
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
 from repro.variation.montecarlo import MonteCarloConfig, run_montecarlo_sweep
@@ -61,7 +61,7 @@ class DesignPoint:
     a nominal-BER point.
     """
 
-    candidate: OperatorCandidate
+    candidate: OperatorSpec
     triad: OperatingTriad
     ber: float
     mse: float
@@ -105,7 +105,7 @@ class CandidateEvaluation:
         the baseline its energy savings are quoted against.
     """
 
-    candidate: OperatorCandidate
+    candidate: OperatorSpec
     n_vectors: int
     points: tuple[DesignPoint, ...]
     reference_energy: float
@@ -118,13 +118,6 @@ class EvaluatorStats:
     candidate_evaluations: int = 0
     triad_evaluations: int = 0
     evaluations_by_fidelity: dict[int, int] = dataclasses.field(default_factory=dict)
-
-
-#: Flows kept alive between evaluations of the same candidate (screening ->
-#: promotion).  Bounded: a large space would otherwise pin every built
-#: netlist and testbench in memory for the evaluator's lifetime, and
-#: rebuilding an evicted flow costs only a generator run + plan compile.
-FLOW_CACHE_SIZE = 64
 
 
 class CandidateEvaluator:
@@ -188,12 +181,10 @@ class CandidateEvaluator:
         self._report = report
         self._pattern_kind = pattern_kind
         self._seed = seed
-        self._sta_margin = sta_margin
         self._variation = variation
         self._robust_quantile = robust_quantile
-        self._flows: collections.OrderedDict[
-            OperatorCandidate, CharacterizationFlow
-        ] = collections.OrderedDict()
+        # Keeps a candidate's flow between its screening and its promotion.
+        self._flows = FlowCache(library, sta_margin)
         self.stats = EvaluatorStats()
 
     @property
@@ -206,23 +197,8 @@ class CandidateEvaluator:
         """Stimulus seed shared by every evaluation."""
         return self._seed
 
-    def _flow_for(self, candidate: OperatorCandidate) -> CharacterizationFlow:
-        flow = self._flows.get(candidate)
-        if flow is None:
-            flow = CharacterizationFlow(
-                candidate.build(),
-                library=self._library,
-                sta_margin=self._sta_margin,
-            )
-            self._flows[candidate] = flow
-            if len(self._flows) > FLOW_CACHE_SIZE:
-                self._flows.popitem(last=False)
-        else:
-            self._flows.move_to_end(candidate)
-        return flow
-
     def evaluate(
-        self, candidate: OperatorCandidate, n_vectors: int
+        self, candidate: OperatorSpec, n_vectors: int
     ) -> CandidateEvaluation:
         """Evaluate one candidate over its triad grid at one fidelity."""
         if n_vectors <= 0:
@@ -235,9 +211,9 @@ class CandidateEvaluator:
             return self._evaluate_body(candidate, n_vectors)
 
     def _evaluate_body(
-        self, candidate: OperatorCandidate, n_vectors: int
+        self, candidate: OperatorSpec, n_vectors: int
     ) -> CandidateEvaluation:
-        flow = self._flow_for(candidate)
+        flow = self._flows.get(candidate)
         grid = self._triads.grid_for(flow)
         config = PatternConfig(
             n_vectors=n_vectors,
@@ -324,7 +300,7 @@ class CandidateEvaluator:
         }
 
     def evaluate_many(
-        self, candidates: Sequence[OperatorCandidate], n_vectors: int
+        self, candidates: Sequence[OperatorSpec], n_vectors: int
     ) -> list[CandidateEvaluation]:
         """Evaluate a batch of candidates (deterministic input order)."""
         return [self.evaluate(candidate, n_vectors) for candidate in candidates]

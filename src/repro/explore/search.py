@@ -25,9 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.circuits.operators import OperatorSpec
 from repro.explore.evaluator import CandidateEvaluation, CandidateEvaluator
 from repro.explore.frontier import FrontierPoint, ParetoFrontier
-from repro.explore.space import DesignSpace, OperatorCandidate
+from repro.explore.space import DesignSpace
 
 #: Default paper-fidelity stimulus size (the harness default; the paper
 #: itself uses 20 000 vectors).
@@ -107,7 +108,7 @@ def _result(
     seed: int,
     space: DesignSpace,
     evaluations: Sequence[CandidateEvaluation],
-    screened: Sequence[OperatorCandidate],
+    screened: Sequence[OperatorSpec],
     full_vectors: int,
     screen_vectors: int,
     resume: ParetoFrontier | None,

@@ -1,6 +1,7 @@
 """Declarative design spaces over operator configuration and triad ranges.
 
-A *candidate* is one operator configuration: an adder architecture, an
+A *candidate* is one operator configuration, an
+:class:`~repro.circuits.operators.OperatorSpec`: an adder architecture, an
 operand bit-width, and optionally a carry-speculation window.  A *design
 point* is a candidate evaluated at one operating triad; the triad axes are
 part of the space too, either as the paper's matched Table III grid or as
@@ -8,7 +9,7 @@ dense clock-scale x supply x body-bias ranges beyond it.
 
 The space is purely declarative: iteration order is deterministic, nothing
 is simulated here.  Lowering a candidate to a circuit is
-:func:`build_operator`; lowering the triad axes to a concrete grid (which
+:meth:`OperatorSpec.build`; lowering the triad axes to a concrete grid (which
 depends on the candidate's own critical path) is :meth:`TriadSpec.grid_for`.
 """
 
@@ -18,13 +19,7 @@ import dataclasses
 import itertools
 from typing import Iterator, Sequence
 
-from repro.circuits.adders import (
-    ADDER_GENERATORS,
-    AdderCircuit,
-    SPECULATIVE_ARCHITECTURE,
-    build_adder,
-    speculative_adder,
-)
+from repro.circuits.adders import ADDER_GENERATORS, SPECULATIVE_ARCHITECTURE
 from repro.circuits.operators import OperatorSpec
 from repro.core.characterization import CharacterizationFlow
 from repro.core.triad import (
@@ -33,57 +28,6 @@ from repro.core.triad import (
     TriadGrid,
 )
 from repro.technology.library import SUPPORTED_BODY_BIAS_RANGE
-
-@dataclasses.dataclass(frozen=True, order=True)
-class OperatorCandidate:
-    """One operator configuration of the design space.
-
-    Attributes
-    ----------
-    architecture:
-        Adder architecture tag (``"rca"`` ... or ``"spa"`` for the
-        speculative window-bounded family).
-    width:
-        Operand width in bits.
-    window:
-        Carry-speculation window; ``None`` for non-speculative candidates.
-    """
-
-    architecture: str
-    width: int
-    window: int | None = None
-
-    def __post_init__(self) -> None:
-        # Validation (including the spa<width>w<window> structural rules)
-        # lives in one place: repro.circuits.operators.OperatorSpec.  The
-        # validated spec is cached so the frequently read name/build
-        # accessors do not re-validate.
-        object.__setattr__(
-            self,
-            "_spec_cache",
-            OperatorSpec(self.architecture, self.width, self.window),
-        )
-
-    def _spec(self) -> OperatorSpec:
-        return self._spec_cache
-
-    @property
-    def name(self) -> str:
-        """The candidate circuit's name (``"rca8"``, ``"spa16w4"`` ...)."""
-        return self._spec().name
-
-    def build(self) -> AdderCircuit:
-        """Lower the candidate to its gate-level circuit."""
-        return self._spec().build()
-
-
-def build_operator(
-    architecture: str, width: int, window: int | None = None
-) -> AdderCircuit:
-    """Build an operator circuit from its design-space coordinates."""
-    if window is not None:
-        return speculative_adder(width, window)
-    return build_adder(architecture, width)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,20 +132,18 @@ class DesignSpace:
             if window is not None and window <= 0:
                 raise ValueError("speculation windows must be positive (or None)")
 
-    def candidates(self) -> tuple[OperatorCandidate, ...]:
+    def candidates(self) -> tuple[OperatorSpec, ...]:
         """All candidates in deterministic (sorted, deduplicated) order."""
-        seen: set[OperatorCandidate] = set()
+        seen: set[OperatorSpec] = set()
         for architecture, width, window in itertools.product(
             sorted(set(self.architectures)),
             sorted(set(self.widths)),
             sorted(set(self.speculation_windows), key=lambda w: (w is not None, w or 0)),
         ):
             if window is None:
-                seen.add(OperatorCandidate(architecture, width))
+                seen.add(OperatorSpec(architecture, width))
             elif window < width:
-                seen.add(
-                    OperatorCandidate(SPECULATIVE_ARCHITECTURE, width, window)
-                )
+                seen.add(OperatorSpec(SPECULATIVE_ARCHITECTURE, width, window))
         return tuple(sorted(seen))
 
     def skipped_windows(self) -> tuple[tuple[int, int], ...]:
@@ -222,7 +164,7 @@ class DesignSpace:
     def __len__(self) -> int:
         return len(self.candidates())
 
-    def __iter__(self) -> Iterator[OperatorCandidate]:
+    def __iter__(self) -> Iterator[OperatorSpec]:
         return iter(self.candidates())
 
     @classmethod

@@ -20,11 +20,11 @@ unit (``_MonteCarloKind``): its store key, payload check and simulation.
   worker count).  A shard is one sample range times a set of whole
   ``(vdd, vbb)`` groups: ranges are split into groups
   (:func:`repro.core.sweep.shard_triads`) until there are at least ``jobs``
-  pieces, so even a single range keeps every worker busy.  Workers rebuild
-  the circuit from its verified generator spec, and every per-instance
-  number depends only on ``(seed, absolute sample index)`` -- so serial and
-  sharded runs are byte-identical, entry for entry.  In-process, each range
-  runs (and flushes to the store) as one block.
+  pieces, so even a single range keeps every worker busy.  Workers receive
+  the built circuit with the shard, and every per-instance number depends
+  only on ``(seed, absolute sample index)`` -- so serial and sharded runs
+  are byte-identical, entry for entry.  In-process, each range runs (and
+  flushes to the store) as one block.
 * **Result store.**  Each ``(triad, sample range)`` payload -- its own
   layout, versioned by :data:`MC_PAYLOAD_VERSION` -- persists in the
   content-addressed :class:`~repro.core.store.SweepResultStore`, keyed by

@@ -81,14 +81,25 @@ class TestOperatorSpec:
             assert OperatorSpec.from_json(spec.to_json()) == spec
 
     def test_is_the_single_source_for_design_space_candidates(self):
-        # The explore layer's OperatorCandidate delegates its validation and
-        # naming here: both views of the same coordinates must agree.
-        from repro.explore.space import OperatorCandidate
+        # The explore layer's design space enumerates OperatorSpec values, so
+        # its candidates share this validation and naming.
+        from repro.explore.space import DesignSpace
 
-        candidate = OperatorCandidate("spa", 16, 4)
-        assert candidate.name == OperatorSpec("spa", 16, 4).name
-        with pytest.raises(ValueError, match="window"):
-            OperatorCandidate("spa", 8, 8)
+        space = DesignSpace.from_axes(("rca",), (8, 16), (None, 4, 8))
+        assert space.candidates() == (
+            OperatorSpec("rca", 8),
+            OperatorSpec("rca", 16),
+            OperatorSpec("spa", 8, 4),
+            OperatorSpec("spa", 16, 4),
+            OperatorSpec("spa", 16, 8),
+        )
+        assert [candidate.name for candidate in space] == [
+            "rca8",
+            "rca16",
+            "spa8w4",
+            "spa16w4",
+            "spa16w8",
+        ]
 
 
 class TestParseWindows:

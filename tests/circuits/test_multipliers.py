@@ -59,6 +59,23 @@ class TestArrayMultiplier:
         with pytest.raises(ValueError):
             array_multiplier(4, -1)
 
+    @pytest.mark.parametrize(
+        "width_a, width_b", [(31, 31), (1, 61), (40, 22), (61, 1)]
+    )
+    def test_product_at_the_word_limit_is_accepted(self, width_a, width_b):
+        multiplier = array_multiplier(width_a, width_b)
+        assert (multiplier.width_a, multiplier.width_b) == (width_a, width_b)
+
+    @pytest.mark.parametrize(
+        "width_a, width_b", [(31, 32), (2, 61), (32, 32), (61, 2)]
+    )
+    def test_product_past_the_word_limit_is_rejected(self, width_a, width_b):
+        name = f"mul{width_a}x{width_b}"
+        with pytest.raises(
+            ValueError, match=f"{name} has a {width_a + width_b}-bit result"
+        ):
+            array_multiplier(width_a, width_b)
+
     def test_exact_words_reference(self):
         multiplier = array_multiplier(4)
         assert np.array_equal(

@@ -1,10 +1,10 @@
 """Tests of how sharded sweeps ship their operands to worker processes.
 
 Characterization, fault and Monte Carlo sweeps ship the one shard type,
-``_Shard``: a frozen dataclass of a per-kind value, the circuit spec, the
-operands and the units.  The operand arrays travel inline: ``in1``/``in2``
-are plain ``np.ndarray`` values, and the process pool pickles them with the
-rest of the task.  There is one way to ship operands and no setting that
+``_Shard``: a frozen dataclass of a per-kind value, the built circuit, the
+operands and the units.  The circuit and the operand arrays travel inline:
+``in1``/``in2`` are plain ``np.ndarray`` values, and the process pool
+pickles them with the rest of the task.  There is one way to ship operands and no setting that
 selects another, so these tests pin down that path for every kind
 (pickling, splitting, validation, in-process replay), check
 that a parallel sweep never creates a shared-memory segment, and check that
@@ -23,13 +23,14 @@ import pytest
 from repro.analysis.figures import fig5_ber_per_bit
 from repro.api.options import SweepOptions
 from repro.api.session import Session
-from repro.circuits.adders import build_adder
+from repro.circuits.adders import build_adder, speculative_adder
+from repro.circuits.multipliers import array_multiplier
 from repro.cli import build_parser
 from repro.core.characterization import CharacterizationFlow
 from repro.core.resilience import ExecutionReport, run_shards
+from repro.core.store import netlist_fingerprint
 from repro.core.sweep import (
     PAYLOAD_VERSION,
-    CircuitSpec,
     _CharacterizationKind,
     _FaultKind,
     _run_shard,
@@ -91,19 +92,19 @@ def _operands(case):
 OPERAND_CASES = ("single-vector", "paper-stimulus", "strided-view", "read-only")
 
 
-def _task(kind, in1, in2):
-    spec = CircuitSpec(kind="adder", architecture="rca", width=8)
+def _task(kind, in1, in2, circuit=None):
+    circuit = circuit if circuit is not None else build_adder("rca", 8)
     if kind == "characterization":
         sweep_kind = _CharacterizationKind(DEFAULT_LIBRARY, keep_latched=False)
-        return _Shard(sweep_kind, spec, in1, in2, TRIADS)
+        return _Shard(sweep_kind, circuit, in1, in2, TRIADS)
     if kind == "faults":
-        return _Shard(_FaultKind(), spec, in1, in2, FAULT_SITES)
+        return _Shard(_FaultKind(), circuit, in1, in2, FAULT_SITES)
     if kind == "montecarlo":
         config = MonteCarloConfig(n_samples=4, seed=5, chunk=2)
         sweep_kind = _MonteCarloKind(
             DEFAULT_LIBRARY, config.model, config.seed, start=0, stop=2
         )
-        return _Shard(sweep_kind, spec, in1, in2, TRIADS)
+        return _Shard(sweep_kind, circuit, in1, in2, TRIADS)
     raise AssertionError(kind)
 
 
@@ -116,6 +117,25 @@ VERSIONS = {
 
 def _round_trip(task):
     return pickle.loads(pickle.dumps(task))
+
+
+SHIPPED_CIRCUITS = {
+    "rca8": lambda: build_adder("rca", 8),
+    "spa8w4": lambda: speculative_adder(8, 4),
+    "mul4x4": lambda: array_multiplier(4, 4),
+}
+
+
+class TestShippedCircuit:
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CIRCUITS))
+    def test_the_worker_receives_the_same_netlist(self, name):
+        circuit = SHIPPED_CIRCUITS[name]()
+        task = _task("characterization", *_operands("single-vector"), circuit)
+        shipped = _round_trip(task)
+        assert shipped.circuit.name == circuit.name == name
+        assert netlist_fingerprint(shipped.circuit.netlist) == netlist_fingerprint(
+            circuit.netlist
+        )
 
 
 class TestInlineOperands:

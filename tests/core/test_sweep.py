@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.circuits.adders import build_adder
+from repro.circuits.adders import AdderCircuit, build_adder
 from repro.circuits.multipliers import array_multiplier
 from repro.core.characterization import CharacterizationFlow
+from repro.core.resilience import ExecutionReport
 from repro.core.store import SweepResultStore
 from repro.core.sweep import (
     SERIAL_FAULT_FLUSH_BLOCK,
-    CircuitSpec,
     pattern_stimulus,
     run_characterization_sweep,
     run_fault_sweep,
@@ -64,55 +64,8 @@ class TestShardTriads:
             shard_triads(list(small_grid), 0)
 
 
-class TestCircuitSpec:
-    def test_adder_spec_round_trip(self):
-        adder = build_adder("bka", 16)
-        spec = CircuitSpec.from_circuit(adder)
-        assert spec == CircuitSpec(kind="adder", architecture="bka", width=16)
-        assert spec.build().name == adder.name
-
-    def test_multiplier_spec_round_trip(self):
-        multiplier = array_multiplier(4, 6)
-        spec = CircuitSpec.from_circuit(multiplier)
-        assert spec == CircuitSpec(
-            kind="multiplier", architecture="array", width=4, width_b=6
-        )
-        assert spec.build().name == multiplier.name
-
-    def test_speculative_adder_spec_round_trip(self):
-        from repro.circuits.adders import speculative_adder
-        from repro.core.store import netlist_fingerprint
-
-        adder = speculative_adder(16, 5)
-        spec = CircuitSpec.from_circuit(adder)
-        assert spec == CircuitSpec(
-            kind="adder", architecture="spa", width=16, window=5
-        )
-        rebuilt = spec.build()
-        assert rebuilt.name == adder.name
-        assert netlist_fingerprint(rebuilt.netlist) == netlist_fingerprint(adder.netlist)
-
-    def test_unknown_circuit_yields_none(self):
-        assert CircuitSpec.from_circuit(object()) is None
-
-    def test_multiplier_product_must_fit_the_output_word(self):
-        spec = CircuitSpec.from_circuit(array_multiplier(61, 1))
-        assert (spec.width, spec.width_b) == (61, 1)
-        with pytest.raises(ValueError, match="mul61x2 has a 63-bit result"):
-            CircuitSpec.from_circuit(array_multiplier(61, 2))
-
-    @pytest.mark.parametrize("width_a, width_b", [(31, 31), (1, 61), (40, 22)])
-    def test_multiplier_at_the_word_limit_is_accepted(self, width_a, width_b):
-        spec = CircuitSpec.from_circuit(array_multiplier(width_a, width_b))
-        assert (spec.width, spec.width_b) == (width_a, width_b)
-
-    @pytest.mark.parametrize("width_a, width_b", [(31, 32), (2, 61), (32, 32)])
-    def test_multiplier_past_the_word_limit_is_rejected(self, width_a, width_b):
-        name = f"mul{width_a}x{width_b}"
-        with pytest.raises(
-            ValueError, match=f"{name} has a {width_a + width_b}-bit result"
-        ):
-            CircuitSpec.from_circuit(array_multiplier(width_a, width_b))
+class TestShippedCircuits:
+    """Shards carry the built circuit, so any circuit shards at ``jobs > 1``."""
 
     def test_speculative_sweep_shards_bit_identically(self, small_grid):
         from repro.circuits.adders import speculative_adder
@@ -127,6 +80,34 @@ class TestCircuitSpec:
             adder, small_grid, in1, in2, pattern_stimulus(config), jobs=3
         )
         assert serial == sharded
+
+    def test_custom_circuit_shards_like_the_serial_sweep(
+        self, tmp_path, small_grid, small_pattern
+    ):
+        # An rca8 netlist under an architecture no generator knows.
+        rca8 = build_adder("rca", 8)
+        adder = AdderCircuit(netlist=rca8.netlist, width=8, architecture="myrca")
+        in1, in2 = generate_patterns(small_pattern)
+        stimulus = pattern_stimulus(small_pattern)
+        serial_store = SweepResultStore(tmp_path / "serial")
+        serial = run_characterization_sweep(
+            adder, small_grid, in1, in2, stimulus, store=serial_store
+        )
+        report = ExecutionReport()
+        sharded_store = SweepResultStore(tmp_path / "sharded")
+        sharded = run_characterization_sweep(
+            adder,
+            small_grid,
+            in1,
+            in2,
+            stimulus,
+            jobs=2,
+            store=sharded_store,
+            report=report,
+        )
+        assert report.shards >= 2
+        assert sharded == serial
+        assert sharded_store.snapshot() == serial_store.snapshot()
 
 
 class TestCharacterizationSweep:

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.circuits.operators import OperatorSpec
 from repro.core.characterization import CharacterizationFlow
 from repro.core.store import SweepResultStore
-from repro.explore import CandidateEvaluator, DesignSpace, OperatorCandidate, TriadSpec
+from repro.explore import CandidateEvaluator, DesignSpace, TriadSpec
 from repro.simulation.patterns import PatternConfig
 
 SMALL_TRIADS = TriadSpec(
@@ -22,7 +23,7 @@ def small_space():
 class TestCandidateEvaluator:
     def test_points_cover_the_grid_in_order(self, small_space):
         evaluator = CandidateEvaluator(small_space)
-        candidate = OperatorCandidate("rca", 8)
+        candidate = OperatorSpec("rca", 8)
         evaluation = evaluator.evaluate(candidate, 300)
         flow = CharacterizationFlow(candidate.build())
         grid = SMALL_TRIADS.grid_for(flow)
@@ -32,7 +33,7 @@ class TestCandidateEvaluator:
 
     def test_speculative_candidate_has_functional_error_floor(self, small_space):
         evaluator = CandidateEvaluator(small_space)
-        evaluation = evaluator.evaluate(OperatorCandidate("spa", 8, 4), 400)
+        evaluation = evaluator.evaluate(OperatorSpec("spa", 8, 4), 400)
         nominal = max(
             evaluation.points,
             key=lambda p: (p.triad.vdd, p.triad.tclk),
@@ -42,16 +43,16 @@ class TestCandidateEvaluator:
 
     def test_stats_track_fidelities(self, small_space):
         evaluator = CandidateEvaluator(small_space)
-        evaluator.evaluate(OperatorCandidate("rca", 8), 200)
-        evaluator.evaluate(OperatorCandidate("rca", 8), 400)
-        evaluator.evaluate(OperatorCandidate("bka", 8), 400)
+        evaluator.evaluate(OperatorSpec("rca", 8), 200)
+        evaluator.evaluate(OperatorSpec("rca", 8), 400)
+        evaluator.evaluate(OperatorSpec("bka", 8), 400)
         assert evaluator.stats.candidate_evaluations == 3
         assert evaluator.evaluations_at(200) == 1
         assert evaluator.evaluations_at(400) == 2
         assert evaluator.stats.triad_evaluations == 3 * 4
 
     def test_results_identical_across_jobs_and_cache(self, small_space, tmp_path):
-        candidate = OperatorCandidate("rca", 8)
+        candidate = OperatorSpec("rca", 8)
         cold = CandidateEvaluator(small_space)
         warm_store = SweepResultStore(tmp_path / "store")
         warm_writer = CandidateEvaluator(small_space, store=warm_store, jobs=2)
@@ -78,7 +79,7 @@ class TestCandidateEvaluator:
 
         space = DesignSpace.from_axes(("rca",), (8,), (None,))  # Table III triads
         evaluator = CandidateEvaluator(space, store=store, seed=2017)
-        evaluation = evaluator.evaluate(OperatorCandidate("rca", 8), 300)
+        evaluation = evaluator.evaluate(OperatorSpec("rca", 8), 300)
         assert store.stats.stores == stored  # nothing new was simulated
         assert store.stats.hits >= len(evaluation.points)
 
@@ -87,12 +88,12 @@ class TestCandidateEvaluator:
             CandidateEvaluator(small_space, jobs=0)
         evaluator = CandidateEvaluator(small_space)
         with pytest.raises(ValueError):
-            evaluator.evaluate(OperatorCandidate("rca", 8), 0)
+            evaluator.evaluate(OperatorSpec("rca", 8), 0)
 
     def test_seed_changes_the_stimulus(self, small_space):
         one = CandidateEvaluator(small_space, seed=1)
         two = CandidateEvaluator(small_space, seed=2)
-        candidate = OperatorCandidate("rca", 8)
+        candidate = OperatorSpec("rca", 8)
         bers_one = [p.ber for p in one.evaluate(candidate, 400).points]
         bers_two = [p.ber for p in two.evaluate(candidate, 400).points]
         assert bers_one != bers_two
@@ -102,7 +103,7 @@ class TestRobustScoring:
     def test_robust_quantile_replaces_nominal_ber(self, small_space):
         from repro.variation import MonteCarloConfig
 
-        candidate = OperatorCandidate("rca", 8)
+        candidate = OperatorSpec("rca", 8)
         nominal = CandidateEvaluator(small_space, seed=2017).evaluate(candidate, 400)
         robust = CandidateEvaluator(
             small_space,
@@ -127,7 +128,7 @@ class TestRobustScoring:
         from repro.variation import MonteCarloConfig
 
         store = SweepResultStore(tmp_path / "store")
-        candidate = OperatorCandidate("rca", 8)
+        candidate = OperatorSpec("rca", 8)
 
         def build():
             return CandidateEvaluator(

@@ -3,20 +3,21 @@
 import pytest
 
 from repro.circuits.adders import SpeculativeAdderCircuit
+from repro.circuits.operators import OperatorSpec
 from repro.core.characterization import CharacterizationFlow
 from repro.core.triad import PAPER_SUPPLY_VOLTAGES
-from repro.explore import DesignSpace, OperatorCandidate, TriadSpec, build_operator
+from repro.explore import DesignSpace, TriadSpec
 
 
-class TestOperatorCandidate:
+class TestCandidateSpec:
     def test_plain_candidate_builds_named_circuit(self):
-        candidate = OperatorCandidate("rca", 8)
+        candidate = OperatorSpec("rca", 8)
         circuit = candidate.build()
         assert circuit.name == "rca8" == candidate.name
         assert circuit.width == 8
 
     def test_speculative_candidate_builds_windowed_circuit(self):
-        candidate = OperatorCandidate("spa", 16, 4)
+        candidate = OperatorSpec("spa", 16, 4)
         circuit = candidate.build()
         assert isinstance(circuit, SpeculativeAdderCircuit)
         assert circuit.name == "spa16w4" == candidate.name
@@ -24,19 +25,15 @@ class TestOperatorCandidate:
 
     def test_unknown_architecture_rejected(self):
         with pytest.raises(ValueError, match="unknown adder architecture"):
-            OperatorCandidate("magic", 8)
+            OperatorSpec("magic", 8)
 
     def test_window_requires_speculative_architecture(self):
         with pytest.raises(ValueError, match="speculative candidates"):
-            OperatorCandidate("rca", 8, 4)
+            OperatorSpec("rca", 8, 4)
 
     def test_window_must_fit_width(self):
         with pytest.raises(ValueError, match="window"):
-            OperatorCandidate("spa", 8, 8)
-
-    def test_build_operator_covers_both_families(self):
-        assert build_operator("bka", 32).name == "bka32"
-        assert build_operator("rca", 8, 3).name == "spa8w3"
+            OperatorSpec("spa", 8, 8)
 
 
 class TestDesignSpace:
