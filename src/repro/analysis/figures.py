@@ -19,7 +19,6 @@ from repro.core.metrics import normalized_hamming_distance, signal_to_noise_rati
 from repro.core.modified_adder import ApproximateAdderModel
 from repro.core.resilience import ExecutionPolicy, ExecutionReport
 from repro.core.store import SweepResultStore
-from repro.core.triad import OperatingTriad
 from repro.simulation.patterns import PatternConfig
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
 
@@ -65,29 +64,25 @@ def fig5_ber_per_bit(
     """Reproduce Fig. 5: BER distribution over output bits under Vdd scaling.
 
     The clock is held at the benchmark's nominal (matched Table III) period
-    with no body bias while the supply is scaled, exactly as in the paper.
+    with no body bias while the supply is scaled, exactly as in the paper
+    (:meth:`~repro.core.characterization.CharacterizationFlow.supply_scaling_triads`).
     The supply points run as one sweep, so they shard over ``jobs`` worker
     processes and persist to the optional result ``store`` -- keyed by the
     pattern configuration, so the nominal-clock points share warm store
     entries with ``characterize`` sweeps of the same adder and stimulus.
-    ``flow`` reuses a pre-built characterization flow (e.g. the session's
-    circuit cache) instead of rebuilding the adder.
+    ``flow`` reuses a pre-built characterization flow instead of rebuilding
+    the adder.
     """
     if flow is None:
         flow = CharacterizationFlow.for_benchmark(
             architecture, width, library=library, sta_margin=sta_margin
         )
-    width = flow.adder.width
-    # The matched equivalent of the paper's 0.28 ns nominal clock.
-    nominal_tclk = flow.nominal_clock_period()
-    config = PatternConfig(n_vectors=n_vectors, width=width, seed=seed, kind="uniform")
-    triads = [
-        OperatingTriad(tclk=nominal_tclk, vdd=vdd, vbb=0.0)
-        for vdd in supply_voltages
-    ]
+    triads = flow.supply_scaling_triads(supply_voltages)
     characterization = flow.run(
         triads=triads,
-        pattern=config,
+        pattern=PatternConfig(
+            n_vectors=n_vectors, width=flow.adder.width, seed=seed, kind="uniform"
+        ),
         keep_measurements=False,
         jobs=jobs,
         store=store,
@@ -96,14 +91,10 @@ def fig5_ber_per_bit(
     )
     return [
         Fig5Series(
-            vdd=vdd,
-            ber_per_bit=np.asarray(
-                characterization.find(
-                    OperatingTriad(tclk=nominal_tclk, vdd=vdd, vbb=0.0)
-                ).bitwise_error
-            ),
+            vdd=triad.vdd,
+            ber_per_bit=np.asarray(characterization.find(triad).bitwise_error),
         )
-        for vdd in supply_voltages
+        for triad in triads
     ]
 
 

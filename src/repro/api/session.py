@@ -7,21 +7,22 @@ standard-cell library, the (optional) persistent
 policy, and a bounded cache of built circuits/characterization flows -- and
 exposes exactly two entry points:
 
-* :meth:`Session.run` lowers one declarative job (:mod:`repro.api.jobs`)
-  onto the existing orchestrators and returns a typed result
-  (:mod:`repro.api.results`).  The CLI is a thin adapter over this: parse
-  args, build the job, ``session.run``, print ``result.render()``.
-* :meth:`Session.run_batch` plans a set of jobs together: the underlying
-  sweep work units -- ``(circuit fingerprint, stimulus, triad)`` store keys,
-  exactly the orchestrator's content addresses -- are fingerprinted across
-  jobs, shared units are deduplicated, and the union of cold units lowers
-  into one sharded executor pass per (circuit, stimulus) group before the
-  jobs replay from the warm overlay.  Overlapping jobs (``characterize`` +
-  ``fig5`` + ``explore`` over the same adders) therefore perform **zero**
-  repeated timing simulations, which the :class:`BatchReport`'s
-  planned/deduped/cache-hit/simulated counters make observable (and the
-  test suite asserts via
-  :func:`repro.core.sweep.simulated_unit_count`).
+* :meth:`Session.run` runs one declarative job (:mod:`repro.api.jobs`) and
+  returns a typed result (:mod:`repro.api.results`).  The CLI is a thin
+  adapter over this: parse args, build the job, ``session.run``, print
+  ``result.render()``.
+* :meth:`Session.run_batch` runs a set of jobs together.
+
+Both run one sweep plan.  Each sweep job declares its characterization
+sweeps once; the plan keys every declared unit once with the orchestrator's
+content address -- its ``(circuit fingerprint, stimulus, triad)`` store key
+--, deduplicates units across jobs, and runs each (circuit, stimulus) group
+through one sweep.  Each job then builds its result from the plan's
+payloads.  Overlapping jobs (``characterize`` + ``fig5`` + ``table4`` over
+the same adders) therefore perform **zero** repeated timing simulations,
+which the :class:`BatchReport`'s planned/deduped/cache-hit/simulated
+counters make observable (and the test suite asserts via
+:func:`repro.core.sweep.simulated_unit_count`).
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import threading
-from typing import Any, Mapping, Sequence
+from typing import Any, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.analysis.faults import summarize_fault_results
-from repro.analysis.figures import fig5_ber_per_bit
+from repro.analysis.figures import Fig5Series
 from repro.analysis.tables import ranked_configurations
 from repro.api.jobs import (
     CalibrateJob,
@@ -49,7 +52,7 @@ from repro.api.jobs import (
     SynthesizeJob,
     Table4Job,
 )
-from repro.api.options import StoreOptions
+from repro.api.options import PatternOptions, StoreOptions
 from repro.api.results import (
     CalibrateResult,
     CharacterizeResult,
@@ -67,7 +70,12 @@ from repro.api.results import (
 from repro.api.spec import OperatorSpec, parse_circuit_spec
 from repro.core import sweep as sweep_module
 from repro.core.calibration import calibrate_probability_table
-from repro.core.characterization import CharacterizationFlow, FlowCache
+from repro.core.characterization import (
+    AdderCharacterization,
+    CharacterizationFlow,
+    FlowCache,
+    characterization_from_payloads,
+)
 from repro.core.dataset import (
     load_characterization,
     save_characterization,
@@ -82,7 +90,7 @@ from repro.core.resilience import (
 )
 from repro.core.speculation import DynamicSpeculationController
 from repro.core.store import MemoryOverlayStore, SweepResultStore
-from repro.core.triad import OperatingTriad, TriadGrid
+from repro.core.triad import OperatingTriad
 from repro.explore.evaluator import CandidateEvaluator, robust_tag
 from repro.explore.frontier import ParetoFrontier
 from repro.explore.search import run_search
@@ -118,21 +126,21 @@ class BatchReport:
     jobs:
         Number of jobs executed.
     planned_units:
-        Plannable sweep work units across all jobs, *with* multiplicity --
-        one unit is one ``(circuit, stimulus, triad)`` timing simulation a
-        job would perform on its own.
+        Units of the sweeps the jobs declare, *with* multiplicity -- one
+        unit is one ``(circuit, stimulus, triad)`` timing simulation a job
+        would perform on its own.
     deduped_units:
         Units shared between jobs (``planned_units`` minus distinct store
-        keys): work the batch planner eliminated outright.
+        keys): work the sweep plan eliminated outright.
     cache_hits:
-        Distinct units already warm in the session store before the batch
-        ran.
+        Distinct planned units already warm in the session store: those the
+        plan did not have to simulate.
     simulated_units:
         Work units actually simulated by the whole batch (including
-        non-plannable workloads such as Monte Carlo ranges or screening
-        sweeps, which dedup through the shared session overlay instead of
-        the planner).  Measured from the process-wide counter of
-        :func:`repro.core.sweep.simulated_unit_count`: accurate for the
+        unplanned workloads such as Monte Carlo ranges or screening sweeps,
+        which dedup through the shared session overlay instead of the plan).
+        This and ``cache_hits`` are measured from the process-wide counter
+        of :func:`repro.core.sweep.simulated_unit_count`: accurate for the
         one-batch-at-a-time usage a session supports (sessions are not
         thread-safe; see :class:`Session`), but concurrent sweeps run by
         *other* sessions in other threads of the same process would be
@@ -171,33 +179,35 @@ class BatchResult:
     report: BatchReport
 
 
-@dataclasses.dataclass(frozen=True)
-class _SweepRequest:
-    """One job's plannable characterization sweep (spec x stimulus x triads)."""
+class _Sweep(NamedTuple):
+    """One characterization sweep a job declares (see :meth:`Session._declare`)."""
 
     spec: OperatorSpec
     pattern: PatternConfig
-    triads: tuple[OperatingTriad, ...]
+    triads: Sequence[OperatingTriad]
     keep_latched: bool
-    jobs: int
+
+
+@dataclasses.dataclass
+class _Group:
+    """One (circuit, stimulus) of a plan: its distinct units, keyed, run as
+    one sweep under the largest worker count among its jobs and the first
+    policy one of them sets."""
+
+    flow: CharacterizationFlow
+    operands: tuple[np.ndarray, np.ndarray]
+    base: dict[str, Any]
+    jobs: int = 1
     policy: ExecutionPolicy | None = None
+    triads: dict[str, OperatingTriad] = dataclasses.field(default_factory=dict)
 
 
-class _MergedSweep:
-    """Union of all requests sharing one (circuit, stimulus) identity.
+class _JobPlan(NamedTuple):
+    """A handler's share of the plan: one characterization per sweep the job
+    declared, in declaration order, and the report its result carries."""
 
-    ``keep_latched`` is tracked per triad (per store key), not per group:
-    one calibration triad needing latched words must not force a whole
-    already-warm characterize grid -- whose cached payloads carry no
-    latched words -- to re-simulate.
-    """
-
-    def __init__(self, spec: OperatorSpec, pattern: PatternConfig) -> None:
-        self.spec = spec
-        self.pattern = pattern
-        self.triads: dict[str, tuple[OperatingTriad, bool]] = {}  # key -> (triad, keep)
-        self.jobs = 1
-        self.policy: ExecutionPolicy | None = None
+    characterizations: list[AdderCharacterization]
+    execution: ExecutionReport
 
 
 class Session:
@@ -208,11 +218,10 @@ class Session:
     :meth:`run_batch` serialize through a reentrant lock, so a
     multi-threaded front-end (the characterization service of
     :mod:`repro.serve` funnels every batch window through one session) may
-    share a session -- calls from other threads simply queue; the lock is
-    reentrant because :meth:`run_batch` executes its jobs through
-    :meth:`run` on the same thread.  For *parallel* execution give each
-    thread its own session -- they can safely share one on-disk store,
-    whose entries are content-addressed and written atomically.
+    share a session -- calls from other threads simply queue.  For
+    *parallel* execution give each thread its own session -- they can
+    safely share one on-disk store, whose entries are content-addressed and
+    written atomically.
 
     Parameters
     ----------
@@ -361,27 +370,37 @@ class Session:
         (:func:`~repro.core.resilience.pool_scope`), forked by the first
         dispatch and reaped before this call returns.
         """
+        with self._lock, pool_scope():
+            if active_tracer() is not None:
+                # Called from another traced scope: the session span is
+                # already open; contribute only the job span.
+                return self._run_job(job)
+            with activated(self._tracer):
+                with span("session", jobs=1):
+                    return self._run_job(job)
+
+    def _run_job(
+        self, job: Job, characterizations: list[AdderCharacterization] | None = None
+    ) -> Any:
+        """Execute one job under a ``job`` span and attach its RunReport.
+
+        ``characterizations`` are the job's declared sweeps as
+        :meth:`run_batch`'s plan built them; ``None`` runs the job's own
+        plan inside the ``job`` span.
+        """
         try:
             handler = _HANDLERS[type(job)]
         except KeyError:
             raise TypeError(f"unknown job type {type(job).__name__!r}") from None
-        with self._lock, pool_scope():
-            if active_tracer() is not None:
-                # Called from run_batch (or another traced scope): the
-                # session span is already open; contribute only the job span.
-                return self._run_job(handler, job)
-            with activated(self._tracer):
-                with span("session", jobs=1):
-                    return self._run_job(handler, job)
-
-    def _run_job(self, handler: Any, job: Job) -> Any:
-        """Execute one job under a ``job`` span and attach its RunReport."""
         units_before = sweep_module.simulated_unit_count()
         store = self._view.backing
         store_before = store.stats._values() if store is not None else None
+        execution = ExecutionReport()
         with span("job", type=type(job).__name__):
             try:
-                result = handler(self, job)
+                if characterizations is None:
+                    characterizations = self._run_plan([job], execution)[0][0]
+                result = handler(self, job, _JobPlan(characterizations, execution))
             except ShardExecutionError as error:
                 raise SessionError(f"sweep execution failed: {error}") from None
         store_delta = None
@@ -398,7 +417,7 @@ class Session:
         )
         return dataclasses.replace(result, run=report)
 
-    def _run_synthesize(self, job: SynthesizeJob) -> SynthesizeResult:
+    def _run_synthesize(self, job: SynthesizeJob, plan: _JobPlan) -> SynthesizeResult:
         # Synthesis only needs the netlists: build them directly instead of
         # through flow_for, which would compile a timing-simulation plan per
         # operator (and churn the flow cache) for a report that runs none.
@@ -408,22 +427,16 @@ class Session:
         )
         return SynthesizeResult(reports=reports)
 
-    def _run_characterize(self, job: CharacterizeJob) -> CharacterizeResult:
-        spec = job.spec
-        flow = self.flow_for(spec)
-        report = ExecutionReport()
-        characterization = flow.run(
-            pattern=job.pattern.config(spec.width),
-            keep_measurements=job.keep_measurements,
-            jobs=self._jobs_for(job),
-            store=self._view,
-            policy=self._policy_for(job),
-            report=report,
-        )
+    def _run_characterize(
+        self, job: CharacterizeJob, plan: _JobPlan
+    ) -> CharacterizeResult:
+        [characterization] = plan.characterizations
         if job.output:
             save_characterization(characterization, job.output)
         return CharacterizeResult(
-            characterization=characterization, output=job.output, execution=report
+            characterization=characterization,
+            output=job.output,
+            execution=plan.execution,
         )
 
     @staticmethod
@@ -433,8 +446,7 @@ class Session:
         ``"file"`` -- an existing characterization JSON file;
         ``"missing-file"`` -- clearly meant as a file path (operator names
         are bare alnum tokens) but absent; ``"operator"`` -- an operator
-        name to characterize on the fly.  The one predicate shared by the
-        run path and the batch planner, so both always classify alike.
+        name to characterize on the fly.
         """
         if pathlib.Path(entry).is_file():
             return "file"
@@ -442,42 +454,16 @@ class Session:
             return "missing-file"
         return "operator"
 
-    @staticmethod
-    def _dataset_operator(entry: str) -> OperatorSpec:
-        """Parse a Table IV operator-name entry into its spec (user-facing)."""
-        try:
-            return parse_circuit_spec(entry)
-        except ValueError as error:
-            raise SessionError(str(error)) from None
-
-    def _run_table4(self, job: Table4Job) -> Table4Result:
+    def _run_table4(self, job: Table4Job, plan: _JobPlan) -> Table4Result:
+        # The declaration rejected missing files and swept every operator
+        # name, in entry order.
+        swept = iter(plan.characterizations)
         characterizations = {}
-        report = ExecutionReport()
         for entry in job.datasets:
-            kind = self._classify_dataset(entry)
-            if kind == "file":
+            if self._classify_dataset(entry) == "file":
                 characterization = load_characterization(entry)
-            elif kind == "missing-file":
-                raise SessionError(f"dataset file not found: {entry}")
             else:
-                # Not a file: characterize the named operator on the fly
-                # through the cached sweep orchestrator.
-                spec = self._dataset_operator(entry)
-                flow = self.flow_for(spec)
-                config = PatternConfig(
-                    n_vectors=job.vectors,
-                    width=spec.width,
-                    seed=job.seed,
-                    kind="uniform",
-                )
-                characterization = flow.run(
-                    pattern=config,
-                    keep_measurements=False,
-                    jobs=self._jobs_for(job),
-                    store=self._view,
-                    policy=self._policy_for(job),
-                    report=report,
-                )
+                characterization = next(swept)
             characterizations[characterization.adder_name] = characterization
         summaries = {
             name: summarize_by_ber_range(characterization)
@@ -486,50 +472,31 @@ class Session:
         return Table4Result(
             characterizations=characterizations,
             summaries=summaries,
-            execution=report,
+            execution=plan.execution,
         )
 
-    def _run_fig5(self, job: Fig5Job) -> Fig5Result:
+    def _run_fig5(self, job: Fig5Job, plan: _JobPlan) -> Fig5Result:
         spec = job.spec
-        report = ExecutionReport()
-        series = fig5_ber_per_bit(
-            supply_voltages=tuple(job.supply_voltages),
-            n_vectors=job.vectors,
-            seed=job.seed,
-            library=self._library,
-            jobs=self._jobs_for(job),
-            store=self._view,
-            flow=self.flow_for(spec),
-            policy=self._policy_for(job),
-            report=report,
-        )
+        [characterization] = plan.characterizations
         return Fig5Result(
             operator=spec.name,
             width=spec.width,
-            series=tuple(series),
-            execution=report,
+            series=tuple(
+                Fig5Series(vdd=vdd, ber_per_bit=entry.bitwise_error)
+                for vdd, entry in zip(job.supply_voltages, characterization.results)
+            ),
+            execution=plan.execution,
         )
 
-    def _run_calibrate(self, job: CalibrateJob) -> CalibrateResult:
-        spec = job.spec
-        flow = self.flow_for(spec)
-        triad = job.triad()
-        report = ExecutionReport()
-        characterization = flow.run(
-            triads=[triad],
-            pattern=job.pattern.config(spec.width),
-            jobs=self._jobs_for(job),
-            store=self._view,
-            policy=self._policy_for(job),
-            report=report,
-        )
-        entry = characterization.results[0]
-        measurement = characterization.measurement_for(triad)
+    def _run_calibrate(self, job: CalibrateJob, plan: _JobPlan) -> CalibrateResult:
+        [characterization] = plan.characterizations
+        [entry] = characterization.results
+        [measurement] = characterization.measurements
         calibration = calibrate_probability_table(
             measurement.in1,
             measurement.in2,
             measurement.latched_words,
-            spec.width,
+            job.spec.width,
             metric=job.metric,
         )
         if job.output:
@@ -539,10 +506,10 @@ class Session:
             table=calibration.table,
             mean_best_distance=calibration.mean_best_distance,
             output=job.output,
-            execution=report,
+            execution=plan.execution,
         )
 
-    def _run_speculate(self, job: SpeculateJob) -> SpeculateResult:
+    def _run_speculate(self, job: SpeculateJob, plan: _JobPlan) -> SpeculateResult:
         characterization = load_characterization(job.dataset)
         controller = DynamicSpeculationController(
             characterization, error_margin=job.margin
@@ -554,7 +521,7 @@ class Session:
             approximate=controller.approximate_mode(),
         )
 
-    def _run_explore(self, job: ExploreJob) -> ExploreResult:
+    def _run_explore(self, job: ExploreJob, plan: _JobPlan) -> ExploreResult:
         space = job.space()
         notes = [
             f"note: window {window} does not fit width {width} "
@@ -572,7 +539,6 @@ class Session:
         )
         if drop_note:
             notes.append(drop_note)
-        report = ExecutionReport()
         evaluator = CandidateEvaluator(
             space,
             library=self._library,
@@ -585,7 +551,7 @@ class Session:
                 job.robust_quantile if job.robust_quantile is not None else 0.95
             ),
             policy=self._policy_for(job),
-            report=report,
+            report=plan.execution,
         )
         result = run_search(
             space,
@@ -607,7 +573,7 @@ class Session:
             ranked=tuple(ranked),
             notes=tuple(notes),
             frontier_path=job.frontier,
-            execution=report,
+            execution=plan.execution,
         )
 
     @staticmethod
@@ -654,17 +620,15 @@ class Session:
             )
         return ParetoFrontier(matching), note
 
-    def _run_montecarlo(self, job: MonteCarloJob) -> MonteCarloResult:
+    def _run_montecarlo(self, job: MonteCarloJob, plan: _JobPlan) -> MonteCarloResult:
         spec = job.spec
         flow = self.flow_for(spec)
         config = job.config()
         pattern = job.pattern.config(spec.width)
-        grid = supply_scaling_grid(flow, tuple(job.supply_voltages))
         in1, in2 = generate_patterns(pattern)
-        report = ExecutionReport()
         results = run_montecarlo_sweep(
             flow.adder,
-            grid,
+            supply_scaling_grid(flow, job.supply_voltages),
             in1,
             in2,
             sweep_module.pattern_stimulus(pattern),
@@ -673,7 +637,7 @@ class Session:
             jobs=self._jobs_for(job),
             store=self._view,
             policy=self._policy_for(job),
-            report=report,
+            report=plan.execution,
         )
         return MonteCarloResult(
             operator=flow.adder.name,
@@ -681,15 +645,14 @@ class Session:
             n_vectors=pattern.n_vectors,
             margin=job.margin,
             results=tuple(results),
-            execution=report,
+            execution=plan.execution,
         )
 
-    def _run_faults(self, job: FaultSweepJob) -> FaultSweepResult:
+    def _run_faults(self, job: FaultSweepJob, plan: _JobPlan) -> FaultSweepResult:
         spec = job.spec
         circuit = self.flow_for(spec).adder
         pattern = job.pattern.config(spec.width)
         in1, in2 = generate_patterns(pattern)
-        report = ExecutionReport()
         results = sweep_module.run_fault_sweep(
             circuit,
             in1,
@@ -698,17 +661,17 @@ class Session:
             jobs=self._jobs_for(job),
             store=self._view,
             policy=self._policy_for(job),
-            report=report,
+            report=plan.execution,
         )
         return FaultSweepResult(
             operator=circuit.name,
             n_vectors=pattern.n_vectors,
             results=tuple(results),
             summary=summarize_fault_results(results),
-            execution=report,
+            execution=plan.execution,
         )
 
-    def _run_store_stats(self, job: StoreStatsJob) -> StoreStatsResult:
+    def _run_store_stats(self, job: StoreStatsJob, plan: _JobPlan) -> StoreStatsResult:
         store = self._require_store()
         return StoreStatsResult(
             root=str(store.root),
@@ -716,11 +679,13 @@ class Session:
             io_errors=store.stats.io_errors,
         )
 
-    def _run_store_verify(self, job: StoreVerifyJob) -> StoreVerifyResult:
+    def _run_store_verify(
+        self, job: StoreVerifyJob, plan: _JobPlan
+    ) -> StoreVerifyResult:
         store = self._require_store()
         return StoreVerifyResult(root=str(store.root), report=store.verify())
 
-    def _run_store_prune(self, job: StorePruneJob) -> StorePruneResult:
+    def _run_store_prune(self, job: StorePruneJob, plan: _JobPlan) -> StorePruneResult:
         store = self._require_store()
         max_entries = 0 if job.prune_all else job.max_entries
         removed = store.prune(max_entries=max_entries, max_bytes=job.max_bytes)
@@ -728,16 +693,150 @@ class Session:
             root=str(store.root), removed=removed, stats=store.disk_stats()
         )
 
-    # -- batch planning and execution ------------------------------------------
+    # -- the sweep plan --------------------------------------------------------
+
+    def _declare(self, job: Job) -> list[_Sweep]:
+        """The characterization sweeps ``job`` runs (possibly none).
+
+        The one statement of each sweep job's units: :meth:`_run_plan` keys
+        and runs them, and the job's handler builds its result from their
+        payloads.  A Table IV entry naming a missing file or a malformed
+        operator raises :class:`SessionError` here, before any simulation.
+        Monte Carlo ranges, fault campaigns and search-driven exploration
+        sweeps declare none; they dedup through the session overlay as they
+        run.
+        """
+        if isinstance(job, Table4Job):
+            options = PatternOptions(vectors=job.vectors, seed=job.seed)
+            sweeps = []
+            for entry in job.datasets:
+                kind = self._classify_dataset(entry)
+                if kind == "missing-file":
+                    raise SessionError(f"dataset file not found: {entry}")
+                if kind == "file":
+                    continue
+                try:
+                    spec = parse_circuit_spec(entry)
+                except ValueError as error:
+                    raise SessionError(str(error)) from None
+                grid = self.flow_for(spec).default_triad_grid()
+                sweeps.append(_Sweep(spec, options.config(spec.width), grid, False))
+            return sweeps
+        if not isinstance(job, (CharacterizeJob, Fig5Job, CalibrateJob)):
+            return []
+        spec = job.spec
+        flow = self.flow_for(spec)
+        if isinstance(job, Fig5Job):
+            options = PatternOptions(vectors=job.vectors, seed=job.seed)
+            triads = flow.supply_scaling_triads(job.supply_voltages)
+            return [_Sweep(spec, options.config(spec.width), triads, False)]
+        pattern = job.pattern.config(spec.width)
+        if isinstance(job, CharacterizeJob):
+            grid = flow.default_triad_grid()
+            return [_Sweep(spec, pattern, grid, job.keep_measurements)]
+        return [_Sweep(spec, pattern, [job.triad()], True)]
+
+    def _run_plan(
+        self, jobs: Sequence[Job], report: ExecutionReport
+    ) -> tuple[list[list[AdderCharacterization]], int, int, int]:
+        """Run the declared sweeps of ``jobs`` as one plan.
+
+        Every declared unit is keyed once.  Units are deduplicated by store
+        key across all sweeps; a shared unit keeps its latched words if any
+        sweep needs them.  Each (circuit, stimulus) group then runs through
+        :func:`~repro.core.sweep.run_unit_sweep` once, accumulating its
+        fault-recovery accounting into ``report``.  Returns each job's
+        characterizations (one per declared sweep, in declaration order)
+        and ``(planned_units, deduped_units, cache_hits)``.
+        """
+        groups: dict[tuple[OperatorSpec, PatternConfig], _Group] = {}
+        keyed: list[list[tuple[_Sweep, _Group, list[str]]]] = []
+        # Latched words are tracked per store key, not per group: one
+        # calibration triad needing them must not force an already-warm
+        # characterize grid, whose payloads carry none, to re-simulate.
+        latched: set[str] = set()
+        distinct: set[str] = set()
+        planned = 0
+        for job in jobs:
+            keyed.append([])
+            for sweep in self._declare(job):
+                group = groups.get((sweep.spec, sweep.pattern))
+                if group is None:
+                    flow = self.flow_for(sweep.spec)
+                    stimulus = sweep_module.pattern_stimulus(sweep.pattern)
+                    group = groups[(sweep.spec, sweep.pattern)] = _Group(
+                        flow,
+                        generate_patterns(sweep.pattern),
+                        sweep_module.characterization_key_components(
+                            flow.adder, self._library, stimulus
+                        ),
+                    )
+                group.jobs = max(group.jobs, self._jobs_for(job))
+                if group.policy is None:
+                    group.policy = self._policy_for(job)
+                keys = [
+                    sweep_module.characterization_entry_key(group.base, triad)
+                    for triad in sweep.triads
+                ]
+                for key, triad in zip(keys, sweep.triads):
+                    group.triads.setdefault(key, triad)
+                if sweep.keep_latched:
+                    latched.update(keys)
+                distinct.update(keys)
+                planned += len(keys)
+                keyed[-1].append((sweep, group, keys))
+
+        kinds = {
+            keep: sweep_module.CharacterizationKind(self._library, keep)
+            for keep in (False, True)
+        }
+        before = sweep_module.simulated_unit_count()
+        payloads: dict[str, dict[str, Any]] = {}
+        for group in groups.values():
+            payloads |= sweep_module.run_unit_sweep(
+                sweep_module.CharacterizationKind.name,
+                group.flow.adder,
+                *group.operands,
+                {key: (kinds[key in latched], t) for key, t in group.triads.items()},
+                jobs=group.jobs,
+                store=self._view,
+                policy=group.policy,
+                chaos=None,
+                report=report,
+                simulator=group.flow.testbench,
+            )
+        simulated = sweep_module.simulated_unit_count() - before
+        characterizations = [
+            [
+                characterization_from_payloads(
+                    group.flow.adder,
+                    [payloads[key] for key in keys],
+                    *group.operands,
+                    keep_measurements=sweep.keep_latched,
+                    pattern_kind=sweep.pattern.kind,
+                    seed=sweep.pattern.seed,
+                )
+                for sweep, group, keys in job_sweeps
+            ]
+            for job_sweeps in keyed
+        ]
+        return (
+            characterizations,
+            planned,
+            planned - len(distinct),
+            len(distinct) - simulated,
+        )
+
+    # -- batch execution -------------------------------------------------------
 
     def run_batch(self, jobs: Sequence[Job]) -> BatchResult:
         """Run a set of jobs with cross-job sweep deduplication.
 
-        The plannable sweep units of every job are fingerprinted with the
-        orchestrator's own content addresses, deduplicated, and the cold
-        union lowers into one sharded executor pass per (circuit, stimulus)
-        group; the jobs then execute in order against the warm session
-        overlay.  Per-job results come back in input order together with a
+        The sweeps every job declares run as one plan (see
+        :meth:`_run_plan`) in the ``session`` span; each job then builds its
+        result from the plan's payloads in its own ``job`` span, and the
+        jobs the plan does not cover run their own sweeps there.  Per-job
+        results come back in input order together with a
         :class:`BatchReport`.  Every sweep of the batch dispatches to one
         worker pool, forked on first use and reaped before this call
         returns.
@@ -753,12 +852,12 @@ class Session:
     def _run_batch_body(self, job_list: list[Job], session_span: Any) -> BatchResult:
         start = sweep_module.simulated_unit_count()
         execution = ExecutionReport()
-        planned, deduped, cache_hits = self._execute_plan(job_list, execution)
+        swept, planned, deduped, cache_hits = self._run_plan(job_list, execution)
         session_span.set(planned=planned, deduped=deduped, cache_hits=cache_hits)
         metrics.REGISTRY.counter("batch.planned_units").add(planned)
         metrics.REGISTRY.counter("batch.deduped_units").add(deduped)
         metrics.REGISTRY.counter("batch.cache_hits").add(cache_hits)
-        results = tuple(self.run(job) for job in job_list)
+        results = tuple(map(self._run_job, job_list, swept))
         for result in results:
             sub_report = getattr(result, "execution", None)
             if sub_report is not None:
@@ -772,170 +871,6 @@ class Session:
             execution=execution,
         )
         return BatchResult(results=results, report=report)
-
-    def _sweep_requests(self, job: Job) -> list[_SweepRequest]:
-        """The plannable characterization sweeps of one job (possibly none).
-
-        Monte Carlo ranges, fault campaigns and search-driven exploration
-        sweeps are not pre-planned (their work sets are either keyed
-        differently or depend on intermediate results); they deduplicate
-        through the shared session overlay at execution time instead.
-        """
-        worker_count = self._jobs_for(job)
-        job_policy = self._policy_for(job)
-        if isinstance(job, CharacterizeJob):
-            spec = job.spec
-            flow = self.flow_for(spec)
-            return [
-                _SweepRequest(
-                    spec=spec,
-                    pattern=job.pattern.config(spec.width),
-                    triads=tuple(flow.default_triad_grid()),
-                    keep_latched=job.keep_measurements,
-                    jobs=worker_count,
-                    policy=job_policy,
-                )
-            ]
-        if isinstance(job, Fig5Job):
-            spec = job.spec
-            flow = self.flow_for(spec)
-            nominal = flow.nominal_clock_period()
-            return [
-                _SweepRequest(
-                    spec=spec,
-                    pattern=PatternConfig(
-                        n_vectors=job.vectors,
-                        width=spec.width,
-                        seed=job.seed,
-                        kind="uniform",
-                    ),
-                    triads=tuple(
-                        OperatingTriad(tclk=nominal, vdd=vdd, vbb=0.0)
-                        for vdd in job.supply_voltages
-                    ),
-                    keep_latched=False,
-                    jobs=worker_count,
-                    policy=job_policy,
-                )
-            ]
-        if isinstance(job, Table4Job):
-            requests = []
-            for entry in job.datasets:
-                if self._classify_dataset(entry) != "operator":
-                    continue
-                try:
-                    spec = parse_circuit_spec(entry)
-                except ValueError:
-                    continue  # the job run reports the malformed name
-                flow = self.flow_for(spec)
-                requests.append(
-                    _SweepRequest(
-                        spec=spec,
-                        pattern=PatternConfig(
-                            n_vectors=job.vectors,
-                            width=spec.width,
-                            seed=job.seed,
-                            kind="uniform",
-                        ),
-                        triads=tuple(flow.default_triad_grid()),
-                        keep_latched=False,
-                        jobs=worker_count,
-                        policy=job_policy,
-                    )
-                )
-            return requests
-        if isinstance(job, CalibrateJob):
-            spec = job.spec
-            return [
-                _SweepRequest(
-                    spec=spec,
-                    pattern=job.pattern.config(spec.width),
-                    triads=(job.triad(),),
-                    keep_latched=True,
-                    jobs=worker_count,
-                    policy=job_policy,
-                )
-            ]
-        return []
-
-    def _execute_plan(
-        self, jobs: Sequence[Job], report: ExecutionReport | None = None
-    ) -> tuple[int, int, int]:
-        """Dedup the jobs' sweep units and pre-run the cold union.
-
-        Each merged group runs under the policy of the first contributing
-        request (requests already fold in the session default), and the
-        optional ``report`` accumulates fault-recovery accounting across
-        every pre-run group.  Returns ``(planned_units, deduped_units,
-        cache_hits)``.
-        """
-        base_cache: dict[tuple[OperatorSpec, PatternConfig], Mapping[str, Any]] = {}
-        merged: dict[str, _MergedSweep] = {}
-        planned = 0
-        seen_keys: set[str] = set()
-
-        for job in jobs:
-            for request in self._sweep_requests(job):
-                identity = (request.spec, request.pattern)
-                base = base_cache.get(identity)
-                if base is None:
-                    base = sweep_module.characterization_key_components(
-                        self.flow_for(request.spec).adder,
-                        self._library,
-                        sweep_module.pattern_stimulus(request.pattern),
-                    )
-                    base_cache[identity] = base
-                group_key = SweepResultStore.entry_key(dict(base))
-                group = merged.get(group_key)
-                if group is None:
-                    group = _MergedSweep(request.spec, request.pattern)
-                    merged[group_key] = group
-                group.jobs = max(group.jobs, request.jobs)
-                if group.policy is None:
-                    group.policy = request.policy
-                for triad in request.triads:
-                    planned += 1
-                    key = sweep_module.characterization_entry_key(base, triad)
-                    seen_keys.add(key)
-                    current = group.triads.get(key)
-                    if current is None:
-                        group.triads[key] = (triad, request.keep_latched)
-                    elif request.keep_latched and not current[1]:
-                        group.triads[key] = (triad, True)
-
-        deduped = planned - len(seen_keys)
-        cache_hits = 0
-        for group in merged.values():
-            n_vectors = group.pattern.n_vectors
-            missing: dict[bool, list[OperatingTriad]] = {False: [], True: []}
-            for key, (triad, keep_latched) in group.triads.items():
-                payload = self._view.get(key)
-                if sweep_module.payload_usable(payload, n_vectors, keep_latched):
-                    cache_hits += 1
-                else:
-                    missing[keep_latched].append(triad)
-            if not any(missing.values()):
-                continue
-            flow = self.flow_for(group.spec)
-            in1, in2 = generate_patterns(group.pattern)
-            for keep_latched, triads in missing.items():
-                if not triads:
-                    continue
-                sweep_module.run_characterization_sweep(
-                    flow.adder,
-                    TriadGrid(triads),
-                    in1,
-                    in2,
-                    sweep_module.pattern_stimulus(group.pattern),
-                    library=self._library,
-                    jobs=group.jobs,
-                    store=self._view,
-                    keep_latched=keep_latched,
-                    testbench=flow.testbench,
-                    policy=group.policy,
-                    report=report,
-                )
-        return planned, deduped, cache_hits
 
 
 _HANDLERS = {

@@ -18,7 +18,6 @@ synthesis tool.  This package re-creates that substrate in Python:
   (``rca8`` ... ``spa16w4``) shared by the design-space module, the typed
   job API and the CLI.
 * :mod:`repro.circuits.signals`  -- integer <-> bit-vector conversions.
-* :mod:`repro.circuits.validation` -- structural sanity checks.
 """
 
 from repro.circuits.cells import GateType, evaluate_gate, GATE_FUNCTIONS
@@ -49,7 +48,6 @@ from repro.circuits.operators import (
     parse_circuit_spec,
     parse_windows,
 )
-from repro.circuits.validation import validate_netlist, NetlistValidationError
 
 __all__ = [
     "GateType",
@@ -78,6 +76,4 @@ __all__ = [
     "OperatorSpec",
     "parse_circuit_spec",
     "parse_windows",
-    "validate_netlist",
-    "NetlistValidationError",
 ]

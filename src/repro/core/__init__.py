@@ -19,8 +19,6 @@ Modules:
   Table IV aggregation.
 * :mod:`repro.core.speculation`     -- dynamic speculation: runtime triad
   selection under a user-defined error margin.
-* :mod:`repro.core.error_detection` -- double-sampling (shadow register)
-  error monitor and online BER estimator feeding the speculation loop.
 * :mod:`repro.core.dataset`         -- JSON serialisation of characterization
   results and trained models.
 * :mod:`repro.core.sweep`           -- sharded, cache-backed sweep
@@ -84,11 +82,6 @@ from repro.core.energy import (
     PAPER_BER_RANGES,
 )
 from repro.core.speculation import DynamicSpeculationController, SpeculationDecision
-from repro.core.error_detection import (
-    ShadowRegisterMonitor,
-    ShadowComparisonResult,
-    OnlineBerEstimator,
-)
 from repro.core.dataset import (
     save_characterization,
     load_characterization,
@@ -140,9 +133,6 @@ __all__ = [
     "PAPER_BER_RANGES",
     "DynamicSpeculationController",
     "SpeculationDecision",
-    "ShadowRegisterMonitor",
-    "ShadowComparisonResult",
-    "OnlineBerEstimator",
     "save_characterization",
     "load_characterization",
     "save_probability_table",

@@ -250,6 +250,21 @@ class CharacterizationFlow:
         clocks = sorted({triad.tclk for triad in self.default_triad_grid()})
         return clocks[-2] if len(clocks) > 1 else clocks[-1]
 
+    def supply_scaling_triads(
+        self, supply_voltages: Iterable[float]
+    ) -> list[OperatingTriad]:
+        """The Fig. 5 supply sweep: :meth:`nominal_clock_period` at each
+        supply voltage with no body bias, in the given order (repeats kept).
+
+        The single definition of the rule; :func:`repro.analysis.figures
+        .fig5_ber_per_bit`, the ``fig5`` job and the Monte Carlo yield grids
+        all sweep it.
+        """
+        nominal = self.nominal_clock_period()
+        return [
+            OperatingTriad(tclk=nominal, vdd=vdd, vbb=0.0) for vdd in supply_voltages
+        ]
+
     def default_triad_grid(self) -> TriadGrid:
         """Table III triad grid rescaled to this adder's own critical path.
 
@@ -360,33 +375,13 @@ class CharacterizationFlow:
             report=report,
         )
 
-        results = [entry_from_payload(payload) for payload in payloads]
-        measurements: list[TriadMeasurement] = []
-        if keep_measurements:
-            # The golden words are triad-independent: compute them once for
-            # the whole sweep, not per payload.
-            in1_arr = np.asarray(in1, dtype=np.int64)
-            in2_arr = np.asarray(in2, dtype=np.int64)
-            exact = self._adder.exact_words(in1_arr, in2_arr)
-            measurements = [
-                sweep_module.payload_to_measurement(
-                    payload,
-                    self._adder,
-                    in1_arr,
-                    in2_arr,
-                    exact=exact,
-                )
-                for payload in payloads
-            ]
-
-        return AdderCharacterization(
-            adder_name=self._adder.name,
-            width=self._adder.width,
-            results=results,
-            reference_triad=grid.nominal(),
-            measurements=measurements,
+        return characterization_from_payloads(
+            self._adder,
+            payloads,
+            in1,
+            in2,
+            keep_measurements=keep_measurements,
             pattern_kind=pattern_kind,
-            n_vectors=int(np.asarray(in1).size),
             seed=seed,
         )
 
@@ -461,6 +456,51 @@ def entry_from_payload(payload: Mapping[str, Any]) -> TriadCharacterization:
         dynamic_energy_per_operation=float(payload["dynamic_energy_per_operation"]),
         static_energy_per_operation=float(payload["static_energy_per_operation"]),
         faulty_vector_fraction=float(payload["faulty_vector_fraction"]),
+    )
+
+
+def characterization_from_payloads(
+    circuit: Any,
+    payloads: Sequence[Mapping[str, Any]],
+    in1: np.ndarray,
+    in2: np.ndarray,
+    *,
+    keep_measurements: bool,
+    pattern_kind: str,
+    seed: int,
+) -> AdderCharacterization:
+    """Build a characterization from the payloads of one sweep.
+
+    ``payloads`` answer the sweep's triads in order, on the operands
+    ``in1``/``in2``; the reference triad is the nominal one among them.
+    With ``keep_measurements`` the payloads must carry latched words, and
+    the raw measurements are rebuilt from them.  Used by
+    :meth:`CharacterizationFlow.run` and by the sweep jobs of
+    :class:`~repro.api.session.Session`, so both build identical results.
+    """
+    results = [entry_from_payload(payload) for payload in payloads]
+    measurements: list[TriadMeasurement] = []
+    if keep_measurements:
+        # The golden words are triad-independent: compute them once for
+        # the whole sweep, not per payload.
+        in1_arr = np.asarray(in1, dtype=np.int64)
+        in2_arr = np.asarray(in2, dtype=np.int64)
+        exact = circuit.exact_words(in1_arr, in2_arr)
+        measurements = [
+            sweep_module.payload_to_measurement(
+                payload, circuit, in1_arr, in2_arr, exact=exact
+            )
+            for payload in payloads
+        ]
+    return AdderCharacterization(
+        adder_name=circuit.name,
+        width=circuit.width,
+        results=results,
+        reference_triad=TriadGrid([entry.triad for entry in results]).nominal(),
+        measurements=measurements,
+        pattern_kind=pattern_kind,
+        n_vectors=int(np.asarray(in1).size),
+        seed=seed,
     )
 
 

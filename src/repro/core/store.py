@@ -101,8 +101,8 @@ MAX_SEGMENT_BYTES = 64 * 1024 * 1024
 
 
 #: Fingerprints of live netlists and libraries, by identity.  Both are
-#: immutable once built, and every sweep keys on them: a warm request would
-#: otherwise rehash them in its planner pass and again in its sweep.
+#: immutable once built, and every sweep keys on them: each warm request
+#: would otherwise rehash them.
 _FINGERPRINTS: weakref.WeakKeyDictionary[Any, str] = weakref.WeakKeyDictionary()
 
 

@@ -95,7 +95,7 @@ def simulated_unit_count() -> int:
     """Total work units simulated so far (monotonic; cache hits excluded).
 
     Snapshot before and after an operation to measure how much real
-    simulation it performed -- the batch planner's dedup accounting and the
+    simulation it performed -- the sweep plan's dedup accounting and the
     zero-duplicate-simulation tests are built on this.
     """
     return _SIMULATED_UNITS.value
@@ -223,24 +223,6 @@ def payload_to_measurement(
         exact=exact,
     )
 
-def payload_usable(
-    payload: Mapping[str, Any] | None, n_vectors: int, keep_latched: bool
-) -> bool:
-    """Whether a (possibly cached) characterization payload satisfies a request.
-
-    Shared by the sweep orchestrator and the batch planner of
-    :mod:`repro.api.session`, so both judge warmness identically.
-    """
-    if payload is None:
-        return False
-    if payload.get("payload_version") != PAYLOAD_VERSION:
-        return False
-    if payload.get("n_vectors") != n_vectors:
-        return False
-    if keep_latched and "latched_words" not in payload:
-        return False
-    return True
-
 
 # ---------------------------------------------------------------------------
 # Sharding
@@ -333,7 +315,7 @@ class SweepKind(Protocol):
 
 
 @dataclasses.dataclass(frozen=True)
-class _CharacterizationKind:
+class CharacterizationKind:
     """Units are :class:`OperatingTriad` values; in-process, each
     ``(vdd, vbb)`` group is one flush block."""
 
@@ -349,7 +331,11 @@ class _CharacterizationKind:
         return characterization_entry_key(base_components, unit)
 
     def usable(self, payload: Mapping[str, Any], n_vectors: int) -> bool:
-        return payload_usable(payload, n_vectors, self.keep_latched)
+        return (
+            payload.get("payload_version") == PAYLOAD_VERSION
+            and payload.get("n_vectors") == n_vectors
+            and (not self.keep_latched or "latched_words" in payload)
+        )
 
     def plan(
         self, units: list[OperatingTriad], n_shards: int | None
@@ -557,10 +543,10 @@ def characterization_key_components(
     """Triad-independent key components of a characterization sweep.
 
     The single definition of what identifies a sweep's results in the store;
-    combine with a triad via :func:`characterization_entry_key`.  Used by the
-    orchestrator below and by the cross-job dedup planner of
-    :mod:`repro.api.session` (which must predict the orchestrator's keys
-    without running it).
+    combine with a triad via :func:`characterization_entry_key`.  Used by
+    :func:`run_characterization_sweep` and by the sweep plan of
+    :mod:`repro.api.session`, which keys its units itself and hands them to
+    :func:`run_unit_sweep` already keyed.
     """
     return {
         "scenario": "characterization",
@@ -589,8 +575,7 @@ def run_unit_sweep(
     circuit: Any,
     in1: np.ndarray,
     in2: np.ndarray,
-    base_components: Mapping[str, Any],
-    units: Sequence[tuple[SweepKind, Any]],
+    units: Mapping[str, tuple[SweepKind, Any]],
     *,
     jobs: int,
     store: SweepResultStore | None,
@@ -598,21 +583,23 @@ def run_unit_sweep(
     chaos: ChaosPlan | None,
     report: ExecutionReport | None,
     simulator: Any = None,
-) -> list[dict[str, Any]]:
+) -> dict[str, dict[str, Any]]:
     """The one sweep driver: payloads of ``units``, looked up or simulated.
 
-    ``units`` are ``(kind, unit)`` pairs in grid order (see
-    :class:`SweepKind`); ``base_components`` name the sweep in the store.
-    Every unit the store holds a usable payload for is answered from it; the
-    rest are recorded as simulated and split into pieces by their kind.
-    With ``jobs > 1`` each kind is split so there are at least ``jobs``
-    pieces (a lone Monte Carlo range still fills every worker), and the
-    pieces run as :class:`_Shard` tasks, each carrying the circuit itself,
-    on the fault-tolerant pool.  With ``jobs == 1``, or when the units form
-    a single piece, they run in-process on one ``simulator`` (the caller's,
-    or one the first kind builds) in the kind's flush blocks.  Every completed piece flushes to the store at
-    once, so a run killed mid-flight resumes warm.  Returns the payloads in
-    ``units`` order.
+    ``units`` maps each unit's store key to its ``(kind, unit)`` pair, in
+    grid order (see :class:`SweepKind`).  Every unit the store holds a
+    usable payload for is answered from it; the rest are recorded as
+    simulated and split into pieces by their kind.  With ``jobs > 1`` each
+    kind is split so there are at least ``jobs`` pieces (a lone Monte Carlo
+    range still fills every worker), and the pieces run as :class:`_Shard`
+    tasks, each carrying the circuit itself, on the fault-tolerant pool.
+    With ``jobs == 1``, or when the units form a single piece, they run
+    in-process on one ``simulator`` (the caller's, or one the first kind
+    builds) in the kind's flush blocks.
+
+    Every completed piece flushes to the store at once, so a run killed
+    mid-flight resumes warm.  Returns the payloads by key, in ``units``
+    order.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -620,39 +607,37 @@ def run_unit_sweep(
         in1_arr = np.asarray(in1, dtype=np.int64)
         in2_arr = np.asarray(in2, dtype=np.int64)
         n_vectors = int(in1_arr.size)
-        keys = {
-            (kind, unit): kind.entry_key(base_components, unit)
-            for kind, unit in units
-        }
-        payloads: dict[tuple[SweepKind, Any], dict[str, Any]] = {}
+        payloads: dict[str, dict[str, Any]] = {}
         if store is not None:
             # One batch read for the whole grid: segments are visited in offset
             # order instead of seeking per key, which is what keeps warm sweeps
             # fast on multi-thousand-entry stores.
-            with span("store.lookup", requested=len(keys)) as lookup_span:
-                cached_batch = store.get_many(list(keys.values()))
-                for (kind, unit), key in keys.items():
+            with span("store.lookup", requested=len(units)) as lookup_span:
+                cached_batch = store.get_many(list(units))
+                for key, (kind, _) in units.items():
                     cached = cached_batch.get(key)
                     if cached is not None and kind.usable(cached, n_vectors):
-                        payloads[(kind, unit)] = cached
-                lookup_span.set(hits=len(payloads), misses=len(keys) - len(payloads))
+                        payloads[key] = cached
+                lookup_span.set(hits=len(payloads), misses=len(units) - len(payloads))
 
         missing: dict[SweepKind, list[Any]] = {}
-        for kind, unit in keys:
-            if (kind, unit) not in payloads:
+        keys: dict[tuple[SweepKind, Any], str] = {}
+        for key, (kind, unit) in units.items():
+            if key not in payloads:
                 missing.setdefault(kind, []).append(unit)
-        n_missing = len(keys) - len(payloads)
-        sweep_span.set(units=len(keys), cached=len(payloads), simulated=n_missing)
+                keys[(kind, unit)] = key
+        sweep_span.set(units=len(units), cached=len(payloads), simulated=len(keys))
         if not missing:
-            return [payloads[unit] for unit in units]
-        record_simulated_units(n_missing)
+            return payloads
+        record_simulated_units(len(keys))
 
         def accept(kind: SweepKind, piece: Sequence[Any], result: list) -> None:
-            payloads.update(zip([(kind, unit) for unit in piece], result))
+            piece_keys = [keys[(kind, unit)] for unit in piece]
+            payloads.update(zip(piece_keys, result))
             if store is not None:
                 with span("store.flush", entries=len(result)):
-                    for unit, payload in zip(piece, result):
-                        store.put(keys[(kind, unit)], payload)
+                    for key, payload in zip(piece_keys, result):
+                        store.put(key, payload)
 
         pieces: list[tuple[SweepKind, list[Any]]] = []
         if jobs > 1:
@@ -690,7 +675,7 @@ def run_unit_sweep(
                 results = kind.run(simulator, circuit, in1_arr, in2_arr, blocks)
                 for block, result in zip(blocks, results):
                     accept(kind, block, result)
-        return [payloads[unit] for unit in units]
+        return {key: payloads[key] for key in units}
 
 
 def run_characterization_sweep(
@@ -751,14 +736,14 @@ def run_characterization_sweep(
     -------
     list of payload dicts in grid order.
     """
-    kind = _CharacterizationKind(library, keep_latched)
-    return run_unit_sweep(
+    kind = CharacterizationKind(library, keep_latched)
+    base_components = characterization_key_components(circuit, library, stimulus)
+    payloads = run_unit_sweep(
         kind.name,
         circuit,
         in1,
         in2,
-        characterization_key_components(circuit, library, stimulus),
-        [(kind, triad) for triad in grid],
+        {kind.entry_key(base_components, triad): (kind, triad) for triad in grid},
         jobs=jobs,
         store=store,
         policy=policy,
@@ -766,6 +751,7 @@ def run_characterization_sweep(
         report=report,
         simulator=testbench,
     )
+    return list(payloads.values())
 
 
 def run_fault_sweep(
@@ -805,17 +791,17 @@ def run_fault_sweep(
         "stimulus": dict(stimulus),
     }
     kind = _FaultKind()
+    keys = [kind.entry_key(base_components, fault) for fault in faults]
     payloads = run_unit_sweep(
         kind.name,
         circuit,
         in1,
         in2,
-        base_components,
-        [(kind, fault) for fault in faults],
+        {key: (kind, fault) for key, fault in zip(keys, faults)},
         jobs=jobs,
         store=store,
         policy=policy,
         chaos=chaos,
         report=report,
     )
-    return [_payload_to_fault_result(payload) for payload in payloads]
+    return [_payload_to_fault_result(payloads[key]) for key in keys]

@@ -26,8 +26,8 @@ from that one thread.  Batching is work-conserving ("busy-period"): when
 the session is idle a queued job is dispatched at once, in a window of its
 own; jobs admitted while a window runs queue up and form the next window
 (at most ``max_batch_jobs``), so N clients submitting overlapping jobs
-under load collapse into *one* sharded executor pass (the session's batch
-planner dedups identical work units).  An identical job admitted after its
+under load collapse into *one* sharded executor pass (the session's sweep
+plan dedups identical work units).  An identical job admitted after its
 twin's window has finished is answered from the store or the hot tier, so
 no unit is simulated twice either way.
 

@@ -10,9 +10,6 @@ simulations; this package provides the functional equivalent:
   through the netlist and outputs whose arrival exceeds the clock period
   latch the previous cycle's value, which is exactly the timing-error
   mechanism of voltage over-scaling.
-* :mod:`repro.simulation.spice_like` -- a slower event-driven reference
-  simulator (optionally with per-gate random variation) used to cross-check
-  the vectorised engine.
 * :mod:`repro.simulation.patterns`   -- input stimulus generators, including
   the paper's "equal carry-propagation probability" training patterns.
 * :mod:`repro.simulation.fault_injection` -- position-independent random
@@ -43,7 +40,6 @@ from repro.simulation.timing_sim import (
     VosTimingSimulator,
     VosSimulationResult,
 )
-from repro.simulation.spice_like import EventDrivenSimulator, EventDrivenResult
 from repro.simulation.patterns import (
     PatternConfig,
     uniform_random_patterns,
@@ -69,8 +65,6 @@ __all__ = [
     "TimingAnnotation",
     "VosTimingSimulator",
     "VosSimulationResult",
-    "EventDrivenSimulator",
-    "EventDrivenResult",
     "PatternConfig",
     "uniform_random_patterns",
     "carry_balanced_patterns",

@@ -127,18 +127,11 @@ def supply_scaling_grid(
 ) -> TriadGrid:
     """Fig. 5 style grid: the matched nominal clock across a supply sweep.
 
-    Holds the flow's nominal clock
-    (:meth:`~repro.core.characterization.CharacterizationFlow.nominal_clock_period`,
-    the same rule :func:`repro.analysis.figures.fig5_ber_per_bit` sweeps at)
-    with no body bias -- the axis a yield-vs-Vdd analysis scales.
+    The triads of
+    :meth:`~repro.core.characterization.CharacterizationFlow.supply_scaling_triads`
+    as a grid -- the axis a yield-vs-Vdd analysis scales.
     """
-    nominal = flow.nominal_clock_period()
-    return TriadGrid(
-        [
-            OperatingTriad(tclk=nominal, vdd=vdd, vbb=0.0)
-            for vdd in supply_voltages
-        ]
-    )
+    return TriadGrid(flow.supply_scaling_triads(supply_voltages))
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +336,21 @@ def run_montecarlo_sweep(
         _MonteCarloKind(shifted, config.model, config.seed, start, stop)
         for start, stop in config.sample_ranges()
     ]
-    payloads = run_unit_sweep(
+    units = [(kind, triad) for triad in triads for kind in kinds]
+    keys = [kind.entry_key(base_components, triad) for kind, triad in units]
+    by_key = run_unit_sweep(
         _MonteCarloKind.name,
         circuit,
         in1,
         in2,
-        base_components,
-        [(kind, triad) for triad in triads for kind in kinds],
+        dict(zip(keys, units)),
         jobs=jobs,
         store=store,
         policy=policy,
         chaos=chaos,
         report=report,
     )
+    payloads = [by_key[key] for key in keys]
 
     n_vectors = int(np.asarray(in1).size)
     results: list[TriadVariationResult] = []

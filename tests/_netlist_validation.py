@@ -1,9 +1,7 @@
 """Structural validation of netlists.
 
-The generators are trusted code, but experiments compose netlists with
-user-provided widths and the property-based tests mutate structures; this
-module gives a single entry point that checks the invariants every simulator
-relies on.
+The structural check the adder and multiplier generator tests apply to
+every netlist they build: the invariants every simulator relies on.
 """
 
 from __future__ import annotations

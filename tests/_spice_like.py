@@ -5,9 +5,9 @@ signal settling with a single arrival time per net.  This module provides an
 event-driven simulator that propagates individual value-change events through
 the netlist with per-gate delays, optionally perturbed by random per-gate
 variation.  It models glitches (a net may change value several times within
-one cycle) and is used to cross-check the vectorised engine in tests and in
-the variability ablation benchmark.  It simulates one vector pair at a time,
-so it plays the role SPICE plays in the paper: accurate and slow.
+one cycle) and is the oracle of the cross-engine tests in
+``tests/simulation/test_spice_like.py``.  It simulates one vector pair at a
+time, so it plays the role SPICE plays in the paper: accurate and slow.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Batch planner tests: cross-job dedup with zero duplicate simulations."""
+"""Sweep plan tests: cross-job dedup with zero duplicate simulations."""
 
 import pytest
 
 from repro.api.jobs import (
     CalibrateJob,
     CharacterizeJob,
+    FaultSweepJob,
     Fig5Job,
     MonteCarloJob,
     SynthesizeJob,
@@ -12,6 +13,8 @@ from repro.api.jobs import (
 )
 from repro.api.options import PatternOptions
 from repro.api.session import Session
+from repro.core.dataset import save_characterization
+from repro.core.store import SweepResultStore
 from repro.core.sweep import simulated_unit_count
 
 SMALL = PatternOptions(vectors=240)
@@ -45,11 +48,78 @@ class TestBatchDedup:
         assert report.cache_hits == 0
         assert len(batch.results) == 3
 
-    def test_batch_results_match_individual_runs(self):
-        batch = Session(store=None).run_batch(overlapping_jobs())
+    def test_batch_results_match_individual_runs(
+        self, tmp_path, rca8_characterization
+    ):
+        dataset = tmp_path / "rca8.json"
+        save_characterization(rca8_characterization, dataset)
+        grid = Session(store=None).flow_for("rca8").default_triad_grid()
+        triad = grid[len(grid) // 2]
+        jobs = overlapping_jobs() + [
+            CalibrateJob(
+                operator="rca8",
+                tclk_ns=triad.tclk * 1e9,
+                vdd=triad.vdd,
+                vbb=triad.vbb,
+                pattern=SMALL,
+            ),
+            MonteCarloJob(
+                operator="rca8", pattern=SMALL, samples=6, supply_voltages=(0.8, 0.5)
+            ),
+            FaultSweepJob(operator="rca4", pattern=SMALL),
+            Table4Job(datasets=(str(dataset), "bka8"), vectors=240),
+        ]
+        batch = Session(store=None).run_batch(jobs)
         solo_session = Session(store=None)
-        for job, result in zip(overlapping_jobs(), batch.results):
-            assert result.render() == solo_session.run(job).render()
+        for job, result in zip(jobs, batch.results):
+            solo = solo_session.run(job)
+            assert result.render() == solo.render()
+            assert _body(result) == _body(solo)
+
+    def test_per_job_simulated_units_in_a_batch(self):
+        montecarlo = MonteCarloJob(
+            operator="rca8", pattern=SMALL, samples=6, supply_voltages=(0.8, 0.5)
+        )
+        batch = Session(store=None).run_batch(overlapping_jobs() + [montecarlo])
+        # The plan ran every characterization unit in the session span; the
+        # Monte Carlo job (one range x two triads) runs its own sweep.
+        assert [result.run.simulated_units for result in batch.results] == [
+            0,
+            0,
+            0,
+            2,
+        ]
+
+    def test_repeated_fig5_supply_is_planned_twice_and_deduped_once(self):
+        batch = Session(store=None).run_batch(
+            [Fig5Job(operator="rca8", supply_voltages=(0.8, 0.8), vectors=240)]
+        )
+        assert batch.report.planned_units == 2
+        assert batch.report.deduped_units == 1
+        assert batch.report.simulated_units == 1
+        first, second = batch.results[0].series
+        assert first.vdd == second.vdd == 0.8
+        assert list(first.ber_per_bit) == list(second.ber_per_bit)
+
+    def test_each_unit_is_keyed_once(self, monkeypatch):
+        session = Session(store=None)
+        job = CharacterizeJob(operator="rca8", pattern=SMALL)
+        session.run_batch([job])  # warm the session overlay
+        units = len(session.flow_for("rca8").default_triad_grid())
+        calls = []
+        entry_key = SweepResultStore.entry_key
+
+        def counting(components):
+            calls.append(1)
+            return entry_key(components)
+
+        monkeypatch.setattr(SweepResultStore, "entry_key", staticmethod(counting))
+        batch = session.run_batch([job])
+        assert batch.report.cache_hits == units
+        assert len(calls) <= units + 1
+        calls.clear()
+        session.run(job)
+        assert len(calls) <= units
 
     def test_warm_store_batch_simulates_nothing(self, tmp_path):
         store_dir = tmp_path / "cache"
@@ -145,3 +215,8 @@ class TestBatchDedup:
         solo_renders = [solo.run(job).render() for job in overlapping_jobs()]
         batch = Session(store=store_dir).run_batch(overlapping_jobs())
         assert [result.render() for result in batch.results] == solo_renders
+
+
+def _body(result):
+    """A result document without its ``"run"`` work accounting."""
+    return {key: value for key, value in result.to_json().items() if key != "run"}

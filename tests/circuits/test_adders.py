@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.adders import ADDER_GENERATORS, build_adder
-from repro.circuits.validation import validate_netlist
 from repro.simulation.logic_sim import LogicSimulator
+
+from _netlist_validation import validate_netlist
 
 ARCHITECTURES = sorted(ADDER_GENERATORS)
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.multipliers import array_multiplier
-from repro.circuits.validation import validate_netlist
 from repro.simulation.logic_sim import LogicSimulator
+
+from _netlist_validation import validate_netlist
 
 
 def _simulate_mul(multiplier, in1, in2):

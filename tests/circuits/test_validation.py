@@ -5,7 +5,8 @@ import pytest
 from repro.circuits.builder import NetlistBuilder
 from repro.circuits.cells import GateType
 from repro.circuits.netlist import Gate, Netlist
-from repro.circuits.validation import NetlistValidationError, validate_netlist
+
+from _netlist_validation import NetlistValidationError, validate_netlist
 
 
 class TestValidateNetlist:

@@ -31,7 +31,7 @@ from repro.core.resilience import ExecutionReport, run_shards
 from repro.core.store import netlist_fingerprint
 from repro.core.sweep import (
     PAYLOAD_VERSION,
-    _CharacterizationKind,
+    CharacterizationKind,
     _FaultKind,
     _run_shard,
     _Shard,
@@ -95,7 +95,7 @@ OPERAND_CASES = ("single-vector", "paper-stimulus", "strided-view", "read-only")
 def _task(kind, in1, in2, circuit=None):
     circuit = circuit if circuit is not None else build_adder("rca", 8)
     if kind == "characterization":
-        sweep_kind = _CharacterizationKind(DEFAULT_LIBRARY, keep_latched=False)
+        sweep_kind = CharacterizationKind(DEFAULT_LIBRARY, keep_latched=False)
         return _Shard(sweep_kind, circuit, in1, in2, TRIADS)
     if kind == "faults":
         return _Shard(_FaultKind(), circuit, in1, in2, FAULT_SITES)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from repro.circuits.adders import build_adder
-from repro.simulation.spice_like import EventDrivenSimulator
 from repro.simulation.timing_sim import VosTimingSimulator
 from repro.technology.corners import VariabilityModel
+
+from _spice_like import EventDrivenSimulator
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -85,6 +86,27 @@ class TestPublicApi:
         assert not hasattr(VosTimingSimulator, "run_reference")
         assert not hasattr(VosTimingSimulator, "run_variation_sweep")
         assert not hasattr(LogicSimulator, "run_reference")
+
+
+@pytest.mark.parametrize(
+    "package, module, names",
+    [
+        (
+            "repro.core",
+            "error_detection",
+            ("ShadowRegisterMonitor", "ShadowComparisonResult", "OnlineBerEstimator"),
+        ),
+        ("repro.circuits", "validation", ("validate_netlist", "NetlistValidationError")),
+        ("repro.simulation", "spice_like", ("EventDrivenSimulator", "EventDrivenResult")),
+    ],
+)
+def test_surface_no_entry_point_reaches_is_not_exported(package, module, names):
+    """Modules only tests used are gone (or live under tests/ as oracles)."""
+    imported = importlib.import_module(package)
+    assert importlib.util.find_spec(f"{package}.{module}") is None
+    for name in names:
+        assert name not in imported.__all__
+        assert not hasattr(imported, name)
 
 
 def _imported_modules(path, package):
