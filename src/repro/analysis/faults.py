@@ -1,6 +1,7 @@
 """Reports of structural stuck-at fault campaigns.
 
-The fault sweep (:func:`repro.core.sweep.run_fault_sweep`) produces one
+A fault campaign (the ``repro faults`` job, planned through
+:func:`repro.core.sweep.fault_request`) produces one
 :class:`~repro.simulation.fault_injection.FaultSimulationResult` per fault
 site; this module condenses a campaign into the numbers a test-coverage
 review reads -- coverage, undetected sites, highest-impact faults -- and

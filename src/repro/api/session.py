@@ -13,24 +13,26 @@ exposes exactly two entry points:
   ``result.render()``.
 * :meth:`Session.run_batch` runs a set of jobs together.
 
-Both run one sweep plan.  Each sweep job declares its characterization
-sweeps once; the plan keys every declared unit once with the orchestrator's
-content address -- its ``(circuit fingerprint, stimulus, triad)`` store key
---, deduplicates units across jobs, and runs each (circuit, stimulus) group
-through one sweep.  Each job then builds its result from the plan's
-payloads.  Overlapping jobs (``characterize`` + ``fig5`` + ``table4`` over
-the same adders) therefore perform **zero** repeated timing simulations,
-which the :class:`BatchReport`'s planned/deduped/cache-hit/simulated
-counters make observable (and the test suite asserts via
-:func:`repro.core.sweep.simulated_unit_count`).
+Both run one sweep plan.  Each sweep job declares its sweeps once --
+characterization triads, Monte Carlo ``(triad, sample range)`` entries,
+fault sites -- as requests to the planner of :mod:`repro.core.sweep`, which
+keys every unit once with its store key, deduplicates units across jobs,
+and runs each (circuit, stimulus, kind) group through one sweep.  Each job
+then builds its result from the plan's payloads.  Overlapping jobs
+(``characterize`` + ``fig5`` + ``table4`` over the same adders, or two
+Monte Carlo runs of one die population) therefore perform **zero** repeated
+simulations, which the :class:`BatchReport`'s
+planned/deduped/cache-hit/simulated counters make observable (and the test
+suite asserts via :func:`repro.core.sweep.simulated_unit_count`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import pathlib
 import threading
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,7 +73,6 @@ from repro.api.spec import OperatorSpec, parse_circuit_spec
 from repro.core import sweep as sweep_module
 from repro.core.calibration import calibrate_probability_table
 from repro.core.characterization import (
-    AdderCharacterization,
     CharacterizationFlow,
     FlowCache,
     characterization_from_payloads,
@@ -90,7 +91,7 @@ from repro.core.resilience import (
 )
 from repro.core.speculation import DynamicSpeculationController
 from repro.core.store import MemoryOverlayStore, SweepResultStore
-from repro.core.triad import OperatingTriad
+from repro.core.sweep import PlanResult, SweepRequest
 from repro.explore.evaluator import CandidateEvaluator, robust_tag
 from repro.explore.frontier import ParetoFrontier
 from repro.explore.search import run_search
@@ -100,7 +101,11 @@ from repro.obs.trace import Tracer, activated, active_tracer, span
 from repro.simulation.patterns import PatternConfig, generate_patterns
 from repro.synthesis.synthesize import synthesize
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
-from repro.variation.montecarlo import run_montecarlo_sweep, supply_scaling_grid
+from repro.variation.montecarlo import (
+    montecarlo_request,
+    supply_scaling_grid,
+    variation_results_from_payloads,
+)
 
 #: Sentinel selecting the default on-disk store location
 #: (``$REPRO_CACHE_DIR`` or ``~/.cache/repro/sweeps``).
@@ -127,8 +132,9 @@ class BatchReport:
         Number of jobs executed.
     planned_units:
         Units of the sweeps the jobs declare, *with* multiplicity -- one
-        unit is one ``(circuit, stimulus, triad)`` timing simulation a job
-        would perform on its own.
+        unit is one simulation a job would perform on its own: a
+        characterization triad, a Monte Carlo ``(triad, sample range)``
+        entry or a fault site.
     deduped_units:
         Units shared between jobs (``planned_units`` minus distinct store
         keys): work the sweep plan eliminated outright.
@@ -136,9 +142,10 @@ class BatchReport:
         Distinct planned units already warm in the session store: those the
         plan did not have to simulate.
     simulated_units:
-        Work units actually simulated by the whole batch (including
-        unplanned workloads such as Monte Carlo ranges or screening sweeps,
-        which dedup through the shared session overlay instead of the plan).
+        Work units actually simulated by the whole batch.  Only exploration
+        sweeps, which a search drives, are left outside the plan: they dedup
+        through the shared session overlay instead, so without an explore
+        job ``planned_units - deduped_units - cache_hits`` equals this.
         This and ``cache_hits`` are measured from the process-wide counter
         of :func:`repro.core.sweep.simulated_unit_count`: accurate for the
         one-batch-at-a-time usage a session supports (sessions are not
@@ -180,33 +187,19 @@ class BatchResult:
 
 
 class _Sweep(NamedTuple):
-    """One characterization sweep a job declares (see :meth:`Session._declare`)."""
+    """One sweep a job declares (see :meth:`Session._declare`): the
+    planner's request and the builder of the job's share of the result
+    from the request's payloads."""
 
-    spec: OperatorSpec
-    pattern: PatternConfig
-    triads: Sequence[OperatingTriad]
-    keep_latched: bool
-
-
-@dataclasses.dataclass
-class _Group:
-    """One (circuit, stimulus) of a plan: its distinct units, keyed, run as
-    one sweep under the largest worker count among its jobs and the first
-    policy one of them sets."""
-
-    flow: CharacterizationFlow
-    operands: tuple[np.ndarray, np.ndarray]
-    base: dict[str, Any]
-    jobs: int = 1
-    policy: ExecutionPolicy | None = None
-    triads: dict[str, OperatingTriad] = dataclasses.field(default_factory=dict)
+    request: SweepRequest
+    build: Callable[[list[dict[str, Any]]], Any]
 
 
 class _JobPlan(NamedTuple):
-    """A handler's share of the plan: one characterization per sweep the job
+    """A handler's share of the plan: one built result per sweep the job
     declared, in declaration order, and the report its result carries."""
 
-    characterizations: list[AdderCharacterization]
+    sweeps: list[Any]
     execution: ExecutionReport
 
 
@@ -379,14 +372,12 @@ class Session:
                 with span("session", jobs=1):
                     return self._run_job(job)
 
-    def _run_job(
-        self, job: Job, characterizations: list[AdderCharacterization] | None = None
-    ) -> Any:
+    def _run_job(self, job: Job, sweeps: list[Any] | None = None) -> Any:
         """Execute one job under a ``job`` span and attach its RunReport.
 
-        ``characterizations`` are the job's declared sweeps as
-        :meth:`run_batch`'s plan built them; ``None`` runs the job's own
-        plan inside the ``job`` span.
+        ``sweeps`` are the job's declared sweeps as :meth:`run_batch`'s
+        plan built them; ``None`` runs the job's own plan inside the
+        ``job`` span.
         """
         try:
             handler = _HANDLERS[type(job)]
@@ -398,9 +389,9 @@ class Session:
         execution = ExecutionReport()
         with span("job", type=type(job).__name__):
             try:
-                if characterizations is None:
-                    characterizations = self._run_plan([job], execution)[0][0]
-                result = handler(self, job, _JobPlan(characterizations, execution))
+                if sweeps is None:
+                    sweeps = self._run_plan([job], execution)[0][0]
+                result = handler(self, job, _JobPlan(sweeps, execution))
             except ShardExecutionError as error:
                 raise SessionError(f"sweep execution failed: {error}") from None
         store_delta = None
@@ -430,7 +421,7 @@ class Session:
     def _run_characterize(
         self, job: CharacterizeJob, plan: _JobPlan
     ) -> CharacterizeResult:
-        [characterization] = plan.characterizations
+        [characterization] = plan.sweeps
         if job.output:
             save_characterization(characterization, job.output)
         return CharacterizeResult(
@@ -457,7 +448,7 @@ class Session:
     def _run_table4(self, job: Table4Job, plan: _JobPlan) -> Table4Result:
         # The declaration rejected missing files and swept every operator
         # name, in entry order.
-        swept = iter(plan.characterizations)
+        swept = iter(plan.sweeps)
         characterizations = {}
         for entry in job.datasets:
             if self._classify_dataset(entry) == "file":
@@ -477,7 +468,7 @@ class Session:
 
     def _run_fig5(self, job: Fig5Job, plan: _JobPlan) -> Fig5Result:
         spec = job.spec
-        [characterization] = plan.characterizations
+        [characterization] = plan.sweeps
         return Fig5Result(
             operator=spec.name,
             width=spec.width,
@@ -489,7 +480,7 @@ class Session:
         )
 
     def _run_calibrate(self, job: CalibrateJob, plan: _JobPlan) -> CalibrateResult:
-        [characterization] = plan.characterizations
+        [characterization] = plan.sweeps
         [entry] = characterization.results
         [measurement] = characterization.measurements
         calibration = calibrate_probability_table(
@@ -621,51 +612,21 @@ class Session:
         return ParetoFrontier(matching), note
 
     def _run_montecarlo(self, job: MonteCarloJob, plan: _JobPlan) -> MonteCarloResult:
-        spec = job.spec
-        flow = self.flow_for(spec)
-        config = job.config()
-        pattern = job.pattern.config(spec.width)
-        in1, in2 = generate_patterns(pattern)
-        results = run_montecarlo_sweep(
-            flow.adder,
-            supply_scaling_grid(flow, job.supply_voltages),
-            in1,
-            in2,
-            sweep_module.pattern_stimulus(pattern),
-            config=config,
-            library=self._library,
-            jobs=self._jobs_for(job),
-            store=self._view,
-            policy=self._policy_for(job),
-            report=plan.execution,
-        )
+        [results] = plan.sweeps
         return MonteCarloResult(
-            operator=flow.adder.name,
-            config=config,
-            n_vectors=pattern.n_vectors,
+            operator=self.flow_for(job.spec).adder.name,
+            config=job.config(),
+            n_vectors=job.pattern.config(job.spec.width).n_vectors,
             margin=job.margin,
             results=tuple(results),
             execution=plan.execution,
         )
 
     def _run_faults(self, job: FaultSweepJob, plan: _JobPlan) -> FaultSweepResult:
-        spec = job.spec
-        circuit = self.flow_for(spec).adder
-        pattern = job.pattern.config(spec.width)
-        in1, in2 = generate_patterns(pattern)
-        results = sweep_module.run_fault_sweep(
-            circuit,
-            in1,
-            in2,
-            sweep_module.pattern_stimulus(pattern),
-            jobs=self._jobs_for(job),
-            store=self._view,
-            policy=self._policy_for(job),
-            report=plan.execution,
-        )
+        [results] = plan.sweeps
         return FaultSweepResult(
-            operator=circuit.name,
-            n_vectors=pattern.n_vectors,
+            operator=self.flow_for(job.spec).adder.name,
+            n_vectors=job.pattern.config(job.spec.width).n_vectors,
             results=tuple(results),
             summary=summarize_fault_results(results),
             execution=plan.execution,
@@ -695,17 +656,61 @@ class Session:
 
     # -- the sweep plan --------------------------------------------------------
 
-    def _declare(self, job: Job) -> list[_Sweep]:
-        """The characterization sweeps ``job`` runs (possibly none).
+    def _declare(
+        self,
+        job: Job,
+        operands: dict[PatternConfig, tuple[np.ndarray, np.ndarray]] | None = None,
+    ) -> list[_Sweep]:
+        """The sweeps ``job`` runs (possibly none).
 
-        The one statement of each sweep job's units: :meth:`_run_plan` keys
-        and runs them, and the job's handler builds its result from their
-        payloads.  A Table IV entry naming a missing file or a malformed
-        operator raises :class:`SessionError` here, before any simulation.
-        Monte Carlo ranges, fault campaigns and search-driven exploration
-        sweeps declare none; they dedup through the session overlay as they
-        run.
+        The one statement of each sweep job's units: :meth:`_run_plan` hands
+        their requests to the planner, and the job's handler gets each
+        sweep's result, built from its payloads.  ``operands`` caches the
+        generated operands by pattern, so the jobs of one plan that share a
+        stimulus pass the same arrays and so share sweeps.  A Table IV entry
+        naming a missing file or a malformed operator raises
+        :class:`SessionError` here, before any simulation.  Exploration
+        sweeps, which a search drives, declare none; they dedup through the
+        session overlay as they run.
         """
+        operands = {} if operands is None else operands
+        jobs, policy = self._jobs_for(job), self._policy_for(job)
+
+        def stimulus(spec: OperatorSpec, pattern: PatternConfig) -> tuple:
+            if pattern not in operands:
+                operands[pattern] = generate_patterns(pattern)
+            in1, in2 = operands[pattern]
+            return self.flow_for(spec), in1, in2, sweep_module.pattern_stimulus(pattern)
+
+        def characterization(
+            spec: OperatorSpec, pattern: PatternConfig, triads: Any, keep: bool
+        ) -> _Sweep:
+            flow, in1, in2, described = stimulus(spec, pattern)
+            request = sweep_module.characterization_request(
+                flow.adder,
+                triads,
+                in1,
+                in2,
+                described,
+                library=self._library,
+                keep_latched=keep,
+                jobs=jobs,
+                policy=policy,
+                simulator=flow.testbench,
+            )
+            return _Sweep(
+                request,
+                lambda payloads: characterization_from_payloads(
+                    flow.adder,
+                    payloads,
+                    in1,
+                    in2,
+                    keep_measurements=keep,
+                    pattern_kind=pattern.kind,
+                    seed=pattern.seed,
+                ),
+            )
+
         if isinstance(job, Table4Job):
             options = PatternOptions(vectors=job.vectors, seed=job.seed)
             sweeps = []
@@ -720,112 +725,70 @@ class Session:
                 except ValueError as error:
                     raise SessionError(str(error)) from None
                 grid = self.flow_for(spec).default_triad_grid()
-                sweeps.append(_Sweep(spec, options.config(spec.width), grid, False))
+                sweeps.append(
+                    characterization(spec, options.config(spec.width), grid, False)
+                )
             return sweeps
-        if not isinstance(job, (CharacterizeJob, Fig5Job, CalibrateJob)):
+        if not isinstance(
+            job, (CharacterizeJob, Fig5Job, CalibrateJob, MonteCarloJob, FaultSweepJob)
+        ):
             return []
         spec = job.spec
-        flow = self.flow_for(spec)
         if isinstance(job, Fig5Job):
             options = PatternOptions(vectors=job.vectors, seed=job.seed)
-            triads = flow.supply_scaling_triads(job.supply_voltages)
-            return [_Sweep(spec, options.config(spec.width), triads, False)]
+            triads = self.flow_for(spec).supply_scaling_triads(job.supply_voltages)
+            return [characterization(spec, options.config(spec.width), triads, False)]
         pattern = job.pattern.config(spec.width)
         if isinstance(job, CharacterizeJob):
-            grid = flow.default_triad_grid()
-            return [_Sweep(spec, pattern, grid, job.keep_measurements)]
-        return [_Sweep(spec, pattern, [job.triad()], True)]
+            grid = self.flow_for(spec).default_triad_grid()
+            return [characterization(spec, pattern, grid, job.keep_measurements)]
+        if isinstance(job, CalibrateJob):
+            return [characterization(spec, pattern, [job.triad()], True)]
+        flow, in1, in2, described = stimulus(spec, pattern)
+        if isinstance(job, FaultSweepJob):
+            request = sweep_module.fault_request(
+                flow.adder, in1, in2, described, jobs=jobs, policy=policy
+            )
+            to_result = sweep_module.payload_to_fault_result
+            return [_Sweep(request, lambda payloads: list(map(to_result, payloads)))]
+        triads = list(supply_scaling_grid(flow, job.supply_voltages))
+        request = montecarlo_request(
+            flow.adder,
+            triads,
+            in1,
+            in2,
+            described,
+            config=job.config(),
+            library=self._library,
+            jobs=jobs,
+            policy=policy,
+        )
+        return [
+            _Sweep(request, functools.partial(variation_results_from_payloads, triads))
+        ]
 
     def _run_plan(
         self, jobs: Sequence[Job], report: ExecutionReport
-    ) -> tuple[list[list[AdderCharacterization]], int, int, int]:
+    ) -> tuple[list[list[Any]], PlanResult]:
         """Run the declared sweeps of ``jobs`` as one plan.
 
-        Every declared unit is keyed once.  Units are deduplicated by store
-        key across all sweeps; a shared unit keeps its latched words if any
-        sweep needs them.  Each (circuit, stimulus) group then runs through
-        :func:`~repro.core.sweep.run_unit_sweep` once, accumulating its
-        fault-recovery accounting into ``report``.  Returns each job's
-        characterizations (one per declared sweep, in declaration order)
-        and ``(planned_units, deduped_units, cache_hits)``.
+        The planner (:func:`~repro.core.sweep.run_sweep_plan`) keys every
+        declared unit once, dedups units across all sweeps and runs each
+        group once, accumulating its fault-recovery accounting into
+        ``report``.  Returns each job's built sweeps (one per declared
+        sweep, in declaration order) and the plan's result, whose counters
+        feed the :class:`BatchReport`.
         """
-        groups: dict[tuple[OperatorSpec, PatternConfig], _Group] = {}
-        keyed: list[list[tuple[_Sweep, _Group, list[str]]]] = []
-        # Latched words are tracked per store key, not per group: one
-        # calibration triad needing them must not force an already-warm
-        # characterize grid, whose payloads carry none, to re-simulate.
-        latched: set[str] = set()
-        distinct: set[str] = set()
-        planned = 0
-        for job in jobs:
-            keyed.append([])
-            for sweep in self._declare(job):
-                group = groups.get((sweep.spec, sweep.pattern))
-                if group is None:
-                    flow = self.flow_for(sweep.spec)
-                    stimulus = sweep_module.pattern_stimulus(sweep.pattern)
-                    group = groups[(sweep.spec, sweep.pattern)] = _Group(
-                        flow,
-                        generate_patterns(sweep.pattern),
-                        sweep_module.characterization_key_components(
-                            flow.adder, self._library, stimulus
-                        ),
-                    )
-                group.jobs = max(group.jobs, self._jobs_for(job))
-                if group.policy is None:
-                    group.policy = self._policy_for(job)
-                keys = [
-                    sweep_module.characterization_entry_key(group.base, triad)
-                    for triad in sweep.triads
-                ]
-                for key, triad in zip(keys, sweep.triads):
-                    group.triads.setdefault(key, triad)
-                if sweep.keep_latched:
-                    latched.update(keys)
-                distinct.update(keys)
-                planned += len(keys)
-                keyed[-1].append((sweep, group, keys))
-
-        kinds = {
-            keep: sweep_module.CharacterizationKind(self._library, keep)
-            for keep in (False, True)
-        }
-        before = sweep_module.simulated_unit_count()
-        payloads: dict[str, dict[str, Any]] = {}
-        for group in groups.values():
-            payloads |= sweep_module.run_unit_sweep(
-                sweep_module.CharacterizationKind.name,
-                group.flow.adder,
-                *group.operands,
-                {key: (kinds[key in latched], t) for key, t in group.triads.items()},
-                jobs=group.jobs,
-                store=self._view,
-                policy=group.policy,
-                chaos=None,
-                report=report,
-                simulator=group.flow.testbench,
-            )
-        simulated = sweep_module.simulated_unit_count() - before
-        characterizations = [
-            [
-                characterization_from_payloads(
-                    group.flow.adder,
-                    [payloads[key] for key in keys],
-                    *group.operands,
-                    keep_measurements=sweep.keep_latched,
-                    pattern_kind=sweep.pattern.kind,
-                    seed=sweep.pattern.seed,
-                )
-                for sweep, group, keys in job_sweeps
-            ]
-            for job_sweeps in keyed
-        ]
-        return (
-            characterizations,
-            planned,
-            planned - len(distinct),
-            len(distinct) - simulated,
+        operands: dict[PatternConfig, tuple[np.ndarray, np.ndarray]] = {}
+        declared = [self._declare(job, operands) for job in jobs]
+        plan = sweep_module.run_sweep_plan(
+            [sweep.request for sweeps in declared for sweep in sweeps],
+            store=self._view,
+            report=report,
         )
+        payloads = iter(plan.payloads)
+        built = [[sweep.build(next(payloads)) for sweep in job] for job in declared]
+        return built, plan
 
     # -- batch execution -------------------------------------------------------
 
@@ -834,12 +797,13 @@ class Session:
 
         The sweeps every job declares run as one plan (see
         :meth:`_run_plan`) in the ``session`` span; each job then builds its
-        result from the plan's payloads in its own ``job`` span, and the
-        jobs the plan does not cover run their own sweeps there.  Per-job
-        results come back in input order together with a
-        :class:`BatchReport`.  Every sweep of the batch dispatches to one
-        worker pool, forked on first use and reaped before this call
-        returns.
+        result from the plan's payloads in its own ``job`` span, and an
+        explore job runs its search's sweeps there.  Per-job results come
+        back in input order together with a :class:`BatchReport`.  Every
+        sweep of the batch dispatches to one worker pool, forked on first
+        use and reaped before this call returns.  A sweep that exhausts its
+        fault-recovery options surfaces as a :class:`SessionError`, as in
+        :meth:`run`.
         """
         job_list = list(jobs)
         if not job_list:
@@ -847,16 +811,21 @@ class Session:
         with self._lock, pool_scope():
             with activated(self._tracer):
                 with span("session", jobs=len(job_list)) as session_span:
-                    return self._run_batch_body(job_list, session_span)
+                    try:
+                        return self._run_batch_body(job_list, session_span)
+                    except ShardExecutionError as error:
+                        raise SessionError(f"sweep execution failed: {error}") from None
 
     def _run_batch_body(self, job_list: list[Job], session_span: Any) -> BatchResult:
         start = sweep_module.simulated_unit_count()
         execution = ExecutionReport()
-        swept, planned, deduped, cache_hits = self._run_plan(job_list, execution)
-        session_span.set(planned=planned, deduped=deduped, cache_hits=cache_hits)
-        metrics.REGISTRY.counter("batch.planned_units").add(planned)
-        metrics.REGISTRY.counter("batch.deduped_units").add(deduped)
-        metrics.REGISTRY.counter("batch.cache_hits").add(cache_hits)
+        swept, plan = self._run_plan(job_list, execution)
+        session_span.set(
+            planned=plan.planned, deduped=plan.deduped, cache_hits=plan.cache_hits
+        )
+        metrics.REGISTRY.counter("batch.planned_units").add(plan.planned)
+        metrics.REGISTRY.counter("batch.deduped_units").add(plan.deduped)
+        metrics.REGISTRY.counter("batch.cache_hits").add(plan.cache_hits)
         results = tuple(map(self._run_job, job_list, swept))
         for result in results:
             sub_report = getattr(result, "execution", None)
@@ -864,9 +833,9 @@ class Session:
                 execution.merge(sub_report)
         report = BatchReport(
             jobs=len(job_list),
-            planned_units=planned,
-            deduped_units=deduped,
-            cache_hits=cache_hits,
+            planned_units=plan.planned,
+            deduped_units=plan.deduped,
+            cache_hits=plan.cache_hits,
             simulated_units=sweep_module.simulated_unit_count() - start,
             execution=execution,
         )

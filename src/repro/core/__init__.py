@@ -69,11 +69,7 @@ from repro.core.store import (
     netlist_fingerprint,
     operand_fingerprint,
 )
-from repro.core.sweep import (
-    run_characterization_sweep,
-    run_fault_sweep,
-    shard_triads,
-)
+from repro.core.sweep import shard_triads
 from repro.core.energy import (
     energy_efficiency,
     EfficiencySummary,
@@ -123,8 +119,6 @@ __all__ = [
     "library_fingerprint",
     "netlist_fingerprint",
     "operand_fingerprint",
-    "run_characterization_sweep",
-    "run_fault_sweep",
     "shard_triads",
     "energy_efficiency",
     "EfficiencySummary",

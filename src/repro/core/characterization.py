@@ -301,13 +301,15 @@ class CharacterizationFlow:
     ) -> AdderCharacterization:
         """Characterize the adder over a triad grid.
 
-        The sweep runs on the orchestrator of :mod:`repro.core.sweep`: the
-        grid is sharded along ``(vdd, vbb)`` groups over ``jobs`` worker
-        processes, per-triad summaries are looked up in (and persisted to)
-        the optional result ``store``, and each worker reuses everything
-        that does not depend on the full triad -- golden settled bits and
-        one unit-``tau`` arrival pass per pattern set, scaled to each
-        ``(vdd, vbb)`` pair (see
+        The sweep runs as a one-request plan of
+        :func:`repro.core.sweep.run_sweep_plan` (``store``, ``chaos`` and
+        ``report`` as there; ``jobs`` and ``policy`` as in its
+        :class:`~repro.core.sweep.SweepRequest`): the grid is sharded along
+        ``(vdd, vbb)`` groups, per-triad summaries are looked up in (and
+        persisted to) the optional result ``store``, and each worker reuses
+        everything that does not depend on the full triad -- golden settled
+        bits and one unit-``tau`` arrival pass per pattern set, scaled to
+        each ``(vdd, vbb)`` pair (see
         :meth:`repro.simulation.testbench.OperatorTestbench.run_sweep`).
         Results are bit-identical for every combination of ``jobs`` and
         cache state.
@@ -323,21 +325,6 @@ class CharacterizationFlow:
             Explicit operand arrays, overriding ``pattern``.
         keep_measurements:
             Whether to retain raw per-triad outputs (needed for Algorithm 1).
-        jobs:
-            Worker processes for the sweep (``1`` = in-process).
-        store:
-            Optional :class:`~repro.core.store.SweepResultStore`; completed
-            triads are fetched from / persisted to it.
-        policy:
-            Optional :class:`~repro.core.resilience.ExecutionPolicy`
-            governing retries / timeouts / failure action of the sharded
-            sweep.
-        chaos:
-            Optional :class:`~repro.testing.chaos.ChaosPlan` for
-            deterministic fault injection (tests and chaos CI only).
-        report:
-            Optional :class:`~repro.core.resilience.ExecutionReport` the
-            sweep's recovery accounting is accumulated into.
         """
         grid = self._resolve_grid(triads)
         if operands is not None:
@@ -359,21 +346,21 @@ class CharacterizationFlow:
             seed = config.seed
             stimulus = sweep_module.pattern_stimulus(config)
 
-        payloads = sweep_module.run_characterization_sweep(
+        request = sweep_module.characterization_request(
             self._adder,
             grid,
             in1,
             in2,
             stimulus,
             library=self._library,
-            jobs=jobs,
-            store=store,
             keep_latched=keep_measurements,
-            testbench=self._testbench,
+            jobs=jobs,
             policy=policy,
-            chaos=chaos,
-            report=report,
+            simulator=self._testbench,
         )
+        [payloads] = sweep_module.run_sweep_plan(
+            [request], store=store, chaos=chaos, report=report
+        ).payloads
 
         return characterization_from_payloads(
             self._adder,

@@ -1191,6 +1191,3 @@ class MemoryOverlayStore:
         self._remember(key, dict(payload))
         if self._backing is not None:
             self._backing.put(key, payload)
-
-    def __len__(self) -> int:
-        return len(self._memory)

@@ -2,13 +2,16 @@
 
 The paper's core experiment (the Fig. 4 flow feeding Fig. 5/8 and Tables
 III-IV) is a grid sweep of operating triads per operator.  This repository
-sweeps two more grids of independent units: stuck-at fault sites
-(:func:`run_fault_sweep`) and ``(sample range, triad)`` Monte Carlo entries
-(:func:`repro.variation.montecarlo.run_montecarlo_sweep`).  All three run
-through one driver, :func:`run_unit_sweep`:
+sweeps two more grids of independent units: stuck-at fault sites and
+``(sample range, triad)`` Monte Carlo entries.  All three run through one
+planner, :func:`run_sweep_plan`: each caller -- a characterization flow, a
+Monte Carlo run, the job plan of :class:`~repro.api.session.Session` --
+passes :class:`SweepRequest` values, the planner keys every unit once,
+dedups units across requests by store key and runs each group of them
+through one sweep:
 
 * **Result store.**  Each unit's payload is a pure function of its store
-  key (circuit, stimulus, unit, library, engine version ...); the driver
+  key (circuit, stimulus, unit, library, engine version ...); the planner
   reads the whole grid from the content-addressed
   :class:`~repro.core.store.SweepResultStore` in one batch and simulates
   only the units it lacks, so repeated sweeps -- across CLI runs, benchmark
@@ -39,7 +42,7 @@ multipliers alike.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterator, Mapping, Protocol, Sequence
+from typing import Any, Hashable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -53,7 +56,7 @@ from repro.core.store import (
     operand_fingerprint,
     pack_int64_array,
 )
-from repro.core.triad import OperatingTriad, TriadGrid
+from repro.core.triad import OperatingTriad
 from repro.obs import metrics
 from repro.obs.trace import TraceContext, current_context, span, worker_scope
 from repro.simulation.engine import ENGINE_VERSION
@@ -71,8 +74,8 @@ from repro.testing.chaos import ChaosPlan
 #: Version of the payload dict layout (part of the stored entries).
 PAYLOAD_VERSION = 1
 
-#: Fault sites simulated between store flushes on the in-process path of
-#: :func:`run_fault_sweep` -- small enough that an interrupted campaign
+#: Fault sites simulated between store flushes on the in-process path of a
+#: fault campaign -- small enough that an interrupted campaign
 #: loses little work, large enough that flushing stays off the profile.
 SERIAL_FAULT_FLUSH_BLOCK = 64
 
@@ -273,7 +276,7 @@ def shard_triads(
 
 
 class SweepKind(Protocol):
-    """What :func:`run_unit_sweep` asks of one kind of sweep unit.
+    """What the planner asks of one kind of sweep unit.
 
     Implementations are small frozen dataclasses: picklable (they ride in
     every :class:`_Shard`) and hashable (a unit is identified by its
@@ -287,8 +290,17 @@ class SweepKind(Protocol):
     #: Layout version every payload of this kind carries.
     payload_version: int
 
+    @property
+    def family(self) -> Hashable:
+        """Kinds of one family run on one :meth:`simulator`, so the planner
+        may hand their units to one sweep."""
+
     def entry_key(self, base_components: Mapping[str, Any], unit: Any) -> str:
         """Store key of one unit within the sweep ``base_components`` name."""
+
+    def merge(self, other: "SweepKind") -> "SweepKind":
+        """The kind that serves a unit two requests declare, as ``self`` and
+        as ``other``, under one store key."""
 
     def usable(self, payload: Mapping[str, Any], n_vectors: int) -> bool:
         """Whether a cached payload serves the unit it is stored under."""
@@ -314,6 +326,51 @@ class SweepKind(Protocol):
         """Attributes of the ``sweep.shard`` span besides kind and units."""
 
 
+def key_base(
+    scenario: str, circuit: Any, stimulus: Mapping[str, Any], **components: Any
+) -> dict[str, Any]:
+    """The key base of a sweep of ``circuit`` on ``stimulus``
+    (:func:`pattern_stimulus` or :func:`operand_stimulus`): its scenario,
+    the engine version, the circuit and its name, the stimulus and the
+    kind's own ``components``."""
+    return {
+        "scenario": scenario,
+        "engine_version": ENGINE_VERSION,
+        "circuit": netlist_fingerprint(circuit.netlist),
+        "circuit_name": circuit.name,
+        "stimulus": dict(stimulus),
+        **components,
+    }
+
+
+@dataclasses.dataclass(frozen=True)
+class SweepRequest:
+    """One caller's sweep, as :func:`run_sweep_plan` takes it (built by
+    :func:`characterization_request`, :func:`fault_request` or
+    :func:`repro.variation.montecarlo.montecarlo_request`).
+
+    ``units`` are ``(kind, unit)`` pairs in the order the caller wants their
+    payloads back, keyed by each kind's :meth:`~SweepKind.entry_key` on the
+    :func:`key_base` ``base``, and simulated on ``in1``/``in2``.  ``jobs``
+    (worker processes; ``1`` runs in-process, and results are bit-identical
+    for every value) and the pool ``policy`` configure the sweep;
+    ``simulator`` optionally serves the in-process path.
+    """
+
+    circuit: Any
+    in1: np.ndarray
+    in2: np.ndarray
+    base: Mapping[str, Any]
+    units: Sequence[tuple[SweepKind, Any]]
+    jobs: int = 1
+    policy: ExecutionPolicy | None = None
+    simulator: Any = None
+
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+
+
 @dataclasses.dataclass(frozen=True)
 class CharacterizationKind:
     """Units are :class:`OperatingTriad` values; in-process, each
@@ -325,10 +382,23 @@ class CharacterizationKind:
     name = "characterization"
     payload_version = PAYLOAD_VERSION
 
+    @property
+    def family(self) -> Hashable:
+        return (self.name, library_fingerprint(self.library))
+
     def entry_key(
         self, base_components: Mapping[str, Any], unit: OperatingTriad
     ) -> str:
-        return characterization_entry_key(base_components, unit)
+        return SweepResultStore.entry_key(
+            {
+                **base_components,
+                "triad": {"tclk": unit.tclk, "vdd": unit.vdd, "vbb": unit.vbb},
+            }
+        )
+
+    def merge(self, other: SweepKind) -> SweepKind:
+        # The latched words are kept if either request needs them.
+        return self if self.keep_latched else other
 
     def usable(self, payload: Mapping[str, Any], n_vectors: int) -> bool:
         return (
@@ -373,6 +443,35 @@ class CharacterizationKind:
         return {}
 
 
+def characterization_request(
+    circuit: Any,
+    triads: Sequence[OperatingTriad],
+    in1: np.ndarray,
+    in2: np.ndarray,
+    stimulus: Mapping[str, Any],
+    *,
+    library: StandardCellLibrary = DEFAULT_LIBRARY,
+    keep_latched: bool = True,
+    jobs: int = 1,
+    policy: ExecutionPolicy | None = None,
+    simulator: Any = None,
+) -> SweepRequest:
+    """The request characterizing ``circuit`` at ``triads``, in their order.
+
+    Its :func:`key_base` adds the library to what identifies a triad's
+    summary in the store.  ``keep_latched`` asks for payloads carrying the
+    latched output words (needed to rebuild raw measurements); cached
+    entries without them are then recomputed.  ``simulator`` is an optional
+    :class:`OperatorTestbench` of ``circuit`` for the in-process path.
+    """
+    kind = CharacterizationKind(library, keep_latched)
+    base = key_base(
+        "characterization", circuit, stimulus, library=library_fingerprint(library)
+    )
+    units = [(kind, triad) for triad in triads]
+    return SweepRequest(circuit, in1, in2, base, units, jobs, policy, simulator)
+
+
 @dataclasses.dataclass(frozen=True)
 class _FaultKind:
     """Units are :class:`StuckAtFault` sites; in-process, every
@@ -384,6 +483,7 @@ class _FaultKind:
 
     name = "faults"
     payload_version = PAYLOAD_VERSION
+    family = name
 
     def entry_key(
         self, base_components: Mapping[str, Any], unit: StuckAtFault
@@ -394,6 +494,9 @@ class _FaultKind:
                 "fault": {"net": unit.net, "value": bool(unit.stuck_value)},
             }
         )
+
+    def merge(self, other: SweepKind) -> SweepKind:
+        return self
 
     def usable(self, payload: Mapping[str, Any], n_vectors: int) -> bool:
         return (
@@ -450,13 +553,39 @@ def _fault_result_to_payload(
     }
 
 
-def _payload_to_fault_result(payload: Mapping[str, Any]) -> FaultSimulationResult:
+def payload_to_fault_result(payload: Mapping[str, Any]) -> FaultSimulationResult:
+    """Rebuild one fault site's result from its payload."""
     fault = payload["fault"]
     return FaultSimulationResult(
         fault=StuckAtFault(net=int(fault["net"]), stuck_value=bool(fault["value"])),
         detected=bool(payload["detected"]),
         faulty_vector_fraction=float(payload["faulty_vector_fraction"]),
         ber=float(payload["ber"]),
+    )
+
+
+def fault_request(
+    circuit: Any,
+    in1: np.ndarray,
+    in2: np.ndarray,
+    stimulus: Mapping[str, Any],
+    *,
+    faults: Sequence[StuckAtFault] | None = None,
+    jobs: int = 1,
+    policy: ExecutionPolicy | None = None,
+) -> SweepRequest:
+    """The request of a stuck-at campaign over ``faults`` (default: the
+    circuit's full single-stuck-at universe), in their order.
+
+    Its :func:`key_base` adds nothing: the cell library stays out because
+    stuck-at simulation is purely functional.
+    """
+    if faults is None:
+        faults = enumerate_stuck_at_faults(circuit.netlist)
+    kind = _FaultKind()
+    units = [(kind, fault) for fault in faults]
+    return SweepRequest(
+        circuit, in1, in2, key_base("stuck_at", circuit, stimulus), units, jobs, policy
     )
 
 
@@ -530,83 +659,54 @@ def _validate_shard(task: _Shard, result: Any) -> bool:
     )
 
 
+
+
 # ---------------------------------------------------------------------------
-# Orchestration
+# The planner
 # ---------------------------------------------------------------------------
 
 
-def characterization_key_components(
-    circuit: Any,
-    library: StandardCellLibrary,
-    stimulus: Mapping[str, Any],
-) -> dict[str, Any]:
-    """Triad-independent key components of a characterization sweep.
+@dataclasses.dataclass
+class _Group:
+    """The distinct units, by store key, of one (circuit, operands, kind
+    family) of a plan: one sweep under the largest worker count and the
+    first policy and simulator among its requests."""
 
-    The single definition of what identifies a sweep's results in the store;
-    combine with a triad via :func:`characterization_entry_key`.  Used by
-    :func:`run_characterization_sweep` and by the sweep plan of
-    :mod:`repro.api.session`, which keys its units itself and hands them to
-    :func:`run_unit_sweep` already keyed.
-    """
-    return {
-        "scenario": "characterization",
-        "engine_version": ENGINE_VERSION,
-        "circuit": netlist_fingerprint(circuit.netlist),
-        "circuit_name": circuit.name,
-        "library": library_fingerprint(library),
-        "stimulus": dict(stimulus),
-    }
+    first: SweepRequest
+    jobs: int = 1
+    policy: ExecutionPolicy | None = None
+    simulator: Any = None
+    units: dict[str, tuple[SweepKind, Any]] = dataclasses.field(default_factory=dict)
 
 
-def characterization_entry_key(
-    base_components: Mapping[str, Any], triad: OperatingTriad
-) -> str:
-    """Store key of one triad's summary within a characterization sweep."""
-    return SweepResultStore.entry_key(
-        {
-            **base_components,
-            "triad": {"tclk": triad.tclk, "vdd": triad.vdd, "vbb": triad.vbb},
-        }
-    )
-
-
-def run_unit_sweep(
-    name: str,
-    circuit: Any,
-    in1: np.ndarray,
-    in2: np.ndarray,
-    units: Mapping[str, tuple[SweepKind, Any]],
+def _run_unit_sweep(
+    group: _Group,
     *,
-    jobs: int,
     store: SweepResultStore | None,
-    policy: ExecutionPolicy | None,
     chaos: ChaosPlan | None,
     report: ExecutionReport | None,
-    simulator: Any = None,
 ) -> dict[str, dict[str, Any]]:
-    """The one sweep driver: payloads of ``units``, looked up or simulated.
+    """The planner's per-group step: payloads of ``group``'s units by key,
+    in unit order, looked up or simulated.
 
-    ``units`` maps each unit's store key to its ``(kind, unit)`` pair, in
-    grid order (see :class:`SweepKind`).  Every unit the store holds a
-    usable payload for is answered from it; the rest are recorded as
-    simulated and split into pieces by their kind.  With ``jobs > 1`` each
-    kind is split so there are at least ``jobs`` pieces (a lone Monte Carlo
-    range still fills every worker), and the pieces run as :class:`_Shard`
-    tasks, each carrying the circuit itself, on the fault-tolerant pool.
-    With ``jobs == 1``, or when the units form a single piece, they run
-    in-process on one ``simulator`` (the caller's, or one the first kind
-    builds) in the kind's flush blocks.
-
-    Every completed piece flushes to the store at once, so a run killed
-    mid-flight resumes warm.  Returns the payloads by key, in ``units``
-    order.
+    Every unit the store holds a usable payload for is answered from it;
+    the rest are recorded as simulated and split into pieces by their kind.
+    With ``jobs > 1`` each kind is split so there are at least ``jobs``
+    pieces (a lone Monte Carlo range still fills every worker), and the
+    pieces run as :class:`_Shard` tasks, each carrying the circuit itself,
+    on the fault-tolerant pool.  Otherwise, or when the units form a single
+    piece, they run in-process on one simulator (the group's, or one the
+    first kind builds: a group's kinds share a family) in the kinds' flush
+    blocks.  Every completed piece flushes to the store at once, so a run
+    killed mid-flight resumes warm.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    with span("sweep", kind=name, jobs=jobs) as sweep_span:
-        in1_arr = np.asarray(in1, dtype=np.int64)
-        in2_arr = np.asarray(in2, dtype=np.int64)
-        n_vectors = int(in1_arr.size)
+    units, circuit = group.units, group.first.circuit
+    with span(
+        "sweep", kind=next(iter(units.values()))[0].name, jobs=group.jobs
+    ) as sweep_span:
+        in1 = np.asarray(group.first.in1, dtype=np.int64)
+        in2 = np.asarray(group.first.in2, dtype=np.int64)
+        n_vectors = int(in1.size)
         payloads: dict[str, dict[str, Any]] = {}
         if store is not None:
             # One batch read for the whole grid: segments are visited in offset
@@ -640,8 +740,8 @@ def run_unit_sweep(
                         store.put(key, payload)
 
         pieces: list[tuple[SweepKind, list[Any]]] = []
-        if jobs > 1:
-            per_kind = -(-jobs // len(missing))
+        if group.jobs > 1:
+            per_kind = -(-group.jobs // len(missing))
             pieces = [
                 (kind, piece)
                 for kind, kind_units in missing.items()
@@ -650,7 +750,7 @@ def run_unit_sweep(
         if len(pieces) > 1:
             trace_context = current_context()
             tasks = [
-                _Shard(kind, circuit, in1_arr, in2_arr, tuple(piece), trace_context)
+                _Shard(kind, circuit, in1, in2, tuple(piece), trace_context)
                 for kind, piece in pieces
             ]
             # ``run_shards`` hands every accepted (sub)task to ``on_result``
@@ -658,8 +758,8 @@ def run_unit_sweep(
             run_shards(
                 tasks,
                 _run_shard,
-                policy=policy,
-                max_workers=min(jobs, len(tasks)),
+                policy=group.policy,
+                max_workers=min(group.jobs, len(tasks)),
                 units=lambda task: len(task.units),
                 split=_split_shard,
                 validate=_validate_shard,
@@ -668,140 +768,81 @@ def run_unit_sweep(
                 report=report,
             )
         else:
+            simulator = group.simulator
             if simulator is None:
                 simulator = next(iter(missing)).simulator(circuit)
             for kind, kind_units in missing.items():
                 blocks = kind.plan(kind_units, None)
-                results = kind.run(simulator, circuit, in1_arr, in2_arr, blocks)
+                results = kind.run(simulator, circuit, in1, in2, blocks)
                 for block, result in zip(blocks, results):
                     accept(kind, block, result)
         return {key: payloads[key] for key in units}
 
 
-def run_characterization_sweep(
-    circuit: Any,
-    grid: TriadGrid,
-    in1: np.ndarray,
-    in2: np.ndarray,
-    stimulus: Mapping[str, Any],
+class PlanResult(NamedTuple):
+    """What :func:`run_sweep_plan` returns: one payload list per request,
+    in its units' order; the requests' units with multiplicity
+    (``planned``); the units sharing a store key with another one
+    (``deduped``); the distinct units the store already held
+    (``cache_hits``)."""
+
+    payloads: list[list[dict[str, Any]]]
+    planned: int
+    deduped: int
+    cache_hits: int
+
+
+def run_sweep_plan(
+    requests: Sequence[SweepRequest],
     *,
-    library: StandardCellLibrary = DEFAULT_LIBRARY,
-    jobs: int = 1,
     store: SweepResultStore | None = None,
-    keep_latched: bool = True,
-    testbench: Any = None,
-    policy: ExecutionPolicy | None = None,
     chaos: ChaosPlan | None = None,
     report: ExecutionReport | None = None,
-) -> list[dict[str, Any]]:
-    """Characterize a circuit over a triad grid, sharded, cached, resilient.
+) -> PlanResult:
+    """The one sweep planner: every request's payloads, each unit looked up
+    or simulated once.
 
-    Parameters
-    ----------
-    circuit:
-        :class:`AdderCircuit` or :class:`MultiplierCircuit` under test.
-    grid:
-        The triad grid to sweep.
-    in1, in2:
-        Operand streams (already resolved from the pattern config).
-    stimulus:
-        Cache-key components of the stimulus (:func:`pattern_stimulus` or
-        :func:`operand_stimulus`).
-    library:
-        Standard-cell library used by the simulation.
-    jobs:
-        Worker processes; ``1`` executes in-process.  Results are
-        bit-identical for every value.
-    store:
-        Optional result store; ``None`` disables persistence.  Completed
-        shards flush to it the moment they finish (and the in-process path
-        flushes per operating-point group), so a run killed mid-flight
-        resumes warm.
-    keep_latched:
-        Whether payloads must carry the latched output words (required to
-        reconstruct raw measurements).  Cached entries without them are
-        recomputed when requested.
-    testbench:
-        Optional pre-built testbench to reuse for in-process execution.
-    policy:
-        :class:`~repro.core.resilience.ExecutionPolicy` governing retries,
-        per-shard timeouts and the failure action of the sharded path.
-    chaos:
-        Optional deterministic fault-injection plan (tests / chaos CI only).
-    report:
-        Optional :class:`~repro.core.resilience.ExecutionReport` to
-        accumulate recovery accounting into.
-
-    Returns
-    -------
-    list of payload dicts in grid order.
+    Each unit is keyed once and deduplicated by store key across all
+    requests; a key declared twice keeps the kind :meth:`SweepKind.merge`
+    picks (a characterization triad keeps its latched words if any request
+    needs them).  The distinct units are grouped by circuit, operands and
+    kind :attr:`~SweepKind.family` -- requests share a group when they pass
+    the same circuit and operand objects -- and each group runs through one
+    sweep.  ``store`` serves and persists the payloads (``None`` disables
+    persistence), ``chaos`` is an optional deterministic fault-injection
+    plan (tests and chaos CI only) and ``report`` accumulates the sweeps'
+    fault-recovery accounting.
     """
-    kind = CharacterizationKind(library, keep_latched)
-    base_components = characterization_key_components(circuit, library, stimulus)
-    payloads = run_unit_sweep(
-        kind.name,
-        circuit,
-        in1,
-        in2,
-        {kind.entry_key(base_components, triad): (kind, triad) for triad in grid},
-        jobs=jobs,
-        store=store,
-        policy=policy,
-        chaos=chaos,
-        report=report,
-        simulator=testbench,
+    groups: dict[tuple[Hashable, int, int, int], _Group] = {}
+    owners: dict[str, _Group] = {}
+    keyed: list[list[str]] = []
+    for request in requests:
+        keys = [kind.entry_key(request.base, unit) for kind, unit in request.units]
+        where = (id(request.circuit), id(request.in1), id(request.in2))
+        for key, (kind, unit) in zip(keys, request.units):
+            group = owners.get(key)
+            if group is None:
+                identity = (kind.family, *where)
+                if identity not in groups:
+                    groups[identity] = _Group(request)
+                group = owners[key] = groups[identity]
+                group.units[key] = (kind, unit)
+            else:
+                group.units[key] = (group.units[key][0].merge(kind), unit)
+            group.jobs = max(group.jobs, request.jobs)
+            group.policy = group.policy or request.policy
+            group.simulator = group.simulator or request.simulator
+        keyed.append(keys)
+
+    before = simulated_unit_count()
+    payloads: dict[str, dict[str, Any]] = {}
+    for group in groups.values():
+        payloads |= _run_unit_sweep(group, store=store, chaos=chaos, report=report)
+    simulated = simulated_unit_count() - before
+    planned = sum(map(len, keyed))
+    return PlanResult(
+        [[payloads[key] for key in keys] for keys in keyed],
+        planned,
+        planned - len(owners),
+        len(owners) - simulated,
     )
-    return list(payloads.values())
-
-
-def run_fault_sweep(
-    circuit: Any,
-    in1: np.ndarray,
-    in2: np.ndarray,
-    stimulus: Mapping[str, Any],
-    *,
-    faults: Sequence[StuckAtFault] | None = None,
-    jobs: int = 1,
-    store: SweepResultStore | None = None,
-    policy: ExecutionPolicy | None = None,
-    chaos: ChaosPlan | None = None,
-    report: ExecutionReport | None = None,
-) -> list[FaultSimulationResult]:
-    """Run a stuck-at fault campaign, sharded over fault sites and cached.
-
-    The fault list (default: the full single-stuck-at universe of the
-    circuit) is dealt round-robin across ``jobs`` workers; each worker
-    evaluates its chunk on the compiled packed engine.  Per-fault results
-    are stored content-addressed, keyed on (circuit, stimulus, fault, engine
-    version) -- the cell library does not enter the key because stuck-at
-    simulation is purely functional.
-
-    ``policy`` / ``chaos`` / ``report`` configure and account the
-    fault-tolerant shard engine exactly as in
-    :func:`run_characterization_sweep`; completed shards (and, in-process,
-    fixed-size fault blocks) flush to the store immediately.
-    """
-    if faults is None:
-        faults = enumerate_stuck_at_faults(circuit.netlist)
-    base_components = {
-        "scenario": "stuck_at",
-        "engine_version": ENGINE_VERSION,
-        "circuit": netlist_fingerprint(circuit.netlist),
-        "circuit_name": circuit.name,
-        "stimulus": dict(stimulus),
-    }
-    kind = _FaultKind()
-    keys = [kind.entry_key(base_components, fault) for fault in faults]
-    payloads = run_unit_sweep(
-        kind.name,
-        circuit,
-        in1,
-        in2,
-        {key: (kind, fault) for key, fault in zip(keys, faults)},
-        jobs=jobs,
-        store=store,
-        policy=policy,
-        chaos=chaos,
-        report=report,
-    )
-    return [_payload_to_fault_result(payloads[key]) for key in keys]

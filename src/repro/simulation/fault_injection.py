@@ -119,7 +119,7 @@ def fault_coverage(results: "Iterable[FaultSimulationResult]") -> float:
     The one definition shared by :meth:`StuckAtFaultSimulator.coverage` and
     the campaign summaries of :mod:`repro.analysis.faults` (and therefore by
     the ``repro faults`` workflow, whose sharded results come back through
-    :func:`repro.core.sweep.run_fault_sweep`).
+    the sweep planner, :func:`repro.core.sweep.run_sweep_plan`).
     """
     result_list = list(results)
     if not result_list:

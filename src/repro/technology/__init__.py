@@ -38,7 +38,7 @@ from repro.technology.library import (
     CellTimingModel,
     StandardCellLibrary,
 )
-from repro.technology.corners import ProcessCorner, VariabilityModel
+from repro.technology.corners import ProcessCorner
 
 __all__ = [
     "FDSOI28_LVT",
@@ -56,5 +56,4 @@ __all__ = [
     "StandardCellLibrary",
     "SUPPORTED_BODY_BIAS_RANGE",
     "ProcessCorner",
-    "VariabilityModel",
 ]

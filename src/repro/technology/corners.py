@@ -5,8 +5,7 @@ reason near-threshold operation becomes practical, and that any physical-level
 approximation method must account for variability on top of the deliberate
 approximation.  This module provides the small amount of machinery needed to
 run such sensitivity experiments: fixed process corners (rescaled parameter
-sets) and a per-gate random-variation model used by the event-driven
-reference simulator and the ablation benchmarks.
+sets) and the per-gate local-mismatch model of the Monte Carlo runs.
 """
 
 from __future__ import annotations
@@ -91,60 +90,14 @@ def corner_library(
 
 
 @dataclasses.dataclass(frozen=True)
-class VariabilityModel:
-    """Log-normal per-gate delay variation (local mismatch).
-
-    ``sigma_fraction`` is the relative standard deviation of the per-gate
-    delay at the nominal supply.  Variation is amplified as the supply drops
-    (near-threshold operation is more sensitive to Vt mismatch); the
-    amplification exponent controls how fast.
-    """
-
-    sigma_fraction: float = 0.05
-    low_voltage_amplification: float = 1.5
-    reference_vdd: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.sigma_fraction < 0:
-            raise ValueError("sigma_fraction must be non-negative")
-        if self.low_voltage_amplification < 0:
-            raise ValueError("low_voltage_amplification must be non-negative")
-        if self.reference_vdd <= 0:
-            raise ValueError("reference_vdd must be positive")
-
-    def sigma_at(self, vdd: float) -> float:
-        """Effective relative sigma at the given supply voltage."""
-        ratio = max(self.reference_vdd / max(vdd, 1e-9), 1.0)
-        return self.sigma_fraction * ratio**self.low_voltage_amplification
-
-    def sample_multipliers(
-        self,
-        n_gates: int,
-        vdd: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Draw one log-normal delay multiplier per gate.
-
-        The multipliers have unit median so the deterministic delay model is
-        recovered for ``sigma_fraction == 0``.
-        """
-        if n_gates < 0:
-            raise ValueError("n_gates must be non-negative")
-        sigma = self.sigma_at(vdd)
-        if sigma == 0.0 or n_gates == 0:
-            return np.ones(n_gates)
-        return rng.lognormal(mean=0.0, sigma=sigma, size=n_gates)
-
-
-@dataclasses.dataclass(frozen=True)
 class GateVariationModel:
     """Per-gate local-mismatch model in *device parameter* space.
 
-    Where :class:`VariabilityModel` perturbs delays directly (with a
-    hand-tuned low-voltage amplification), this model perturbs the two
-    physical parameters the corner table also adjusts -- the strong-inversion
-    current factor and the threshold voltage -- and derives delay and leakage
-    multipliers *through the device equations*.  The supply dependence then
+    Rather than perturbing delays directly (with a hand-tuned low-voltage
+    amplification), this model perturbs the two physical parameters the
+    corner table also adjusts -- the strong-inversion current factor and the
+    threshold voltage -- and derives delay and leakage multipliers *through
+    the device equations*.  The supply dependence then
     comes out of the physics: near threshold the drive current is exponential
     in Vt, so the same mV-level Vt mismatch produces far larger delay spread
     at 0.5 V than at 1.0 V, which is exactly the regime the paper's VOS sweep

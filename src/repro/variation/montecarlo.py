@@ -11,10 +11,12 @@ timing engine (one batched arrival pass evaluates the whole range per
 per-instance BER/energy into distribution statistics and yield
 (:mod:`repro.variation.stats`).
 
-Scale comes from the one sweep driver of :mod:`repro.core.sweep`
-(:func:`~repro.core.sweep.run_unit_sweep`), which characterization and
+Scale comes from the one sweep planner of :mod:`repro.core.sweep`
+(:func:`~repro.core.sweep.run_sweep_plan`), which characterization and
 fault campaigns share; this module supplies only the Monte Carlo kind of
-unit (``_MonteCarloKind``): its store key, payload check and simulation.
+unit (``_MonteCarloKind``) -- its store key, payload check and simulation
+-- its request (:func:`montecarlo_request`) and the results built from its
+payloads (:func:`variation_results_from_payloads`).
 
 * **Sharding.**  Sample ranges are fixed-size chunks (independent of the
   worker count).  A shard is one sample range times a set of whole
@@ -38,7 +40,7 @@ unit (``_MonteCarloKind``): its store key, payload check and simulation.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,12 +50,16 @@ from repro.core.store import (
     SweepResultStore,
     decode_float64_array,
     library_fingerprint,
-    netlist_fingerprint,
     pack_float64_array,
 )
-from repro.core.sweep import run_unit_sweep, shard_triads
+from repro.core.sweep import (
+    SweepKind,
+    SweepRequest,
+    key_base,
+    run_sweep_plan,
+    shard_triads,
+)
 from repro.core.triad import OperatingTriad, TriadGrid
-from repro.simulation.engine import ENGINE_VERSION
 from repro.simulation.timing_sim import VosTimingSimulator
 from repro.technology.corners import (
     GateVariationModel,
@@ -158,6 +164,13 @@ class _MonteCarloKind:
     name = "montecarlo"
     payload_version = MC_PAYLOAD_VERSION
 
+    @property
+    def family(self) -> Hashable:
+        return (self.name, library_fingerprint(self.library))
+
+    def merge(self, other: SweepKind) -> SweepKind:
+        return self
+
     def entry_key(
         self, base_components: Mapping[str, Any], unit: OperatingTriad
     ) -> str:
@@ -261,6 +274,79 @@ class _MonteCarloKind:
 # ---------------------------------------------------------------------------
 
 
+def montecarlo_request(
+    circuit: Any,
+    triads: Sequence[OperatingTriad],
+    in1: np.ndarray,
+    in2: np.ndarray,
+    stimulus: Mapping[str, Any],
+    *,
+    config: MonteCarloConfig,
+    library: StandardCellLibrary = DEFAULT_LIBRARY,
+    jobs: int = 1,
+    policy: ExecutionPolicy | None = None,
+) -> SweepRequest:
+    """The request of a Monte Carlo run of ``circuit`` at ``triads``.
+
+    One unit -- one store entry, one payload -- per ``(triad, sample
+    range)``, triad-major.  ``config`` holds corner, mismatch model, sample
+    count, variation seed and chunking; the run shifts the *base*
+    ``library`` to ``config.corner`` before sampling local mismatch around
+    the corner nominal.  The :func:`~repro.core.sweep.key_base` adds the
+    shifted library, the corner and the variation model and seed.  With
+    ``jobs > 1`` a shard is one sample range times whole ``(vdd, vbb)``
+    groups, and ranges are split by group until there are at least ``jobs``
+    shards; results are byte-identical for every value, and
+    ``split-and-retry`` stores the same entries.
+    """
+    shifted = corner_library(config.corner, library)
+    base = key_base(
+        "montecarlo",
+        circuit,
+        stimulus,
+        library=library_fingerprint(shifted),
+        corner=config.corner.value,
+        variation=config.key_components(),
+    )
+    kinds = [
+        _MonteCarloKind(shifted, config.model, config.seed, start, stop)
+        for start, stop in config.sample_ranges()
+    ]
+    units = [(kind, triad) for triad in triads for kind in kinds]
+    return SweepRequest(circuit, in1, in2, base, units, jobs, policy)
+
+
+def variation_results_from_payloads(
+    triads: Sequence[OperatingTriad], payloads: Sequence[Mapping[str, Any]]
+) -> list[TriadVariationResult]:
+    """One :class:`~repro.variation.stats.TriadVariationResult` per triad
+    from the payloads of a :func:`montecarlo_request`, in its unit order;
+    each carries the full per-sample arrays in absolute sample-index order.
+    """
+    n_ranges = len(payloads) // len(triads)
+    results: list[TriadVariationResult] = []
+    for index, triad in enumerate(triads):
+        parts = payloads[index * n_ranges : (index + 1) * n_ranges]
+
+        def samples(name: str) -> np.ndarray:
+            return np.concatenate([decode_float64_array(p[name]) for p in parts])
+
+        results.append(
+            TriadVariationResult(
+                triad=triad,
+                n_vectors=int(parts[0]["n_vectors"]),
+                ber_samples=samples("ber_samples"),
+                faulty_fraction_samples=samples("faulty_fraction_samples"),
+                energy_samples=samples("energy_samples"),
+                static_energy_samples=samples("static_energy_samples"),
+                dynamic_energy_per_operation=float(
+                    parts[0]["dynamic_energy_per_operation"]
+                ),
+            )
+        )
+    return results
+
+
 def run_montecarlo_sweep(
     circuit: Any,
     grid: TriadGrid | Sequence[OperatingTriad],
@@ -278,109 +364,26 @@ def run_montecarlo_sweep(
 ) -> list[TriadVariationResult]:
     """Monte Carlo characterize a circuit over a triad grid, sharded + cached.
 
-    Parameters
-    ----------
-    circuit:
-        :class:`AdderCircuit` or :class:`MultiplierCircuit` under test.
-    grid:
-        Operating triads to characterize at.
-    in1, in2:
-        Operand streams (already resolved from the pattern config).
-    stimulus:
-        Cache-key components of the stimulus
-        (:func:`repro.core.sweep.pattern_stimulus` or
-        :func:`repro.core.sweep.operand_stimulus`).
-    config:
-        Corner, mismatch model, sample count, variation seed and chunking.
-    library:
-        *Base* standard-cell library; the run shifts it to ``config.corner``
-        before sampling local mismatch around the corner nominal.
-    jobs:
-        Worker processes.  A shard is one sample range times whole
-        ``(vdd, vbb)`` groups; ranges are split by group until there are at
-        least ``jobs`` shards.  ``1`` executes in-process, one range at a
-        time.  Results are byte-identical for every value.
-    store:
-        Optional result store; completed ``(triad, range)`` entries are
-        fetched from / persisted to it, and only the absent ones are
-        simulated (warm reruns simulate nothing).  Every completed shard or
-        range flushes immediately, so an interrupted run resumes warm.
-    policy / chaos / report:
-        Fault-tolerance knobs of the shard engine, as in
-        :func:`repro.core.sweep.run_characterization_sweep`, including
-        ``split-and-retry``: store keys are per ``(range, triad)``, so a
-        halved shard stores the same entries.
-
-    Returns
-    -------
-    One :class:`~repro.variation.stats.TriadVariationResult` per triad, in
-    grid order, each carrying the full per-sample arrays in absolute
-    sample-index order.
+    The :func:`montecarlo_request` of the arguments, run as a plan of its
+    own (:func:`~repro.core.sweep.run_sweep_plan`: ``store``, ``chaos`` and
+    ``report`` as there).  A warm rerun -- or one extending ``n_samples`` --
+    simulates only the ``(triad, range)`` entries ``store`` lacks.  Returns
+    one :class:`~repro.variation.stats.TriadVariationResult` per triad, in
+    grid order.
     """
     triads = list(grid)
     if not triads:
         raise ValueError("the triad grid must not be empty")
-    shifted = corner_library(config.corner, library)
-    base_components: dict[str, Any] = {
-        "scenario": "montecarlo",
-        "engine_version": ENGINE_VERSION,
-        "circuit": netlist_fingerprint(circuit.netlist),
-        "circuit_name": circuit.name,
-        "library": library_fingerprint(shifted),
-        "stimulus": dict(stimulus),
-        "corner": config.corner.value,
-        "variation": config.key_components(),
-    }
-    # One store entry (and one payload) per (sample range, triad) unit.
-    kinds = [
-        _MonteCarloKind(shifted, config.model, config.seed, start, stop)
-        for start, stop in config.sample_ranges()
-    ]
-    units = [(kind, triad) for triad in triads for kind in kinds]
-    keys = [kind.entry_key(base_components, triad) for kind, triad in units]
-    by_key = run_unit_sweep(
-        _MonteCarloKind.name,
+    request = montecarlo_request(
         circuit,
+        triads,
         in1,
         in2,
-        dict(zip(keys, units)),
+        stimulus,
+        config=config,
+        library=library,
         jobs=jobs,
-        store=store,
         policy=policy,
-        chaos=chaos,
-        report=report,
     )
-    payloads = [by_key[key] for key in keys]
-
-    n_vectors = int(np.asarray(in1).size)
-    results: list[TriadVariationResult] = []
-    for index, triad in enumerate(triads):
-        parts = payloads[index * len(kinds) : (index + 1) * len(kinds)]
-        results.append(
-            TriadVariationResult(
-                triad=triad,
-                n_vectors=n_vectors,
-                ber_samples=np.concatenate(
-                    [decode_float64_array(p["ber_samples"]) for p in parts]
-                ),
-                faulty_fraction_samples=np.concatenate(
-                    [
-                        decode_float64_array(p["faulty_fraction_samples"])
-                        for p in parts
-                    ]
-                ),
-                energy_samples=np.concatenate(
-                    [decode_float64_array(p["energy_samples"]) for p in parts]
-                ),
-                static_energy_samples=np.concatenate(
-                    [
-                        decode_float64_array(p["static_energy_samples"])
-                        for p in parts
-                    ]
-                ),
-                dynamic_energy_per_operation=float(
-                    parts[0]["dynamic_energy_per_operation"]
-                ),
-            )
-        )
-    return results
+    plan = run_sweep_plan([request], store=store, chaos=chaos, report=report)
+    return variation_results_from_payloads(triads, plan.payloads[0])

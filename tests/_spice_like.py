@@ -22,8 +22,53 @@ from repro.circuits.cells import evaluate_gate
 from repro.circuits.netlist import Netlist
 from repro.simulation import engine
 from repro.simulation.timing_sim import TimingAnnotation
-from repro.technology.corners import VariabilityModel
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
+
+
+@dataclasses.dataclass(frozen=True)
+class VariabilityModel:
+    """Log-normal per-gate delay variation (local mismatch).
+
+    ``sigma_fraction`` is the relative standard deviation of the per-gate
+    delay at the nominal supply.  Variation is amplified as the supply drops
+    (near-threshold operation is more sensitive to Vt mismatch); the
+    amplification exponent controls how fast.
+    """
+
+    sigma_fraction: float = 0.05
+    low_voltage_amplification: float = 1.5
+    reference_vdd: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.sigma_fraction < 0:
+            raise ValueError("sigma_fraction must be non-negative")
+        if self.low_voltage_amplification < 0:
+            raise ValueError("low_voltage_amplification must be non-negative")
+        if self.reference_vdd <= 0:
+            raise ValueError("reference_vdd must be positive")
+
+    def sigma_at(self, vdd: float) -> float:
+        """Effective relative sigma at the given supply voltage."""
+        ratio = max(self.reference_vdd / max(vdd, 1e-9), 1.0)
+        return self.sigma_fraction * ratio**self.low_voltage_amplification
+
+    def sample_multipliers(
+        self,
+        n_gates: int,
+        vdd: float,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Draw one log-normal delay multiplier per gate.
+
+        The multipliers have unit median so the deterministic delay model is
+        recovered for ``sigma_fraction == 0``.
+        """
+        if n_gates < 0:
+            raise ValueError("n_gates must be non-negative")
+        sigma = self.sigma_at(vdd)
+        if sigma == 0.0 or n_gates == 0:
+            return np.ones(n_gates)
+        return rng.lognormal(mean=0.0, sigma=sigma, size=n_gates)
 
 
 @dataclasses.dataclass(frozen=True)

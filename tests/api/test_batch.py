@@ -1,5 +1,11 @@
 """Sweep plan tests: cross-job dedup with zero duplicate simulations."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.api.jobs import (
@@ -16,6 +22,7 @@ from repro.api.session import Session
 from repro.core.dataset import save_characterization
 from repro.core.store import SweepResultStore
 from repro.core.sweep import simulated_unit_count
+from repro.simulation.fault_injection import enumerate_stuck_at_faults
 
 SMALL = PatternOptions(vectors=240)
 
@@ -80,15 +87,18 @@ class TestBatchDedup:
         montecarlo = MonteCarloJob(
             operator="rca8", pattern=SMALL, samples=6, supply_voltages=(0.8, 0.5)
         )
-        batch = Session(store=None).run_batch(overlapping_jobs() + [montecarlo])
-        # The plan ran every characterization unit in the session span; the
-        # Monte Carlo job (one range x two triads) runs its own sweep.
+        session = Session(store=None)
+        grid_size = len(session.flow_for("rca8").default_triad_grid())
+        batch = session.run_batch(overlapping_jobs() + [montecarlo])
+        # The plan ran every unit in the session span, the Monte Carlo job's
+        # one range x two triads too: no job simulates on its own.
         assert [result.run.simulated_units for result in batch.results] == [
             0,
             0,
             0,
-            2,
+            0,
         ]
+        assert batch.report.simulated_units == grid_size + 2
 
     def test_repeated_fig5_supply_is_planned_twice_and_deduped_once(self):
         batch = Session(store=None).run_batch(
@@ -185,17 +195,73 @@ class TestBatchDedup:
         assert batch.report.cache_hits == len(grid) - 1
         assert "hardware BER" in batch.results[1].render()
 
-    def test_montecarlo_jobs_dedup_through_the_session_overlay(self):
+    @pytest.mark.parametrize(
+        "job, units",
+        [
+            (
+                MonteCarloJob(
+                    operator="rca8",
+                    pattern=SMALL,
+                    samples=6,
+                    supply_voltages=(0.8, 0.5),
+                ),
+                2,  # one sample range x two triads
+            ),
+            (FaultSweepJob(operator="rca8", pattern=SMALL), None),
+        ],
+        ids=["montecarlo", "faults"],
+    )
+    def test_a_repeated_job_is_deduped_by_the_plan(self, job, units):
         session = Session(store=None)
-        job = MonteCarloJob(
-            operator="rca8", pattern=SMALL, samples=6, supply_voltages=(0.8, 0.5)
-        )
+        if units is None:
+            netlist = session.flow_for("rca8").adder.netlist
+            units = len(enumerate_stuck_at_faults(netlist))
         before = simulated_unit_count()
         batch = session.run_batch([job, job])
-        simulated = simulated_unit_count() - before
-        # one range x two triads, simulated once; the repeat replays memory
-        assert simulated == 2
+        assert simulated_unit_count() - before == units
+        assert batch.report.planned_units == 2 * units
+        assert batch.report.deduped_units == units
+        assert batch.report.simulated_units == units
         assert batch.results[0].render() == batch.results[1].render()
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "part-warm"])
+    def test_accounting_closes_without_an_explore_job(self, warm):
+        # Every kind of sweep job is planned, so each simulated unit is a
+        # planned one that neither dedup nor the store answered.
+        session = Session(store=None)
+        if warm:
+            session.run(FaultSweepJob(operator="rca8", pattern=SMALL))
+        jobs = overlapping_jobs() + [
+            MonteCarloJob(
+                operator="rca8", pattern=SMALL, samples=6, supply_voltages=(0.8, 0.5)
+            ),
+            FaultSweepJob(operator="rca8", pattern=SMALL),
+            FaultSweepJob(operator="bka8", pattern=SMALL),
+        ]
+        report = session.run_batch(jobs).report
+        assert (report.cache_hits > 0) == warm
+        assert report.simulated_units > 0
+        assert (
+            report.planned_units - report.deduped_units - report.cache_hits
+            == report.simulated_units
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_kind_batch_matches_solo_runs(self, jobs):
+        # Characterization, Monte Carlo and fault units of one rca8
+        # stimulus share a plan (and its operand arrays).
+        batch_jobs = [
+            CharacterizeJob(operator="rca8", pattern=SMALL),
+            MonteCarloJob(
+                operator="rca8", pattern=SMALL, samples=6, supply_voltages=(0.8, 0.5)
+            ),
+            FaultSweepJob(operator="rca8", pattern=SMALL),
+        ]
+        batch = Session(store=None, jobs=jobs).run_batch(batch_jobs)
+        for job, result in zip(batch_jobs, batch.results):
+            solo = Session(store=None, jobs=jobs).run(job)
+            assert result.render() == solo.render()
+            assert _body(result) == _body(solo)
 
     def test_non_sweep_jobs_plan_zero_units(self):
         session = Session(store=None)
@@ -220,3 +286,55 @@ class TestBatchDedup:
 def _body(result):
     """A result document without its ``"run"`` work accounting."""
     return {key: value for key, value in result.to_json().items() if key != "run"}
+
+
+def test_failed_batch_sweep_exits_with_one_line(tmp_path):
+    """A sweep that exhausts its recovery options ends ``repro batch`` with
+    the one-line error ``repro characterize`` prints, not a traceback."""
+    jobs_file = tmp_path / "jobs.json"
+    jobs_file.write_text(
+        json.dumps(
+            {
+                "jobs": [
+                    {
+                        "type": "characterize",
+                        "operator": "rca8",
+                        "pattern": {"vectors": 240},
+                    },
+                    {"type": "faults", "operator": "rca8", "pattern": {"vectors": 240}},
+                ]
+            },
+            sort_keys=True,
+        ),
+        encoding="utf-8",
+    )
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(src),
+        "REPRO_CHAOS": '[{"action": "crash", "shard": 0}]',
+    }
+    process = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "repro.cli",
+            "batch",
+            str(jobs_file),
+            "--no-cache",
+            "--jobs",
+            "2",
+            "--max-retries",
+            "0",
+            "--on-worker-failure",
+            "fail",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert process.returncode != 0
+    assert "Traceback" not in process.stderr
+    assert process.stderr.splitlines() == [process.stderr.strip()]
+    assert process.stderr.startswith("sweep execution failed: ")

@@ -399,9 +399,9 @@ class TestPoolLifetime:
         execution = pooled.report.execution
         assert execution.pool_rebuilds == 1
         assert execution.crashes == 1
-        assert pooled.results[0].execution.pool_rebuilds == 1
-        assert not pooled.results[1].execution.faulted
-        assert not pooled.results[2].execution.faulted
+        # The batch plans all three sweeps, so their recovery is the batch's:
+        # no job report holds any of it.
+        assert not any(result.execution.faulted for result in pooled.results)
         first, *later = _shard_pids_by_sweep(trace)
         assert len(later) == 2
         fresh = set().union(*later)

@@ -1,5 +1,6 @@
-"""Tests of the session's one sweep plan: what each job declares, how shared
-units merge, where the plan runs, and how results are built from payloads."""
+"""Tests of the one sweep plan: what each job declares, how shared units
+merge, where the plan runs, how the planner groups and returns payloads, and
+how results are built from them."""
 
 import pytest
 
@@ -15,18 +16,28 @@ from repro.api.jobs import (
 )
 from repro.api.options import PatternOptions
 from repro.api.session import Session, SessionError
-from repro.core import sweep as sweep_module
 from repro.core.characterization import (
     CharacterizationFlow,
     characterization_from_payloads,
 )
 from repro.core.dataset import characterization_to_dict, save_characterization
-from repro.core.sweep import simulated_unit_count
+from repro.core.sweep import (
+    characterization_request,
+    fault_request,
+    pattern_stimulus,
+    run_sweep_plan,
+    simulated_unit_count,
+)
 from repro.core.triad import OperatingTriad
 from repro.obs.report import load_trace
+from repro.obs.trace import Tracer, activated
+from repro.simulation.fault_injection import enumerate_stuck_at_faults
 from repro.simulation.patterns import PatternConfig, generate_patterns
-from repro.technology.library import DEFAULT_LIBRARY
-from repro.variation.montecarlo import supply_scaling_grid
+from repro.variation.montecarlo import (
+    MonteCarloConfig,
+    montecarlo_request,
+    supply_scaling_grid,
+)
 
 SMALL = PatternOptions(vectors=240)
 
@@ -52,31 +63,40 @@ def calibrate_job(triad):
     )
 
 
+def units_of(sweep):
+    """The units a declared sweep requests, in request order."""
+    return [unit for _, unit in sweep.request.units]
+
+
+def keep_latched(sweep):
+    """Whether a declared characterization sweep keeps latched words."""
+    [keep] = {kind.keep_latched for kind, _ in sweep.request.units}
+    return keep
+
+
 class TestDeclaration:
     def test_characterize_declares_the_default_grid(self, session):
         job = CharacterizeJob(operator="rca8", pattern=SMALL, keep_measurements=False)
         [sweep] = session._declare(job)
-        assert sweep.spec == job.spec
-        assert sweep.pattern == SMALL.config(8)
-        assert list(sweep.triads) == list(
-            session.flow_for("rca8").default_triad_grid()
-        )
-        assert sweep.keep_latched is False
+        assert sweep.request.circuit is session.flow_for("rca8").adder
+        assert sweep.request.base["stimulus"] == pattern_stimulus(SMALL.config(8))
+        assert units_of(sweep) == list(session.flow_for("rca8").default_triad_grid())
+        assert keep_latched(sweep) is False
 
     def test_calibrate_declares_its_one_triad_with_latched_words(self, session):
         job = calibrate_job(grid_triad(session, 5))
         [sweep] = session._declare(job)
-        assert list(sweep.triads) == [job.triad()]
-        assert sweep.keep_latched is True
+        assert units_of(sweep) == [job.triad()]
+        assert keep_latched(sweep) is True
 
     def test_fig5_keeps_the_job_voltage_order_and_repeats(self, session):
         job = Fig5Job(operator="rca8", supply_voltages=(0.5, 0.8, 0.5), vectors=240)
         [sweep] = session._declare(job)
         nominal = session.flow_for("rca8").nominal_clock_period()
-        assert list(sweep.triads) == [
+        assert units_of(sweep) == [
             OperatingTriad(tclk=nominal, vdd=vdd, vbb=0.0) for vdd in (0.5, 0.8, 0.5)
         ]
-        assert sweep.keep_latched is False
+        assert keep_latched(sweep) is False
 
     def test_table4_declares_only_its_operator_names(
         self, session, tmp_path, rca8_characterization
@@ -85,17 +105,47 @@ class TestDeclaration:
         save_characterization(rca8_characterization, dataset)
         job = Table4Job(datasets=("bka8", str(dataset), "rca4"), vectors=240)
         sweeps = session._declare(job)
-        assert [sweep.spec.name for sweep in sweeps] == ["bka8", "rca4"]
-        assert [sweep.pattern.width for sweep in sweeps] == [8, 4]
+        assert [sweep.request.circuit.name for sweep in sweeps] == ["bka8", "rca4"]
+        assert [sweep.request.base["stimulus"]["width"] for sweep in sweeps] == [8, 4]
+
+    def test_montecarlo_declares_sample_ranges_times_the_fig5_grid(self, session):
+        # 40 samples are the ranges [0, 32) and [32, 40).
+        job = MonteCarloJob(
+            operator="rca8", pattern=SMALL, samples=40, supply_voltages=(0.5, 0.8)
+        )
+        [sweep] = session._declare(job)
+        triads = list(supply_scaling_grid(session.flow_for("rca8"), (0.5, 0.8)))
+        assert [
+            (kind.start, kind.stop, unit) for kind, unit in sweep.request.units
+        ] == [
+            (start, stop, triad)
+            for triad in triads
+            for start, stop in ((0, 32), (32, 40))
+        ]
+
+    def test_faults_declare_every_fault_site(self, session):
+        [sweep] = session._declare(FaultSweepJob(operator="rca4", pattern=SMALL))
+        circuit = session.flow_for("rca4").adder
+        assert sweep.request.circuit is circuit
+        assert units_of(sweep) == list(enumerate_stuck_at_faults(circuit.netlist))
+
+    def test_jobs_of_one_stimulus_share_the_operand_arrays(self, session):
+        operands = {}
+        requests = [
+            sweep.request
+            for job in (
+                CharacterizeJob(operator="rca8", pattern=SMALL),
+                MonteCarloJob(operator="rca8", pattern=SMALL, samples=4),
+                FaultSweepJob(operator="rca8", pattern=SMALL),
+            )
+            for sweep in session._declare(job, operands)
+        ]
+        assert len(operands) == 1
+        [(in1, in2)] = operands.values()
+        assert all(r.in1 is in1 and r.in2 is in2 for r in requests)
 
     @pytest.mark.parametrize(
-        "job",
-        [
-            SynthesizeJob(operators=("rca8",)),
-            MonteCarloJob(operator="rca8", pattern=SMALL, samples=4),
-            FaultSweepJob(operator="rca4", pattern=SMALL),
-        ],
-        ids=["synthesize", "montecarlo", "faults"],
+        "job", [SynthesizeJob(operators=("rca8",))], ids=["synthesize"]
     )
     def test_jobs_that_plan_no_sweep_declare_none(self, session, job):
         assert session._declare(job) == []
@@ -172,39 +222,98 @@ class TestWhereThePlanRuns:
         assert self.sweep_parents(load_trace(trace)) == ["job"]
 
 
-class TestResultsFromPayloads:
+class TestPlanner:
+    def request(self, rca8, pattern, triads, keep_latched=False):
+        in1, in2 = generate_patterns(pattern)
+        return characterization_request(
+            rca8,
+            triads,
+            in1,
+            in2,
+            pattern_stimulus(pattern),
+            keep_latched=keep_latched,
+        )
+
+    def test_requests_get_their_payloads_in_their_own_order(self, rca8):
+        pattern = PatternConfig(n_vectors=240, width=8, seed=7)
+        triads = list(CharacterizationFlow(rca8).default_triad_grid())[:4]
+        forward = self.request(rca8, pattern, triads)
+        backward = self.request(rca8, pattern, triads[::-1])
+        before = simulated_unit_count()
+        plan = run_sweep_plan([forward, backward])
+        assert simulated_unit_count() - before == 4
+        assert (plan.planned, plan.deduped, plan.cache_hits) == (8, 4, 0)
+        first, second = plan.payloads
+        assert second == first[::-1]
+        assert [p["triad"]["vdd"] for p in first] == [t.vdd for t in triads]
+
+    def test_kind_families_run_as_separate_sweeps(self, rca8, tmp_path):
+        pattern = PatternConfig(n_vectors=240, width=8, seed=7)
+        triads = list(CharacterizationFlow(rca8).default_triad_grid())[:2]
+        characterize = self.request(rca8, pattern, triads)
+        faults = fault_request(
+            rca8,
+            characterize.in1,
+            characterize.in2,
+            pattern_stimulus(pattern),
+            faults=enumerate_stuck_at_faults(rca8.netlist)[:3],
+        )
+        trace = tmp_path / "plan.jsonl"
+        tracer = Tracer(trace)
+        with activated(tracer):
+            plan = run_sweep_plan([characterize, faults])
+        tracer.close()
+        sweeps = [
+            (record["attrs"]["kind"], record["attrs"]["units"])
+            for record in load_trace(trace)
+            if record["name"] == "sweep"
+        ]
+        assert sweeps == [("characterization", 2), ("faults", 3)]
+        assert [len(payloads) for payloads in plan.payloads] == [2, 3]
+
+    def test_monte_carlo_requests_at_one_corner_share_a_sweep(self, rca8, tmp_path):
+        # Each request shifts its own copy of the library to the corner; the
+        # copies are equal, so one simulator serves both requests.
+        pattern = PatternConfig(n_vectors=240, width=8, seed=7)
+        in1, in2 = generate_patterns(pattern)
+        triads = list(CharacterizationFlow(rca8).default_triad_grid())[:2]
+        requests = [
+            montecarlo_request(
+                rca8,
+                triads,
+                in1,
+                in2,
+                pattern_stimulus(pattern),
+                config=MonteCarloConfig(n_samples=3, seed=seed),
+            )
+            for seed in (1, 2)
+        ]
+        trace = tmp_path / "plan.jsonl"
+        tracer = Tracer(trace)
+        with activated(tracer):
+            plan = run_sweep_plan(requests)
+        tracer.close()
+        sweeps = [
+            (record["attrs"]["kind"], record["attrs"]["units"])
+            for record in load_trace(trace)
+            if record["name"] == "sweep"
+        ]
+        assert sweeps == [("montecarlo", 4)]
+        assert plan.payloads == [run_sweep_plan([r]).payloads[0] for r in requests]
+
     def test_payloads_rebuild_the_flow_characterization(self, rca8):
         flow = CharacterizationFlow(rca8)
         pattern = PatternConfig(n_vectors=240, width=8, seed=7)
         triads = list(flow.default_triad_grid())[:6]
         expected = flow.run(triads=triads, pattern=pattern, keep_measurements=True)
 
-        in1, in2 = generate_patterns(pattern)
-        base = sweep_module.characterization_key_components(
-            rca8, DEFAULT_LIBRARY, sweep_module.pattern_stimulus(pattern)
-        )
-        kind = sweep_module.CharacterizationKind(DEFAULT_LIBRARY, True)
-        units = {
-            sweep_module.characterization_entry_key(base, triad): (kind, triad)
-            for triad in triads
-        }
-        payloads = sweep_module.run_unit_sweep(
-            kind.name,
-            rca8,
-            in1,
-            in2,
-            units,
-            jobs=1,
-            store=None,
-            policy=None,
-            chaos=None,
-            report=None,
-        )
+        request = self.request(rca8, pattern, triads, keep_latched=True)
+        [payloads] = run_sweep_plan([request]).payloads
         rebuilt = characterization_from_payloads(
             rca8,
-            [payloads[key] for key in units],
-            in1,
-            in2,
+            payloads,
+            request.in1,
+            request.in2,
             keep_measurements=True,
             pattern_kind=pattern.kind,
             seed=pattern.seed,

@@ -27,15 +27,17 @@ from repro.core.resilience import (
 )
 from repro.core.store import SweepResultStore
 from repro.core.sweep import (
+    characterization_request,
+    fault_request,
     pattern_stimulus,
-    run_characterization_sweep,
-    run_fault_sweep,
     simulated_unit_count,
 )
 from repro.core.triad import TriadGrid
 from repro.simulation.patterns import PatternConfig, generate_patterns
 from repro.testing.chaos import CORRUPTION_MARKER, ChaosPlan, ChaosRule
 from repro.variation.montecarlo import MonteCarloConfig, run_montecarlo_sweep
+
+from _sweep_helpers import plan_payloads
 
 
 # -- picklable shard workers ---------------------------------------------------
@@ -505,19 +507,23 @@ def chaos_pattern():
 RECOVERY_POLICY = ExecutionPolicy(max_retries=2, shard_timeout_s=30.0)
 
 
-def _comparable_sweep(kind, grid, pattern, **kwargs):
+def _comparable_sweep(kind, grid, pattern, jobs=1, policy=None, **plan):
     """Run one sweep kind on rca8; its results in an ``==``-comparable form."""
     adder = build_adder("rca", 8)
     in1, in2 = generate_patterns(pattern)
     stimulus = pattern_stimulus(pattern)
     if kind == "characterization":
-        return run_characterization_sweep(adder, grid, in1, in2, stimulus, **kwargs)
+        request = characterization_request(
+            adder, grid, in1, in2, stimulus, jobs=jobs, policy=policy
+        )
+        return plan_payloads(request, **plan)
     if kind == "faults":
-        return run_fault_sweep(adder, in1, in2, stimulus, **kwargs)
+        request = fault_request(adder, in1, in2, stimulus, jobs=jobs, policy=policy)
+        return plan_payloads(request, **plan)
     # chunk=3 decomposes 6 samples into 2 ranges: one shard per range.
     config = MonteCarloConfig(n_samples=6, seed=5, chunk=3)
     results = run_montecarlo_sweep(
-        adder, grid, in1, in2, stimulus, config=config, **kwargs
+        adder, grid, in1, in2, stimulus, config=config, jobs=jobs, policy=policy, **plan
     )
     return [
         (
@@ -539,17 +545,15 @@ class TestOrchestratorChaos:
         adder = build_adder("rca", 8)
         in1, in2 = generate_patterns(chaos_pattern)
         stimulus = pattern_stimulus(chaos_pattern)
-        clean = run_characterization_sweep(adder, chaos_grid, in1, in2, stimulus)
+        clean = plan_payloads(
+            characterization_request(adder, chaos_grid, in1, in2, stimulus)
+        )
         chaos = ChaosPlan((ChaosRule(action="crash", shard=0, attempt=0),))
         report = ExecutionReport()
-        faulted = run_characterization_sweep(
-            adder,
-            chaos_grid,
-            in1,
-            in2,
-            stimulus,
-            jobs=2,
-            policy=RECOVERY_POLICY,
+        faulted = plan_payloads(
+            characterization_request(
+                adder, chaos_grid, in1, in2, stimulus, jobs=2, policy=RECOVERY_POLICY
+            ),
             chaos=chaos,
             report=report,
         )
@@ -583,24 +587,16 @@ class TestOrchestratorChaos:
         adder = build_adder("rca", 8)
         in1, in2 = generate_patterns(chaos_pattern)
         stimulus = pattern_stimulus(chaos_pattern)
-        clean = run_fault_sweep(adder, in1, in2, stimulus)
+        clean = plan_payloads(fault_request(adder, in1, in2, stimulus))
         chaos = ChaosPlan((ChaosRule(action="crash", shard=1, attempt=0),))
         report = ExecutionReport()
-        faulted = run_fault_sweep(
-            adder,
-            in1,
-            in2,
-            stimulus,
-            jobs=2,
-            policy=RECOVERY_POLICY,
+        faulted = plan_payloads(
+            fault_request(adder, in1, in2, stimulus, jobs=2, policy=RECOVERY_POLICY),
             chaos=chaos,
             report=report,
         )
         assert len(faulted) == len(clean)
-        for a, b in zip(clean, faulted):
-            assert a.fault == b.fault
-            assert a.ber == b.ber
-            assert a.detected == b.detected
+        assert faulted == clean
         assert report.faulted
 
     def test_montecarlo_sweep_identical_under_chaos(self, chaos_grid, chaos_pattern):
@@ -681,15 +677,11 @@ class TestOrchestratorChaos:
         store = SweepResultStore(tmp_path / "cache")
         chaos = ChaosPlan((ChaosRule(action="crash", shard=0, attempt=0),))
         report = ExecutionReport()
-        first = run_characterization_sweep(
-            adder,
-            chaos_grid,
-            in1,
-            in2,
-            stimulus,
-            jobs=2,
+        first = plan_payloads(
+            characterization_request(
+                adder, chaos_grid, in1, in2, stimulus, jobs=2, policy=RECOVERY_POLICY
+            ),
             store=store,
-            policy=RECOVERY_POLICY,
             chaos=chaos,
             report=report,
         )
@@ -699,13 +691,8 @@ class TestOrchestratorChaos:
         assert fsck.io_errors == 0
         assert fsck.scanned == fsck.valid == len(list(chaos_grid))
         before = simulated_unit_count()
-        warm = run_characterization_sweep(
-            adder,
-            chaos_grid,
-            in1,
-            in2,
-            stimulus,
-            jobs=2,
+        warm = plan_payloads(
+            characterization_request(adder, chaos_grid, in1, in2, stimulus, jobs=2),
             store=SweepResultStore(store.root),
         )
         assert simulated_unit_count() == before

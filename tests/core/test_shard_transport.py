@@ -37,9 +37,11 @@ from repro.core.sweep import (
     _Shard,
     _split_shard,
     _validate_shard,
+    SweepRequest,
+    characterization_request,
+    fault_request,
     pattern_stimulus,
-    run_characterization_sweep,
-    run_fault_sweep,
+    run_sweep_plan,
 )
 from repro.core.triad import OperatingTriad, TriadGrid
 from repro.explore.evaluator import CandidateEvaluator
@@ -52,6 +54,8 @@ from repro.variation.montecarlo import (
     _MonteCarloKind,
     run_montecarlo_sweep,
 )
+
+from _sweep_helpers import plan_payloads
 
 KINDS = ("characterization", "faults", "montecarlo")
 
@@ -260,11 +264,15 @@ class TestNoSharedMemory:
         segments_before = _repro_segments()
         report = ExecutionReport()
         if kind == "characterization":
-            run_characterization_sweep(
-                adder, grid, in1, in2, stimulus, jobs=2, report=report
+            plan_payloads(
+                characterization_request(adder, grid, in1, in2, stimulus, jobs=2),
+                report=report,
             )
         elif kind == "faults":
-            run_fault_sweep(adder, in1, in2, stimulus, jobs=2, report=report)
+            plan_payloads(
+                fault_request(adder, in1, in2, stimulus, jobs=2),
+                report=report,
+            )
         else:
             run_montecarlo_sweep(
                 adder,
@@ -302,8 +310,8 @@ class TestRetiredTransportSettings:
     @pytest.mark.parametrize(
         "entry_point",
         [
-            run_characterization_sweep,
-            run_fault_sweep,
+            run_sweep_plan,
+            SweepRequest,
             run_montecarlo_sweep,
             CharacterizationFlow.run,
             fig5_ber_per_bit,
@@ -325,10 +333,12 @@ class TestRetiredTransportSettings:
         grid = TriadGrid.from_product(
             (0.4,), supply_voltages=(1.0, 0.6), body_bias_voltages=(0.0,)
         )
-        reference = run_characterization_sweep(adder, grid, in1, in2, stimulus)
+        reference = plan_payloads(
+            characterization_request(adder, grid, in1, in2, stimulus)
+        )
         for value in ("0", "1"):
             monkeypatch.setenv("REPRO_SHM", value)
-            sharded = run_characterization_sweep(
-                adder, grid, in1, in2, stimulus, jobs=2
+            sharded = plan_payloads(
+                characterization_request(adder, grid, in1, in2, stimulus, jobs=2)
             )
             assert sharded == reference

@@ -1,4 +1,4 @@
-"""Tests of the sharded, cache-backed sweep orchestrator."""
+"""Tests of the sharded, cache-backed sweep planner, one request at a time."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,10 @@ from repro.core.resilience import ExecutionReport
 from repro.core.store import SweepResultStore
 from repro.core.sweep import (
     SERIAL_FAULT_FLUSH_BLOCK,
+    characterization_request,
+    fault_request,
     pattern_stimulus,
-    run_characterization_sweep,
-    run_fault_sweep,
+    payload_to_fault_result,
     shard_triads,
     simulated_unit_count,
 )
@@ -22,6 +23,8 @@ from repro.obs.trace import Tracer, activated
 from repro.simulation.fault_injection import StuckAtFault, enumerate_stuck_at_faults
 from repro.simulation.patterns import PatternConfig, generate_patterns
 from repro.variation.montecarlo import MonteCarloConfig, run_montecarlo_sweep
+
+from _sweep_helpers import plan_payloads
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +76,15 @@ class TestShippedCircuits:
         adder = speculative_adder(8, 4)
         config = PatternConfig(n_vectors=300, width=8, seed=3)
         in1, in2 = generate_patterns(config)
-        serial = run_characterization_sweep(
-            adder, small_grid, in1, in2, pattern_stimulus(config), jobs=1
+        serial = plan_payloads(
+            characterization_request(
+                adder, small_grid, in1, in2, pattern_stimulus(config), jobs=1
+            )
         )
-        sharded = run_characterization_sweep(
-            adder, small_grid, in1, in2, pattern_stimulus(config), jobs=3
+        sharded = plan_payloads(
+            characterization_request(
+                adder, small_grid, in1, in2, pattern_stimulus(config), jobs=3
+            )
         )
         assert serial == sharded
 
@@ -90,18 +97,14 @@ class TestShippedCircuits:
         in1, in2 = generate_patterns(small_pattern)
         stimulus = pattern_stimulus(small_pattern)
         serial_store = SweepResultStore(tmp_path / "serial")
-        serial = run_characterization_sweep(
-            adder, small_grid, in1, in2, stimulus, store=serial_store
+        serial = plan_payloads(
+            characterization_request(adder, small_grid, in1, in2, stimulus),
+            store=serial_store,
         )
         report = ExecutionReport()
         sharded_store = SweepResultStore(tmp_path / "sharded")
-        sharded = run_characterization_sweep(
-            adder,
-            small_grid,
-            in1,
-            in2,
-            stimulus,
-            jobs=2,
+        sharded = plan_payloads(
+            characterization_request(adder, small_grid, in1, in2, stimulus, jobs=2),
             store=sharded_store,
             report=report,
         )
@@ -115,9 +118,11 @@ class TestCharacterizationSweep:
         adder = build_adder("rca", 8)
         in1, in2 = generate_patterns(small_pattern)
         stimulus = pattern_stimulus(small_pattern)
-        serial = run_characterization_sweep(adder, small_grid, in1, in2, stimulus)
-        parallel = run_characterization_sweep(
-            adder, small_grid, in1, in2, stimulus, jobs=4
+        serial = plan_payloads(
+            characterization_request(adder, small_grid, in1, in2, stimulus)
+        )
+        parallel = plan_payloads(
+            characterization_request(adder, small_grid, in1, in2, stimulus, jobs=4)
         )
         assert serial == parallel
 
@@ -144,13 +149,15 @@ class TestCharacterizationSweep:
         in1, in2 = generate_patterns(small_pattern)
         stimulus = pattern_stimulus(small_pattern)
         cold_store = SweepResultStore(tmp_path)
-        cold = run_characterization_sweep(
-            adder, small_grid, in1, in2, stimulus, store=cold_store
+        cold = plan_payloads(
+            characterization_request(adder, small_grid, in1, in2, stimulus),
+            store=cold_store,
         )
         assert cold_store.stats.stores == len(small_grid)
         warm_store = SweepResultStore(tmp_path)
-        warm = run_characterization_sweep(
-            adder, small_grid, in1, in2, stimulus, store=warm_store
+        warm = plan_payloads(
+            characterization_request(adder, small_grid, in1, in2, stimulus),
+            store=warm_store,
         )
         assert warm_store.stats.hits == len(small_grid)
         assert warm_store.stats.misses == 0
@@ -163,8 +170,9 @@ class TestCharacterizationSweep:
         in1, in2 = generate_patterns(small_pattern)
         stimulus = pattern_stimulus(small_pattern)
         packed = SweepResultStore(tmp_path / "packed")
-        expected = run_characterization_sweep(
-            adder, small_grid, in1, in2, stimulus, store=packed
+        expected = plan_payloads(
+            characterization_request(adder, small_grid, in1, in2, stimulus),
+            store=packed,
         )
         # The same entries, under the same keys, in the removed one-JSON-file-
         # per-entry layout: the store does not read them.
@@ -176,15 +184,17 @@ class TestCharacterizationSweep:
         before = {path: path.read_bytes() for path in v1_root.glob("*/*.json")}
         assert len(before) == len(small_grid)
         cold_store = SweepResultStore(v1_root)
-        cold = run_characterization_sweep(
-            adder, small_grid, in1, in2, stimulus, store=cold_store
+        cold = plan_payloads(
+            characterization_request(adder, small_grid, in1, in2, stimulus),
+            store=cold_store,
         )
         assert cold_store.stats.hits == 0
         assert cold_store.stats.stores == len(small_grid)
         assert cold == expected
         warm_store = SweepResultStore(v1_root)
-        run_characterization_sweep(
-            adder, small_grid, in1, in2, stimulus, store=warm_store
+        plan_payloads(
+            characterization_request(adder, small_grid, in1, in2, stimulus),
+            store=warm_store,
         )
         assert warm_store.stats.hits == len(small_grid)
         assert {path: path.read_bytes() for path in before} == before
@@ -195,8 +205,11 @@ class TestCharacterizationSweep:
         for seed in (1, 2):
             config = PatternConfig(n_vectors=300, width=8, seed=seed)
             in1, in2 = generate_patterns(config)
-            run_characterization_sweep(
-                adder, small_grid, in1, in2, pattern_stimulus(config), store=store
+            plan_payloads(
+                characterization_request(
+                    adder, small_grid, in1, in2, pattern_stimulus(config)
+                ),
+                store=store,
             )
         # Different seeds must not share entries.
         assert store.stats.hits == 0
@@ -206,11 +219,17 @@ class TestCharacterizationSweep:
         in1, in2 = generate_patterns(small_pattern)
         stimulus = pattern_stimulus(small_pattern)
         store = SweepResultStore(tmp_path)
-        run_characterization_sweep(
-            build_adder("rca", 8), small_grid, in1, in2, stimulus, store=store
+        plan_payloads(
+            characterization_request(
+                build_adder("rca", 8), small_grid, in1, in2, stimulus
+            ),
+            store=store,
         )
-        run_characterization_sweep(
-            build_adder("bka", 8), small_grid, in1, in2, stimulus, store=store
+        plan_payloads(
+            characterization_request(
+                build_adder("bka", 8), small_grid, in1, in2, stimulus
+            ),
+            store=store,
         )
         assert store.stats.hits == 0
 
@@ -221,21 +240,30 @@ class TestCharacterizationSweep:
         in1, in2 = generate_patterns(small_pattern)
         stimulus = pattern_stimulus(small_pattern)
         store = SweepResultStore(tmp_path)
-        run_characterization_sweep(
-            adder, small_grid, in1, in2, stimulus, store=store, keep_latched=False
+        plan_payloads(
+            characterization_request(
+                adder, small_grid, in1, in2, stimulus, keep_latched=False
+            ),
+            store=store,
         )
         # Entries without latched words cannot serve a keep_latched request:
         # they are recomputed (and upgraded in place), not mis-served.
         upgrade_store = SweepResultStore(tmp_path)
-        payloads = run_characterization_sweep(
-            adder, small_grid, in1, in2, stimulus, store=upgrade_store, keep_latched=True
+        payloads = plan_payloads(
+            characterization_request(
+                adder, small_grid, in1, in2, stimulus, keep_latched=True
+            ),
+            store=upgrade_store,
         )
         assert upgrade_store.stats.stores == len(small_grid)
         assert all("latched_words" in payload for payload in payloads)
         # ... after which the upgraded entries serve both request kinds.
         final_store = SweepResultStore(tmp_path)
-        run_characterization_sweep(
-            adder, small_grid, in1, in2, stimulus, store=final_store, keep_latched=True
+        plan_payloads(
+            characterization_request(
+                adder, small_grid, in1, in2, stimulus, keep_latched=True
+            ),
+            store=final_store,
         )
         assert final_store.stats.misses == 0
 
@@ -246,15 +274,17 @@ class TestCharacterizationSweep:
         in1, in2 = generate_patterns(small_pattern)
         stimulus = pattern_stimulus(small_pattern)
         store = SweepResultStore(tmp_path)
-        cold = run_characterization_sweep(
-            adder, small_grid, in1, in2, stimulus, store=store
+        cold = plan_payloads(
+            characterization_request(adder, small_grid, in1, in2, stimulus),
+            store=store,
         )
         from _store_helpers import corrupt_one_entry
 
         corrupt_one_entry(store.root)
         recovered_store = SweepResultStore(tmp_path)
-        recovered = run_characterization_sweep(
-            adder, small_grid, in1, in2, stimulus, store=recovered_store
+        recovered = plan_payloads(
+            characterization_request(adder, small_grid, in1, in2, stimulus),
+            store=recovered_store,
         )
         assert recovered == cold
         assert recovered_store.stats.corrupt == 1
@@ -265,13 +295,17 @@ class TestCharacterizationSweep:
         in1, in2 = generate_patterns(small_pattern)
         stimulus = pattern_stimulus(small_pattern)
         store = SweepResultStore(tmp_path)
-        run_characterization_sweep(adder, small_grid, in1, in2, stimulus, store=store)
+        plan_payloads(
+            characterization_request(adder, small_grid, in1, in2, stimulus),
+            store=store,
+        )
         import repro.core.sweep as sweep_module
 
         monkeypatch.setattr(sweep_module, "ENGINE_VERSION", "test-bump")
         bumped_store = SweepResultStore(tmp_path)
-        run_characterization_sweep(
-            adder, small_grid, in1, in2, stimulus, store=bumped_store
+        plan_payloads(
+            characterization_request(adder, small_grid, in1, in2, stimulus),
+            store=bumped_store,
         )
         assert bumped_store.stats.hits == 0
 
@@ -292,8 +326,11 @@ class TestCharacterizationSweep:
         adder = build_adder("rca", 8)
         in1, in2 = generate_patterns(small_pattern)
         store = SweepResultStore(tmp_path)
-        run_characterization_sweep(
-            adder, small_grid, in1, in2, pattern_stimulus(small_pattern), store=store
+        plan_payloads(
+            characterization_request(
+                adder, small_grid, in1, in2, pattern_stimulus(small_pattern)
+            ),
+            store=store,
         )
         assert store.stats.stores == len(small_grid)  # flushed group by group
         assert len(calls) == 1
@@ -302,8 +339,10 @@ class TestCharacterizationSweep:
         adder = build_adder("rca", 8)
         in1, in2 = generate_patterns(small_pattern)
         with pytest.raises(ValueError):
-            run_characterization_sweep(
-                adder, small_grid, in1, in2, pattern_stimulus(small_pattern), jobs=0
+            plan_payloads(
+                characterization_request(
+                    adder, small_grid, in1, in2, pattern_stimulus(small_pattern), jobs=0
+                )
             )
 
 
@@ -316,16 +355,22 @@ class TestMultiplierSweep:
             (1.5, 1.0), supply_voltages=(1.0, 0.6), body_bias_voltages=(0.0,)
         )
         stimulus = pattern_stimulus(config)
-        serial = run_characterization_sweep(multiplier, grid, in1, in2, stimulus)
-        parallel = run_characterization_sweep(
-            multiplier, grid, in1, in2, stimulus, jobs=2
+        serial = plan_payloads(
+            characterization_request(multiplier, grid, in1, in2, stimulus)
+        )
+        parallel = plan_payloads(
+            characterization_request(multiplier, grid, in1, in2, stimulus, jobs=2)
         )
         assert serial == parallel
         store = SweepResultStore(tmp_path)
-        run_characterization_sweep(multiplier, grid, in1, in2, stimulus, store=store)
+        plan_payloads(
+            characterization_request(multiplier, grid, in1, in2, stimulus),
+            store=store,
+        )
         warm_store = SweepResultStore(tmp_path)
-        warm = run_characterization_sweep(
-            multiplier, grid, in1, in2, stimulus, store=warm_store
+        warm = plan_payloads(
+            characterization_request(multiplier, grid, in1, in2, stimulus),
+            store=warm_store,
         )
         assert warm_store.stats.misses == 0
         assert warm == serial
@@ -401,10 +446,10 @@ class TestFaultSweep:
         config = PatternConfig(n_vectors=200, width=8, seed=9)
         in1, in2 = generate_patterns(config)
         stimulus = pattern_stimulus(config)
-        serial = run_fault_sweep(adder, in1, in2, stimulus)
-        parallel = run_fault_sweep(adder, in1, in2, stimulus, jobs=4)
+        serial = plan_payloads(fault_request(adder, in1, in2, stimulus))
+        parallel = plan_payloads(fault_request(adder, in1, in2, stimulus, jobs=4))
         assert serial == parallel
-        assert 0.5 < sum(r.detected for r in serial) / len(serial) <= 1.0
+        assert 0.5 < sum(p["detected"] for p in serial) / len(serial) <= 1.0
 
     def test_warm_cache_and_explicit_fault_list(self, tmp_path):
         adder = build_adder("rca", 8)
@@ -413,14 +458,18 @@ class TestFaultSweep:
         stimulus = pattern_stimulus(config)
         faults = [StuckAtFault(net=1, stuck_value=True), StuckAtFault(net=2, stuck_value=False)]
         store = SweepResultStore(tmp_path)
-        cold = run_fault_sweep(adder, in1, in2, stimulus, faults=faults, store=store)
+        cold = plan_payloads(
+            fault_request(adder, in1, in2, stimulus, faults=faults),
+            store=store,
+        )
         warm_store = SweepResultStore(tmp_path)
-        warm = run_fault_sweep(
-            adder, in1, in2, stimulus, faults=faults, store=warm_store
+        warm = plan_payloads(
+            fault_request(adder, in1, in2, stimulus, faults=faults),
+            store=warm_store,
         )
         assert warm_store.stats.misses == 0
         assert warm == cold
-        assert [r.fault for r in warm] == faults
+        assert [payload_to_fault_result(p).fault for p in warm] == faults
 
     def test_cached_payload_without_vector_count_is_recomputed(self, tmp_path):
         adder = build_adder("rca", 8)
@@ -432,14 +481,18 @@ class TestFaultSweep:
             StuckAtFault(net=2, stuck_value=False),
         ]
         store = SweepResultStore(tmp_path)
-        cold = run_fault_sweep(adder, in1, in2, stimulus, faults=faults, store=store)
+        cold = plan_payloads(
+            fault_request(adder, in1, in2, stimulus, faults=faults),
+            store=store,
+        )
         for key in store.entry_keys():
             payload = dict(store.get(key))
             assert payload.pop("n_vectors") == config.n_vectors
             store.put(key, payload)
         before = simulated_unit_count()
-        rerun = run_fault_sweep(
-            adder, in1, in2, stimulus, faults=faults, store=SweepResultStore(tmp_path)
+        rerun = plan_payloads(
+            fault_request(adder, in1, in2, stimulus, faults=faults),
+            store=SweepResultStore(tmp_path),
         )
         assert simulated_unit_count() - before == len(faults)
         assert rerun == cold
@@ -465,13 +518,14 @@ class TestInProcessFlushGranularity:
         tracer = Tracer(trace)
         with activated(tracer):
             if kind == "characterization":
-                run_characterization_sweep(
-                    adder, small_grid, in1, in2, stimulus, store=store
+                plan_payloads(
+                    characterization_request(adder, small_grid, in1, in2, stimulus),
+                    store=store,
                 )
                 # 2 clocks at each of 3 supplies x 2 body biases.
                 expected = [2] * 6
             elif kind == "faults":
-                run_fault_sweep(adder, in1, in2, stimulus, store=store)
+                plan_payloads(fault_request(adder, in1, in2, stimulus), store=store)
                 n_faults = len(enumerate_stuck_at_faults(adder.netlist))
                 assert n_faults > SERIAL_FAULT_FLUSH_BLOCK
                 full, rest = divmod(n_faults, SERIAL_FAULT_FLUSH_BLOCK)

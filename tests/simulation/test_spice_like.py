@@ -1,14 +1,12 @@
-"""Tests of the event-driven reference simulator and its cross-check with the
-vectorised engine."""
+"""Tests of the event-driven reference simulator, its per-gate variability
+model and its cross-check with the vectorised engine."""
 
 import numpy as np
 import pytest
 
 from repro.circuits.adders import build_adder
 from repro.simulation.timing_sim import VosTimingSimulator
-from repro.technology.corners import VariabilityModel
-
-from _spice_like import EventDrivenSimulator
+from _spice_like import EventDrivenSimulator, VariabilityModel
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +153,32 @@ class TestCrossCheckWithVectorisedEngine:
             # Deep over-scaling: both engines must see widespread failures.
             assert vec_faulty > trials // 4
             assert ed_faulty > trials // 4
+
+
+class TestVariabilityModel:
+    def test_zero_sigma_gives_unit_multipliers(self):
+        model = VariabilityModel(sigma_fraction=0.0)
+        multipliers = model.sample_multipliers(10, 1.0, np.random.default_rng(0))
+        assert np.allclose(multipliers, 1.0)
+
+    def test_sigma_amplified_at_low_voltage(self):
+        model = VariabilityModel(sigma_fraction=0.05)
+        assert model.sigma_at(0.4) > model.sigma_at(1.0)
+
+    def test_sigma_not_reduced_above_reference(self):
+        model = VariabilityModel(sigma_fraction=0.05, reference_vdd=1.0)
+        assert model.sigma_at(1.2) == pytest.approx(model.sigma_at(1.0))
+
+    def test_multipliers_have_unit_median(self):
+        model = VariabilityModel(sigma_fraction=0.08)
+        multipliers = model.sample_multipliers(20000, 1.0, np.random.default_rng(1))
+        assert np.median(multipliers) == pytest.approx(1.0, rel=0.05)
+        assert np.all(multipliers > 0.0)
+
+    def test_invalid_parameters_rejected(self):
+        with pytest.raises(ValueError):
+            VariabilityModel(sigma_fraction=-0.1)
+        with pytest.raises(ValueError):
+            VariabilityModel(reference_vdd=0.0)
+        with pytest.raises(ValueError):
+            VariabilityModel().sample_multipliers(-1, 1.0, np.random.default_rng(0))

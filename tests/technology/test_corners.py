@@ -1,12 +1,10 @@
-"""Tests of process corners and the variability model."""
+"""Tests of process corners."""
 
-import numpy as np
 import pytest
 
 from repro.technology.corners import (
     _CORNER_ADJUSTMENTS,
     ProcessCorner,
-    VariabilityModel,
     apply_corner,
     corner_library,
     parse_corner,
@@ -85,32 +83,3 @@ class TestProcessCorners:
         assert library.technology == apply_corner(corner)
         for name in library.cell_names:
             assert library.cell(name) == DEFAULT_LIBRARY.cell(name)
-
-
-class TestVariabilityModel:
-    def test_zero_sigma_gives_unit_multipliers(self):
-        model = VariabilityModel(sigma_fraction=0.0)
-        multipliers = model.sample_multipliers(10, 1.0, np.random.default_rng(0))
-        assert np.allclose(multipliers, 1.0)
-
-    def test_sigma_amplified_at_low_voltage(self):
-        model = VariabilityModel(sigma_fraction=0.05)
-        assert model.sigma_at(0.4) > model.sigma_at(1.0)
-
-    def test_sigma_not_reduced_above_reference(self):
-        model = VariabilityModel(sigma_fraction=0.05, reference_vdd=1.0)
-        assert model.sigma_at(1.2) == pytest.approx(model.sigma_at(1.0))
-
-    def test_multipliers_have_unit_median(self):
-        model = VariabilityModel(sigma_fraction=0.08)
-        multipliers = model.sample_multipliers(20000, 1.0, np.random.default_rng(1))
-        assert np.median(multipliers) == pytest.approx(1.0, rel=0.05)
-        assert np.all(multipliers > 0.0)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            VariabilityModel(sigma_fraction=-0.1)
-        with pytest.raises(ValueError):
-            VariabilityModel(reference_vdd=0.0)
-        with pytest.raises(ValueError):
-            VariabilityModel().sample_multipliers(-1, 1.0, np.random.default_rng(0))

@@ -109,6 +109,28 @@ def test_surface_no_entry_point_reaches_is_not_exported(package, module, names):
         assert not hasattr(imported, name)
 
 
+@pytest.mark.parametrize(
+    "package, module, names",
+    [
+        (
+            "repro.core",
+            "sweep",
+            ("run_characterization_sweep", "run_fault_sweep", "run_unit_sweep"),
+        ),
+        ("repro.technology", "corners", ("VariabilityModel",)),
+    ],
+)
+def test_names_that_moved_or_merged_are_gone(package, module, names):
+    """The per-kind sweep wrappers merged into the one planner; the
+    event-driven oracle's variability model lives with it under tests/."""
+    imported = importlib.import_module(package)
+    defining = importlib.import_module(f"{package}.{module}")
+    for name in names:
+        assert name not in imported.__all__
+        assert not hasattr(imported, name)
+        assert not hasattr(defining, name)
+
+
 def _imported_modules(path, package):
     """Absolute names of the modules a source file imports (or names)."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
