@@ -36,13 +36,13 @@ from repro.analysis.variation import (
 )
 from repro.core.characterization import CharacterizationFlow
 from repro.core.store import SweepResultStore
-from repro.core.sweep import pattern_stimulus
+from repro.core.sweep import pattern_stimulus, run_sweep_plan
 from repro.explore import CandidateEvaluator, DesignSpace, run_search
 from repro.simulation.patterns import PatternConfig, generate_patterns
-from repro.variation import (
-    MonteCarloConfig,
-    run_montecarlo_sweep,
-    supply_scaling_grid,
+from repro.variation import MonteCarloConfig, supply_scaling_grid
+from repro.variation.montecarlo import (
+    montecarlo_request,
+    variation_results_from_payloads,
 )
 
 #: BER margin of the yield analysis (2 % -- the paper's speculation-margin
@@ -82,7 +82,7 @@ def test_montecarlo_yield_and_robust_frontier(benchmark):
     config = MonteCarloConfig(n_samples=samples, seed=2017)
 
     def run_yield():
-        return run_montecarlo_sweep(
+        request = montecarlo_request(
             flow.adder,
             grid,
             in1,
@@ -90,8 +90,9 @@ def test_montecarlo_yield_and_robust_frontier(benchmark):
             pattern_stimulus(pattern),
             config=config,
             jobs=jobs,
-            store=store,
         )
+        [payloads] = run_sweep_plan([request], store=store)
+        return variation_results_from_payloads(grid, payloads)
 
     results = run_yield()
     by_vdd = {result.triad.vdd: result for result in results}

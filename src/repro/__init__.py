@@ -103,7 +103,6 @@ from repro.variation import (
     MonteCarloConfig,
     TriadVariationResult,
     VariationSampler,
-    run_montecarlo_sweep,
 )
 
 __version__ = "1.0.0"
@@ -140,7 +139,6 @@ __all__ = [
     "MonteCarloConfig",
     "TriadVariationResult",
     "VariationSampler",
-    "run_montecarlo_sweep",
     "BatchReport",
     "BatchResult",
     "CalibrateJob",

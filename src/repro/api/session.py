@@ -91,11 +91,10 @@ from repro.core.resilience import (
 )
 from repro.core.speculation import DynamicSpeculationController
 from repro.core.store import MemoryOverlayStore, SweepResultStore
-from repro.core.sweep import PlanResult, SweepRequest
+from repro.core.sweep import SweepRequest
 from repro.explore.evaluator import CandidateEvaluator, robust_tag
 from repro.explore.frontier import ParetoFrontier
 from repro.explore.search import run_search
-from repro.obs import metrics
 from repro.obs.report import RunReport
 from repro.obs.trace import Tracer, activated, active_tracer, span
 from repro.simulation.patterns import PatternConfig, generate_patterns
@@ -131,27 +130,30 @@ class BatchReport:
     jobs:
         Number of jobs executed.
     planned_units:
-        Units of the sweeps the jobs declare, *with* multiplicity -- one
-        unit is one simulation a job would perform on its own: a
-        characterization triad, a Monte Carlo ``(triad, sample range)``
-        entry or a fault site.
+        Units of the batch's sweeps, *with* multiplicity -- one unit is one
+        simulation a job would perform on its own: a characterization
+        triad, a Monte Carlo ``(triad, sample range)`` entry or a fault
+        site.
     deduped_units:
-        Units shared between jobs (``planned_units`` minus distinct store
-        keys): work the sweep plan eliminated outright.
+        Units sharing a store key with another unit of their plan: work
+        the sweep plan eliminated outright.
     cache_hits:
-        Distinct planned units already warm in the session store: those the
+        Distinct planned units already warm in the session store: those a
         plan did not have to simulate.
     simulated_units:
-        Work units actually simulated by the whole batch.  Only exploration
-        sweeps, which a search drives, are left outside the plan: they dedup
-        through the shared session overlay instead, so without an explore
-        job ``planned_units - deduped_units - cache_hits`` equals this.
-        This and ``cache_hits`` are measured from the process-wide counter
-        of :func:`repro.core.sweep.simulated_unit_count`: accurate for the
-        one-batch-at-a-time usage a session supports (sessions are not
-        thread-safe; see :class:`Session`), but concurrent sweeps run by
-        *other* sessions in other threads of the same process would be
-        attributed to this batch.
+        Work units actually simulated by the whole batch.
+
+    All four count every sweep plan the batch runs -- the batch's own and
+    each explore job's search steps -- so ``planned_units - deduped_units
+    - cache_hits`` equals ``simulated_units`` for every batch.  Units are
+    deduplicated within one plan; an explore step's units the batch plan
+    already ran are cache hits from the session overlay.  The counts are
+    deltas of the planner's process-wide counters
+    (:func:`repro.core.sweep.unit_counts`): accurate for the
+    one-batch-at-a-time usage a session supports (sessions are not
+    thread-safe; see :class:`Session`), but concurrent sweeps run by
+    *other* sessions in other threads of the same process would be
+    attributed to this batch.
     """
 
     jobs: int
@@ -390,7 +392,7 @@ class Session:
         with span("job", type=type(job).__name__):
             try:
                 if sweeps is None:
-                    sweeps = self._run_plan([job], execution)[0][0]
+                    [sweeps] = self._run_plan([job], execution)
                 result = handler(self, job, _JobPlan(sweeps, execution))
             except ShardExecutionError as error:
                 raise SessionError(f"sweep execution failed: {error}") from None
@@ -669,9 +671,10 @@ class Session:
         generated operands by pattern, so the jobs of one plan that share a
         stimulus pass the same arrays and so share sweeps.  A Table IV entry
         naming a missing file or a malformed operator raises
-        :class:`SessionError` here, before any simulation.  Exploration
-        sweeps, which a search drives, declare none; they dedup through the
-        session overlay as they run.
+        :class:`SessionError` here, before any simulation.  An explore job
+        declares none: each step of its search is a plan of its own (see
+        :meth:`~repro.explore.evaluator.CandidateEvaluator.evaluate_many`),
+        whose units the session overlay answers when this plan ran them.
         """
         operands = {} if operands is None else operands
         jobs, policy = self._jobs_for(job), self._policy_for(job)
@@ -769,26 +772,25 @@ class Session:
 
     def _run_plan(
         self, jobs: Sequence[Job], report: ExecutionReport
-    ) -> tuple[list[list[Any]], PlanResult]:
+    ) -> list[list[Any]]:
         """Run the declared sweeps of ``jobs`` as one plan.
 
         The planner (:func:`~repro.core.sweep.run_sweep_plan`) keys every
         declared unit once, dedups units across all sweeps and runs each
         group once, accumulating its fault-recovery accounting into
         ``report``.  Returns each job's built sweeps (one per declared
-        sweep, in declaration order) and the plan's result, whose counters
-        feed the :class:`BatchReport`.
+        sweep, in declaration order).
         """
         operands: dict[PatternConfig, tuple[np.ndarray, np.ndarray]] = {}
         declared = [self._declare(job, operands) for job in jobs]
-        plan = sweep_module.run_sweep_plan(
-            [sweep.request for sweeps in declared for sweep in sweeps],
-            store=self._view,
-            report=report,
+        payloads = iter(
+            sweep_module.run_sweep_plan(
+                [sweep.request for sweeps in declared for sweep in sweeps],
+                store=self._view,
+                report=report,
+            )
         )
-        payloads = iter(plan.payloads)
-        built = [[sweep.build(next(payloads)) for sweep in job] for job in declared]
-        return built, plan
+        return [[sweep.build(next(payloads)) for sweep in job] for job in declared]
 
     # -- batch execution -------------------------------------------------------
 
@@ -798,8 +800,9 @@ class Session:
         The sweeps every job declares run as one plan (see
         :meth:`_run_plan`) in the ``session`` span; each job then builds its
         result from the plan's payloads in its own ``job`` span, and an
-        explore job runs its search's sweeps there.  Per-job results come
-        back in input order together with a :class:`BatchReport`.  Every
+        explore job runs one plan per search step there.  Per-job results
+        come back in input order together with a :class:`BatchReport` that
+        counts every plan.  Every
         sweep of the batch dispatches to one worker pool, forked on first
         use and reaped before this call returns.  A sweep that exhausts its
         fault-recovery options surfaces as a :class:`SessionError`, as in
@@ -817,28 +820,24 @@ class Session:
                         raise SessionError(f"sweep execution failed: {error}") from None
 
     def _run_batch_body(self, job_list: list[Job], session_span: Any) -> BatchResult:
-        start = sweep_module.simulated_unit_count()
+        start = sweep_module.unit_counts()
         execution = ExecutionReport()
-        swept, plan = self._run_plan(job_list, execution)
-        session_span.set(
-            planned=plan.planned, deduped=plan.deduped, cache_hits=plan.cache_hits
-        )
-        metrics.REGISTRY.counter("batch.planned_units").add(plan.planned)
-        metrics.REGISTRY.counter("batch.deduped_units").add(plan.deduped)
-        metrics.REGISTRY.counter("batch.cache_hits").add(plan.cache_hits)
+        swept = self._run_plan(job_list, execution)
         results = tuple(map(self._run_job, job_list, swept))
         for result in results:
             sub_report = getattr(result, "execution", None)
             if sub_report is not None:
                 execution.merge(sub_report)
-        report = BatchReport(
-            jobs=len(job_list),
-            planned_units=plan.planned,
-            deduped_units=plan.deduped,
-            cache_hits=plan.cache_hits,
-            simulated_units=sweep_module.simulated_unit_count() - start,
-            execution=execution,
+        counts = {
+            name: count - start[name]
+            for name, count in sweep_module.unit_counts().items()
+        }
+        session_span.set(
+            planned=counts["planned_units"],
+            deduped=counts["deduped_units"],
+            cache_hits=counts["cache_hits"],
         )
+        report = BatchReport(jobs=len(job_list), **counts, execution=execution)
         return BatchResult(results=results, report=report)
 
 

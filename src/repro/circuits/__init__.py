@@ -26,8 +26,6 @@ from repro.circuits.builder import NetlistBuilder
 from repro.circuits.signals import (
     int_to_bits,
     bits_to_int,
-    random_operands,
-    operand_bit_matrix,
 )
 from repro.circuits.adders import (
     AdderCircuit,
@@ -58,8 +56,6 @@ __all__ = [
     "NetlistBuilder",
     "int_to_bits",
     "bits_to_int",
-    "random_operands",
-    "operand_bit_matrix",
     "AdderCircuit",
     "SpeculativeAdderCircuit",
     "speculative_adder",

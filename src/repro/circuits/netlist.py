@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.circuits.cells import GATE_ARITY, GateType
 
@@ -292,18 +292,3 @@ class Netlist:
             f"Netlist(name={self._name!r}, gates={self.gate_count}, "
             f"nets={self._net_count}, depth={self.logic_depth})"
         )
-
-
-def merge_port_order(ports: Iterable[str]) -> tuple[str, ...]:
-    """Return port names as a tuple, preserving order and rejecting duplicates.
-
-    Helper shared by the generators when assembling primary I/O mappings.
-    """
-    seen: set[str] = set()
-    ordered: list[str] = []
-    for port in ports:
-        if port in seen:
-            raise ValueError(f"duplicate port name {port!r}")
-        seen.add(port)
-        ordered.append(port)
-    return tuple(ordered)

@@ -64,40 +64,3 @@ def bits_to_int(bits: np.ndarray) -> np.ndarray:
     words[..., : packed.shape[-1]] = packed
     # ``[()]`` turns the 0-d result of a single bit vector into a scalar.
     return words.view("<i8")[..., 0].astype(np.int64, copy=False)[()]
-
-
-def random_operands(
-    n_vectors: int,
-    n_bits: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniformly random operand pairs for an ``n_bits`` adder.
-
-    Returns two integer arrays of shape ``(n_vectors,)``.
-    """
-    if n_vectors <= 0:
-        raise ValueError("n_vectors must be positive")
-    if n_bits <= 0:
-        raise ValueError("n_bits must be positive")
-    high = 1 << n_bits
-    in1 = rng.integers(0, high, size=n_vectors, dtype=np.int64)
-    in2 = rng.integers(0, high, size=n_vectors, dtype=np.int64)
-    return in1, in2
-
-
-def operand_bit_matrix(
-    in1: np.ndarray,
-    in2: np.ndarray,
-    n_bits: int,
-) -> np.ndarray:
-    """Pack two operand arrays into the primary-input matrix of an adder.
-
-    The adder netlists declare their primary inputs in the order
-    ``a[0..n-1], b[0..n-1]``; the returned matrix has shape
-    ``(n_vectors, 2 * n_bits)`` following that order.
-    """
-    a_bits = int_to_bits(np.asarray(in1), n_bits)
-    b_bits = int_to_bits(np.asarray(in2), n_bits)
-    if a_bits.shape != b_bits.shape:
-        raise ValueError("in1 and in2 must have the same shape")
-    return np.concatenate([a_bits, b_bits], axis=-1)

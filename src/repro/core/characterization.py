@@ -360,7 +360,7 @@ class CharacterizationFlow:
         )
         [payloads] = sweep_module.run_sweep_plan(
             [request], store=store, chaos=chaos, report=report
-        ).payloads
+        )
 
         return characterization_from_payloads(
             self._adder,

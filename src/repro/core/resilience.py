@@ -62,7 +62,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.obs import metrics
 from repro.obs.trace import span
@@ -139,21 +139,6 @@ class ExecutionPolicy:
                 f"unknown failure action {self.on_failure!r}; "
                 f"available: {', '.join(FAILURE_ACTIONS)}"
             )
-
-    def to_json(self) -> dict[str, Any]:
-        """JSON-serialisable representation (plain field dict)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "ExecutionPolicy":
-        """Inverse of :meth:`to_json` (unknown keys are rejected)."""
-        names = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - names)
-        if unknown:
-            raise ValueError(
-                f"unknown ExecutionPolicy field(s): {', '.join(unknown)}"
-            )
-        return cls(**dict(data))
 
 
 #: The policy used when none is given: quiet retries with serial completion.

@@ -42,7 +42,7 @@ multipliers alike.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Hashable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from typing import Any, Hashable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -84,22 +84,40 @@ SERIAL_FAULT_FLUSH_BLOCK = 64
 # Simulation-count instrumentation
 # ---------------------------------------------------------------------------
 
-#: Work units actually simulated by this process's orchestrators (triads for
-#: characterization sweeps, fault sites for fault campaigns, (sample range x
-#: triad) entries for Monte Carlo runs).  Cache hits do not count.  The
-#: counter is recorded parent-side (before shards are dispatched), so it is
-#: accurate whether the units execute in-process or in worker processes.
-#: Lives in the process-global metrics registry (:data:`repro.obs.metrics
-#: .REGISTRY`), where the batch dedup counters also land.
-_SIMULATED_UNITS = metrics.REGISTRY.counter("sweep.simulated_units")
+#: Work units of this process's sweep plans, in the process-global metrics
+#: registry (:data:`repro.obs.metrics.REGISTRY`): the requests' units with
+#: multiplicity (``planned_units``), those sharing a store key with another
+#: unit of their plan (``deduped_units``), the distinct units the store
+#: already held (``cache_hits``) and those actually simulated
+#: (``simulated_units``).  A unit is a triad of a characterization sweep, a
+#: fault site of a fault campaign or a (sample range x triad) entry of a
+#: Monte Carlo run.  Every count is recorded parent-side (simulated units
+#: before their shards are dispatched), so it is accurate whether the units
+#: execute in-process or in worker processes, and each completed plan adds
+#: ``planned - deduped - cache_hits == simulated``.
+_UNIT_COUNTERS = {
+    name: metrics.REGISTRY.counter(f"sweep.{name}")
+    for name in ("planned_units", "deduped_units", "cache_hits", "simulated_units")
+}
+_SIMULATED_UNITS = _UNIT_COUNTERS["simulated_units"]
+
+
+def unit_counts() -> dict[str, int]:
+    """The planner's four unit counters by name (monotonic).
+
+    The difference of two snapshots is the work of the plans run in
+    between: the :class:`~repro.api.session.BatchReport` of a batch.
+    """
+    return {name: counter.value for name, counter in _UNIT_COUNTERS.items()}
 
 
 def simulated_unit_count() -> int:
     """Total work units simulated so far (monotonic; cache hits excluded).
 
     Snapshot before and after an operation to measure how much real
-    simulation it performed -- the sweep plan's dedup accounting and the
-    zero-duplicate-simulation tests are built on this.
+    simulation it performed -- each job's
+    :class:`~repro.obs.report.RunReport` and the zero-duplicate-simulation
+    tests are built on this.
     """
     return _SIMULATED_UNITS.value
 
@@ -727,6 +745,7 @@ def _run_unit_sweep(
                 missing.setdefault(kind, []).append(unit)
                 keys[(kind, unit)] = key
         sweep_span.set(units=len(units), cached=len(payloads), simulated=len(keys))
+        _UNIT_COUNTERS["cache_hits"].add(len(payloads))
         if not missing:
             return payloads
         record_simulated_units(len(keys))
@@ -779,28 +798,18 @@ def _run_unit_sweep(
         return {key: payloads[key] for key in units}
 
 
-class PlanResult(NamedTuple):
-    """What :func:`run_sweep_plan` returns: one payload list per request,
-    in its units' order; the requests' units with multiplicity
-    (``planned``); the units sharing a store key with another one
-    (``deduped``); the distinct units the store already held
-    (``cache_hits``)."""
-
-    payloads: list[list[dict[str, Any]]]
-    planned: int
-    deduped: int
-    cache_hits: int
-
-
 def run_sweep_plan(
     requests: Sequence[SweepRequest],
     *,
     store: SweepResultStore | None = None,
     chaos: ChaosPlan | None = None,
     report: ExecutionReport | None = None,
-) -> PlanResult:
+) -> list[list[dict[str, Any]]]:
     """The one sweep planner: every request's payloads, each unit looked up
     or simulated once.
+
+    Returns one payload list per request, in its units' order, and adds
+    the plan's counts to the unit counters (:func:`unit_counts`).
 
     Each unit is keyed once and deduplicated by store key across all
     requests; a key declared twice keeps the kind :meth:`SweepKind.merge`
@@ -833,16 +842,11 @@ def run_sweep_plan(
             group.policy = group.policy or request.policy
             group.simulator = group.simulator or request.simulator
         keyed.append(keys)
+    planned = sum(map(len, keyed))
+    _UNIT_COUNTERS["planned_units"].add(planned)
+    _UNIT_COUNTERS["deduped_units"].add(planned - len(owners))
 
-    before = simulated_unit_count()
     payloads: dict[str, dict[str, Any]] = {}
     for group in groups.values():
         payloads |= _run_unit_sweep(group, store=store, chaos=chaos, report=report)
-    simulated = simulated_unit_count() - before
-    planned = sum(map(len, keyed))
-    return PlanResult(
-        [[payloads[key] for key in keys] for keys in keyed],
-        planned,
-        planned - len(owners),
-        len(owners) - simulated,
-    )
+    return [[payloads[key] for key in keys] for keys in keyed]

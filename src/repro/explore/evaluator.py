@@ -1,30 +1,32 @@
-"""Batched candidate evaluation on the cached sweep orchestrator.
+"""Batched candidate evaluation on the one sweep planner.
 
-Evaluating one candidate means lowering it to a circuit, deriving its triad
-grid from the space's :class:`~repro.explore.space.TriadSpec`, and running
-the grid as one :class:`~repro.core.characterization.CharacterizationFlow`
-job -- which executes on the sharded orchestrator of
-:mod:`repro.core.sweep`: the grid fans out over ``jobs``
-``ProcessPoolExecutor`` workers and every completed triad is persisted in
-the content-addressed :class:`~repro.core.store.SweepResultStore` under
-exactly the fingerprint keys ``repro characterize`` uses, so exploration and
-characterization share one warm cache and re-screening a candidate at a
-fidelity it was already evaluated at costs no simulation at all.
+Evaluating a step's candidates means lowering each to a circuit, deriving
+its triad grid from the space's :class:`~repro.explore.space.TriadSpec`,
+and handing every candidate's request -- its characterization, plus its
+Monte Carlo run when scoring is robust -- to one
+:func:`~repro.core.sweep.run_sweep_plan` call.  Candidates of one width
+share their operands.  The plan shards each candidate's grid over ``jobs``
+worker processes and persists every completed unit in the
+content-addressed :class:`~repro.core.store.SweepResultStore` under exactly
+the keys ``repro characterize`` and ``repro montecarlo`` use, so
+exploration and characterization share one warm cache and re-screening a
+candidate at a fidelity it was already evaluated at costs no simulation at
+all.
 
-The evaluator is deliberately summary-only (``keep_measurements=False``):
-the search strategies need (BER, energy) points, not raw latched words.
+The evaluator is deliberately summary-only (no latched words): the search
+strategies need (BER, energy) points, not raw measurements.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.circuits.operators import OperatorSpec
 from repro.core import sweep as sweep_module
-from repro.core.characterization import CharacterizationFlow, FlowCache
+from repro.core.characterization import FlowCache, characterization_from_payloads
 from repro.core.resilience import ExecutionPolicy, ExecutionReport
 from repro.core.store import SweepResultStore
 from repro.core.triad import OperatingTriad
@@ -33,7 +35,11 @@ from repro.obs.trace import span
 from repro.explore.space import DesignSpace, TriadSpec
 from repro.simulation.patterns import PatternConfig, generate_patterns
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
-from repro.variation.montecarlo import MonteCarloConfig, run_montecarlo_sweep
+from repro.variation.montecarlo import (
+    MonteCarloConfig,
+    montecarlo_request,
+    variation_results_from_payloads,
+)
 
 
 def robust_tag(variation: MonteCarloConfig, quantile: float) -> str:
@@ -111,15 +117,6 @@ class CandidateEvaluation:
     reference_energy: float
 
 
-@dataclasses.dataclass
-class EvaluatorStats:
-    """Work counters of one evaluator instance."""
-
-    candidate_evaluations: int = 0
-    triad_evaluations: int = 0
-    evaluations_by_fidelity: dict[int, int] = dataclasses.field(default_factory=dict)
-
-
 class CandidateEvaluator:
     """Evaluate operator candidates over the space's triad axes.
 
@@ -131,7 +128,7 @@ class CandidateEvaluator:
     library:
         Standard-cell library used by the simulations.
     jobs:
-        Worker processes per candidate sweep (``1`` = in-process).
+        Worker processes per sweep (``1`` = in-process).
     store:
         Optional shared result store; exploration keys are identical to the
         characterization flow's, so any warm store accelerates both.
@@ -185,7 +182,6 @@ class CandidateEvaluator:
         self._robust_quantile = robust_quantile
         # Keeps a candidate's flow between its screening and its promotion.
         self._flows = FlowCache(library, sta_margin)
-        self.stats = EvaluatorStats()
 
     @property
     def store(self) -> SweepResultStore | None:
@@ -197,114 +193,136 @@ class CandidateEvaluator:
         """Stimulus seed shared by every evaluation."""
         return self._seed
 
-    def evaluate(
-        self, candidate: OperatorSpec, n_vectors: int
-    ) -> CandidateEvaluation:
-        """Evaluate one candidate over its triad grid at one fidelity."""
+    def evaluate_many(
+        self, candidates: Sequence[OperatorSpec], n_vectors: int
+    ) -> list[CandidateEvaluation]:
+        """Evaluate a step's candidates over their triad grids at one
+        fidelity, in input order, through one sweep plan.
+
+        Each candidate adds its characterization request and, when a
+        ``variation`` config is set, its Monte Carlo request on the same
+        operands, in that order; candidates of one width share the
+        operands.  With ``variation`` every design point is scored by the
+        quantile BER and the mean energy over the sampled dies.
+        """
         if n_vectors <= 0:
             raise ValueError("n_vectors must be positive")
-        with span(
-            "explore.evaluate",
-            candidate=candidate.name,
-            n_vectors=n_vectors,
-        ):
-            return self._evaluate_body(candidate, n_vectors)
+        with span("explore.evaluate", candidates=len(candidates), n_vectors=n_vectors):
+            operands: dict[PatternConfig, tuple[np.ndarray, np.ndarray]] = {}
+            steps = []
+            requests = []
+            for candidate in candidates:
+                flow = self._flows.get(candidate)
+                triads = list(self._triads.grid_for(flow))
+                config = PatternConfig(
+                    n_vectors=n_vectors,
+                    width=candidate.width,
+                    seed=self._seed,
+                    kind=self._pattern_kind,
+                )
+                if config not in operands:
+                    operands[config] = generate_patterns(config)
+                in1, in2 = operands[config]
+                stimulus = sweep_module.pattern_stimulus(config)
+                requests.append(
+                    sweep_module.characterization_request(
+                        flow.adder,
+                        triads,
+                        in1,
+                        in2,
+                        stimulus,
+                        library=self._library,
+                        keep_latched=False,
+                        jobs=self._jobs,
+                        policy=self._policy,
+                        simulator=flow.testbench,
+                    )
+                )
+                if self._variation is not None:
+                    requests.append(
+                        montecarlo_request(
+                            flow.adder,
+                            triads,
+                            in1,
+                            in2,
+                            stimulus,
+                            config=self._variation,
+                            library=self._library,
+                            jobs=self._jobs,
+                            policy=self._policy,
+                        )
+                    )
+                steps.append((candidate, flow.adder, triads, in1, in2))
+            payloads = iter(
+                sweep_module.run_sweep_plan(
+                    requests, store=self._store, report=self._report
+                )
+            )
+            return [
+                self._evaluation(
+                    candidate,
+                    adder,
+                    triads,
+                    in1,
+                    in2,
+                    next(payloads),
+                    next(payloads) if self._variation is not None else None,
+                )
+                for candidate, adder, triads, in1, in2 in steps
+            ]
 
-    def _evaluate_body(
-        self, candidate: OperatorSpec, n_vectors: int
+    def _evaluation(
+        self,
+        candidate: OperatorSpec,
+        adder: Any,
+        triads: list[OperatingTriad],
+        in1: np.ndarray,
+        in2: np.ndarray,
+        nominal: list[dict[str, Any]],
+        montecarlo: list[dict[str, Any]] | None,
     ) -> CandidateEvaluation:
-        flow = self._flows.get(candidate)
-        grid = self._triads.grid_for(flow)
-        config = PatternConfig(
-            n_vectors=n_vectors,
-            width=candidate.width,
-            seed=self._seed,
-            kind=self._pattern_kind,
-        )
-        characterization = flow.run(
-            triads=grid,
-            pattern=config,
+        """One candidate's evaluation from its characterization payloads
+        and, for robust scoring, its Monte Carlo payloads."""
+        characterization = characterization_from_payloads(
+            adder,
+            nominal,
+            in1,
+            in2,
             keep_measurements=False,
-            jobs=self._jobs,
-            store=self._store,
-            policy=self._policy,
-            report=self._report,
+            pattern_kind=self._pattern_kind,
+            seed=self._seed,
         )
-        robust = self._robust_scores(flow, grid, config)
-        tag = (
-            robust_tag(self._variation, self._robust_quantile)
-            if self._variation is not None
-            else None
-        )
+        scores = [
+            (entry.ber, entry.energy_per_operation)
+            for entry in characterization.results
+        ]
+        tag = None
+        if montecarlo is not None:
+            tag = robust_tag(self._variation, self._robust_quantile)
+            scores = [
+                (
+                    result.ber_quantile(self._robust_quantile),
+                    float(np.asarray(result.energy_samples).mean()),
+                )
+                for result in variation_results_from_payloads(triads, montecarlo)
+            ]
         points = tuple(
             DesignPoint(
                 candidate=candidate,
                 triad=entry.triad,
-                ber=robust[entry.triad][0] if robust else entry.ber,
+                ber=ber,
                 mse=entry.mse,
-                energy_per_operation=(
-                    robust[entry.triad][1]
-                    if robust
-                    else entry.energy_per_operation
-                ),
-                n_vectors=n_vectors,
+                energy_per_operation=energy,
+                n_vectors=characterization.n_vectors,
                 seed=self._seed,
                 pattern_kind=self._pattern_kind,
                 robust=tag,
             )
-            for entry in characterization.results
-        )
-        self.stats.candidate_evaluations += 1
-        self.stats.triad_evaluations += len(points)
-        self.stats.evaluations_by_fidelity[n_vectors] = (
-            self.stats.evaluations_by_fidelity.get(n_vectors, 0) + 1
+            for entry, (ber, energy) in zip(characterization.results, scores)
         )
         return CandidateEvaluation(
             candidate=candidate,
-            n_vectors=n_vectors,
+            n_vectors=characterization.n_vectors,
             points=points,
             reference_energy=characterization.reference_energy,
         )
-
-    def _robust_scores(
-        self, flow: CharacterizationFlow, grid, config: PatternConfig
-    ) -> dict[OperatingTriad, tuple[float, float]]:
-        """Quantile BER and mean Monte Carlo energy per triad (or empty).
-
-        Empty when no variation config is set (nominal scoring).  The Monte
-        Carlo run shares the evaluator's store and worker pool, so repeated
-        scoring of a candidate at the same fidelity replays from cache.
-        """
-        if self._variation is None:
-            return {}
-        in1, in2 = generate_patterns(config)
-        results = run_montecarlo_sweep(
-            flow.adder,
-            grid,
-            in1,
-            in2,
-            sweep_module.pattern_stimulus(config),
-            config=self._variation,
-            library=self._library,
-            jobs=self._jobs,
-            store=self._store,
-            policy=self._policy,
-            report=self._report,
-        )
-        return {
-            result.triad: (
-                result.ber_quantile(self._robust_quantile),
-                float(np.asarray(result.energy_samples).mean()),
-            )
-            for result in results
-        }
-
-    def evaluate_many(
-        self, candidates: Sequence[OperatorSpec], n_vectors: int
-    ) -> list[CandidateEvaluation]:
-        """Evaluate a batch of candidates (deterministic input order)."""
-        return [self.evaluate(candidate, n_vectors) for candidate in candidates]
-
-    def evaluations_at(self, n_vectors: int) -> int:
-        """How many candidate evaluations ran at the given fidelity."""
-        return self.stats.evaluations_by_fidelity.get(n_vectors, 0)

@@ -15,7 +15,7 @@ children precede their parents in the file -- consumers must join on
 ``parent_id``, not on line order (see :mod:`repro.obs.report`).
 
 Tracing is process-global and disabled by default: :func:`span` consults a
-module-level active tracer and returns the shared :data:`_NULL_SPAN` when
+module-level active tracer and returns the shared :data:`NULL_SPAN` when
 none is set, so instrumented hot paths cost one attribute load and a
 ``None`` check (and allocate nothing that outlives the call).
 
@@ -40,6 +40,7 @@ from typing import Any, Iterator, Mapping
 from repro.obs import clock
 
 __all__ = [
+    "NULL_SPAN",
     "Span",
     "TraceContext",
     "Tracer",
@@ -96,7 +97,9 @@ class _NullSpan:
         return self
 
 
-_NULL_SPAN = _NullSpan()
+#: The shared no-op span: what :func:`span` returns while tracing is off,
+#: and the stand-in of any caller holding an optional span.
+NULL_SPAN = _NullSpan()
 
 
 class Span:
@@ -240,7 +243,7 @@ def span(name: str, **attrs: Any) -> Any:
     """Open a span on the active tracer, or a shared no-op when disabled."""
     tracer = _ACTIVE
     if tracer is None:
-        return _NULL_SPAN
+        return NULL_SPAN
     return tracer.span(name, attrs)
 
 

@@ -62,7 +62,7 @@ from repro.api.jobs import (
 )
 from repro.api.session import Session, SessionError
 from repro.obs import metrics
-from repro.obs.trace import Tracer, _new_id
+from repro.obs.trace import NULL_SPAN, Tracer, _new_id
 from repro.serve.http import (
     HttpError,
     Request,
@@ -157,22 +157,6 @@ class HotResultCache:
         }
 
 
-class _NullSpan:
-    """Attribute sink standing in for a span when tracing is off."""
-
-    def set(self, **attrs: Any) -> "_NullSpan":
-        return self
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class _RequestScope:
     """One request's tracing handle: the request span plus its tracer.
 
@@ -194,11 +178,11 @@ class _RequestScope:
     def child(self, name: str, **attrs: Any) -> Any:
         """A child span of the request span (no-op without tracing)."""
         if self._tracer is None:
-            return _NULL_SPAN
+            return NULL_SPAN
         return self._tracer.span(name, attrs)
 
 
-_NULL_SCOPE = _RequestScope(_NULL_SPAN, None)
+_NULL_SCOPE = _RequestScope(NULL_SPAN, None)
 
 
 class CharacterizationService:
@@ -631,7 +615,7 @@ class CharacterizationService:
 
     def _batch_span(self, jobs: int, queue_wait_s: float) -> Any:
         if self._trace_path is None:
-            return contextlib.nullcontext(_NULL_SPAN)
+            return NULL_SPAN
         tracer = Tracer(self._trace_path, trace_id=self._trace_id, buffered=True)
 
         @contextlib.contextmanager

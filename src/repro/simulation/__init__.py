@@ -34,7 +34,7 @@ from repro.simulation.engine import (
     pack_vectors,
     unpack_vectors,
 )
-from repro.simulation.logic_sim import LogicSimulator, simulate_outputs
+from repro.simulation.logic_sim import LogicSimulator
 from repro.simulation.timing_sim import (
     TimingAnnotation,
     VosTimingSimulator,
@@ -61,7 +61,6 @@ from repro.simulation.testbench import TriadMeasurement, OperatorTestbench
 
 __all__ = [
     "LogicSimulator",
-    "simulate_outputs",
     "TimingAnnotation",
     "VosTimingSimulator",
     "VosSimulationResult",

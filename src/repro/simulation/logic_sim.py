@@ -88,11 +88,3 @@ class LogicSimulator:
         outputs = self.run_outputs(inputs)
         bits = np.stack([outputs[port] for port in output_ports], axis=-1)
         return bits_to_int(bits)
-
-
-def simulate_outputs(
-    netlist: Netlist,
-    inputs: Mapping[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """One-shot convenience wrapper around :class:`LogicSimulator`."""
-    return LogicSimulator(netlist).run_outputs(inputs)

@@ -59,17 +59,6 @@ def apply_corner(
     )
 
 
-def parse_corner(token: str) -> ProcessCorner:
-    """Resolve a corner from its two-letter tag (``"TT"``, ``"ss"`` ...)."""
-    try:
-        return ProcessCorner(token.upper())
-    except ValueError:
-        raise ValueError(
-            f"unknown process corner {token!r}; "
-            f"available: {', '.join(corner.value for corner in ProcessCorner)}"
-        ) from None
-
-
 def corner_library(
     corner: ProcessCorner, library: "StandardCellLibrary | None" = None
 ) -> "StandardCellLibrary":

@@ -12,7 +12,8 @@ and warm reruns simulate nothing.
 Layers:
 
 * :mod:`repro.variation.sampler`    -- deterministic per-gate mismatch draws,
-* :mod:`repro.variation.montecarlo` -- the sharded, cached Monte Carlo runner,
+* :mod:`repro.variation.montecarlo` -- the Monte Carlo sweep request and
+  the results built from its payloads,
 * :mod:`repro.variation.stats`      -- distribution summaries, quantile BER,
   yield at a BER margin.
 
@@ -24,7 +25,6 @@ frontier that is robust under variation.
 from repro.variation.montecarlo import (
     DEFAULT_SAMPLE_CHUNK,
     MonteCarloConfig,
-    run_montecarlo_sweep,
     supply_scaling_grid,
 )
 from repro.variation.sampler import VariationBatch, VariationSampler
@@ -37,7 +37,6 @@ from repro.variation.stats import (
 __all__ = [
     "DEFAULT_SAMPLE_CHUNK",
     "MonteCarloConfig",
-    "run_montecarlo_sweep",
     "supply_scaling_grid",
     "VariationBatch",
     "VariationSampler",

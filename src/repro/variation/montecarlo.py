@@ -16,7 +16,10 @@ Scale comes from the one sweep planner of :mod:`repro.core.sweep`
 fault campaigns share; this module supplies only the Monte Carlo kind of
 unit (``_MonteCarloKind``) -- its store key, payload check and simulation
 -- its request (:func:`montecarlo_request`) and the results built from its
-payloads (:func:`variation_results_from_payloads`).
+payloads (:func:`variation_results_from_payloads`).  Its callers plan the
+request with their other sweeps: the ``montecarlo`` job of
+:class:`~repro.api.session.Session` (``Session().run(MonteCarloJob(...))``)
+and the robust scoring of :class:`~repro.explore.evaluator.CandidateEvaluator`.
 
 * **Sharding.**  Sample ranges are fixed-size chunks (independent of the
   worker count).  A shard is one sample range times a set of whole
@@ -45,7 +48,7 @@ from typing import Any, Hashable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.circuits.signals import int_to_bits
-from repro.core.resilience import ExecutionPolicy, ExecutionReport
+from repro.core.resilience import ExecutionPolicy
 from repro.core.store import (
     SweepResultStore,
     decode_float64_array,
@@ -56,7 +59,6 @@ from repro.core.sweep import (
     SweepKind,
     SweepRequest,
     key_base,
-    run_sweep_plan,
     shard_triads,
 )
 from repro.core.triad import OperatingTriad, TriadGrid
@@ -67,7 +69,6 @@ from repro.technology.corners import (
     corner_library,
 )
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
-from repro.testing.chaos import ChaosPlan
 from repro.variation.sampler import VariationSampler
 from repro.variation.stats import TriadVariationResult
 
@@ -297,8 +298,11 @@ def montecarlo_request(
     ``jobs > 1`` a shard is one sample range times whole ``(vdd, vbb)``
     groups, and ranges are split by group until there are at least ``jobs``
     shards; results are byte-identical for every value, and
-    ``split-and-retry`` stores the same entries.
+    ``split-and-retry`` stores the same entries.  ``triads`` must not be
+    empty.
     """
+    if not triads:
+        raise ValueError("the triad grid must not be empty")
     shifted = corner_library(config.corner, library)
     base = key_base(
         "montecarlo",
@@ -345,45 +349,3 @@ def variation_results_from_payloads(
             )
         )
     return results
-
-
-def run_montecarlo_sweep(
-    circuit: Any,
-    grid: TriadGrid | Sequence[OperatingTriad],
-    in1: np.ndarray,
-    in2: np.ndarray,
-    stimulus: Mapping[str, Any],
-    *,
-    config: MonteCarloConfig,
-    library: StandardCellLibrary = DEFAULT_LIBRARY,
-    jobs: int = 1,
-    store: SweepResultStore | None = None,
-    policy: ExecutionPolicy | None = None,
-    chaos: ChaosPlan | None = None,
-    report: ExecutionReport | None = None,
-) -> list[TriadVariationResult]:
-    """Monte Carlo characterize a circuit over a triad grid, sharded + cached.
-
-    The :func:`montecarlo_request` of the arguments, run as a plan of its
-    own (:func:`~repro.core.sweep.run_sweep_plan`: ``store``, ``chaos`` and
-    ``report`` as there).  A warm rerun -- or one extending ``n_samples`` --
-    simulates only the ``(triad, range)`` entries ``store`` lacks.  Returns
-    one :class:`~repro.variation.stats.TriadVariationResult` per triad, in
-    grid order.
-    """
-    triads = list(grid)
-    if not triads:
-        raise ValueError("the triad grid must not be empty")
-    request = montecarlo_request(
-        circuit,
-        triads,
-        in1,
-        in2,
-        stimulus,
-        config=config,
-        library=library,
-        jobs=jobs,
-        policy=policy,
-    )
-    plan = run_sweep_plan([request], store=store, chaos=chaos, report=report)
-    return variation_results_from_payloads(triads, plan.payloads[0])

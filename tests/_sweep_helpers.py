@@ -9,5 +9,5 @@ def plan_payloads(request, **plan):
     ``plan`` holds :func:`~repro.core.sweep.run_sweep_plan`'s keywords
     (``store``, ``chaos``, ``report``).
     """
-    [payloads] = run_sweep_plan([request], **plan).payloads
+    [payloads] = run_sweep_plan([request], **plan)
     return payloads

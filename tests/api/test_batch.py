@@ -11,6 +11,7 @@ import pytest
 from repro.api.jobs import (
     CalibrateJob,
     CharacterizeJob,
+    ExploreJob,
     FaultSweepJob,
     Fig5Job,
     MonteCarloJob,
@@ -245,6 +246,39 @@ class TestBatchDedup:
             report.planned_units - report.deduped_units - report.cache_hits
             == report.simulated_units
         )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_accounting_closes_with_an_explore_job(self, jobs):
+        # Each search step of the explore job is a plan of its own, counted
+        # with the batch plan; its rca8 grid is warm from the characterize
+        # job's sweep.
+        report = (
+            Session(store=None, jobs=jobs)
+            .run_batch(
+                [
+                    CharacterizeJob(
+                        operator="rca8", pattern=PatternOptions(vectors=500)
+                    ),
+                    ExploreJob(
+                        architectures=("rca", "bka"),
+                        widths=(8,),
+                        strategy="exhaustive",
+                        vectors=500,
+                    ),
+                ]
+            )
+            .report
+        )
+        assert (
+            report.planned_units - report.deduped_units - report.cache_hits
+            == report.simulated_units
+        )
+        assert (
+            report.planned_units,
+            report.deduped_units,
+            report.cache_hits,
+            report.simulated_units,
+        ) == (129, 0, 43, 86)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_mixed_kind_batch_matches_solo_runs(self, jobs):

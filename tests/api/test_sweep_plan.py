@@ -27,6 +27,7 @@ from repro.core.sweep import (
     pattern_stimulus,
     run_sweep_plan,
     simulated_unit_count,
+    unit_counts,
 )
 from repro.core.triad import OperatingTriad
 from repro.obs.report import load_trace
@@ -239,11 +240,15 @@ class TestPlanner:
         triads = list(CharacterizationFlow(rca8).default_triad_grid())[:4]
         forward = self.request(rca8, pattern, triads)
         backward = self.request(rca8, pattern, triads[::-1])
-        before = simulated_unit_count()
-        plan = run_sweep_plan([forward, backward])
-        assert simulated_unit_count() - before == 4
-        assert (plan.planned, plan.deduped, plan.cache_hits) == (8, 4, 0)
-        first, second = plan.payloads
+        before = unit_counts()
+        first, second = run_sweep_plan([forward, backward])
+        counts = {name: count - before[name] for name, count in unit_counts().items()}
+        assert counts == {
+            "planned_units": 8,
+            "deduped_units": 4,
+            "cache_hits": 0,
+            "simulated_units": 4,
+        }
         assert second == first[::-1]
         assert [p["triad"]["vdd"] for p in first] == [t.vdd for t in triads]
 
@@ -269,7 +274,7 @@ class TestPlanner:
             if record["name"] == "sweep"
         ]
         assert sweeps == [("characterization", 2), ("faults", 3)]
-        assert [len(payloads) for payloads in plan.payloads] == [2, 3]
+        assert [len(payloads) for payloads in plan] == [2, 3]
 
     def test_monte_carlo_requests_at_one_corner_share_a_sweep(self, rca8, tmp_path):
         # Each request shifts its own copy of the library to the corner; the
@@ -299,7 +304,7 @@ class TestPlanner:
             if record["name"] == "sweep"
         ]
         assert sweeps == [("montecarlo", 4)]
-        assert plan.payloads == [run_sweep_plan([r]).payloads[0] for r in requests]
+        assert plan == [run_sweep_plan([r])[0] for r in requests]
 
     def test_payloads_rebuild_the_flow_characterization(self, rca8):
         flow = CharacterizationFlow(rca8)
@@ -308,7 +313,7 @@ class TestPlanner:
         expected = flow.run(triads=triads, pattern=pattern, keep_measurements=True)
 
         request = self.request(rca8, pattern, triads, keep_latched=True)
-        [payloads] = run_sweep_plan([request]).payloads
+        [payloads] = run_sweep_plan([request])
         rebuilt = characterization_from_payloads(
             rca8,
             payloads,

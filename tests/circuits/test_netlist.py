@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuits.builder import NetlistBuilder
 from repro.circuits.cells import GateType
-from repro.circuits.netlist import Gate, Netlist, merge_port_order
+from repro.circuits.netlist import Gate, Netlist
 
 
 def _small_netlist():
@@ -96,12 +96,3 @@ class TestNetlistValidationAtConstruction:
     def test_zero_net_count_rejected(self):
         with pytest.raises(ValueError):
             Netlist("bad", 0, {}, {}, [])
-
-
-class TestMergePortOrder:
-    def test_preserves_order(self):
-        assert merge_port_order(["b", "a", "c"]) == ("b", "a", "c")
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            merge_port_order(["a", "a"])

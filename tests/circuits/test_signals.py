@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.signals import bits_to_int, int_to_bits, operand_bit_matrix, random_operands
+from repro.circuits.signals import bits_to_int, int_to_bits
 
 
 class TestIntToBits:
@@ -53,29 +53,3 @@ class TestBitsToInt:
         bits = np.eye(8, dtype=bool)
         values = bits_to_int(bits)
         assert values.tolist() == [1, 2, 4, 8, 16, 32, 64, 128]
-
-
-class TestOperandHelpers:
-    def test_random_operands_in_range(self):
-        rng = np.random.default_rng(0)
-        in1, in2 = random_operands(1000, 8, rng)
-        assert in1.shape == in2.shape == (1000,)
-        assert in1.min() >= 0 and in1.max() < 256
-        assert in2.min() >= 0 and in2.max() < 256
-
-    def test_random_operands_rejects_bad_sizes(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            random_operands(0, 8, rng)
-        with pytest.raises(ValueError):
-            random_operands(10, 0, rng)
-
-    def test_operand_bit_matrix_layout(self):
-        matrix = operand_bit_matrix(np.array([1]), np.array([2]), 4)
-        assert matrix.shape == (1, 8)
-        # a = 1 -> a0 set; b = 2 -> b1 set (second half of the row).
-        assert matrix[0].tolist() == [True, False, False, False, False, True, False, False]
-
-    def test_operand_bit_matrix_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            operand_bit_matrix(np.array([1, 2]), np.array([1]), 4)

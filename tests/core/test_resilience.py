@@ -18,7 +18,6 @@ import pytest
 from repro.circuits.adders import build_adder
 from repro.core.resilience import (
     DEFAULT_POLICY,
-    FAILURE_ACTIONS,
     ExecutionPolicy,
     ExecutionReport,
     ShardExecutionError,
@@ -35,7 +34,11 @@ from repro.core.sweep import (
 from repro.core.triad import TriadGrid
 from repro.simulation.patterns import PatternConfig, generate_patterns
 from repro.testing.chaos import CORRUPTION_MARKER, ChaosPlan, ChaosRule
-from repro.variation.montecarlo import MonteCarloConfig, run_montecarlo_sweep
+from repro.variation.montecarlo import (
+    MonteCarloConfig,
+    montecarlo_request,
+    variation_results_from_payloads,
+)
 
 from _sweep_helpers import plan_payloads
 
@@ -138,21 +141,6 @@ class TestPolicy:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ExecutionPolicy(**kwargs)
-
-    @pytest.mark.parametrize("action", FAILURE_ACTIONS)
-    def test_json_round_trip(self, action):
-        policy = ExecutionPolicy(
-            max_retries=1,
-            backoff_s=0.5,
-            max_backoff_s=7.5,
-            shard_timeout_s=3.0,
-            on_failure=action,
-        )
-        assert ExecutionPolicy.from_json(policy.to_json()) == policy
-
-    def test_from_json_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown ExecutionPolicy field"):
-            ExecutionPolicy.from_json({"max_retries": 1, "jitter": True})
 
 
 class TestReport:
@@ -522,9 +510,10 @@ def _comparable_sweep(kind, grid, pattern, jobs=1, policy=None, **plan):
         return plan_payloads(request, **plan)
     # chunk=3 decomposes 6 samples into 2 ranges: one shard per range.
     config = MonteCarloConfig(n_samples=6, seed=5, chunk=3)
-    results = run_montecarlo_sweep(
-        adder, grid, in1, in2, stimulus, config=config, jobs=jobs, policy=policy, **plan
+    request = montecarlo_request(
+        adder, grid, in1, in2, stimulus, config=config, jobs=jobs, policy=policy
     )
+    results = variation_results_from_payloads(grid, plan_payloads(request, **plan))
     return [
         (
             result.triad,
@@ -605,22 +594,30 @@ class TestOrchestratorChaos:
         stimulus = pattern_stimulus(chaos_pattern)
         # chunk=3 decomposes 6 samples into 2 ranges: one shard per range.
         config = MonteCarloConfig(n_samples=6, seed=5, chunk=3)
-        clean = run_montecarlo_sweep(
-            adder, chaos_grid, in1, in2, stimulus, config=config
+        clean = variation_results_from_payloads(
+            chaos_grid,
+            plan_payloads(
+                montecarlo_request(adder, chaos_grid, in1, in2, stimulus, config=config)
+            ),
         )
         chaos = ChaosPlan((ChaosRule(action="corrupt", shard=0, attempt=0),))
         report = ExecutionReport()
-        faulted = run_montecarlo_sweep(
-            adder,
+        faulted = variation_results_from_payloads(
             chaos_grid,
-            in1,
-            in2,
-            stimulus,
-            config=config,
-            jobs=2,
-            policy=RECOVERY_POLICY,
-            chaos=chaos,
-            report=report,
+            plan_payloads(
+                montecarlo_request(
+                    adder,
+                    chaos_grid,
+                    in1,
+                    in2,
+                    stimulus,
+                    config=config,
+                    jobs=2,
+                    policy=RECOVERY_POLICY,
+                ),
+                chaos=chaos,
+                report=report,
+            ),
         )
         assert len(faulted) == len(clean)
         for a, b in zip(clean, faulted):
@@ -640,22 +637,30 @@ class TestOrchestratorChaos:
         stimulus = pattern_stimulus(chaos_pattern)
         config = MonteCarloConfig(n_samples=6, seed=5)
         assert len(config.sample_ranges()) == 1
-        clean = run_montecarlo_sweep(
-            adder, chaos_grid, in1, in2, stimulus, config=config
+        clean = variation_results_from_payloads(
+            chaos_grid,
+            plan_payloads(
+                montecarlo_request(adder, chaos_grid, in1, in2, stimulus, config=config)
+            ),
         )
         chaos = ChaosPlan((ChaosRule(action="crash", shard=0, attempt=0),))
         report = ExecutionReport()
-        faulted = run_montecarlo_sweep(
-            adder,
+        faulted = variation_results_from_payloads(
             chaos_grid,
-            in1,
-            in2,
-            stimulus,
-            config=config,
-            jobs=2,
-            policy=ExecutionPolicy(max_retries=2, on_failure="split-and-retry"),
-            chaos=chaos,
-            report=report,
+            plan_payloads(
+                montecarlo_request(
+                    adder,
+                    chaos_grid,
+                    in1,
+                    in2,
+                    stimulus,
+                    config=config,
+                    jobs=2,
+                    policy=ExecutionPolicy(max_retries=2, on_failure="split-and-retry"),
+                ),
+                chaos=chaos,
+                report=report,
+            ),
         )
         assert len(faulted) == len(clean)
         for a, b in zip(clean, faulted):

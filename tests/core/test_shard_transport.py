@@ -52,7 +52,7 @@ from repro.variation.montecarlo import (
     MC_PAYLOAD_VERSION,
     MonteCarloConfig,
     _MonteCarloKind,
-    run_montecarlo_sweep,
+    montecarlo_request,
 )
 
 from _sweep_helpers import plan_payloads
@@ -274,14 +274,16 @@ class TestNoSharedMemory:
                 report=report,
             )
         else:
-            run_montecarlo_sweep(
-                adder,
-                grid,
-                in1,
-                in2,
-                stimulus,
-                config=MonteCarloConfig(n_samples=4, seed=5, chunk=2),
-                jobs=2,
+            plan_payloads(
+                montecarlo_request(
+                    adder,
+                    grid,
+                    in1,
+                    in2,
+                    stimulus,
+                    config=MonteCarloConfig(n_samples=4, seed=5, chunk=2),
+                    jobs=2,
+                ),
                 report=report,
             )
         assert report.shards >= 2
@@ -312,7 +314,7 @@ class TestRetiredTransportSettings:
         [
             run_sweep_plan,
             SweepRequest,
-            run_montecarlo_sweep,
+            montecarlo_request,
             CharacterizationFlow.run,
             fig5_ber_per_bit,
             CandidateEvaluator,

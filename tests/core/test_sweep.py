@@ -22,7 +22,7 @@ from repro.obs.report import load_trace
 from repro.obs.trace import Tracer, activated
 from repro.simulation.fault_injection import StuckAtFault, enumerate_stuck_at_faults
 from repro.simulation.patterns import PatternConfig, generate_patterns
-from repro.variation.montecarlo import MonteCarloConfig, run_montecarlo_sweep
+from repro.variation.montecarlo import MonteCarloConfig, montecarlo_request
 
 from _sweep_helpers import plan_payloads
 
@@ -533,8 +533,11 @@ class TestInProcessFlushGranularity:
             else:
                 # Ranges (0, 3), (3, 6) and (6, 7), each over the whole grid.
                 config = MonteCarloConfig(n_samples=7, seed=5, chunk=3)
-                run_montecarlo_sweep(
-                    adder, small_grid, in1, in2, stimulus, config=config, store=store
+                plan_payloads(
+                    montecarlo_request(
+                        adder, small_grid, in1, in2, stimulus, config=config
+                    ),
+                    store=store,
                 )
                 expected = [len(small_grid)] * 3
         tracer.close()

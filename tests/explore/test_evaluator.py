@@ -3,8 +3,10 @@
 import pytest
 
 from repro.circuits.operators import OperatorSpec
+from repro.core import sweep as sweep_module
 from repro.core.characterization import CharacterizationFlow
 from repro.core.store import SweepResultStore
+from repro.core.sweep import unit_counts
 from repro.explore import CandidateEvaluator, DesignSpace, TriadSpec
 from repro.simulation.patterns import PatternConfig
 
@@ -24,7 +26,7 @@ class TestCandidateEvaluator:
     def test_points_cover_the_grid_in_order(self, small_space):
         evaluator = CandidateEvaluator(small_space)
         candidate = OperatorSpec("rca", 8)
-        evaluation = evaluator.evaluate(candidate, 300)
+        evaluation = evaluator.evaluate_many([candidate], 300)[0]
         flow = CharacterizationFlow(candidate.build())
         grid = SMALL_TRIADS.grid_for(flow)
         assert [p.triad for p in evaluation.points] == list(grid)
@@ -33,7 +35,7 @@ class TestCandidateEvaluator:
 
     def test_speculative_candidate_has_functional_error_floor(self, small_space):
         evaluator = CandidateEvaluator(small_space)
-        evaluation = evaluator.evaluate(OperatorSpec("spa", 8, 4), 400)
+        evaluation = evaluator.evaluate_many([OperatorSpec("spa", 8, 4)], 400)[0]
         nominal = max(
             evaluation.points,
             key=lambda p: (p.triad.vdd, p.triad.tclk),
@@ -41,15 +43,46 @@ class TestCandidateEvaluator:
         # Even the relaxed nominal triad keeps the design-time error floor.
         assert nominal.ber > 0
 
-    def test_stats_track_fidelities(self, small_space):
+    def test_each_step_plans_its_candidates_grids_at_its_fidelity(
+        self, small_space
+    ):
         evaluator = CandidateEvaluator(small_space)
-        evaluator.evaluate(OperatorSpec("rca", 8), 200)
-        evaluator.evaluate(OperatorSpec("rca", 8), 400)
-        evaluator.evaluate(OperatorSpec("bka", 8), 400)
-        assert evaluator.stats.candidate_evaluations == 3
-        assert evaluator.evaluations_at(200) == 1
-        assert evaluator.evaluations_at(400) == 2
-        assert evaluator.stats.triad_evaluations == 3 * 4
+        before = unit_counts()
+        [screened] = evaluator.evaluate_many([OperatorSpec("rca", 8)], 200)
+        promoted = evaluator.evaluate_many(
+            [OperatorSpec("rca", 8), OperatorSpec("bka", 8)], 400
+        )
+        after = unit_counts()
+        assert [e.n_vectors for e in (screened, *promoted)] == [200, 400, 400]
+        assert after["planned_units"] - before["planned_units"] == 3 * 4
+        assert after["simulated_units"] - before["simulated_units"] == 3 * 4
+
+    @pytest.mark.parametrize("robust", [False, True], ids=["nominal", "robust"])
+    def test_one_step_is_one_sweep_plan(self, small_space, monkeypatch, robust):
+        from repro.variation import MonteCarloConfig
+
+        variation = MonteCarloConfig(n_samples=4, seed=3) if robust else None
+        candidates = [OperatorSpec("rca", 8), OperatorSpec("bka", 8)]
+        alone = [
+            CandidateEvaluator(small_space, variation=variation).evaluate_many(
+                [candidate], 300
+            )[0]
+            for candidate in candidates
+        ]
+        calls = []
+        planner = sweep_module.run_sweep_plan
+
+        def counting(requests, **kwargs):
+            calls.append([request.base["scenario"] for request in requests])
+            return planner(requests, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "run_sweep_plan", counting)
+        together = CandidateEvaluator(small_space, variation=variation).evaluate_many(
+            candidates, 300
+        )
+        per_candidate = ["characterization"] + (["montecarlo"] if robust else [])
+        assert calls == [per_candidate * len(candidates)]
+        assert together == alone
 
     def test_results_identical_across_jobs_and_cache(self, small_space, tmp_path):
         candidate = OperatorSpec("rca", 8)
@@ -57,9 +90,9 @@ class TestCandidateEvaluator:
         warm_store = SweepResultStore(tmp_path / "store")
         warm_writer = CandidateEvaluator(small_space, store=warm_store, jobs=2)
         warm_reader = CandidateEvaluator(small_space, store=warm_store)
-        reference = cold.evaluate(candidate, 500)
-        sharded = warm_writer.evaluate(candidate, 500)
-        cached = warm_reader.evaluate(candidate, 500)
+        reference = cold.evaluate_many([candidate], 500)[0]
+        sharded = warm_writer.evaluate_many([candidate], 500)[0]
+        cached = warm_reader.evaluate_many([candidate], 500)[0]
         for other in (sharded, cached):
             assert [p.ber for p in other.points] == [p.ber for p in reference.points]
             assert [p.energy_per_operation for p in other.points] == [
@@ -79,7 +112,7 @@ class TestCandidateEvaluator:
 
         space = DesignSpace.from_axes(("rca",), (8,), (None,))  # Table III triads
         evaluator = CandidateEvaluator(space, store=store, seed=2017)
-        evaluation = evaluator.evaluate(OperatorSpec("rca", 8), 300)
+        evaluation = evaluator.evaluate_many([OperatorSpec("rca", 8)], 300)[0]
         assert store.stats.stores == stored  # nothing new was simulated
         assert store.stats.hits >= len(evaluation.points)
 
@@ -88,14 +121,14 @@ class TestCandidateEvaluator:
             CandidateEvaluator(small_space, jobs=0)
         evaluator = CandidateEvaluator(small_space)
         with pytest.raises(ValueError):
-            evaluator.evaluate(OperatorSpec("rca", 8), 0)
+            evaluator.evaluate_many([OperatorSpec("rca", 8)], 0)
 
     def test_seed_changes_the_stimulus(self, small_space):
         one = CandidateEvaluator(small_space, seed=1)
         two = CandidateEvaluator(small_space, seed=2)
         candidate = OperatorSpec("rca", 8)
-        bers_one = [p.ber for p in one.evaluate(candidate, 400).points]
-        bers_two = [p.ber for p in two.evaluate(candidate, 400).points]
+        bers_one = [p.ber for p in one.evaluate_many([candidate], 400)[0].points]
+        bers_two = [p.ber for p in two.evaluate_many([candidate], 400)[0].points]
         assert bers_one != bers_two
 
 
@@ -104,13 +137,15 @@ class TestRobustScoring:
         from repro.variation import MonteCarloConfig
 
         candidate = OperatorSpec("rca", 8)
-        nominal = CandidateEvaluator(small_space, seed=2017).evaluate(candidate, 400)
+        [nominal] = CandidateEvaluator(small_space, seed=2017).evaluate_many(
+            [candidate], 400
+        )
         robust = CandidateEvaluator(
             small_space,
             seed=2017,
             variation=MonteCarloConfig(n_samples=8, seed=2017),
             robust_quantile=0.95,
-        ).evaluate(candidate, 400)
+        ).evaluate_many([candidate], 400)[0]
         by_triad_nominal = {p.triad: p for p in nominal.points}
         faulty = [p for p in robust.points if p.ber > 0]
         assert faulty, "expected faulty triads on the over-scaled grid"
@@ -139,9 +174,9 @@ class TestRobustScoring:
                 robust_quantile=0.9,
             )
 
-        first = build().evaluate(candidate, 300)
+        first = build().evaluate_many([candidate], 300)[0]
         stored = store.stats.stores
-        second = build().evaluate(candidate, 300)
+        second = build().evaluate_many([candidate], 300)[0]
         assert store.stats.stores == stored  # fully answered from the store
         assert [p.ber for p in first.points] == [p.ber for p in second.points]
         assert [p.energy_per_operation for p in first.points] == [

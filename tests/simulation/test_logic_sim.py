@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.builder import NetlistBuilder
-from repro.simulation.logic_sim import LogicSimulator, simulate_outputs
+from repro.simulation.logic_sim import LogicSimulator
 
 
 def _mux_netlist():
@@ -23,8 +23,8 @@ class TestLogicSimulator:
         assert len(values) == rca8.netlist.net_count
 
     def test_run_outputs_keys(self, rca8):
-        outputs = simulate_outputs(
-            rca8.netlist, rca8.input_assignment(np.array([1]), np.array([2]))
+        outputs = LogicSimulator(rca8.netlist).run_outputs(
+            rca8.input_assignment(np.array([1]), np.array([2]))
         )
         assert set(outputs) == set(rca8.netlist.primary_outputs)
 
@@ -56,8 +56,7 @@ class TestLogicSimulator:
 
     def test_mux_selects_correct_input(self):
         netlist = _mux_netlist()
-        outputs = simulate_outputs(
-            netlist,
+        outputs = LogicSimulator(netlist).run_outputs(
             {
                 "a": np.array([True, True]),
                 "b": np.array([False, False]),

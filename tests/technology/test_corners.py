@@ -7,7 +7,6 @@ from repro.technology.corners import (
     ProcessCorner,
     apply_corner,
     corner_library,
-    parse_corner,
 )
 from repro.technology.delay import GateDelayModel
 from repro.technology.fdsoi28 import FDSOI28_LVT, FDSOI28_RVT
@@ -66,15 +65,6 @@ class TestProcessCorners:
         ff = apply_corner(ProcessCorner.FAST)
         assert ss.current_factor < sf.current_factor < FDSOI28_LVT.current_factor
         assert ff.current_factor > fs.current_factor > FDSOI28_LVT.current_factor
-
-    @pytest.mark.parametrize("corner", list(ProcessCorner))
-    def test_parse_corner_round_trips_case_insensitively(self, corner):
-        assert parse_corner(corner.value) is corner
-        assert parse_corner(corner.value.lower()) is corner
-
-    def test_parse_corner_rejects_unknown_tags(self):
-        with pytest.raises(ValueError, match="unknown process corner"):
-            parse_corner("XX")
 
     @pytest.mark.parametrize("corner", list(ProcessCorner))
     def test_corner_library_binds_cells_to_the_shifted_technology(self, corner):

@@ -117,15 +117,35 @@ def test_surface_no_entry_point_reaches_is_not_exported(package, module, names):
             "sweep",
             ("run_characterization_sweep", "run_fault_sweep", "run_unit_sweep"),
         ),
-        ("repro.technology", "corners", ("VariabilityModel",)),
+        ("repro.technology", "corners", ("VariabilityModel", "parse_corner")),
+        ("repro", "variation", ("run_montecarlo_sweep",)),
+        ("repro.variation", "montecarlo", ("run_montecarlo_sweep",)),
+        (
+            "repro.explore",
+            "evaluator",
+            (
+                "EvaluatorStats",
+                "CandidateEvaluator.evaluate",
+                "CandidateEvaluator.evaluations_at",
+            ),
+        ),
+        ("repro.circuits", "signals", ("random_operands", "operand_bit_matrix")),
+        ("repro.circuits", "netlist", ("merge_port_order",)),
+        ("repro.simulation", "logic_sim", ("simulate_outputs",)),
     ],
 )
 def test_names_that_moved_or_merged_are_gone(package, module, names):
-    """The per-kind sweep wrappers merged into the one planner; the
-    event-driven oracle's variability model lives with it under tests/."""
+    """The per-kind sweep wrappers and the evaluator's per-candidate path
+    merged into the one planner; the event-driven oracle's variability
+    model lives with it under tests/; helpers only their own tests reached
+    are deleted.  A dotted name is a method of a class the module keeps."""
     imported = importlib.import_module(package)
     defining = importlib.import_module(f"{package}.{module}")
     for name in names:
+        owner, _, method = name.rpartition(".")
+        if owner:
+            assert not hasattr(getattr(defining, owner), method)
+            continue
         assert name not in imported.__all__
         assert not hasattr(imported, name)
         assert not hasattr(defining, name)

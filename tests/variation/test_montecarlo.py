@@ -13,7 +13,13 @@ from repro.core.triad import OperatingTriad, TriadGrid
 from repro.simulation.engine import CompiledNetlistPlan
 from repro.simulation.patterns import PatternConfig, generate_patterns
 from repro.technology.corners import GateVariationModel, ProcessCorner
-from repro.variation import MonteCarloConfig, run_montecarlo_sweep
+from repro.variation import MonteCarloConfig
+from repro.variation.montecarlo import (
+    montecarlo_request,
+    variation_results_from_payloads,
+)
+
+from _sweep_helpers import plan_payloads
 
 
 @pytest.fixture(scope="module")
@@ -50,16 +56,9 @@ SPLIT_GRID = TriadGrid(
 
 def _run(adder, stimulus, config, jobs=1, store=None, grid=GRID, report=None):
     in1, in2, stim = stimulus
-    return run_montecarlo_sweep(
-        adder,
-        grid,
-        in1,
-        in2,
-        stim,
-        config=config,
-        jobs=jobs,
-        store=store,
-        report=report,
+    request = montecarlo_request(adder, grid, in1, in2, stim, config=config, jobs=jobs)
+    return variation_results_from_payloads(
+        grid, plan_payloads(request, store=store, report=report)
     )
 
 
@@ -282,14 +281,14 @@ class TestValidation:
     def test_empty_grid_rejected(self, rca8_mc, stimulus_600):
         in1, in2, stim = stimulus_600
         with pytest.raises(ValueError):
-            run_montecarlo_sweep(
+            montecarlo_request(
                 rca8_mc, [], in1, in2, stim, config=MonteCarloConfig(n_samples=2)
             )
 
     def test_invalid_jobs_rejected(self, rca8_mc, stimulus_600):
         in1, in2, stim = stimulus_600
         with pytest.raises(ValueError):
-            run_montecarlo_sweep(
+            montecarlo_request(
                 rca8_mc,
                 GRID,
                 in1,
