@@ -24,6 +24,8 @@ from repro.api.jobs import (
     jobs_from_document,
 )
 from repro.api.options import PatternOptions, StoreOptions, SweepOptions
+from repro.core.resilience import FAILURE_ACTIONS
+from repro.technology.corners import ProcessCorner
 
 
 def _round_trip(job):
@@ -252,3 +254,34 @@ class TestSweepOptionsPolicy:
             jobs=2, shard_timeout=10.0, max_retries=1, on_worker_failure="retry"
         )
         assert SweepOptions.from_json(options.to_json()) == options
+
+    @pytest.mark.parametrize("action", FAILURE_ACTIONS)
+    def test_policy_survives_the_batch_file_format(self, action):
+        # A job's policy is serialized through its SweepOptions; the policy
+        # it lowers to after a batch-file round trip is the one it had.
+        job = CharacterizeJob(
+            operator="rca8",
+            sweep=SweepOptions(
+                jobs=2, shard_timeout=12.5, max_retries=3, on_worker_failure=action
+            ),
+        )
+        policy = _round_trip(job).sweep.policy()
+        assert policy == job.sweep.policy()
+        assert (policy.on_failure, policy.max_retries, policy.shard_timeout_s) == (
+            action,
+            3,
+            12.5,
+        )
+
+    def test_from_json_rejects_unknown_fields(self):
+        # ExecutionPolicy's field names are not SweepOptions' vocabulary.
+        with pytest.raises(ValueError, match="unknown SweepOptions field"):
+            SweepOptions.from_json({"jobs": 2, "on_failure": "retry"})
+
+
+class TestMonteCarloCorner:
+    @pytest.mark.parametrize("corner", list(ProcessCorner), ids=str)
+    def test_every_corner_tag_lowers_to_its_corner(self, corner):
+        job = _round_trip(MonteCarloJob(operator="rca8", corner=corner.value))
+        assert job.corner == corner.value
+        assert job.config().corner is corner

@@ -21,6 +21,7 @@ from repro.core.characterization import (
     characterization_from_payloads,
 )
 from repro.core.dataset import characterization_to_dict, save_characterization
+from repro.core.store import SweepResultStore
 from repro.core.sweep import (
     characterization_request,
     fault_request,
@@ -251,6 +252,24 @@ class TestPlanner:
         }
         assert second == first[::-1]
         assert [p["triad"]["vdd"] for p in first] == [t.vdd for t in triads]
+
+    def test_warm_plan_counts_its_units_as_cache_hits(self, rca8, tmp_path):
+        pattern = PatternConfig(n_vectors=240, width=8, seed=7)
+        triads = list(CharacterizationFlow(rca8).default_triad_grid())[:3]
+        store = SweepResultStore(tmp_path / "store")
+        [cold] = run_sweep_plan([self.request(rca8, pattern, triads)], store=store)
+        before = unit_counts()
+        [warm] = run_sweep_plan(
+            [self.request(rca8, pattern, triads + triads[:1])], store=store
+        )
+        counts = {name: count - before[name] for name, count in unit_counts().items()}
+        assert counts == {
+            "planned_units": 4,
+            "deduped_units": 1,
+            "cache_hits": 3,
+            "simulated_units": 0,
+        }
+        assert warm == cold + cold[:1]
 
     def test_kind_families_run_as_separate_sweeps(self, rca8, tmp_path):
         pattern = PatternConfig(n_vectors=240, width=8, seed=7)

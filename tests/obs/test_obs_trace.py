@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro.obs.trace import (
+    NULL_SPAN,
     TraceContext,
     Tracer,
     activated,
@@ -126,6 +127,16 @@ class TestActivation:
         entry = span("nothing", key=1)
         with entry as inner:
             assert inner.set(more=2) is inner
+
+    def test_disabled_span_is_the_shared_null_span(self):
+        # One no-op span serves every untraced caller, the service included.
+        from repro.serve import service
+
+        assert span("nothing") is NULL_SPAN
+        assert service.NULL_SPAN is NULL_SPAN
+        assert not hasattr(service, "_NullSpan")
+        with NULL_SPAN as inner:
+            assert inner is NULL_SPAN
 
     def test_activated_none_is_passthrough(self):
         with activated(None) as tracer:

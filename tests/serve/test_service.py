@@ -158,6 +158,26 @@ class TestEndpoints:
         run(main())
 
 
+    def test_stats_metrics_carry_the_planner_unit_counters(self, tmp_path):
+        async def main():
+            loop = asyncio.get_running_loop()
+            async with running_service(tmp_path / "store") as service:
+                status, doc = await loop.run_in_executor(
+                    None, http_get, service.port, "/v1/stats"
+                )
+                assert status == 200
+                for name in (
+                    "planned_units",
+                    "deduped_units",
+                    "cache_hits",
+                    "simulated_units",
+                ):
+                    assert f"sweep.{name}" in doc["metrics"]
+                assert not [key for key in doc["metrics"] if key.startswith("batch.")]
+
+        run(main())
+
+
 class TestHotTier:
     def test_identical_resubmission_is_served_hot(self, tmp_path):
         async def main():
