@@ -14,7 +14,8 @@ so that:
   is what makes zero-delay golden simulation ~2 orders of magnitude cheaper,
 * the data-dependent arrival-time propagation of the VOS timing simulator
   runs group-at-a-time over gathered ``(gates, vectors)`` blocks for small
-  batches and gate by gate, in place, for large ones,
+  batches and gate by gate, in place, on a pool of live rows (not one row
+  per net) for large ones, returning only the rows a caller reads,
 * per-netlist metadata (capacitive net loads, unit gate delays, level
   structure) and the per-operating-point timing annotation are computed
   once and shared by every simulation that follows.
@@ -22,9 +23,10 @@ so that:
 Caching contract
 ----------------
 * keyed on the **netlist** (weakly, so netlists can be garbage collected):
-  the compiled plan, and per library the capacitive net loads and the unit
-  gate delays ``g_i`` (:func:`unit_gate_delays`) -- the operating-point
-  independent factor of every gate delay ``tau(vdd, vbb) * g_i``;
+  the compiled plan (with its row-slot schedule per set of read nets), and
+  per library the capacitive net loads and the unit gate delays ``g_i``
+  (:func:`unit_gate_delays`) -- the operating-point independent factor of
+  every gate delay ``tau(vdd, vbb) * g_i``;
 * keyed on ``(vdd, vbb)``: gate delays / switch energies / leakage
   (:func:`annotation_arrays`), computed through the same float expressions
   and summation order as the legacy per-gate loop so annotations stay
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -288,6 +290,26 @@ class GateGroup:
     topo_indices: np.ndarray
 
 
+@dataclasses.dataclass(frozen=True)
+class _RowSchedule:
+    """Live-row slots of the per-gate arrival recurrence for some read nets.
+
+    Attributes
+    ----------
+    rows:
+        Peak number of live rows, the shared zero row included.
+    gates:
+        ``(input slots, output slot, topological index, output net)`` of
+        every gate, in schedule order.
+    read_slots:
+        The slot holding each read net at the end of the pass.
+    """
+
+    rows: int
+    gates: tuple[tuple[tuple[int, ...], int, int, int], ...]
+    read_slots: np.ndarray
+
+
 class CompiledNetlistPlan:
     """Level-packed evaluation schedule of one netlist.
 
@@ -326,6 +348,7 @@ class CompiledNetlistPlan:
             for group in groups
             for j in range(group.output_nets.size)
         )
+        self._row_schedules: dict[tuple[int, ...], _RowSchedule] = {}
         self._net_count = netlist.net_count
         self._gate_count = len(topo)
         self._depth = netlist.logic_depth
@@ -432,10 +455,70 @@ class CompiledNetlistPlan:
                     values[net] = one if stuck else zero
         return values
 
+    def live_rows(self, nets: Sequence[int], payload: int) -> int:
+        """Rows of the arrival buffer a pass reading ``nets`` allocates.
+
+        ``payload`` is the number of elements of one net row
+        (``n_instances * n_vectors``): at or above
+        :data:`_GROUP_LOOP_THRESHOLD` the per-gate regime runs on the peak
+        slot count of :meth:`_row_schedule`, below it the gathered regime
+        holds every net.
+        """
+        if payload >= _GROUP_LOOP_THRESHOLD:
+            return self._row_schedule(nets).rows
+        return self._net_count
+
+    def _row_schedule(self, nets: Sequence[int]) -> "_RowSchedule":
+        """The row-slot schedule of the per-gate regime for the read ``nets``.
+
+        Computed once per plan and set of read nets.  Every net without a
+        driving gate (primary inputs) has arrival 0 and reads slot 0, one
+        shared zero row.  Each gate output takes a free slot when it is
+        computed -- before its inputs are released, so an output never
+        aliases its own input rows -- and frees it after the net's last
+        consumer; a read net keeps its slot to the end of the pass.  A gate
+        reads and writes the same values as on a full net array, so the
+        slots change no float operation.
+        """
+        key = tuple(int(net) for net in nets)
+        schedule = self._row_schedules.get(key)
+        if schedule is not None:
+            return schedule
+        read = set(key)
+        last_use: dict[int, int] = {}
+        for position, (pins, _, _) in enumerate(self._arrival_gates):
+            for pin in pins:
+                last_use[pin] = position
+        slot_of: dict[int, int] = {}
+        free: list[int] = []
+        rows = 1  # slot 0: the shared zero row
+        gates = []
+        for position, (pins, output, index) in enumerate(self._arrival_gates):
+            if free:
+                slot = free.pop()
+            else:
+                slot, rows = rows, rows + 1
+            gates.append(
+                (tuple(slot_of.get(pin, 0) for pin in pins), slot, index, output)
+            )
+            slot_of[output] = slot
+            for pin in dict.fromkeys(pins):
+                if pin in slot_of and pin not in read and last_use[pin] == position:
+                    free.append(slot_of[pin])
+            if output not in read and output not in last_use:
+                free.append(slot)
+        schedule = _RowSchedule(
+            rows=rows,
+            gates=tuple(gates),
+            read_slots=np.array([slot_of.get(net, 0) for net in key], dtype=np.intp),
+        )
+        self._row_schedules[key] = schedule
+        return schedule
+
     def arrival_pass(
-        self, changed: np.ndarray, gate_delays: np.ndarray
+        self, changed: np.ndarray, gate_delays: np.ndarray, nets: Sequence[int]
     ) -> np.ndarray:
-        """Data-dependent arrival time of every net for a batch of vectors.
+        """Data-dependent arrival times of the ``nets`` a caller reads.
 
         Parameters
         ----------
@@ -444,38 +527,43 @@ class CompiledNetlistPlan:
             with primary-input rows filled.
         gate_delays:
             Per-gate delays in seconds, indexed like ``topological_gates``.
+        nets:
+            Net ids whose arrival rows are returned, in this order.
 
-        A net that does not toggle has arrival 0; a toggling net settles one
-        gate delay after its latest *toggling* input -- the same recurrence as
-        the legacy per-gate loop.  This is the one-instance case of
+        Returns arrival times of shape ``(len(nets), n_vectors)``.  A net
+        that does not toggle has arrival 0; a toggling net settles one gate
+        delay after its latest *toggling* input -- the same recurrence as the
+        legacy per-gate loop.  This is the one-instance case of
         :meth:`batched_arrival_pass`.
         """
         delays = np.asarray(gate_delays, dtype=float)[None, :]
-        return self.batched_arrival_pass(changed, delays)[:, 0, :]
+        return self.batched_arrival_pass(changed, delays, nets)[:, 0, :]
 
     def batched_arrival_pass(
-        self, changed: np.ndarray, gate_delay_matrix: np.ndarray
+        self, changed: np.ndarray, gate_delay_matrix: np.ndarray, nets: Sequence[int]
     ) -> np.ndarray:
-        """Arrival times for a *batch* of per-gate delay assignments.
+        """Arrival times of the read ``nets`` for a *batch* of delay assignments.
 
         The Monte Carlo variation subsystem evaluates many sampled delay
         instances of one netlist against one toggle mask; the instance axis
         rides along every row, so a whole batch costs one schedule walk, not
         a Python loop over instances.
 
-        Every arrival row is 0 wherever its net did not toggle (the array
-        starts zeroed and each output row is zeroed where quiet), so a
+        Every arrival row is 0 wherever its net did not toggle (the rows
+        start zeroed and each output row is zeroed where quiet), so a
         gate's input arrival is simply the maximum of its input rows -- no
         input-side toggle mask is needed.  The recurrence runs in one of two
         regimes, split by :data:`_GROUP_LOOP_THRESHOLD` on the payload of a
         net row (``n_instances * n_vectors`` elements):
 
         * below it, each group is evaluated at once on gathered
-          ``(arity, gates, instances, vectors)`` blocks;
-        * at or above it, gate by gate in place: the maximum of the input
-          rows is written straight into the output row, the gate delay is
-          added in place and the quiet elements are zeroed by multiplying
-          with the toggle mask, so no group-sized temporaries are built.
+          ``(arity, gates, instances, vectors)`` blocks of a full net array;
+        * at or above it, gate by gate in place on the live-row slots of
+          :meth:`_row_schedule` (:meth:`live_rows` of them, not one per
+          net): the maximum of the input rows is written straight into the
+          output row, the gate delay is added in place and the quiet
+          elements are zeroed by multiplying with the toggle mask, so no
+          group-sized temporaries are built.
 
         Both regimes perform the same float operations (an exact maximum,
         one addition), so they agree bit for bit.
@@ -488,10 +576,12 @@ class CompiledNetlistPlan:
         gate_delay_matrix:
             Per-instance per-gate delays in seconds, shape
             ``(n_instances, gate_count)``; finite and non-negative.
+        nets:
+            Net ids whose arrival rows are returned, in this order.
 
         Returns
         -------
-        Arrival times of shape ``(net_count, n_instances, n_vectors)``.
+        Arrival times of shape ``(len(nets), n_instances, n_vectors)``.
         """
         delays = np.asarray(gate_delay_matrix, dtype=float)
         if delays.ndim != 2 or delays.shape[1] != self._gate_count:
@@ -502,25 +592,9 @@ class CompiledNetlistPlan:
         if not np.all(np.isfinite(delays) & (delays >= 0.0)):
             raise ValueError("gate delays must be finite and non-negative")
         n_instances = delays.shape[0]
-        arrival = np.zeros(
-            (changed.shape[0], n_instances, changed.shape[1]), dtype=float
-        )
-        if n_instances * changed.shape[1] >= _GROUP_LOOP_THRESHOLD:
-            # (gate_count, n_instances, 1): one delay column per gate.
-            columns = np.ascontiguousarray(delays.T)[:, :, None]
-            for pins, output, index in self._arrival_gates:
-                row = arrival[output]
-                if len(pins) == 1:
-                    np.copyto(row, arrival[pins[0]])
-                else:
-                    np.maximum(arrival[pins[0]], arrival[pins[1]], out=row)
-                    for pin in pins[2:]:
-                        np.maximum(row, arrival[pin], out=row)
-                row += columns[index]
-                # Delays are finite and non-negative, so multiplying by the
-                # toggle mask is exact: x * 1.0 == x and x * 0.0 == +0.0.
-                np.multiply(row, changed[output], out=row)
-        else:
+        row_shape = (n_instances, changed.shape[1])
+        if n_instances * changed.shape[1] < _GROUP_LOOP_THRESHOLD:
+            arrival = np.zeros((changed.shape[0],) + row_shape, dtype=float)
             for group in self._groups:
                 input_arrival = arrival[group.input_nets].max(axis=0)
                 group_delays = delays[:, group.topo_indices].T[:, :, None]
@@ -529,7 +603,26 @@ class CompiledNetlistPlan:
                     input_arrival + group_delays,
                     0.0,
                 )
-        return arrival
+            return arrival[np.array(nets, dtype=np.intp)]
+        schedule = self._row_schedule(nets)
+        buffer = np.zeros((schedule.rows,) + row_shape, dtype=float)
+        slots = list(buffer)
+        # (gate_count, n_instances, 1): one delay column per gate.
+        columns = np.ascontiguousarray(delays.T)[:, :, None]
+        for pins, slot, index, output in schedule.gates:
+            row = slots[slot]
+            if len(pins) == 1:
+                np.copyto(row, slots[pins[0]])
+            else:
+                np.maximum(slots[pins[0]], slots[pins[1]], out=row)
+                for pin in pins[2:]:
+                    np.maximum(row, slots[pin], out=row)
+            row += columns[index]
+            # Delays are finite and non-negative, so multiplying by the
+            # toggle mask is exact: x * 1.0 == x and x * 0.0 == +0.0.
+            np.multiply(row, changed[output], out=row)
+        del slots
+        return buffer[schedule.read_slots]
 
     def static_arrival_pass(self, gate_delays: np.ndarray) -> np.ndarray:
         """Topological (worst-case) arrival time of every net, in seconds."""

@@ -195,8 +195,8 @@ class OperatorTestbench:
         inside the simulator -- the resolved stimulus, the settled words and
         one unit-``tau`` arrival pass with its per-vector maximum, which each
         operating point scales by its ``tau``; a triad then touches only the
-        vectors that can be late.  Triads sharing ``vdd`` are cheapest back
-        to back: the dynamic energy is held for the latest supply only.
+        vectors that can be late.  The dynamic energy of every supply of
+        the sweep is computed on its first triad, in one blocked pass.
         """
         return list(self.iter_sweep(in1, in2, triads))
 

@@ -27,12 +27,6 @@ the operating triad, and the simulator caches accordingly:
 
 * settled values and toggle masks depend only on the **pattern set**
   (they are computed once per stimulus, via the bit-packed engine mode),
-* so does the float64 toggle matrix of the gate outputs, the operand of the
-  dynamic-energy reduction ``gate_switch_energies @ toggles``: it is cast
-  once per stimulus, on the first arrival pass that needs it, and reused at
-  every operating point and by the variation passes.  At 77 MB for a 32-bit
-  Kogge-Stone adder at 20k vectors it is the largest cached array, so a
-  simulator holds the matrix of one stimulus at a time,
 * so do the output arrival times, up to one factor: every gate delay is
   ``tau(vdd, vbb) * g_i`` with ``g_i`` independent of the operating point
   (:func:`~repro.simulation.engine.unit_gate_delays`), and max-plus arrival
@@ -42,8 +36,14 @@ the operating triad, and the simulator caches accordingly:
   lies within the scaling's rounding bound of a clock are re-run through
   the exact per-point recurrence, so every latch decision is the one a
   per-point pass would make (see :meth:`VosTimingSimulator._latch`),
-* per-vector dynamic energy depends on the supply only and is held for the
-  latest ``(stimulus, vdd)`` pair,
+* per-vector dynamic energy ``gate_switch_energies @ toggles`` depends on
+  the stimulus and the supply only.  A sweep computes it for every distinct
+  supply on its first triad, in one pass over fixed blocks of vectors that
+  casts each block of gate-output toggles to float64 once and reduces it
+  once per supply (:func:`_dynamic_energies`); no ``(gates, vectors)``
+  float64 matrix is ever built.  The energies are held per supply for the
+  latest stimulus, and a :meth:`~VosTimingSimulator.run` or variation pass
+  at a held supply reuses them,
 * only the latch and the leakage integral depend on ``tclk``.  A quiet
   net's arrival is 0, so only toggled outputs can be late and the latch
   ``where(arrival <= tclk, settled, stale)`` is the exact bitwise flip
@@ -79,6 +79,9 @@ from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
 
 #: Bounded stimulus cache size (entries are full per-vector arrays).
 _STIMULUS_CACHE_SIZE = 4
+
+#: Vectors per block of the dynamic-energy pass (:func:`_dynamic_energies`).
+_ENERGY_BLOCK = 256
 
 #: Machine epsilon of the float64 arrival arithmetic.
 _EPS = float(np.finfo(np.float64).eps)
@@ -316,13 +319,11 @@ class VosTimingSimulator:
         self._annotation_cache: dict[tuple[float, float], TimingAnnotation] = {}
         self._stimulus_cache: "OrderedDict[bytes, _StimulusRecord]" = OrderedDict()
         # Each held for one stimulus at a time:
-        # (stimulus key, float64 gate-output toggle matrix),
-        self._energy_operand: tuple[bytes, np.ndarray] | None = None
         # (stimulus key, unit-tau output arrivals (vectors, outputs), their
         # per-vector maximum),
         self._unit_arrivals: tuple[bytes, np.ndarray, np.ndarray] | None = None
-        # ((stimulus key, vdd), per-vector dynamic energy).
-        self._dynamic_energy: tuple[tuple[bytes, float], np.ndarray] | None = None
+        # (stimulus key, {vdd: per-vector dynamic energy}).
+        self._dynamic_energy: tuple[bytes, dict[float, np.ndarray]] | None = None
 
     @property
     def netlist(self) -> Netlist:
@@ -382,15 +383,21 @@ class VosTimingSimulator:
 
         ``triads`` is any iterable of objects with ``tclk`` / ``vdd`` /
         ``vbb`` attributes.  The stimulus is bound and fingerprinted once
-        for the whole sweep instead of once per triad; each result is
-        identical with the corresponding :meth:`run` call.
+        for the whole sweep instead of once per triad, and on the first
+        triad the dynamic energy of every distinct supply of the sweep is
+        computed in one blocked pass; each result is identical with the
+        corresponding :meth:`run` call.
         """
+        triads = list(triads)
         stimulus = None
         for triad in triads:
             if triad.tclk <= 0:
                 raise ValueError("tclk must be positive")
             if stimulus is None:
                 stimulus = self._stimulus(inputs, previous_inputs)
+                self._dynamic_energies_of(
+                    stimulus, [self.annotation(t.vdd, t.vbb) for t in triads]
+                )
             yield self._latch(stimulus, triad.tclk, triad.vdd, triad.vbb)
 
     def _latch(
@@ -461,7 +468,7 @@ class VosTimingSimulator:
             latched_words=latched,
             settled_words=stimulus.settled_words,
             n_outputs=len(self._output_nets),
-            dynamic_energy=self._point_dynamic_energy(stimulus, annotation),
+            dynamic_energy=self._dynamic_energies_of(stimulus, [annotation])[0],
             static_energy=static_energy,
             tclk=tclk,
             arrival_pass=functools.partial(
@@ -484,7 +491,7 @@ class VosTimingSimulator:
         The expensive work -- one batched arrival pass over all instances --
         depends only on ``(vdd, vbb)`` and the sampled multipliers, so one
         call evaluates every clock period of an operating-point group against
-        the same arrival tensor.  Unlike the nominal path, the pass cannot be
+        the same output arrivals.  Unlike the nominal path, the pass cannot be
         factored across operating points: the sampled multipliers themselves
         depend on ``(vdd, vbb)``.  Logic values are variation-independent, so
         the cached stimulus record (settled bits, toggle masks) and the
@@ -495,8 +502,10 @@ class VosTimingSimulator:
         faulty vectors of every instance, compared with ``expected_bits``.
         No ``(instances, vectors, outputs)`` latched array and no transposed
         arrival copy is built: :func:`_latch_bits` yields the error matrix
-        directly, on the arrival tensor in the layout the pass leaves it,
-        ``(outputs, instances, vectors)``.
+        directly, on the output arrivals in the layout the pass returns
+        them, ``(outputs, instances, vectors)``; the pass itself holds only
+        its live rows (:meth:`~repro.simulation.engine.CompiledNetlistPlan.live_rows`),
+        never one row per net.
 
         Parameters
         ----------
@@ -554,20 +563,22 @@ class VosTimingSimulator:
             )
 
         gate_delays = annotation.gate_delays[None, :] * multipliers
+        n_instances = multipliers.shape[0]
         with span(
             "engine.pass",
             kind="variation",
-            instances=multipliers.shape[0],
+            instances=n_instances,
             vectors=stimulus.n_vectors,
+            live_rows=self._plan.live_rows(
+                self._output_nets, n_instances * stimulus.n_vectors
+            ),
         ):
-            arrival = self._plan.batched_arrival_pass(stimulus.changed, gate_delays)
-        output_arrival = arrival[self._output_net_array]
-        # Free the full tensor before a first use of the stimulus casts its
-        # toggle matrix, so the two never coexist.
-        del arrival
-        dynamic_energy = self._point_dynamic_energy(stimulus, annotation)
+            output_arrival = self._plan.batched_arrival_pass(
+                stimulus.changed, gate_delays, self._output_nets
+            )
+        (dynamic_energy,) = self._dynamic_energies_of(stimulus, [annotation])
         # latched ^ expected == (settled ^ expected) ^ late, with the mask
-        # laid out (outputs, 1, vectors) like the arrival tensor.
+        # laid out (outputs, 1, vectors) like the output arrivals.
         mismatch = np.ascontiguousarray((stimulus.settled_bits ^ expected).T)[:, None]
         n_vectors, n_outputs = expected.shape
         results = []
@@ -587,24 +598,6 @@ class VosTimingSimulator:
         return results
 
     # -- cached sweep state ----------------------------------------------------
-
-    def _toggle_matrix(self, stimulus: _StimulusRecord) -> np.ndarray:
-        """Float64 gate-output toggle matrix of a stimulus, ``(gates, vectors)``.
-
-        The operand of every dynamic-energy reduction.  It does not depend
-        on the operating point, so it is cast once per stimulus; only the
-        most recent stimulus's matrix is held, which bounds a long-lived
-        simulator to one such array however many streams it has seen.
-        """
-        held = self._energy_operand
-        if held is not None and held[0] == stimulus.key:
-            return held[1]
-        # Release the previous matrix before allocating the next one.
-        self._energy_operand = held = None
-        toggles = stimulus.changed[self._plan.gate_output_nets].astype(np.float64)
-        toggles.setflags(write=False)
-        self._energy_operand = (stimulus.key, toggles)
-        return toggles
 
     def _bind_inputs(self, inputs: Mapping[str, np.ndarray]) -> dict[int, np.ndarray]:
         bound = engine.bind_inputs(self._netlist, inputs)
@@ -660,8 +653,8 @@ class VosTimingSimulator:
         self, changed: np.ndarray, gate_delays: np.ndarray
     ) -> np.ndarray:
         """Output arrivals ``(vectors, outputs)`` of one exact arrival pass."""
-        arrival = self._plan.arrival_pass(changed, gate_delays)
-        return arrival[self._output_net_array].T.copy()
+        arrival = self._plan.arrival_pass(changed, gate_delays, self._output_nets)
+        return arrival.T.copy()
 
     def _unit_arrivals_of(
         self, stimulus: _StimulusRecord
@@ -675,7 +668,14 @@ class VosTimingSimulator:
         if held is None or held[0] != stimulus.key:
             # Release the previous stimulus's arrivals before the pass.
             self._unit_arrivals = None
-            with span("engine.pass", kind="arrival", vectors=stimulus.n_vectors):
+            with span(
+                "engine.pass",
+                kind="arrival",
+                vectors=stimulus.n_vectors,
+                live_rows=self._plan.live_rows(
+                    self._output_nets, stimulus.n_vectors
+                ),
+            ):
                 arrivals = self._exact_arrivals(
                     stimulus.changed,
                     engine.unit_gate_delays(self._netlist, self._library),
@@ -686,23 +686,63 @@ class VosTimingSimulator:
             self._unit_arrivals = held = (stimulus.key, arrivals, maxima)
         return held[1], held[2]
 
-    def _point_dynamic_energy(
-        self, stimulus: _StimulusRecord, annotation: TimingAnnotation
-    ) -> np.ndarray:
-        """Per-vector dynamic energy ``gate_switch_energies @ toggles``.
+    def _dynamic_energies_of(
+        self, stimulus: _StimulusRecord, annotations: Sequence[TimingAnnotation]
+    ) -> list[np.ndarray]:
+        """Per-vector dynamic energy of a stimulus at each annotation's supply.
 
-        The switch energies depend on the supply only, so the reduction is
-        held for the latest ``(stimulus, vdd)`` pair and shared by every
-        body bias and clock of that supply (and by the variation passes).
+        The switch energies depend on the supply only, so the energies are
+        held per ``vdd`` for the latest stimulus and shared by every body
+        bias and clock of that supply (and by the variation passes).  The
+        supplies not held yet are computed together in one blocked pass.
         """
         held = self._dynamic_energy
-        key = (stimulus.key, annotation.vdd)
-        if held is not None and held[0] == key:
-            return held[1]
-        energy = annotation.gate_switch_energies @ self._toggle_matrix(stimulus)
-        energy.setflags(write=False)
-        self._dynamic_energy = (key, energy)
-        return energy
+        if held is None or held[0] != stimulus.key:
+            self._dynamic_energy = held = (stimulus.key, {})
+        per_supply = held[1]
+        missing = {
+            annotation.vdd: annotation.gate_switch_energies
+            for annotation in annotations
+            if annotation.vdd not in per_supply
+        }
+        if missing:
+            computed = _dynamic_energies(
+                stimulus.changed, self._plan.gate_output_nets, missing.values()
+            )
+            for vdd, energy in zip(missing, computed):
+                energy.setflags(write=False)
+                per_supply[vdd] = energy
+        return [per_supply[annotation.vdd] for annotation in annotations]
+
+
+def _dynamic_energies(
+    changed: np.ndarray, gate_nets: np.ndarray, switch_energies: Iterable[np.ndarray]
+) -> list[np.ndarray]:
+    """``energies @ changed[gate_nets].astype(float64)`` for several supplies.
+
+    Walks the vectors in blocks of :data:`_ENERGY_BLOCK`, the last of which
+    runs to the end of the stream: each block of gate-output toggles is cast
+    to float64 once and reduced once per supply, so the float64 operand
+    never exceeds ``(gates, 2 * _ENERGY_BLOCK)``.  The BLAS kernels sum each
+    vector's gates in one order, except for the last few vectors of an
+    operand (fewer than their row unroll), which they reduce apart.  Blocks
+    whose length is a multiple of that unroll, with the last one ending
+    where the stream ends, leave every vector in the place it has in the
+    full product, so on one BLAS thread (as ``import repro`` sets up) the
+    result is byte for byte ``energies @ toggles``; the tests check this
+    under every OpenBLAS core type the CPU can run.
+    """
+    switch_energies = list(switch_energies)
+    n_vectors = changed.shape[1]
+    results = [np.empty(n_vectors) for _ in switch_energies]
+    n_blocks = max(n_vectors // _ENERGY_BLOCK, 1)
+    for block_index in range(n_blocks):
+        start = block_index * _ENERGY_BLOCK
+        stop = n_vectors if block_index == n_blocks - 1 else start + _ENERGY_BLOCK
+        block = changed[gate_nets, start:stop].astype(np.float64)
+        for energies, result in zip(switch_energies, results):
+            result[start:stop] = energies @ block
+    return results
 
 
 def _latch_bits(arrival: np.ndarray, tclk: float, base: np.ndarray) -> np.ndarray:

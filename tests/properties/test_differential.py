@@ -178,8 +178,8 @@ class TestShiftedTimingParity:
         )
         changed = simulator._stimulus(assignment, None).changed
         arrival = engine.compile_plan(adder.netlist).batched_arrival_pass(
-            changed, annotation.gate_delays[None, :] * multipliers
-        )[_output_nets(adder)]
+            changed, annotation.gate_delays[None, :] * multipliers, _output_nets(adder)
+        )
         assert batched.bit_errors.any()
         for instance in range(multipliers.shape[0]):
             (single,) = simulator.run_variation_counts(
@@ -230,8 +230,10 @@ class TestShiftedTimingParity:
         assert against_golden.bit_errors[0] > 0
         changed = simulator._stimulus(assignment, None).changed
         arrival = engine.compile_plan(adder.netlist).batched_arrival_pass(
-            changed, simulator.annotation(0.6, 0.0).gate_delays[None, :] * unit
-        )[_output_nets(adder)]
+            changed,
+            simulator.annotation(0.6, 0.0).gate_delays[None, :] * unit,
+            _output_nets(adder),
+        )
         assert np.array_equal(arrival[:, 0].T, nominal.arrival_times)
         assert np.array_equal(variation.dynamic_energy, nominal.dynamic_energy)
 

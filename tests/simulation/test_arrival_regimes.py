@@ -131,9 +131,10 @@ class TestAboveThresholdParity:
         plan = engine.compile_plan(netlist)
         delays = simulator.annotation(0.6, 0.0).gate_delays
         changed = simulator._stimulus(assignment, None).changed
-        whole = plan.arrival_pass(changed, delays)
+        nets = range(plan.net_count)
+        whole = plan.arrival_pass(changed, delays, nets)
         chunks = [
-            plan.arrival_pass(changed[:, start : start + BELOW], delays)
+            plan.arrival_pass(changed[:, start : start + BELOW], delays, nets)
             for start in range(0, ABOVE, BELOW)
         ]
         assert whole.tobytes() == np.concatenate(chunks, axis=1).tobytes()
@@ -150,9 +151,10 @@ class TestAboveThresholdParity:
                 0.0, 0.1, size=(n_instances, plan.gate_count)
             )
         )
-        batched = plan.batched_arrival_pass(changed, matrix)
+        nets = range(plan.net_count)
+        batched = plan.batched_arrival_pass(changed, matrix, nets)
         for instance in range(n_instances):
-            single = plan.arrival_pass(changed, matrix[instance])
+            single = plan.arrival_pass(changed, matrix[instance], nets)
             assert batched[:, instance, :].tobytes() == single.tobytes()
 
 
@@ -164,4 +166,4 @@ class TestDelayValidation:
         delays = np.full((1, plan.gate_count), 1e-11)
         delays[0, 0] = bad
         with pytest.raises(ValueError, match="finite and non-negative"):
-            plan.batched_arrival_pass(changed, delays)
+            plan.batched_arrival_pass(changed, delays, plan.driven_nets)

@@ -209,9 +209,9 @@ class TestSweepReuse:
         widths = []
         original = plan.arrival_pass
 
-        def counting(changed, gate_delays):
+        def counting(changed, gate_delays, nets):
             widths.append(changed.shape[1])
-            return original(changed, gate_delays)
+            return original(changed, gate_delays, nets)
 
         monkeypatch.setattr(plan, "arrival_pass", counting)
         assignment = adder.input_assignment(*_operands(8))

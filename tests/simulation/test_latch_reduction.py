@@ -268,9 +268,11 @@ class TestMonteCarloCounts:
         stimulus = simulator._stimulus(assignment, None)
         plan = engine.compile_plan(rca8.netlist)
         gate_delays = simulator.annotation(0.6, 0.0).gate_delays * multipliers
-        arrival = plan.batched_arrival_pass(stimulus.changed, gate_delays)
+        arrival = plan.batched_arrival_pass(
+            stimulus.changed, gate_delays, _output_nets(simulator)
+        )
         # (outputs, instances, vectors) -> (instances, vectors, outputs)
-        arrival = arrival[_output_nets(simulator)].transpose(1, 2, 0)
+        arrival = arrival.transpose(1, 2, 0)
         ties = np.unique(arrival[arrival > 0])[::25]
         settled = stimulus.settled_bits
         stale = _stale_bits(simulator, assignment)

@@ -98,7 +98,7 @@ def _changed(bench, in1, in2):
 
 def _output_arrivals(bench, changed, gate_delays):
     plan = engine.compile_plan(bench.circuit.netlist)
-    return plan.arrival_pass(changed, gate_delays)[_output_nets(bench)].T
+    return plan.arrival_pass(changed, gate_delays, _output_nets(bench)).T
 
 
 @pytest.fixture(scope="module", params=CIRCUITS)

@@ -1,5 +1,7 @@
 """Tests of the vectorised VOS timing simulator (the core SPICE substitute)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -283,7 +285,7 @@ def _held_toggle_matrices(simulator, shape):
 
 
 class TestEnergyOperand:
-    """Dynamic energy reduces the per-stimulus float64 toggle matrix."""
+    """Dynamic energy: one blocked pass per stimulus and supply set."""
 
     OPERATING_POINTS = ((1.0, 0.0), (0.7, 0.0), (0.6, 2.0))
 
@@ -319,34 +321,45 @@ class TestEnergyOperand:
             )
             assert variation.dynamic_energy.tobytes() == expected.tobytes()
 
-    def test_cast_once_per_stimulus(self, rca8, operands):
+    def test_one_blocked_pass_per_sweep(self, rca8, operands, monkeypatch):
         from repro.core.triad import OperatingTriad
+        from repro.simulation import timing_sim
 
+        passes = []
+        original = timing_sim._dynamic_energies
+
+        def counting(changed, gate_nets, switch_energies):
+            switch_energies = list(switch_energies)
+            passes.append(len(switch_energies))
+            return original(changed, gate_nets, switch_energies)
+
+        monkeypatch.setattr(timing_sim, "_dynamic_energies", counting)
         simulator = VosTimingSimulator(rca8.netlist, output_ports=rca8.output_ports())
-        assert simulator._energy_operand is None
         assignment = rca8.input_assignment(*operands)
         triads = [
             OperatingTriad(tclk=tclk, vdd=vdd, vbb=vbb)
             for tclk in (0.3e-9, 0.6e-9)
             for vdd, vbb in self.OPERATING_POINTS
         ]
+        supplies = {vdd for vdd, _ in self.OPERATING_POINTS}
         list(simulator.run_sweep(assignment, triads))
-        key, matrix = simulator._energy_operand
-        assert matrix.shape == (rca8.netlist.gate_count, len(operands[0]))
-        assert not matrix.flags.writeable
-        # Further operating points, Monte Carlo passes and repeated sweeps of
-        # the same stream reuse the one matrix: no second cast happened.
-        simulator.run(assignment, tclk=0.5e-9, vdd=0.8, vbb=0.0)
+        # One pass over the vectors reduces every distinct supply of the sweep.
+        assert passes == [len(supplies)]
+        # Later runs and Monte Carlo passes at those supplies, and a repeated
+        # sweep of the same stream, reuse the held energies.
+        simulator.run(assignment, tclk=0.5e-9, vdd=0.7, vbb=2.0)
         simulator.run_variation_counts(
-            assignment, [0.4e-9, 0.8e-9], 0.65, 0.0,
+            assignment, [0.4e-9, 0.8e-9], 0.6, 0.0,
             np.zeros((len(operands[0]), rca8.output_width), dtype=bool),
             delay_multipliers=np.full((3, rca8.netlist.gate_count), 1.1),
         )
         list(simulator.run_sweep(assignment, triads))
-        assert simulator._energy_operand[0] == key
-        assert simulator._energy_operand[1] is matrix
+        assert passes == [len(supplies)]
+        # A new supply costs one more pass, of that supply alone.
+        simulator.run(assignment, tclk=0.5e-9, vdd=0.8, vbb=0.0)
+        assert passes == [len(supplies), 1]
 
-    def test_one_matrix_held_across_streams(self, rca8):
+    def test_no_toggle_matrix_held_across_streams(self, rca8):
         simulator = VosTimingSimulator(rca8.netlist, output_ports=rca8.output_ports())
         rng = np.random.default_rng(8)
         n_vectors = 700
@@ -355,10 +368,34 @@ class TestEnergyOperand:
         for _ in range(4):
             in1, in2 = rng.integers(0, 256, n_vectors), rng.integers(0, 256, n_vectors)
             assignment = rca8.input_assignment(in1, in2)
-            for vdd in (1.0, 0.7):
-                simulator.run(assignment, tclk=0.5e-9, vdd=vdd)
-            keys.append(simulator._energy_operand[0])
-            assert len(_held_toggle_matrices(simulator, shape)) == 1
+            triads = [
+                SimpleNamespace(tclk=0.5e-9, vdd=vdd, vbb=0.0) for vdd in (1.0, 0.7)
+            ]
+            list(simulator.run_sweep(assignment, triads))
+            key, energies = simulator._dynamic_energy
+            keys.append(key)
+            assert sorted(energies) == [0.7, 1.0]
+            assert _held_toggle_matrices(simulator, shape) == []
         assert len(set(keys)) == 4
         assert len(simulator._stimulus_cache) == 4
-        assert simulator._energy_operand[0] == keys[-1]
+        # Energies are held for the latest stimulus only.
+        assert simulator._dynamic_energy[0] == keys[-1]
+
+
+class TestBlockedEnergy:
+    """The blocked energy pass is byte for byte ``energies @ toggles``."""
+
+    @pytest.mark.parametrize("n_vectors", [1, 255, 256, 257, 513, 1027, 4099])
+    def test_byte_equal_to_the_full_product(self, n_vectors):
+        from repro.simulation import engine, timing_sim
+
+        plan = engine.compile_plan(build_adder("ksa", 16).netlist)
+        rng = np.random.default_rng(n_vectors)
+        changed = rng.random((plan.net_count, n_vectors)) < 0.3
+        supplies = [rng.random(plan.gate_count) * 1e-15 for _ in range(3)]
+        toggles = changed[plan.gate_output_nets].astype(np.float64)
+        blocked = timing_sim._dynamic_energies(
+            changed, plan.gate_output_nets, supplies
+        )
+        for energies, got in zip(supplies, blocked):
+            assert got.tobytes() == (energies @ toggles).tobytes()

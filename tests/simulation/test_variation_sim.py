@@ -26,9 +26,10 @@ class TestBatchedArrivalPass:
         plan = engine.compile_plan(adder.netlist)
         annotation = simulator.annotation(0.6, 0.0)
         stimulus = simulator._stimulus(assignment, None)
-        single = plan.arrival_pass(stimulus.changed, annotation.gate_delays)
+        nets = range(plan.net_count)
+        single = plan.arrival_pass(stimulus.changed, annotation.gate_delays, nets)
         batched = plan.batched_arrival_pass(
-            stimulus.changed, annotation.gate_delays[None, :]
+            stimulus.changed, annotation.gate_delays[None, :], nets
         )
         assert batched.shape == (single.shape[0], 1, single.shape[1])
         assert np.array_equal(batched[:, 0, :], single)
@@ -42,9 +43,10 @@ class TestBatchedArrivalPass:
         matrix = annotation.gate_delays[None, :] * rng.lognormal(
             0.0, 0.1, size=(4, plan.gate_count)
         )
-        batched = plan.batched_arrival_pass(stimulus.changed, matrix)
+        nets = range(plan.net_count)
+        batched = plan.batched_arrival_pass(stimulus.changed, matrix, nets)
         for instance in range(4):
-            expected = plan.arrival_pass(stimulus.changed, matrix[instance])
+            expected = plan.arrival_pass(stimulus.changed, matrix[instance], nets)
             assert np.array_equal(batched[:, instance, :], expected)
 
     def test_wrong_delay_shape_rejected(self, bka8_setup):
@@ -53,11 +55,11 @@ class TestBatchedArrivalPass:
         stimulus = simulator._stimulus(assignment, None)
         with pytest.raises(ValueError):
             plan.batched_arrival_pass(
-                stimulus.changed, np.ones(plan.gate_count)
+                stimulus.changed, np.ones(plan.gate_count), [0]
             )
         with pytest.raises(ValueError):
             plan.batched_arrival_pass(
-                stimulus.changed, np.ones((2, plan.gate_count + 1))
+                stimulus.changed, np.ones((2, plan.gate_count + 1)), [0]
             )
 
 

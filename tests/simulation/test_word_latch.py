@@ -88,7 +88,7 @@ def _stale_bits(bench, stimulus):
 
 def _output_arrivals(bench, changed, gate_delays):
     plan = engine.compile_plan(bench.circuit.netlist)
-    return plan.arrival_pass(changed, gate_delays)[_outputs(bench)].T
+    return plan.arrival_pass(changed, gate_delays, _outputs(bench)).T
 
 
 def _unit_arrivals(bench, changed):
