@@ -46,8 +46,20 @@ processes, so ``jobs=N`` keeps exactly N cores busy.
 """
 
 import os
+import sys
 
-for _variable in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: Whether BLAS runs on one thread in this process.  BLAS reads its thread
+#: count when NumPy loads it, so the defaults below count only if NumPy is
+#: not loaded yet; a process that loaded it first is on one thread only if
+#: its caller set both variables to ``"1"``.
+ONE_BLAS_THREAD = all(
+    os.environ.get(_variable, "" if "numpy" in sys.modules else "1") == "1"
+    for _variable in _BLAS_VARIABLES
+)
+
+for _variable in _BLAS_VARIABLES:
     os.environ.setdefault(_variable, "1")
 del _variable
 

@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.circuits.cells import GATE_WORD_FUNCTIONS, GateType
 from repro.circuits.netlist import Netlist
+from repro.obs.trace import NULL_SPAN
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
 
 #: Version tag of the simulation numerics.  The sweep result store keys every
@@ -455,18 +456,15 @@ class CompiledNetlistPlan:
                     values[net] = one if stuck else zero
         return values
 
-    def live_rows(self, nets: Sequence[int], payload: int) -> int:
-        """Rows of the arrival buffer a pass reading ``nets`` allocates.
+    def live_rows(self, nets: Sequence[int]) -> int:
+        """Rows of the per-gate regime's arrival buffer for the read ``nets``.
 
-        ``payload`` is the number of elements of one net row
-        (``n_instances * n_vectors``): at or above
-        :data:`_GROUP_LOOP_THRESHOLD` the per-gate regime runs on the peak
-        slot count of :meth:`_row_schedule`, below it the gathered regime
-        holds every net.
+        The peak slot count of :meth:`_row_schedule`; below
+        :data:`_GROUP_LOOP_THRESHOLD` the gathered regime holds every net
+        instead.  A pass reports the rows it actually allocated on its
+        ``pass_span``.
         """
-        if payload >= _GROUP_LOOP_THRESHOLD:
-            return self._row_schedule(nets).rows
-        return self._net_count
+        return self._row_schedule(nets).rows
 
     def _row_schedule(self, nets: Sequence[int]) -> "_RowSchedule":
         """The row-slot schedule of the per-gate regime for the read ``nets``.
@@ -516,7 +514,11 @@ class CompiledNetlistPlan:
         return schedule
 
     def arrival_pass(
-        self, changed: np.ndarray, gate_delays: np.ndarray, nets: Sequence[int]
+        self,
+        changed: np.ndarray,
+        gate_delays: np.ndarray,
+        nets: Sequence[int],
+        pass_span: Any = NULL_SPAN,
     ) -> np.ndarray:
         """Data-dependent arrival times of the ``nets`` a caller reads.
 
@@ -529,6 +531,8 @@ class CompiledNetlistPlan:
             Per-gate delays in seconds, indexed like ``topological_gates``.
         nets:
             Net ids whose arrival rows are returned, in this order.
+        pass_span:
+            Trace span that receives the buffer's ``live_rows``.
 
         Returns arrival times of shape ``(len(nets), n_vectors)``.  A net
         that does not toggle has arrival 0; a toggling net settles one gate
@@ -537,10 +541,14 @@ class CompiledNetlistPlan:
         :meth:`batched_arrival_pass`.
         """
         delays = np.asarray(gate_delays, dtype=float)[None, :]
-        return self.batched_arrival_pass(changed, delays, nets)[:, 0, :]
+        return self.batched_arrival_pass(changed, delays, nets, pass_span)[:, 0, :]
 
     def batched_arrival_pass(
-        self, changed: np.ndarray, gate_delay_matrix: np.ndarray, nets: Sequence[int]
+        self,
+        changed: np.ndarray,
+        gate_delay_matrix: np.ndarray,
+        nets: Sequence[int],
+        pass_span: Any = NULL_SPAN,
     ) -> np.ndarray:
         """Arrival times of the read ``nets`` for a *batch* of delay assignments.
 
@@ -578,6 +586,9 @@ class CompiledNetlistPlan:
             ``(n_instances, gate_count)``; finite and non-negative.
         nets:
             Net ids whose arrival rows are returned, in this order.
+        pass_span:
+            Trace span that receives ``live_rows``, the row count of the
+            buffer the pass allocated (every net in the gathered regime).
 
         Returns
         -------
@@ -595,6 +606,7 @@ class CompiledNetlistPlan:
         row_shape = (n_instances, changed.shape[1])
         if n_instances * changed.shape[1] < _GROUP_LOOP_THRESHOLD:
             arrival = np.zeros((changed.shape[0],) + row_shape, dtype=float)
+            pass_span.set(live_rows=arrival.shape[0])
             for group in self._groups:
                 input_arrival = arrival[group.input_nets].max(axis=0)
                 group_delays = delays[:, group.topo_indices].T[:, :, None]
@@ -606,6 +618,7 @@ class CompiledNetlistPlan:
             return arrival[np.array(nets, dtype=np.intp)]
         schedule = self._row_schedule(nets)
         buffer = np.zeros((schedule.rows,) + row_shape, dtype=float)
+        pass_span.set(live_rows=schedule.rows)
         slots = list(buffer)
         # (gate_count, n_instances, 1): one delay column per gate.
         columns = np.ascontiguousarray(delays.T)[:, :, None]

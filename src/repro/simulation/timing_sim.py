@@ -40,7 +40,8 @@ the operating triad, and the simulator caches accordingly:
   the stimulus and the supply only.  A sweep computes it for every distinct
   supply on its first triad, in one pass over fixed blocks of vectors that
   casts each block of gate-output toggles to float64 once and reduces it
-  once per supply (:func:`_dynamic_energies`); no ``(gates, vectors)``
+  once per supply (:func:`_dynamic_energies`); with BLAS on one thread,
+  as every entry point of the package sets it up, no ``(gates, vectors)``
   float64 matrix is ever built.  The energies are held per supply for the
   latest stimulus, and a :meth:`~VosTimingSimulator.run` or variation pass
   at a held supply reuses them,
@@ -67,13 +68,14 @@ import dataclasses
 import functools
 import hashlib
 from collections import OrderedDict
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+import repro
 from repro.circuits.netlist import Netlist
 from repro.circuits.signals import bits_to_int, int_to_bits
-from repro.obs.trace import span
+from repro.obs.trace import NULL_SPAN, span
 from repro.simulation import engine
 from repro.technology.library import DEFAULT_LIBRARY, StandardCellLibrary
 
@@ -563,18 +565,14 @@ class VosTimingSimulator:
             )
 
         gate_delays = annotation.gate_delays[None, :] * multipliers
-        n_instances = multipliers.shape[0]
         with span(
             "engine.pass",
             kind="variation",
-            instances=n_instances,
+            instances=multipliers.shape[0],
             vectors=stimulus.n_vectors,
-            live_rows=self._plan.live_rows(
-                self._output_nets, n_instances * stimulus.n_vectors
-            ),
-        ):
+        ) as pass_span:
             output_arrival = self._plan.batched_arrival_pass(
-                stimulus.changed, gate_delays, self._output_nets
+                stimulus.changed, gate_delays, self._output_nets, pass_span
             )
         (dynamic_energy,) = self._dynamic_energies_of(stimulus, [annotation])
         # latched ^ expected == (settled ^ expected) ^ late, with the mask
@@ -650,10 +648,12 @@ class VosTimingSimulator:
         return record
 
     def _exact_arrivals(
-        self, changed: np.ndarray, gate_delays: np.ndarray
+        self, changed: np.ndarray, gate_delays: np.ndarray, pass_span: Any = NULL_SPAN
     ) -> np.ndarray:
         """Output arrivals ``(vectors, outputs)`` of one exact arrival pass."""
-        arrival = self._plan.arrival_pass(changed, gate_delays, self._output_nets)
+        arrival = self._plan.arrival_pass(
+            changed, gate_delays, self._output_nets, pass_span
+        )
         return arrival.T.copy()
 
     def _unit_arrivals_of(
@@ -669,16 +669,12 @@ class VosTimingSimulator:
             # Release the previous stimulus's arrivals before the pass.
             self._unit_arrivals = None
             with span(
-                "engine.pass",
-                kind="arrival",
-                vectors=stimulus.n_vectors,
-                live_rows=self._plan.live_rows(
-                    self._output_nets, stimulus.n_vectors
-                ),
-            ):
+                "engine.pass", kind="arrival", vectors=stimulus.n_vectors
+            ) as pass_span:
                 arrivals = self._exact_arrivals(
                     stimulus.changed,
                     engine.unit_gate_delays(self._netlist, self._library),
+                    pass_span,
                 )
             maxima = arrivals.max(axis=1)
             for array in (arrivals, maxima):
@@ -728,17 +724,22 @@ def _dynamic_energies(
     operand (fewer than their row unroll), which they reduce apart.  Blocks
     whose length is a multiple of that unroll, with the last one ending
     where the stream ends, leave every vector in the place it has in the
-    full product, so on one BLAS thread (as ``import repro`` sets up) the
-    result is byte for byte ``energies @ toggles``; the tests check this
-    under every OpenBLAS core type the CPU can run.
+    full product, so on one BLAS thread the result is byte for byte
+    ``energies @ toggles``; the tests check this under every OpenBLAS core
+    type the CPU can run.  On several threads BLAS splits a large product's
+    vectors between them, and each thread's last few vectors are summed in
+    the other order, so a process that loaded NumPy before the package
+    (:data:`repro.ONE_BLAS_THREAD` false) reduces the whole stream as one
+    block: the full product, at its size.
     """
     switch_energies = list(switch_energies)
     n_vectors = changed.shape[1]
     results = [np.empty(n_vectors) for _ in switch_energies]
-    n_blocks = max(n_vectors // _ENERGY_BLOCK, 1)
+    block_size = _ENERGY_BLOCK if repro.ONE_BLAS_THREAD else max(n_vectors, 1)
+    n_blocks = max(n_vectors // block_size, 1)
     for block_index in range(n_blocks):
-        start = block_index * _ENERGY_BLOCK
-        stop = n_vectors if block_index == n_blocks - 1 else start + _ENERGY_BLOCK
+        start = block_index * block_size
+        stop = n_vectors if block_index == n_blocks - 1 else start + block_size
         block = changed[gate_nets, start:stop].astype(np.float64)
         for energies, result in zip(switch_energies, results):
             result[start:stop] = energies @ block

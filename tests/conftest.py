@@ -7,11 +7,6 @@ core, analysis and integration tests instead of being recomputed per test.
 
 from __future__ import annotations
 
-# Before NumPy: BLAS runs on one thread per process here as under every
-# entry point of the package (see ``repro/__init__.py``), so reductions such
-# as the blocked dynamic energy see the same kernels as the CLI and workers.
-import repro  # noqa: F401
-
 import numpy as np
 import pytest
 

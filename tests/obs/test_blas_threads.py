@@ -1,8 +1,8 @@
 """``--jobs N`` owns N cores: every worker runs BLAS on one thread.
 
 Both checks run in a fresh interpreter, because the BLAS thread default
-only applies when ``repro`` is imported before NumPy, and only a process
-that starts with the entry point under test shows which one came first.  A forked worker restarts OpenBLAS's thread
+only applies when ``repro`` is imported before NumPy, and the test process
+has long since imported NumPy.  A forked worker restarts OpenBLAS's thread
 pool at its first product large enough to run multi-threaded; 20000 rca8
 vectors is such a size (2000 is not), so without the default each shard
 on a multi-core machine would report more than one thread.

@@ -2,11 +2,15 @@
 
 :func:`repro.simulation.timing_sim._dynamic_energies` reduces the gate
 toggles block by block of vectors instead of in one
-``energies @ toggles.astype(float64)`` product.  OpenBLAS picks its
-kernel from the CPU, so each check runs in a fresh interpreter under every
-``OPENBLAS_CORETYPE`` whose instructions ``/proc/cpuinfo`` lists -- never
-one the CPU cannot run, which would end the child with SIGILL -- and
-compares a sweep's dynamic energies, byte for byte, with the full product.
+``energies @ toggles.astype(float64)`` product when BLAS runs on one
+thread, as it does in a process that imports ``repro`` before NumPy.
+OpenBLAS picks its kernel from the CPU, so each check runs in a fresh
+interpreter under every ``OPENBLAS_CORETYPE`` whose instructions
+``/proc/cpuinfo`` lists -- never one the CPU cannot run, which would end
+the child with SIGILL -- and compares a sweep's dynamic energies, byte for
+byte, with the full product.  A process that imports NumPy first may run
+BLAS on several threads; it gets the full product too, checked in a fresh
+interpreter with no thread count set.
 """
 
 import json
@@ -31,7 +35,10 @@ CORE_TYPES = {
 
 CHILD = """
 import json
-import repro  # before NumPy: one BLAS thread, as every entry point
+import sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import repro
 import numpy as np
 from repro.circuits.adders import build_adder
 from repro.circuits.multipliers import array_multiplier
@@ -42,7 +49,7 @@ from repro.simulation.timing_sim import VosTimingSimulator
 mismatches = checked = 0
 for circuit, width in ((build_adder("ksa", 32), 32), (array_multiplier(4), 4)):
     plan = engine.compile_plan(circuit.netlist)
-    for n_vectors in (257, 4099, 20000):
+    for n_vectors in (1, 255, 256, 257, 513, 1027, 4099, 20000):
         rng = np.random.default_rng(n_vectors)
         assignment = circuit.input_assignment(
             rng.integers(0, 1 << width, n_vectors),
@@ -59,7 +66,11 @@ for circuit, width in ((build_adder("ksa", 32), 32), (array_multiplier(4), 4)):
             expected = energies @ toggles
             checked += 1
             mismatches += result.dynamic_energy.tobytes() != expected.tobytes()
-print(json.dumps({"checked": checked, "mismatches": mismatches}))
+print(json.dumps({
+    "checked": checked,
+    "mismatches": mismatches,
+    "one_blas_thread": repro.ONE_BLAS_THREAD,
+}))
 """
 
 
@@ -92,21 +103,33 @@ FLAGS = _cpu_flags()
     ],
 )
 def test_blocked_energy_is_the_full_product(core_type):
+    report = _run_child("repro-first", core_type)
+    assert report == {"checked": 64, "mismatches": 0, "one_blas_thread": True}
+
+
+def test_numpy_first_process_gets_the_full_product():
+    report = _run_child("numpy-first", None)
+    # No thread count was set before NumPy loaded BLAS, so the energy pass
+    # cannot rely on one thread and reduces the stream in one product.
+    assert report == {"checked": 64, "mismatches": 0, "one_blas_thread": False}
+
+
+def _run_child(order, core_type):
     env = {
         key: value
         for key, value in os.environ.items()
-        if key not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS")
+        if key
+        not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     }
     env["PYTHONPATH"] = str(SRC)
     if core_type is not None:
         env["OPENBLAS_CORETYPE"] = core_type
     out = subprocess.run(
-        [sys.executable, "-c", CHILD],
+        [sys.executable, "-c", CHILD, order],
         env=env,
         check=True,
         capture_output=True,
         text=True,
         timeout=120,
     )
-    report = json.loads(out.stdout.splitlines()[-1])
-    assert report == {"checked": 24, "mismatches": 0}
+    return json.loads(out.stdout.splitlines()[-1])

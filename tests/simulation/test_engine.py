@@ -209,9 +209,9 @@ class TestSweepReuse:
         widths = []
         original = plan.arrival_pass
 
-        def counting(changed, gate_delays, nets):
+        def counting(changed, *args):
             widths.append(changed.shape[1])
-            return original(changed, gate_delays, nets)
+            return original(changed, *args)
 
         monkeypatch.setattr(plan, "arrival_pass", counting)
         assignment = adder.input_assignment(*_operands(8))

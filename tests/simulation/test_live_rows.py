@@ -41,9 +41,38 @@ def test_peak_live_rows(architecture, width, rows):
     adder = build_adder(architecture, width)
     plan = engine.compile_plan(adder.netlist)
     outputs = _output_nets(adder.netlist, adder.output_ports())
-    assert plan.live_rows(outputs, THRESHOLD) == rows
-    # Below the threshold the gathered regime holds every net.
-    assert plan.live_rows(outputs, THRESHOLD - 1) == plan.net_count
+    assert plan.live_rows(outputs) == rows
+
+
+class _Attrs:
+    """A span stand-in that records what a pass sets on it."""
+
+    def __init__(self):
+        self.attrs = {}
+
+    def set(self, **attrs):
+        self.attrs.update(attrs)
+        return self
+
+
+@pytest.mark.parametrize("n_vectors", [THRESHOLD - 1, THRESHOLD])
+def test_pass_reports_the_rows_it_allocated(n_vectors):
+    adder = build_adder("ksa", 32)
+    plan = engine.compile_plan(adder.netlist)
+    outputs = _output_nets(adder.netlist, adder.output_ports())
+    changed = np.ones((plan.net_count, n_vectors), dtype=bool)
+    delays = np.ones(plan.gate_count)
+    one, several = _Attrs(), _Attrs()
+    plan.arrival_pass(changed, delays, outputs, one)
+    # Two instances of half the vectors: the same payload per net row.
+    plan.batched_arrival_pass(
+        changed[:, : n_vectors // 2], np.ones((2, plan.gate_count)), outputs, several
+    )
+    # At or above the threshold the per-gate regime holds the live rows;
+    # below it the gathered regime holds every net.
+    expected = 178 if n_vectors >= THRESHOLD else plan.net_count
+    assert one.attrs == {"live_rows": expected}
+    assert several.attrs == {"live_rows": expected}
 
 
 def _adder_case(architecture, n_vectors, seed=41):
@@ -62,7 +91,7 @@ class TestAgainstTheOracle:
         adder, simulator, assignment = _adder_case(architecture, ABOVE)
         plan = engine.compile_plan(adder.netlist)
         outputs = _output_nets(adder.netlist, adder.output_ports())
-        assert plan.live_rows(outputs, ABOVE) < plan.net_count
+        assert plan.live_rows(outputs) < plan.net_count
         changed = simulator._stimulus(assignment, None).changed
         for vdd, vbb in ((1.0, 0.0), (0.6, -2.0)):
             delays = simulator.annotation(vdd, vbb).gate_delays
@@ -156,7 +185,7 @@ class TestEdgeCases:
         outputs = _output_nets(netlist)
         # The zero row, the outputs x and y, and the chain's input and
         # output rows: 5 of the 11 gate outputs' rows at the peak.
-        assert plan.live_rows(outputs, THRESHOLD) == 5
+        assert plan.live_rows(outputs) == 5
         assert plan.gate_count == 11
 
 

@@ -6,11 +6,11 @@ interpreter with ``--no-cache``.  The child reports its own ``VmHWM``: the
 resource usage of an exec'd child (``ru_maxrss``) carries the high-water
 mark of the process it replaced, here the test runner.  The budget is the
 same command's peak at 64 vectors (interpreter, imports, plans) plus twice
-the arrival buffer of one pass -- its live rows and the returned output
-rows -- which leaves as much again for the per-vector state of the
-stimulus (toggle masks, output words, unit arrivals, energies).  A pass
-that held one row per net, or a float64 toggle matrix of every gate,
-exceeds it.
+the arrival buffer of one pass -- its 178 live rows and the 33 returned
+output rows, pinned here rather than read from the plan -- which leaves
+as much again for the per-vector state of the stimulus (toggle masks,
+output words, unit arrivals, energies).  A pass that held one row per
+net (549), or a float64 toggle matrix of every gate, exceeds it.
 """
 
 import os
@@ -43,6 +43,10 @@ finally:
 
 MB = 1024.0 * 1024.0
 
+#: Live rows of a ksa32 pass reading its outputs, and those outputs.
+LIVE_ROWS = 178
+OUTPUT_ROWS = 33
+
 
 def _peak_mb(args):
     env = {
@@ -60,12 +64,15 @@ def _peak_mb(args):
     return float(out.stderr.splitlines()[-1])
 
 
-def _buffer_mb(instances, n_vectors):
+def test_the_budget_rows_are_the_plan_rows():
     adder = build_adder("ksa", 32)
     plan = engine.compile_plan(adder.netlist)
     outputs = tuple(adder.netlist.primary_outputs[p] for p in adder.output_ports())
-    rows = plan.live_rows(outputs, instances * n_vectors) + len(outputs)
-    return rows * instances * n_vectors * 8 / MB
+    assert (plan.live_rows(outputs), len(outputs)) == (LIVE_ROWS, OUTPUT_ROWS)
+
+
+def _buffer_mb(instances, n_vectors):
+    return (LIVE_ROWS + OUTPUT_ROWS) * instances * n_vectors * 8 / MB
 
 
 @pytest.mark.parametrize(

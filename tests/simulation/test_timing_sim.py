@@ -383,7 +383,12 @@ class TestEnergyOperand:
 
 
 class TestBlockedEnergy:
-    """The blocked energy pass is byte for byte ``energies @ toggles``."""
+    """The energy pass is byte for byte ``energies @ toggles`` in-process.
+
+    The test process imports NumPy before ``repro``, like a script that
+    does, so BLAS may run on several threads here: the pass must still give
+    the bytes of the product computed beside it.
+    """
 
     @pytest.mark.parametrize("n_vectors", [1, 255, 256, 257, 513, 1027, 4099])
     def test_byte_equal_to_the_full_product(self, n_vectors):
