@@ -15,7 +15,9 @@ so that:
 * the data-dependent arrival-time propagation of the VOS timing simulator
   runs group-at-a-time over gathered ``(gates, vectors)`` blocks for small
   batches and gate by gate, in place, on a pool of live rows (not one row
-  per net) for large ones, returning only the rows a caller reads,
+  per net) for large ones, one fixed-byte block of vectors at a time
+  (:data:`_ARRIVAL_BLOCK_BYTES`), handing each block's read rows to the
+  caller as it lands,
 * per-netlist metadata (capacitive net loads, unit gate delays, level
   structure) and the per-operating-point timing annotation are computed
   once and shared by every simulation that follows.
@@ -31,8 +33,9 @@ Caching contract
   (:func:`annotation_arrays`), computed through the same float expressions
   and summation order as the legacy per-gate loop so annotations stay
   bit-identical with it;
-* keyed on the **pattern set**: settled values, toggle masks and the
-  output arrival times of one unit-``tau`` pass are cached by
+* keyed on the **pattern set**: settled values, toggle masks (bit-packed,
+  :class:`ToggleWords`) and the output arrival times of one unit-``tau``
+  pass are cached by
   :class:`~repro.simulation.timing_sim.VosTimingSimulator`.  Every
   operating point scales that one pass by its ``tau`` (max-plus arrival
   commutes with positive scaling) and re-runs the exact per-point
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -96,6 +99,54 @@ def unpack_vectors(words: np.ndarray, n_vectors: int) -> np.ndarray:
     bits = np.unpackbits(array.view(np.uint8), axis=-1, bitorder="little")
     # unpackbits yields 0/1 uint8 -- reinterpreting as bool is free.
     return bits[..., :n_vectors].view(bool)
+
+
+@dataclasses.dataclass(frozen=True)
+class ToggleWords:
+    """Bit-packed toggle masks of every net, 64 vectors per ``uint64`` word.
+
+    What a stimulus record holds instead of a ``(nets, vectors)`` boolean
+    matrix, at an eighth of its bytes: ``words[net]`` is
+    :func:`pack_vectors` of the net's toggles (``new_words ^ old_words`` of
+    two packed evaluations).  The passes unpack one block of vectors at a
+    time (:meth:`block`), a recheck gathers single vectors (:meth:`columns`).
+    """
+
+    words: np.ndarray
+    n_vectors: int
+
+    @classmethod
+    def pack(cls, changed: np.ndarray) -> "ToggleWords":
+        """Packed form of a boolean ``(nets, vectors)`` toggle mask."""
+        return cls(pack_vectors(changed), np.shape(changed)[1])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(nets, vectors)``, the shape of the unpacked masks."""
+        return (self.words.shape[0], self.n_vectors)
+
+    def block(self, start: int, stop: int, nets: Any = slice(None)) -> np.ndarray:
+        """Boolean masks of vectors ``start:stop`` of the ``nets`` rows.
+
+        ``start`` must be a multiple of 64: a block begins at a word.
+        """
+        if start % WORD_BITS:
+            raise ValueError(f"block start {start} is not a multiple of {WORD_BITS}")
+        words = self.words[nets, start // WORD_BITS : -(-stop // WORD_BITS)]
+        return unpack_vectors(words, stop - start)
+
+    def columns(self, vectors: np.ndarray) -> np.ndarray:
+        """Boolean masks of the given vectors, shape ``(nets, len(vectors))``."""
+        vectors = np.asarray(vectors, dtype=np.intp)
+        bits = self.words[:, vectors // WORD_BITS]
+        bits >>= (vectors % WORD_BITS).astype(np.uint64)
+        bits &= np.uint64(1)
+        return bits.astype(bool)
+
+
+def _toggle_words(changed: "np.ndarray | ToggleWords") -> ToggleWords:
+    """``changed`` as :class:`ToggleWords`; a boolean matrix is packed."""
+    return changed if isinstance(changed, ToggleWords) else ToggleWords.pack(changed)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +273,12 @@ _SINGLE_GATE_KERNELS = {
 #: constant, so big batches favour the copy-free kernels.  Shared by the
 #: logic evaluation and the arrival-time recurrence.
 _GROUP_LOOP_THRESHOLD = 2048
+
+#: Bytes of the live-row buffer of one block of the per-gate arrival
+#: recurrence (:meth:`CompiledNetlistPlan.arrival_blocks`): the pass walks
+#: the vectors in blocks of as many as fit, so its memory stays fixed
+#: however long the stream or large the instance batch.
+_ARRIVAL_BLOCK_BYTES = 6 << 20
 
 
 def _compile_group_step(group: "GateGroup"):
@@ -466,6 +523,20 @@ class CompiledNetlistPlan:
         """
         return self._row_schedule(nets).rows
 
+    def block_vectors(self, nets: Sequence[int], n_instances: int) -> int:
+        """Vectors per block of the per-gate regime for the read ``nets``.
+
+        As many as fit ``(live_rows, n_instances, block)`` float64 into
+        :data:`_ARRIVAL_BLOCK_BYTES`, rounded down to whole packed words,
+        but never fewer than keep a block's payload (``n_instances`` times
+        its vectors) at :data:`_GROUP_LOOP_THRESHOLD`.  A stream shorter
+        than this is one block of its own length.
+        """
+        per_vector = self._row_schedule(nets).rows * n_instances * 8
+        fitted = _ARRIVAL_BLOCK_BYTES // per_vector // WORD_BITS * WORD_BITS
+        least = -(-_GROUP_LOOP_THRESHOLD // n_instances)
+        return max(fitted, -(-least // WORD_BITS) * WORD_BITS)
+
     def _row_schedule(self, nets: Sequence[int]) -> "_RowSchedule":
         """The row-slot schedule of the per-gate regime for the read ``nets``.
 
@@ -515,7 +586,7 @@ class CompiledNetlistPlan:
 
     def arrival_pass(
         self,
-        changed: np.ndarray,
+        changed: "np.ndarray | ToggleWords",
         gate_delays: np.ndarray,
         nets: Sequence[int],
         pass_span: Any = NULL_SPAN,
@@ -525,14 +596,15 @@ class CompiledNetlistPlan:
         Parameters
         ----------
         changed:
-            Boolean toggle mask per net, shape ``(net_count, n_vectors)``,
-            with primary-input rows filled.
+            Toggle mask per net, a boolean ``(net_count, n_vectors)`` matrix
+            with primary-input rows filled, or its :class:`ToggleWords`.
         gate_delays:
             Per-gate delays in seconds, indexed like ``topological_gates``.
         nets:
             Net ids whose arrival rows are returned, in this order.
         pass_span:
-            Trace span that receives the buffer's ``live_rows``.
+            Trace span that receives the buffer's ``live_rows`` and
+            ``block_vectors``.
 
         Returns arrival times of shape ``(len(nets), n_vectors)``.  A net
         that does not toggle has arrival 0; a toggling net settles one gate
@@ -545,7 +617,7 @@ class CompiledNetlistPlan:
 
     def batched_arrival_pass(
         self,
-        changed: np.ndarray,
+        changed: "np.ndarray | ToggleWords",
         gate_delay_matrix: np.ndarray,
         nets: Sequence[int],
         pass_span: Any = NULL_SPAN,
@@ -554,45 +626,79 @@ class CompiledNetlistPlan:
 
         The Monte Carlo variation subsystem evaluates many sampled delay
         instances of one netlist against one toggle mask; the instance axis
-        rides along every row, so a whole batch costs one schedule walk, not
-        a Python loop over instances.
-
-        Every arrival row is 0 wherever its net did not toggle (the rows
-        start zeroed and each output row is zeroed where quiet), so a
-        gate's input arrival is simply the maximum of its input rows -- no
-        input-side toggle mask is needed.  The recurrence runs in one of two
-        regimes, split by :data:`_GROUP_LOOP_THRESHOLD` on the payload of a
-        net row (``n_instances * n_vectors`` elements):
-
-        * below it, each group is evaluated at once on gathered
-          ``(arity, gates, instances, vectors)`` blocks of a full net array;
-        * at or above it, gate by gate in place on the live-row slots of
-          :meth:`_row_schedule` (:meth:`live_rows` of them, not one per
-          net): the maximum of the input rows is written straight into the
-          output row, the gate delay is added in place and the quiet
-          elements are zeroed by multiplying with the toggle mask, so no
-          group-sized temporaries are built.
-
-        Both regimes perform the same float operations (an exact maximum,
-        one addition), so they agree bit for bit.
+        rides along every row, so a whole batch costs one schedule walk per
+        block of vectors, not a Python loop over instances.  The blocks of
+        :meth:`arrival_blocks` are copied into the returned array as they
+        land; a caller that reduces the arrivals can walk the blocks itself
+        and never hold them all.
 
         Parameters
         ----------
         changed:
-            Boolean toggle mask per net, shape ``(net_count, n_vectors)`` --
-            variation-independent (delays never change logic values).
+            Toggle mask per net, a boolean ``(net_count, n_vectors)`` matrix
+            or its :class:`ToggleWords` -- variation-independent (delays
+            never change logic values).
         gate_delay_matrix:
             Per-instance per-gate delays in seconds, shape
             ``(n_instances, gate_count)``; finite and non-negative.
         nets:
             Net ids whose arrival rows are returned, in this order.
         pass_span:
-            Trace span that receives ``live_rows``, the row count of the
-            buffer the pass allocated (every net in the gathered regime).
+            Trace span that receives ``live_rows`` and ``block_vectors``
+            (see :meth:`arrival_blocks`).
 
         Returns
         -------
         Arrival times of shape ``(len(nets), n_instances, n_vectors)``.
+        """
+        blocks = self.arrival_blocks(changed, gate_delay_matrix, nets, pass_span)
+        n_instances = np.shape(gate_delay_matrix)[0]
+        arrival = np.empty((len(nets), n_instances, changed.shape[1]))
+        for start, rows, slots in blocks:
+            block = arrival[:, :, start : start + rows.shape[-1]]
+            for read, slot in enumerate(slots):
+                block[read] = rows[slot]
+        return arrival
+
+    def arrival_blocks(
+        self,
+        changed: "np.ndarray | ToggleWords",
+        gate_delay_matrix: np.ndarray,
+        nets: Sequence[int],
+        pass_span: Any = NULL_SPAN,
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Arrival times of the read ``nets``, one block of vectors at a time.
+
+        Yields ``(start, rows, slots)``: ``rows[slots[k]]`` is the arrival
+        of ``nets[k]`` over vectors ``start:start + rows.shape[-1]``, shape
+        ``(n_instances, block)``.  ``rows`` is the pass's own buffer, valid
+        until the next block; a caller copies or reduces what it reads.
+
+        Every arrival row is 0 wherever its net did not toggle (each output
+        row is zeroed where quiet, and undriven nets read one zero row), so
+        a gate's input arrival is simply the maximum of its input rows -- no
+        input-side toggle mask is needed.  The recurrence runs in one of two
+        regimes, split by :data:`_GROUP_LOOP_THRESHOLD` on the payload of a
+        net row (``n_instances * n_vectors`` elements):
+
+        * below it, in one block, each group evaluated at once on gathered
+          ``(arity, gates, instances, vectors)`` blocks of a full net array;
+        * at or above it, in blocks of :meth:`block_vectors` vectors (each
+          starting at a packed word, the last one shorter), gate by gate in
+          place on the live-row slots of :meth:`_row_schedule`
+          (:meth:`live_rows` of them, not one per net), reusing one
+          ``(live_rows, n_instances, block)`` buffer: the maximum of the
+          input rows is written straight into the output row, the gate
+          delay is added in place and the quiet elements are zeroed by
+          multiplying with the block's toggle mask, so no group-sized
+          temporaries are built.
+
+        Both regimes perform the same float operations (an exact maximum,
+        one addition) on each element, so they and every blocking agree
+        bit for bit.  ``pass_span`` receives ``live_rows`` and
+        ``block_vectors``, the shape of the buffer the pass allocated
+        (every net and the whole stream in the gathered regime): its bytes
+        are ``live_rows * n_instances * block_vectors * 8``.
         """
         delays = np.asarray(gate_delay_matrix, dtype=float)
         if delays.ndim != 2 or delays.shape[1] != self._gate_count:
@@ -602,40 +708,55 @@ class CompiledNetlistPlan:
             )
         if not np.all(np.isfinite(delays) & (delays >= 0.0)):
             raise ValueError("gate delays must be finite and non-negative")
-        n_instances = delays.shape[0]
-        row_shape = (n_instances, changed.shape[1])
-        if n_instances * changed.shape[1] < _GROUP_LOOP_THRESHOLD:
-            arrival = np.zeros((changed.shape[0],) + row_shape, dtype=float)
-            pass_span.set(live_rows=arrival.shape[0])
+        return self._arrival_blocks(_toggle_words(changed), delays, nets, pass_span)
+
+    def _arrival_blocks(
+        self,
+        toggles: ToggleWords,
+        delays: np.ndarray,
+        nets: Sequence[int],
+        pass_span: Any,
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """The blocks of :meth:`arrival_blocks`, on checked arguments."""
+        n_instances, n_vectors = delays.shape[0], toggles.n_vectors
+        if n_instances * n_vectors < _GROUP_LOOP_THRESHOLD:
+            mask = toggles.block(0, n_vectors)
+            arrival = np.zeros((mask.shape[0], n_instances, n_vectors), dtype=float)
+            pass_span.set(live_rows=arrival.shape[0], block_vectors=n_vectors)
             for group in self._groups:
                 input_arrival = arrival[group.input_nets].max(axis=0)
                 group_delays = delays[:, group.topo_indices].T[:, :, None]
                 arrival[group.output_nets] = np.where(
-                    changed[group.output_nets][:, None, :],
+                    mask[group.output_nets][:, None, :],
                     input_arrival + group_delays,
                     0.0,
                 )
-            return arrival[np.array(nets, dtype=np.intp)]
+            yield 0, arrival, np.array(nets, dtype=np.intp)
+            return
         schedule = self._row_schedule(nets)
-        buffer = np.zeros((schedule.rows,) + row_shape, dtype=float)
-        pass_span.set(live_rows=schedule.rows)
-        slots = list(buffer)
+        block = min(self.block_vectors(nets, n_instances), n_vectors)
+        buffer = np.zeros((schedule.rows, n_instances, block), dtype=float)
+        pass_span.set(live_rows=schedule.rows, block_vectors=block)
         # (gate_count, n_instances, 1): one delay column per gate.
         columns = np.ascontiguousarray(delays.T)[:, :, None]
-        for pins, slot, index, output in schedule.gates:
-            row = slots[slot]
-            if len(pins) == 1:
-                np.copyto(row, slots[pins[0]])
-            else:
-                np.maximum(slots[pins[0]], slots[pins[1]], out=row)
-                for pin in pins[2:]:
-                    np.maximum(row, slots[pin], out=row)
-            row += columns[index]
-            # Delays are finite and non-negative, so multiplying by the
-            # toggle mask is exact: x * 1.0 == x and x * 0.0 == +0.0.
-            np.multiply(row, changed[output], out=row)
-        del slots
-        return buffer[schedule.read_slots]
+        for start in range(0, n_vectors, block):
+            stop = min(start + block, n_vectors)
+            mask = toggles.block(start, stop)
+            rows = buffer[:, :, : stop - start]
+            slots = list(rows)
+            for pins, slot, index, output in schedule.gates:
+                row = slots[slot]
+                if len(pins) == 1:
+                    np.copyto(row, slots[pins[0]])
+                else:
+                    np.maximum(slots[pins[0]], slots[pins[1]], out=row)
+                    for pin in pins[2:]:
+                        np.maximum(row, slots[pin], out=row)
+                row += columns[index]
+                # Delays are finite and non-negative, so multiplying by the
+                # toggle mask is exact: x * 1.0 == x and x * 0.0 == +0.0.
+                np.multiply(row, mask[output], out=row)
+            yield start, rows, schedule.read_slots
 
     def static_arrival_pass(self, gate_delays: np.ndarray) -> np.ndarray:
         """Topological (worst-case) arrival time of every net, in seconds."""

@@ -26,7 +26,8 @@ Everything except the final latch comparison is independent of some part of
 the operating triad, and the simulator caches accordingly:
 
 * settled values and toggle masks depend only on the **pattern set**
-  (they are computed once per stimulus, via the bit-packed engine mode),
+  (they are computed once per stimulus, via the bit-packed engine mode,
+  and the toggle masks stay packed: one bit per net and vector),
 * so do the output arrival times, up to one factor: every gate delay is
   ``tau(vdd, vbb) * g_i`` with ``g_i`` independent of the operating point
   (:func:`~repro.simulation.engine.unit_gate_delays`), and max-plus arrival
@@ -34,17 +35,23 @@ the operating triad, and the simulator caches accordingly:
   stimulus therefore serves every operating point, which scales its output
   arrivals by the point's ``tau``.  The few vectors whose scaled arrival
   lies within the scaling's rounding bound of a clock are re-run through
-  the exact per-point recurrence, so every latch decision is the one a
-  per-point pass would make (see :meth:`VosTimingSimulator._latch`),
+  the exact per-point recurrence on their gathered mask columns, so every
+  latch decision is the one a per-point pass would make (see
+  :meth:`VosTimingSimulator._latch`).  Every arrival pass walks the vectors
+  in fixed-byte blocks
+  (:meth:`~repro.simulation.engine.CompiledNetlistPlan.arrival_blocks`),
+  unpacking each block's toggle masks and writing its output rows straight
+  into the ``(vectors, outputs)`` arrivals, so its buffer is bounded by
+  ``engine._ARRIVAL_BLOCK_BYTES`` however long the stream,
 * per-vector dynamic energy ``gate_switch_energies @ toggles`` depends on
   the stimulus and the supply only.  A sweep computes it for every distinct
   supply on its first triad, in one pass over fixed blocks of vectors that
-  casts each block of gate-output toggles to float64 once and reduces it
-  once per supply (:func:`_dynamic_energies`); with BLAS on one thread,
-  as every entry point of the package sets it up, no ``(gates, vectors)``
-  float64 matrix is ever built.  The energies are held per supply for the
-  latest stimulus, and a :meth:`~VosTimingSimulator.run` or variation pass
-  at a held supply reuses them,
+  unpacks each block of gate-output toggles, casts it to float64 once and
+  reduces it once per supply (:func:`_dynamic_energies`); with BLAS on one
+  thread, as every entry point of the package sets it up, no ``(gates,
+  vectors)`` float64 matrix is ever built.  The energies are held per
+  supply for the latest stimulus, and a :meth:`~VosTimingSimulator.run` or
+  variation pass at a held supply reuses them,
 * only the latch and the leakage integral depend on ``tclk``.  A quiet
   net's arrival is 0, so only toggled outputs can be late and the latch
   ``where(arrival <= tclk, settled, stale)`` is the exact bitwise flip
@@ -59,7 +66,8 @@ body biases over one 4k-20k-vector pattern set) therefore performs one
 arrival pass per pattern set instead of one per ``(vdd, vbb)`` pair or per
 triad.  Monte Carlo passes are the exception: their sampled delay
 multipliers depend on the operating point, so they keep one batched pass
-per ``(vdd, vbb)``.
+per ``(vdd, vbb)``, whose blocks are reduced to per-instance error counts
+as they land (:meth:`VosTimingSimulator.run_variation_counts`).
 """
 
 from __future__ import annotations
@@ -153,14 +161,18 @@ class _StimulusRecord:
     """Triad-independent state of one pattern set (cached per simulator).
 
     ``changed`` holds the toggle mask of every net -- the sensitisation
-    information all arrival/energy computations run on; settled bits and
-    words are kept for the observed outputs only.  A stale output bit is
-    ``settled ^ changed``.
+    information all arrival/energy computations run on -- bit-packed, as
+    the ``new_words ^ old_words`` of the two packed evaluations (ksa32 at
+    20k vectors: 1.4 MB, where a boolean matrix takes 11 MB).  The arrival
+    and energy passes unpack one block of vectors at a time, a recheck
+    gathers its vectors' columns, and a result's ``arrival_pass`` reads
+    them only when it is called.  Settled bits and words are kept for the
+    observed outputs only.  A stale output bit is ``settled ^ changed``.
     """
 
     key: bytes
     n_vectors: int
-    changed: np.ndarray
+    changed: engine.ToggleWords
     settled_bits: np.ndarray
     settled_words: np.ndarray
 
@@ -186,7 +198,8 @@ class VosSimulationResult:
         Clock period used for latching, in seconds.
     arrival_pass:
         Zero-argument callable returning :attr:`arrival_times`; it runs on
-        first access only.
+        first access only, and only then unpacks the stimulus's packed
+        toggle masks, one block of vectors at a time.
     """
 
     latched_words: np.ndarray
@@ -428,8 +441,9 @@ class VosTimingSimulator:
         (one more ``eps`` trades ``A`` for ``tclk``), ``S - tclk`` and
         ``A - tclk`` therefore have the same sign and ``S`` latches as ``A``
         does.  Vectors with an output inside the band are re-run through
-        the exact ``arrival_pass`` of the compiled plan with the point's
-        gate delays, and latched from that.
+        the exact arrival pass of the compiled plan with the point's gate
+        delays, on their gathered toggle-mask columns, and latched from
+        that.
 
         Only candidate vectors are scaled at all: rounding is monotone, so
         ``fl(tau * max U) == max fl(tau * U)`` and the scaled per-vector
@@ -456,7 +470,8 @@ class VosTimingSimulator:
                 recheck = np.flatnonzero(near.any(axis=1))
                 with span("engine.pass", kind="recheck", vectors=int(recheck.size)):
                     exact = self._exact_arrivals(
-                        stimulus.changed[:, rows[recheck]], annotation.gate_delays
+                        stimulus.changed.columns(rows[recheck]),
+                        annotation.gate_delays,
                     )
                 late[recheck] = exact > tclk
             latched = latched.copy()
@@ -501,13 +516,17 @@ class VosTimingSimulator:
         same pattern set.
 
         Each clock reduces straight to the number of faulty latched bits and
-        faulty vectors of every instance, compared with ``expected_bits``.
-        No ``(instances, vectors, outputs)`` latched array and no transposed
-        arrival copy is built: :func:`_latch_bits` yields the error matrix
-        directly, on the output arrivals in the layout the pass returns
-        them, ``(outputs, instances, vectors)``; the pass itself holds only
-        its live rows (:meth:`~repro.simulation.engine.CompiledNetlistPlan.live_rows`),
-        never one row per net.
+        faulty vectors of every instance, compared with ``expected_bits``,
+        one block of vectors at a time as the pass yields it
+        (:meth:`~repro.simulation.engine.CompiledNetlistPlan.arrival_blocks`):
+        :func:`_latch_bits` turns the block's output rows,
+        ``(outputs, instances, block)``, into its error matrix, whose counts
+        are added to the running per-instance totals.  So the pass holds one
+        block of its live rows
+        (:meth:`~repro.simulation.engine.CompiledNetlistPlan.live_rows`) and
+        no ``(outputs, instances, vectors)`` arrival or latched tensor ever
+        exists; integer counts summed over blocks are the counts of the
+        whole stream.
 
         Parameters
         ----------
@@ -565,35 +584,43 @@ class VosTimingSimulator:
             )
 
         gate_delays = annotation.gate_delays[None, :] * multipliers
-        with span(
-            "engine.pass",
-            kind="variation",
-            instances=multipliers.shape[0],
-            vectors=stimulus.n_vectors,
-        ) as pass_span:
-            output_arrival = self._plan.batched_arrival_pass(
-                stimulus.changed, gate_delays, self._output_nets, pass_span
-            )
-        (dynamic_energy,) = self._dynamic_energies_of(stimulus, [annotation])
         # latched ^ expected == (settled ^ expected) ^ late, with the mask
         # laid out (outputs, 1, vectors) like the output arrivals.
         mismatch = np.ascontiguousarray((stimulus.settled_bits ^ expected).T)[:, None]
+        n_instances = multipliers.shape[0]
+        bit_errors = np.zeros((len(tclks), n_instances), dtype=np.intp)
+        faulty_vectors = np.zeros((len(tclks), n_instances), dtype=np.intp)
+        with span(
+            "engine.pass",
+            kind="variation",
+            instances=n_instances,
+            vectors=stimulus.n_vectors,
+        ) as pass_span:
+            for start, rows, slots in self._plan.arrival_blocks(
+                stimulus.changed, gate_delays, self._output_nets, pass_span
+            ):
+                output_arrival = rows[slots]
+                base = mismatch[:, :, start : start + rows.shape[-1]]
+                for clock, tclk in enumerate(tclks):
+                    errors = _latch_bits(output_arrival, tclk, base)
+                    bit_errors[clock] += np.count_nonzero(errors, axis=(0, 2))
+                    faulty_vectors[clock] += np.count_nonzero(
+                        errors.any(axis=0), axis=1
+                    )
+        (dynamic_energy,) = self._dynamic_energies_of(stimulus, [annotation])
         n_vectors, n_outputs = expected.shape
-        results = []
-        for tclk in tclks:
-            errors = _latch_bits(output_arrival, tclk, mismatch)
-            results.append(
-                VariationErrorCounts(
-                    bit_errors=np.count_nonzero(errors, axis=(0, 2)),
-                    faulty_vectors=np.count_nonzero(errors.any(axis=0), axis=1),
-                    n_vectors=n_vectors,
-                    n_outputs=n_outputs,
-                    dynamic_energy=dynamic_energy,
-                    static_energy_per_operation=leakage_power * tclk,
-                    tclk=float(tclk),
-                )
+        return [
+            VariationErrorCounts(
+                bit_errors=bit_errors[clock],
+                faulty_vectors=faulty_vectors[clock],
+                n_vectors=n_vectors,
+                n_outputs=n_outputs,
+                dynamic_energy=dynamic_energy,
+                static_energy_per_operation=leakage_power * tclk,
+                tclk=float(tclk),
             )
-        return results
+            for clock, tclk in enumerate(tclks)
+        ]
 
     # -- cached sweep state ----------------------------------------------------
 
@@ -627,18 +654,18 @@ class VosTimingSimulator:
         flat_previous = {net: array.ravel() for net, array in previous.items()}
         new_words, n_vectors = engine.evaluate_packed(self._netlist, flat_current)
         old_words, _ = engine.evaluate_packed(self._netlist, flat_previous)
-        changed = engine.unpack_vectors(new_words ^ old_words, n_vectors)
         outputs = self._output_net_array
         settled = np.ascontiguousarray(
             engine.unpack_vectors(new_words[outputs], n_vectors).T
         )
         settled_words = bits_to_int(settled)
-        for array in (changed, settled, settled_words):
+        new_words ^= old_words
+        for array in (new_words, settled, settled_words):
             array.setflags(write=False)
         record = _StimulusRecord(
             key=key,
             n_vectors=n_vectors,
-            changed=changed,
+            changed=engine.ToggleWords(new_words, n_vectors),
             settled_bits=settled,
             settled_words=settled_words,
         )
@@ -648,13 +675,23 @@ class VosTimingSimulator:
         return record
 
     def _exact_arrivals(
-        self, changed: np.ndarray, gate_delays: np.ndarray, pass_span: Any = NULL_SPAN
+        self,
+        changed: "np.ndarray | engine.ToggleWords",
+        gate_delays: np.ndarray,
+        pass_span: Any = NULL_SPAN,
     ) -> np.ndarray:
-        """Output arrivals ``(vectors, outputs)`` of one exact arrival pass."""
-        arrival = self._plan.arrival_pass(
-            changed, gate_delays, self._output_nets, pass_span
-        )
-        return arrival.T.copy()
+        """Output arrivals ``(vectors, outputs)`` of one exact arrival pass.
+
+        Each block's output rows are written straight into their columns.
+        """
+        arrival = np.empty((changed.shape[1], len(self._output_nets)))
+        for start, rows, slots in self._plan.arrival_blocks(
+            changed, gate_delays[None, :], self._output_nets, pass_span
+        ):
+            block = arrival[start : start + rows.shape[-1]]
+            for output, slot in enumerate(slots):
+                block[:, output] = rows[slot, 0]
+        return arrival
 
     def _unit_arrivals_of(
         self, stimulus: _StimulusRecord
@@ -712,13 +749,16 @@ class VosTimingSimulator:
 
 
 def _dynamic_energies(
-    changed: np.ndarray, gate_nets: np.ndarray, switch_energies: Iterable[np.ndarray]
+    changed: engine.ToggleWords,
+    gate_nets: np.ndarray,
+    switch_energies: Iterable[np.ndarray],
 ) -> list[np.ndarray]:
     """``energies @ changed[gate_nets].astype(float64)`` for several supplies.
 
     Walks the vectors in blocks of :data:`_ENERGY_BLOCK`, the last of which
-    runs to the end of the stream: each block of gate-output toggles is cast
-    to float64 once and reduced once per supply, so the float64 operand
+    runs to the end of the stream: each block of gate-output toggles is
+    unpacked from ``changed`` and cast to float64 once, and reduced once
+    per supply, so the float64 operand
     never exceeds ``(gates, 2 * _ENERGY_BLOCK)``.  The BLAS kernels sum each
     vector's gates in one order, except for the last few vectors of an
     operand (fewer than their row unroll), which they reduce apart.  Blocks
@@ -733,14 +773,14 @@ def _dynamic_energies(
     block: the full product, at its size.
     """
     switch_energies = list(switch_energies)
-    n_vectors = changed.shape[1]
+    n_vectors = changed.n_vectors
     results = [np.empty(n_vectors) for _ in switch_energies]
     block_size = _ENERGY_BLOCK if repro.ONE_BLAS_THREAD else max(n_vectors, 1)
     n_blocks = max(n_vectors // block_size, 1)
     for block_index in range(n_blocks):
         start = block_index * block_size
         stop = n_vectors if block_index == n_blocks - 1 else start + block_size
-        block = changed[gate_nets, start:stop].astype(np.float64)
+        block = changed.block(start, stop, gate_nets).astype(np.float64)
         for energies, result in zip(switch_energies, results):
             result[start:stop] = energies @ block
     return results

@@ -130,7 +130,8 @@ class TestAboveThresholdParity:
         simulator = VosTimingSimulator(netlist, output_ports=ports)
         plan = engine.compile_plan(netlist)
         delays = simulator.annotation(0.6, 0.0).gate_delays
-        changed = simulator._stimulus(assignment, None).changed
+        stimulus = simulator._stimulus(assignment, None)
+        changed = engine.unpack_vectors(stimulus.changed.words, stimulus.n_vectors)
         nets = range(plan.net_count)
         whole = plan.arrival_pass(changed, delays, nets)
         chunks = [

@@ -59,7 +59,8 @@ for circuit, width in ((build_adder("ksa", 32), 32), (array_multiplier(4), 4)):
             circuit.netlist, output_ports=circuit.output_ports()
         )
         triads = [OperatingTriad(1e-9, vdd, 0.0) for vdd in (1.0, 0.8, 0.6, 0.5)]
-        changed = simulator._stimulus(assignment, None).changed
+        stimulus = simulator._stimulus(assignment, None)
+        changed = engine.unpack_vectors(stimulus.changed.words, n_vectors)
         toggles = changed[plan.gate_output_nets].astype(np.float64)
         for triad, result in zip(triads, simulator.run_sweep(assignment, triads)):
             energies = simulator.annotation(triad.vdd, 0.0).gate_switch_energies

@@ -207,13 +207,13 @@ class TestSweepReuse:
         )
         plan = engine.compile_plan(adder.netlist)
         widths = []
-        original = plan.arrival_pass
+        original = plan.arrival_blocks
 
         def counting(changed, *args):
             widths.append(changed.shape[1])
             return original(changed, *args)
 
-        monkeypatch.setattr(plan, "arrival_pass", counting)
+        monkeypatch.setattr(plan, "arrival_blocks", counting)
         assignment = adder.input_assignment(*_operands(8))
         base = simulator.annotation(0.6, 0.0).critical_path_delay
         points = ((0.6, 0.0), (0.8, 2.0), (0.5, -2.0))

@@ -75,7 +75,8 @@ def _output_nets(simulator):
 def _stale_bits(simulator, assignment):
     """Previous-cycle output bits: the settled bits, flipped where toggled."""
     stimulus = simulator._stimulus(assignment, None)
-    return stimulus.settled_bits ^ stimulus.changed[_output_nets(simulator)].T
+    changed = engine.unpack_vectors(stimulus.changed.words, stimulus.n_vectors)
+    return stimulus.settled_bits ^ changed[_output_nets(simulator)].T
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,11 @@ def test_pass_reports_the_rows_it_allocated(n_vectors):
         changed[:, : n_vectors // 2], np.ones((2, plan.gate_count)), outputs, several
     )
     # At or above the threshold the per-gate regime holds the live rows;
-    # below it the gathered regime holds every net.
+    # below it the gathered regime holds every net.  Either way a stream
+    # this short is one block of its own length.
     expected = 178 if n_vectors >= THRESHOLD else plan.net_count
-    assert one.attrs == {"live_rows": expected}
-    assert several.attrs == {"live_rows": expected}
+    assert one.attrs == {"live_rows": expected, "block_vectors": n_vectors}
+    assert several.attrs == {"live_rows": expected, "block_vectors": n_vectors // 2}
 
 
 def _adder_case(architecture, n_vectors, seed=41):
@@ -170,7 +171,7 @@ class TestEdgeCases:
         plan = engine.compile_plan(netlist)
         delays = simulator.annotation(0.7, 0.0).gate_delays
         full = plan.arrival_pass(changed, delays, range(plan.net_count))
-        below = plan.arrival_pass(changed[:, :500], delays, range(plan.net_count))
+        below = plan.arrival_pass(changed.block(0, 500), delays, range(plan.net_count))
         assert below.tobytes() == full[:, :500].tobytes()
         x, y = netlist.primary_outputs["x"], netlist.primary_outputs["y"]
         dangling = next(g.output for g in netlist.gates if g.name == "dangling")
@@ -214,12 +215,18 @@ def test_engine_pass_spans_carry_their_buffer_rows(tmp_path):
         simulator.run(small, tclk=1e-9, vdd=0.8)
     tracer.close()
     passes = [r["attrs"] for r in load_trace(trace) if r["name"] == "engine.pass"]
-    rows = {
-        (p["kind"], p["vectors"]): p["live_rows"] for p in passes if "live_rows" in p
+    buffers = {
+        (p["kind"], p["vectors"]): (p["live_rows"], p["block_vectors"])
+        for p in passes
+        if "live_rows" in p
     }
-    assert rows == {
-        ("arrival", ABOVE): 178,
-        ("variation", ABOVE): 178,
+    assert buffers == {
+        # One instance: the whole stream fits one block.
+        ("arrival", ABOVE): (178, ABOVE),
+        # Two instances: blocks of whole words within the byte budget.
+        ("variation", ABOVE): (178, 2176),
         # 100 elements per row: the gathered regime holds every net.
-        ("arrival", 100): engine.compile_plan(adder.netlist).net_count,
+        ("arrival", 100): (engine.compile_plan(adder.netlist).net_count, 100),
     }
+    # live_rows x instances x block_vectors x 8 is the buffer of the pass.
+    assert 178 * 2 * 2176 * 8 <= engine._ARRIVAL_BLOCK_BYTES < 178 * 2 * 2240 * 8

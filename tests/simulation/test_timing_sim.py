@@ -306,7 +306,8 @@ class TestEnergyOperand:
             OperatingTriad(tclk=1e-9, vdd=vdd, vbb=vbb)
             for vdd, vbb in self.OPERATING_POINTS
         ]
-        changed = simulator._stimulus(assignment, None).changed
+        stimulus = simulator._stimulus(assignment, None)
+        changed = engine.unpack_vectors(stimulus.changed.words, stimulus.n_vectors)
         toggles = changed[engine.compile_plan(circuit.netlist).gate_output_nets]
         for triad, result in zip(triads, simulator.run_sweep(assignment, triads)):
             energies = simulator.annotation(triad.vdd, triad.vbb).gate_switch_energies
@@ -400,7 +401,7 @@ class TestBlockedEnergy:
         supplies = [rng.random(plan.gate_count) * 1e-15 for _ in range(3)]
         toggles = changed[plan.gate_output_nets].astype(np.float64)
         blocked = timing_sim._dynamic_energies(
-            changed, plan.gate_output_nets, supplies
+            engine.ToggleWords.pack(changed), plan.gate_output_nets, supplies
         )
         for energies, got in zip(supplies, blocked):
             assert got.tobytes() == (energies @ toggles).tobytes()

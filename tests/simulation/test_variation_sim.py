@@ -101,15 +101,13 @@ class TestRunVariationCounts:
         annotation = simulator.annotation(0.6, 0.0)
         golden = _golden(simulator, assignment)
         calls = {"count": 0}
-        original = engine.CompiledNetlistPlan.batched_arrival_pass
+        original = engine.CompiledNetlistPlan.arrival_blocks
 
         def counting(self, *args, **kwargs):
             calls["count"] += 1
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(
-            engine.CompiledNetlistPlan, "batched_arrival_pass", counting
-        )
+        monkeypatch.setattr(engine.CompiledNetlistPlan, "arrival_blocks", counting)
         critical = annotation.critical_path_delay
         results = simulator.run_variation_counts(
             assignment,

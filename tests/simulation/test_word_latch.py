@@ -83,7 +83,8 @@ def _stimulus(bench, in1, in2):
 
 def _stale_bits(bench, stimulus):
     """Previous-cycle output bits: the settled bits, flipped where toggled."""
-    return stimulus.settled_bits ^ stimulus.changed[_outputs(bench)].T
+    changed = engine.unpack_vectors(stimulus.changed.words, stimulus.n_vectors)
+    return stimulus.settled_bits ^ changed[_outputs(bench)].T
 
 
 def _output_arrivals(bench, changed, gate_delays):

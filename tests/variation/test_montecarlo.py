@@ -159,7 +159,7 @@ class TestCaching:
         def explode(self, *args, **kwargs):
             raise AssertionError("warm rerun must not simulate")
 
-        monkeypatch.setattr(CompiledNetlistPlan, "batched_arrival_pass", explode)
+        monkeypatch.setattr(CompiledNetlistPlan, "arrival_blocks", explode)
         warm = _run(rca8_mc, stimulus_600, config, store=store)
         for a, b in zip(cold, warm):
             assert np.array_equal(a.ber_samples, b.ber_samples)
