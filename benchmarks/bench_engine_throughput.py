@@ -8,20 +8,24 @@ Two measurements, persisted so future PRs have a perf trajectory:
     gate, fed with the seed's vector-major stimulus layout (whose per-port
     bit columns are strided views -- reproduced here verbatim so the
     baseline stays the code this PR replaced),
-  - the in-repo per-gate oracle (``reference.logic_values``, same loop but
-    fed with the engine's bit-major contiguous layout),
-  - the compiled level-packed engine on boolean arrays (``run``),
+  - the in-repo per-gate oracle (``tests/_reference.py``'s
+    ``logic_values``, same loop but fed with the engine's bit-major
+    contiguous layout),
+  - the compiled level-packed engine on boolean arrays
+    (``engine.evaluate_values``),
   - the compiled engine in bit-packed uint64 mode, 64 vectors per word
-    (``run_outputs``).
+    (``engine.evaluate_packed``), unpacked to the primary outputs.
 
 * **Fig. 4 characterization sweep** of the same adder over its full matched
   triad grid, engine (sweep-level reuse) vs the per-gate oracle
-  (``reference.sweep``), with bit-identical BER/energy assertions.
+  (``sweep``), with bit-identical BER/energy assertions.
 """
 
 from __future__ import annotations
 
 import os
+import pathlib
+import sys
 import time
 
 import numpy as np
@@ -31,9 +35,12 @@ from _bench_utils import Metric, bench_vectors, write_metrics, write_output
 from repro.circuits.adders import build_adder
 from repro.core.characterization import CharacterizationFlow, entry_from_payload
 from repro.core.sweep import measurement_to_payload
-from repro.simulation import reference as oracle
-from repro.simulation.logic_sim import LogicSimulator
+from repro.simulation import engine
 from repro.simulation.patterns import PatternConfig, generate_patterns
+
+# The per-gate oracle lives with the parity tests it serves.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+import _reference as oracle  # noqa: E402
 
 #: The golden-simulation measurement uses at least a 64 K-vector stimulus
 #: (about 3x the paper's 20 K): below that, Python call overhead -- not
@@ -83,10 +90,24 @@ def _seed_assignment(adder, in1: np.ndarray, in2: np.ndarray) -> dict:
     return assignment
 
 
+def _compiled_values(netlist, assignment) -> np.ndarray:
+    """Settled value of every net, on boolean arrays."""
+    return engine.evaluate_values(netlist, engine.bind_inputs(netlist, assignment))
+
+
+def _packed_outputs(netlist, assignment) -> np.ndarray:
+    """Settled primary outputs, evaluated 64 vectors per word."""
+    words, n_vectors = engine.evaluate_packed(
+        netlist, engine.bind_inputs(netlist, assignment)
+    )
+    nets = np.fromiter(netlist.primary_outputs.values(), dtype=np.intp)
+    return engine.unpack_vectors(words[nets], n_vectors)
+
+
 def test_engine_throughput(benchmark):
     """Measure golden-sim and sweep throughput; assert engine speedups."""
     adder = build_adder("rca", 8)
-    simulator = LogicSimulator(adder.netlist)
+    netlist = adder.netlist
 
     n_golden = max(bench_vectors(), GOLDEN_MIN_VECTORS)
     rng = np.random.default_rng(2017)
@@ -96,18 +117,18 @@ def test_engine_throughput(benchmark):
     seed_assignment = _seed_assignment(adder, in1, in2)
 
     # Bit-exactness of every path against the seed loop.
-    seed_values = oracle.logic_values(adder.netlist, seed_assignment)
-    compiled_values = simulator.run(assignment)
-    packed_outputs = simulator.run_outputs(assignment)
+    seed_values = oracle.logic_values(netlist, seed_assignment)
+    compiled_values = _compiled_values(netlist, assignment)
+    packed_outputs = _packed_outputs(netlist, assignment)
     for net in seed_values:
         assert np.array_equal(seed_values[net], compiled_values[net])
-    for port, net in adder.netlist.primary_outputs.items():
-        assert np.array_equal(packed_outputs[port], seed_values[net])
+    for row, net in enumerate(netlist.primary_outputs.values()):
+        assert np.array_equal(packed_outputs[row], seed_values[net])
 
-    t_seed = _best_time(lambda: oracle.logic_values(adder.netlist, seed_assignment))
-    t_reference = _best_time(lambda: oracle.logic_values(adder.netlist, assignment))
-    t_compiled = _best_time(lambda: simulator.run(assignment))
-    t_packed = _best_time(lambda: simulator.run_outputs(assignment))
+    t_seed = _best_time(lambda: oracle.logic_values(netlist, seed_assignment))
+    t_reference = _best_time(lambda: oracle.logic_values(netlist, assignment))
+    t_compiled = _best_time(lambda: _compiled_values(netlist, assignment))
+    t_packed = _best_time(lambda: _packed_outputs(netlist, assignment))
     packed_speedup = t_seed / t_packed
 
     lines = [
@@ -188,4 +209,4 @@ def test_engine_throughput(benchmark):
     )
     assert sweep_speedup > 1.0, "sweep-level reuse must beat the per-triad loop"
 
-    benchmark(lambda: simulator.run_outputs(assignment))
+    benchmark(lambda: _packed_outputs(netlist, assignment))

@@ -66,9 +66,7 @@ del _variable
 from repro.core import (
     OperatingTriad,
     TriadGrid,
-    paper_triad_grid,
     CharacterizationFlow,
-    characterize_benchmarks,
     SweepResultStore,
     AdderCharacterization,
     TriadCharacterization,
@@ -122,9 +120,7 @@ __version__ = "1.0.0"
 __all__ = [
     "OperatingTriad",
     "TriadGrid",
-    "paper_triad_grid",
     "CharacterizationFlow",
-    "characterize_benchmarks",
     "SweepResultStore",
     "AdderCharacterization",
     "TriadCharacterization",

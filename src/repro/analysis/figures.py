@@ -230,10 +230,6 @@ class Fig8Series:
     ber_percent: np.ndarray
     energy_per_operation_pj: np.ndarray
 
-    def zero_ber_count(self) -> int:
-        """Number of triads with exactly zero BER."""
-        return int(np.sum(self.ber_percent == 0.0))
-
 
 def fig8_ber_energy_series(characterization: AdderCharacterization) -> Fig8Series:
     """Reproduce one Fig. 8 sub-plot from a characterization."""

@@ -317,11 +317,6 @@ class Session:
         """
         return self._view
 
-    @property
-    def default_jobs(self) -> int:
-        """Worker-process count jobs without their own SweepOptions inherit."""
-        return self._default_jobs
-
     def flow_for(self, spec: OperatorSpec | str) -> CharacterizationFlow:
         """The (cached) characterization flow of one operator spec."""
         if isinstance(spec, str):

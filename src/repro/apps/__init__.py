@@ -21,9 +21,8 @@ from repro.apps.image import (
     box_blur,
     sobel_magnitude,
     synthetic_gradient_image,
-    synthetic_checkerboard_image,
 )
-from repro.apps.dct import dct_1d, dct_matrix, blockwise_dct
+from repro.apps.dct import dct_1d, dct_matrix
 
 __all__ = [
     "psnr_db",
@@ -36,8 +35,6 @@ __all__ = [
     "box_blur",
     "sobel_magnitude",
     "synthetic_gradient_image",
-    "synthetic_checkerboard_image",
     "dct_1d",
     "dct_matrix",
-    "blockwise_dct",
 ]

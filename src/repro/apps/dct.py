@@ -60,31 +60,6 @@ def dct_1d(
     return coefficients
 
 
-def blockwise_dct(
-    signal: np.ndarray,
-    block_size: int = 8,
-    adder: ApproximateAdderModel | None = None,
-) -> np.ndarray:
-    """Apply the 1-D DCT to consecutive blocks of a long signal.
-
-    The trailing partial block (if any) is zero-padded.
-    """
-    if block_size <= 0:
-        raise ValueError("block_size must be positive")
-    samples = np.asarray(signal, dtype=np.int64).reshape(-1)
-    n_blocks = (samples.size + block_size - 1) // block_size
-    padded = np.zeros(n_blocks * block_size, dtype=np.int64)
-    padded[: samples.size] = samples
-    matrix = dct_matrix(block_size)
-    output = np.empty_like(padded)
-    for index in range(n_blocks):
-        start = index * block_size
-        output[start : start + block_size] = dct_1d(
-            padded[start : start + block_size], adder=adder, matrix=matrix
-        )
-    return output
-
-
 def _accumulate(products: np.ndarray, adder: ApproximateAdderModel | None) -> int:
     if adder is None:
         return int(products.sum())

@@ -114,17 +114,3 @@ class FirFilter:
         pos_total = self.adder.accumulate(positive) if positive.size else 0
         neg_total = self.adder.accumulate(negative) if negative.size else 0
         return int(pos_total) - int(neg_total)
-
-    def frequency_response(self, n_points: int = 128) -> np.ndarray:
-        """Magnitude of the filter's frequency response (exact coefficients)."""
-        if n_points <= 0:
-            raise ValueError("n_points must be positive")
-        frequencies = np.linspace(0.0, 0.5, n_points)
-        taps = np.arange(self.taps)
-        response = np.array(
-            [
-                abs(np.sum(self.coefficients * np.exp(-2j * np.pi * f * taps)))
-                for f in frequencies
-            ]
-        )
-        return response

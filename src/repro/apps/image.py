@@ -24,22 +24,6 @@ def synthetic_gradient_image(height: int = 32, width: int = 32) -> np.ndarray:
     return image.astype(np.int64)
 
 
-def synthetic_checkerboard_image(
-    height: int = 32, width: int = 32, tile: int = 4, low: int = 32, high: int = 224
-) -> np.ndarray:
-    """Checkerboard test image exercising strong local contrast."""
-    if height <= 0 or width <= 0:
-        raise ValueError("image dimensions must be positive")
-    if tile <= 0:
-        raise ValueError("tile must be positive")
-    if not (0 <= low <= 255 and 0 <= high <= 255):
-        raise ValueError("low/high must be 8-bit pixel values")
-    rows = (np.arange(height) // tile).reshape(-1, 1)
-    cols = (np.arange(width) // tile).reshape(1, -1)
-    board = (rows + cols) % 2
-    return np.where(board == 0, low, high).astype(np.int64)
-
-
 def convolve2d(
     image: np.ndarray,
     kernel: np.ndarray,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.circuits.cells import GATE_ARITY, GateType
 
@@ -220,21 +220,12 @@ class Netlist:
         """Number of gate inputs (plus primary outputs) the net drives."""
         return self._fanout_counts[net]
 
-    def logic_level(self, net: int) -> int:
-        """Depth of the net in gate levels (primary inputs are level 0)."""
-        return self._logic_levels[net]
-
     def gate_type_histogram(self) -> dict[str, int]:
         """Count of gate instances per cell type (for synthesis reports)."""
         histogram: dict[str, int] = {}
         for gate in self._gates:
             histogram[gate.gate_type.value] = histogram.get(gate.gate_type.value, 0) + 1
         return dict(sorted(histogram.items()))
-
-    @property
-    def topological_gate_levels(self) -> tuple[int, ...]:
-        """Logic level of each gate's output, indexed like ``topological_gates``."""
-        return tuple(self._logic_levels[gate.output] for gate in self._topological_gates)
 
     def level_groups(self) -> tuple[tuple[int, GateType, tuple[int, ...]], ...]:
         """Same-typed gates grouped per evaluation wave, as topological indices.
@@ -280,12 +271,6 @@ class Netlist:
                 for (wave, type_name), indices in sorted(buckets.items())
             )
         return self._level_groups
-
-    def iter_gates_by_level(self) -> Iterator[Gate]:
-        """Iterate gates ordered by logic level then declaration order."""
-        return iter(
-            sorted(self._topological_gates, key=lambda gate: self._logic_levels[gate.output])
-        )
 
     def __repr__(self) -> str:
         return (

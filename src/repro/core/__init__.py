@@ -30,7 +30,6 @@ Modules:
 from repro.core.triad import (
     OperatingTriad,
     TriadGrid,
-    paper_triad_grid,
     matched_triad_grid,
     benchmark_triad_grid,
     PAPER_CLOCK_PERIODS_NS,
@@ -40,7 +39,6 @@ from repro.core.triad import (
 )
 from repro.core.metrics import (
     bit_error_rate,
-    bitwise_error_probability,
     mean_squared_error,
     hamming_distance,
     normalized_hamming_distance,
@@ -61,7 +59,6 @@ from repro.core.characterization import (
     TriadCharacterization,
     AdderCharacterization,
     CharacterizationFlow,
-    characterize_benchmarks,
 )
 from repro.core.store import (
     SweepResultStore,
@@ -82,13 +79,11 @@ from repro.core.dataset import (
     save_characterization,
     load_characterization,
     save_probability_table,
-    load_probability_table,
 )
 
 __all__ = [
     "OperatingTriad",
     "TriadGrid",
-    "paper_triad_grid",
     "matched_triad_grid",
     "benchmark_triad_grid",
     "PAPER_CLOCK_PERIODS_NS",
@@ -96,7 +91,6 @@ __all__ = [
     "PAPER_SUPPLY_VOLTAGES",
     "PAPER_BODY_BIAS_VOLTAGES",
     "bit_error_rate",
-    "bitwise_error_probability",
     "mean_squared_error",
     "hamming_distance",
     "normalized_hamming_distance",
@@ -114,7 +108,6 @@ __all__ = [
     "TriadCharacterization",
     "AdderCharacterization",
     "CharacterizationFlow",
-    "characterize_benchmarks",
     "SweepResultStore",
     "library_fingerprint",
     "netlist_fingerprint",
@@ -130,5 +123,4 @@ __all__ = [
     "save_characterization",
     "load_characterization",
     "save_probability_table",
-    "load_probability_table",
 ]

@@ -185,13 +185,6 @@ class CarryProbabilityTable:
         """``P(Cmax = cmax | Cth_max = cth_max)``."""
         return float(self._matrix[cmax, cth_max])
 
-    def expected_cmax(self, cth_max: int) -> float:
-        """Expected realised chain length for a given theoretical length."""
-        column = self._matrix[:, cth_max]
-        if column.sum() == 0:
-            return float(cth_max)
-        return float(np.dot(np.arange(self._width + 1), column))
-
     def sample(self, cth_max: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw ``Cmax`` values for an array of theoretical chain lengths.
 

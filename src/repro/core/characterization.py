@@ -489,38 +489,3 @@ def characterization_from_payloads(
         n_vectors=int(np.asarray(in1).size),
         seed=seed,
     )
-
-
-def characterize_benchmarks(
-    benchmarks: Sequence[tuple[str, int]] = (("rca", 8), ("bka", 8), ("rca", 16), ("bka", 16)),
-    pattern_vectors: int = 2048,
-    pattern_kind: str = "uniform",
-    seed: int = 2017,
-    library: StandardCellLibrary = DEFAULT_LIBRARY,
-    jobs: int = 1,
-    store: SweepResultStore | None = None,
-    keep_measurements: bool = True,
-) -> dict[str, AdderCharacterization]:
-    """Characterize the paper's four benchmark adders in one call.
-
-    Returns a mapping from benchmark name (``"rca8"`` ...) to its
-    characterization; used by the figure/table generators and the examples.
-
-    ``jobs`` shards every adder's triad grid over worker processes and
-    ``store`` makes repeated invocations warm-cache hits (bit-identical to a
-    cold serial run in both cases).
-    """
-    characterizations: dict[str, AdderCharacterization] = {}
-    for architecture, width in benchmarks:
-        flow = CharacterizationFlow.for_benchmark(architecture, width, library=library)
-        config = PatternConfig(
-            n_vectors=pattern_vectors, width=width, seed=seed, kind=pattern_kind
-        )
-        characterization = flow.run(
-            pattern=config,
-            jobs=jobs,
-            store=store,
-            keep_measurements=keep_measurements,
-        )
-        characterizations[characterization.adder_name] = characterization
-    return characterizations

@@ -83,18 +83,6 @@ def save_probability_table(
     )
 
 
-def load_probability_table(path: str | pathlib.Path) -> CarryProbabilityTable:
-    """Read a carry probability table from a JSON file."""
-    payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    version = payload.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported table format version: {version!r}")
-    return CarryProbabilityTable(
-        width=int(payload["width"]),
-        probabilities=np.asarray(payload["matrix"], dtype=float),
-    )
-
-
 # -- helpers -------------------------------------------------------------------
 
 

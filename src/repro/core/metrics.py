@@ -50,15 +50,6 @@ def bit_error_rate(reference: np.ndarray, observed: np.ndarray, width: int) -> f
     return float(differing.mean())
 
 
-def bitwise_error_probability(
-    reference: np.ndarray, observed: np.ndarray, width: int
-) -> np.ndarray:
-    """Per-bit-position error probability (LSB first), the Fig. 5 quantity."""
-    ref, obs = _as_int_arrays(reference, observed)
-    differing = int_to_bits(ref, width) != int_to_bits(obs, width)
-    return differing.reshape(-1, width).mean(axis=0)
-
-
 def mean_squared_error(reference: np.ndarray, observed: np.ndarray) -> float:
     """Mean squared numerical error between output words."""
     ref, obs = _as_int_arrays(reference, observed)

@@ -71,10 +71,6 @@ class ApproximateAdderModel:
         cmax = self.table.sample(cth, self._rng)
         return carry_truncated_add(a, b, self.width, cmax)
 
-    def add_exact(self, in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
-        """Exact addition with the same operand validation (for comparisons)."""
-        return self._prepare(in1) + self._prepare(in2)
-
     # -- composite helpers used by the applications ----------------------------
 
     def accumulate(self, values: np.ndarray) -> int:

@@ -112,18 +112,9 @@ class DynamicSpeculationController:
         """Current smoothed BER estimate."""
         return self._estimate
 
-    @property
-    def pareto_entries(self) -> list[TriadCharacterization]:
-        """The Pareto front the controller walks along (ordered by BER)."""
-        return list(self._front)
-
     def current_entry(self) -> TriadCharacterization:
         """Characterization entry of the currently selected triad."""
         return self._front[self._index]
-
-    def current_triad(self) -> OperatingTriad:
-        """The currently selected operating triad."""
-        return self.current_entry().triad
 
     # -- control loop --------------------------------------------------------------
 

@@ -755,11 +755,6 @@ class SweepResultStore:
         self._refresh()
         return len(self._index)
 
-    def entry_keys(self) -> list[str]:
-        """Sorted keys of every stored entry."""
-        self._refresh()
-        return sorted(self._index)
-
     def snapshot(self) -> dict[str, str]:
         """Canonical-JSON payloads of every entry, keyed by entry key.
 

@@ -53,11 +53,6 @@ class OperatingTriad:
         """Clock period in nanoseconds (the unit used in the paper's labels)."""
         return self.tclk * 1e9
 
-    @property
-    def frequency_hz(self) -> float:
-        """Clock frequency in hertz."""
-        return 1.0 / self.tclk
-
     def label(self) -> str:
         """The paper's x-axis label format: ``Tclk(ns),Vdd(V),Vbb(V)``."""
         vbb_text = "±2" if abs(self.vbb) == 2.0 else f"{self.vbb:g}"
@@ -188,24 +183,6 @@ def benchmark_triad_grid(clock_periods_ns: Sequence[float]) -> TriadGrid:
     ):
         triads.append(OperatingTriad(tclk=tclk_ns * 1e-9, vdd=vdd, vbb=vbb))
     return TriadGrid(triads)
-
-
-def paper_triad_grid(adder_name: str) -> TriadGrid:
-    """The Table III / Fig. 8 triad grid for one of the paper's benchmarks.
-
-    Parameters
-    ----------
-    adder_name:
-        One of ``"rca8"``, ``"bka8"``, ``"rca16"``, ``"bka16"``.
-    """
-    try:
-        periods = PAPER_CLOCK_PERIODS_NS[adder_name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown benchmark {adder_name!r}; "
-            f"available: {', '.join(sorted(PAPER_CLOCK_PERIODS_NS))}"
-        ) from None
-    return benchmark_triad_grid(periods)
 
 
 def matched_triad_grid(adder_name: str, measured_critical_path: float) -> TriadGrid:

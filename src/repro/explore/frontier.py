@@ -190,17 +190,6 @@ class ParetoFrontier:
             return NotImplemented
         return self._points == other._points
 
-    def best_within_ber(self, max_ber: float) -> FrontierPoint:
-        """Lowest-energy frontier point whose BER does not exceed the budget."""
-        candidates = [point for point in self._points if point.ber <= max_ber]
-        if not candidates:
-            raise ValueError(f"no frontier point has BER <= {max_ber}")
-        return min(candidates, key=lambda point: (point.energy_per_operation, point))
-
-    def operator_names(self) -> tuple[str, ...]:
-        """Distinct operator configurations on the frontier, sorted."""
-        return tuple(sorted({point.operator_name for point in self._points}))
-
     # -- persistence -----------------------------------------------------------
 
     def to_json(self) -> dict[str, Any]:

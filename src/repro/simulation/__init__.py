@@ -3,8 +3,6 @@
 The paper characterises its adders with transistor-level Eldo SPICE
 simulations; this package provides the functional equivalent:
 
-* :mod:`repro.simulation.logic_sim`  -- vectorised boolean simulation of a
-  netlist (golden values).
 * :mod:`repro.simulation.timing_sim` -- vectorised data-dependent timing
   simulation under an operating triad: per-net arrival times are propagated
   through the netlist and outputs whose arrival exceeds the clock period
@@ -23,9 +21,7 @@ simulations; this package provides the functional equivalent:
   per-netlist / per-operating-point metadata all simulators share.
 
 Each simulator has one simulation path.  The per-gate loops the engine
-replaced live on as the oracle :mod:`repro.simulation.reference`, which
-only the parity tests and the throughput benchmark import (it is not
-imported here).
+replaced are the parity tests' oracle, under ``tests/``.
 """
 
 from repro.simulation.engine import (
@@ -34,7 +30,6 @@ from repro.simulation.engine import (
     pack_vectors,
     unpack_vectors,
 )
-from repro.simulation.logic_sim import LogicSimulator
 from repro.simulation.timing_sim import (
     TimingAnnotation,
     VosTimingSimulator,
@@ -60,7 +55,6 @@ from repro.simulation.fault_injection import (
 from repro.simulation.testbench import TriadMeasurement, OperatorTestbench
 
 __all__ = [
-    "LogicSimulator",
     "TimingAnnotation",
     "VosTimingSimulator",
     "VosSimulationResult",

@@ -584,82 +584,6 @@ class CompiledNetlistPlan:
         self._row_schedules[key] = schedule
         return schedule
 
-    def arrival_pass(
-        self,
-        changed: "np.ndarray | ToggleWords",
-        gate_delays: np.ndarray,
-        nets: Sequence[int],
-        pass_span: Any = NULL_SPAN,
-    ) -> np.ndarray:
-        """Data-dependent arrival times of the ``nets`` a caller reads.
-
-        Parameters
-        ----------
-        changed:
-            Toggle mask per net, a boolean ``(net_count, n_vectors)`` matrix
-            with primary-input rows filled, or its :class:`ToggleWords`.
-        gate_delays:
-            Per-gate delays in seconds, indexed like ``topological_gates``.
-        nets:
-            Net ids whose arrival rows are returned, in this order.
-        pass_span:
-            Trace span that receives the buffer's ``live_rows`` and
-            ``block_vectors``.
-
-        Returns arrival times of shape ``(len(nets), n_vectors)``.  A net
-        that does not toggle has arrival 0; a toggling net settles one gate
-        delay after its latest *toggling* input -- the same recurrence as the
-        legacy per-gate loop.  This is the one-instance case of
-        :meth:`batched_arrival_pass`.
-        """
-        delays = np.asarray(gate_delays, dtype=float)[None, :]
-        return self.batched_arrival_pass(changed, delays, nets, pass_span)[:, 0, :]
-
-    def batched_arrival_pass(
-        self,
-        changed: "np.ndarray | ToggleWords",
-        gate_delay_matrix: np.ndarray,
-        nets: Sequence[int],
-        pass_span: Any = NULL_SPAN,
-    ) -> np.ndarray:
-        """Arrival times of the read ``nets`` for a *batch* of delay assignments.
-
-        The Monte Carlo variation subsystem evaluates many sampled delay
-        instances of one netlist against one toggle mask; the instance axis
-        rides along every row, so a whole batch costs one schedule walk per
-        block of vectors, not a Python loop over instances.  The blocks of
-        :meth:`arrival_blocks` are copied into the returned array as they
-        land; a caller that reduces the arrivals can walk the blocks itself
-        and never hold them all.
-
-        Parameters
-        ----------
-        changed:
-            Toggle mask per net, a boolean ``(net_count, n_vectors)`` matrix
-            or its :class:`ToggleWords` -- variation-independent (delays
-            never change logic values).
-        gate_delay_matrix:
-            Per-instance per-gate delays in seconds, shape
-            ``(n_instances, gate_count)``; finite and non-negative.
-        nets:
-            Net ids whose arrival rows are returned, in this order.
-        pass_span:
-            Trace span that receives ``live_rows`` and ``block_vectors``
-            (see :meth:`arrival_blocks`).
-
-        Returns
-        -------
-        Arrival times of shape ``(len(nets), n_instances, n_vectors)``.
-        """
-        blocks = self.arrival_blocks(changed, gate_delay_matrix, nets, pass_span)
-        n_instances = np.shape(gate_delay_matrix)[0]
-        arrival = np.empty((len(nets), n_instances, changed.shape[1]))
-        for start, rows, slots in blocks:
-            block = arrival[:, :, start : start + rows.shape[-1]]
-            for read, slot in enumerate(slots):
-                block[read] = rows[slot]
-        return arrival
-
     def arrival_blocks(
         self,
         changed: "np.ndarray | ToggleWords",

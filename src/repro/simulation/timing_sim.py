@@ -249,11 +249,6 @@ class VosSimulationResult:
         """Per-vector total (dynamic + static) energy in joules."""
         return self.dynamic_energy + self.static_energy
 
-    @property
-    def mean_energy_per_operation(self) -> float:
-        """Average energy per operation in joules."""
-        return float(self.total_energy.mean())
-
 
 @dataclasses.dataclass(frozen=True)
 class VariationErrorCounts:

@@ -100,12 +100,6 @@ class StaticTimingAnalysis:
         )
         return float(worst) * self._margin
 
-    def minimum_clock_period(self, setup_margin: float = 0.0) -> float:
-        """Smallest safe clock period (critical path + setup margin)."""
-        if setup_margin < 0:
-            raise ValueError("setup_margin must be non-negative")
-        return self.critical_path_delay + setup_margin
-
     def critical_path(self) -> TimingPath:
         """Trace and return the single worst structural path."""
         outputs = self._netlist.primary_outputs

@@ -17,7 +17,6 @@ diverges.
 
 from __future__ import annotations
 
-import math
 from typing import Union
 
 import numpy as np
@@ -125,22 +124,3 @@ def subthreshold_leakage_current(
     drain_term = 1.0 - np.exp(-vdd_arr / tech.thermal_voltage)
     leak = tech.leakage_current_nominal * drive_strength * scale * drain_term * dibl
     return np.maximum(leak, 0.0)
-
-
-def on_off_current_ratio(
-    vdd: float,
-    vbb: float = 0.0,
-    tech: TechnologyParameters = FDSOI28_LVT,
-) -> float:
-    """Ratio of drive current to leakage current at an operating point.
-
-    A sanity metric used by tests: the ratio must collapse by orders of
-    magnitude as Vdd is over-scaled towards the threshold voltage, which is
-    the physical root cause of the energy/accuracy trade-off the paper
-    explores.
-    """
-    i_on = float(drive_current(vdd, vbb, tech))
-    i_off = float(subthreshold_leakage_current(vdd, vbb, tech))
-    if i_off <= 0.0:
-        return math.inf
-    return i_on / i_off

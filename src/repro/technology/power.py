@@ -89,11 +89,6 @@ class EnergyBreakdown:
         """Total energy per operation in joules."""
         return self.dynamic + self.static
 
-    @property
-    def total_pj(self) -> float:
-        """Total energy per operation in picojoules (the unit of Fig. 8)."""
-        return self.total * 1e12
-
     def __add__(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
         return EnergyBreakdown(
             dynamic=self.dynamic + other.dynamic,

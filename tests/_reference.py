@@ -5,7 +5,7 @@ time, in topological order, with none of the engine's level packing, bit
 packing or sweep-level reuse.  They are the seed simulators kept as an
 independent check: the parity tests compare the compiled paths with them
 bit for bit, and ``benchmarks/bench_engine_throughput.py`` times them as the
-baseline.  No production module imports this one; a test enforces that.
+baseline.  They live under ``tests/`` because no entry point runs them.
 
 * :func:`logic_values` -- settled values of every net (zero delay).
 * :func:`vos_run` -- the VOS timing simulation of one triad, with explicit

@@ -5,6 +5,7 @@ import pytest
 
 import repro.api
 from repro.analysis.faults import render_fault_summary, summarize_fault_results
+from repro.api.jobs import CharacterizeJob
 from repro.api.results import StorePruneResult, StoreStatsResult
 from repro.api.session import DEFAULT_STORE, Session
 from repro.core.store import MemoryOverlayStore, StoreDiskStats, SweepResultStore
@@ -163,10 +164,10 @@ class TestCliSessionWiring:
         from repro.cli import _session, build_parser
 
         args = build_parser().parse_args(["batch", "jobs.json", "--jobs", "3"])
-        assert _session(args).default_jobs == 3
+        assert _session(args)._jobs_for(CharacterizeJob(operator="rca4")) == 3
 
     def test_commands_without_jobs_flag_default_to_serial(self):
         from repro.cli import _session, build_parser
 
         args = build_parser().parse_args(["store", "stats"])
-        assert _session(args).default_jobs == 1
+        assert _session(args)._jobs_for(CharacterizeJob(operator="rca4")) == 1

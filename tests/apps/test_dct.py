@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.dct import DCT_SCALE, blockwise_dct, dct_1d, dct_matrix
+from repro.apps.dct import DCT_SCALE, dct_1d, dct_matrix
 from repro.core.carry_model import CarryProbabilityTable
 from repro.core.modified_adder import ApproximateAdderModel
 
@@ -69,22 +69,3 @@ class TestDct1d:
         # its sign and order of magnitude.
         assert np.sign(approx[0]) == np.sign(exact[0])
         assert abs(int(approx[0]) - int(exact[0])) < abs(int(exact[0]))
-
-
-class TestBlockwiseDct:
-    def test_output_length_padded_to_block_multiple(self):
-        signal = np.arange(20)
-        output = blockwise_dct(signal, block_size=8)
-        assert output.size == 24
-
-    def test_invalid_block_size(self):
-        with pytest.raises(ValueError):
-            blockwise_dct(np.arange(8), block_size=0)
-
-    def test_blocks_are_independent(self):
-        rng = np.random.default_rng(3)
-        signal = rng.integers(0, 256, 16)
-        combined = blockwise_dct(signal, block_size=8)
-        first = dct_1d(signal[:8])
-        second = dct_1d(signal[8:])
-        assert np.array_equal(combined, np.concatenate([first, second]))

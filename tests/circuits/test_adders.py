@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.adders import ADDER_GENERATORS, build_adder
-from repro.simulation.logic_sim import LogicSimulator
+from repro.circuits.signals import bits_to_int
+from repro.simulation import engine
 
 from _netlist_validation import validate_netlist
 
@@ -14,8 +15,10 @@ ARCHITECTURES = sorted(ADDER_GENERATORS)
 
 
 def _simulate_add(adder, in1, in2):
-    simulator = LogicSimulator(adder.netlist)
-    return simulator.run_output_word(adder.input_assignment(in1, in2), adder.output_ports())
+    bound = engine.bind_inputs(adder.netlist, adder.input_assignment(in1, in2))
+    values = engine.evaluate_values(adder.netlist, bound)
+    ports = adder.netlist.primary_outputs
+    return bits_to_int(values[[ports[port] for port in adder.output_ports()]].T)
 
 
 class TestFunctionalCorrectness:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuits.builder import NetlistBuilder
 from repro.circuits.cells import GateType
-from repro.simulation.logic_sim import LogicSimulator
+from repro.simulation import engine
 
 
 class TestBuilderBasics:
@@ -78,9 +78,11 @@ class TestBuilderBasics:
 class TestCompositeHelpers:
     def _simulate(self, builder, outputs, assignments):
         netlist = builder.build()
-        simulator = LogicSimulator(netlist)
-        values = simulator.run_outputs(assignments)
-        return {name: bool(values[name][0]) for name in outputs}
+        values = engine.evaluate_values(
+            netlist, engine.bind_inputs(netlist, assignments)
+        )
+        ports = netlist.primary_outputs
+        return {name: bool(values[ports[name]][0]) for name in outputs}
 
     def test_half_adder_truth_table(self):
         for a_val, b_val in [(0, 0), (0, 1), (1, 0), (1, 1)]:

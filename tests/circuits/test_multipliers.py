@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.multipliers import array_multiplier
-from repro.simulation.logic_sim import LogicSimulator
+from repro.circuits.signals import bits_to_int
+from repro.simulation import engine
 
 from _netlist_validation import validate_netlist
 
 
 def _simulate_mul(multiplier, in1, in2):
-    simulator = LogicSimulator(multiplier.netlist)
-    return simulator.run_output_word(
-        multiplier.input_assignment(in1, in2), multiplier.output_ports()
-    )
+    netlist = multiplier.netlist
+    bound = engine.bind_inputs(netlist, multiplier.input_assignment(in1, in2))
+    values = engine.evaluate_values(netlist, bound)
+    ports = netlist.primary_outputs
+    return bits_to_int(values[[ports[port] for port in multiplier.output_ports()]].T)
 
 
 class TestArrayMultiplier:

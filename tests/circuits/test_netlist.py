@@ -28,9 +28,6 @@ class TestNetlistStructure:
 
     def test_logic_levels_and_depth(self):
         netlist = _small_netlist()
-        assert netlist.logic_level(netlist.primary_inputs["a"]) == 0
-        assert netlist.logic_level(netlist.primary_outputs["x"]) == 1
-        assert netlist.logic_level(netlist.primary_outputs["y"]) == 2
         assert netlist.logic_depth == 2
 
     def test_fanout_counts(self):
@@ -48,11 +45,6 @@ class TestNetlistStructure:
     def test_gate_type_histogram(self):
         histogram = _small_netlist().gate_type_histogram()
         assert histogram == {"AND2": 1, "XOR2": 1}
-
-    def test_iter_gates_by_level_sorted(self):
-        netlist = _small_netlist()
-        levels = [netlist.logic_level(g.output) for g in netlist.iter_gates_by_level()]
-        assert levels == sorted(levels)
 
     def test_repr_contains_name_and_counts(self):
         text = repr(_small_netlist())

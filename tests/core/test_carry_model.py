@@ -129,7 +129,6 @@ class TestCarryProbabilityTable:
         table = CarryProbabilityTable(4)
         for length in range(5):
             assert table.probability(length, length) == pytest.approx(1.0)
-            assert table.expected_cmax(length) == pytest.approx(length)
 
     def test_invalid_shapes_and_values_rejected(self):
         with pytest.raises(ValueError):

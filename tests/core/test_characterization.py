@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.characterization import CharacterizationFlow, characterize_benchmarks
+from repro.core.characterization import CharacterizationFlow
 from repro.core.triad import OperatingTriad, TriadGrid
 from repro.simulation.patterns import PatternConfig
 
@@ -130,16 +130,6 @@ class TestCharacterizationFlow:
         flow = CharacterizationFlow.for_benchmark("ksa", 8)
         grid = flow.default_triad_grid()
         assert len(grid) > 20
-
-
-class TestCharacterizeBenchmarks:
-    def test_small_run_covers_requested_benchmarks(self):
-        results = characterize_benchmarks(
-            benchmarks=(("rca", 4), ("bka", 4)), pattern_vectors=300
-        )
-        assert set(results) == {"rca4", "bka4"}
-        for characterization in results.values():
-            assert len(characterization.results) > 20
 
 
 class TestTriadIndex:

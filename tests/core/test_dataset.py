@@ -1,5 +1,7 @@
 """Tests of the JSON serialisation layer."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from repro.core.dataset import (
     characterization_from_dict,
     characterization_to_dict,
     load_characterization,
-    load_probability_table,
     save_characterization,
     save_probability_table,
 )
@@ -57,6 +58,7 @@ class TestCharacterizationSerialisation:
 
 class TestProbabilityTableSerialisation:
     def test_roundtrip(self, tmp_path):
+        """The file ``repro calibrate --output`` writes holds the whole table."""
         counts = np.zeros((9, 9))
         for length in range(9):
             counts[max(length - 2, 0), length] = 3
@@ -64,13 +66,10 @@ class TestProbabilityTableSerialisation:
         table = CarryProbabilityTable.from_counts(8, counts)
         path = tmp_path / "table.json"
         save_probability_table(table, path)
-        assert load_probability_table(path) == table
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        table = CarryProbabilityTable(4)
-        path = tmp_path / "table.json"
-        save_probability_table(table, path)
-        text = path.read_text().replace('"format_version": 1', '"format_version": 7')
-        path.write_text(text)
-        with pytest.raises(ValueError, match="format version"):
-            load_probability_table(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["format_version"] == 1
+        loaded = CarryProbabilityTable(
+            width=int(payload["width"]),
+            probabilities=np.asarray(payload["matrix"], dtype=float),
+        )
+        assert loaded == table

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.metrics import (
     DISTANCE_METRICS,
     bit_error_rate,
-    bitwise_error_probability,
     distance_metric,
     hamming_distance,
     mean_squared_error,
@@ -47,21 +46,6 @@ class TestBitErrorRate:
         ber_ba = bit_error_rate(observed, reference, 9)
         assert 0.0 <= ber_ab <= 1.0
         assert ber_ab == pytest.approx(ber_ba)
-
-
-class TestBitwiseErrorProbability:
-    def test_per_position_detection(self):
-        reference = np.zeros(4, dtype=np.int64)
-        observed = np.array([0b001, 0b001, 0b100, 0b000])
-        profile = bitwise_error_probability(reference, observed, 3)
-        assert profile.tolist() == [0.5, 0.0, 0.25]
-
-    def test_mean_matches_ber(self):
-        rng = np.random.default_rng(0)
-        reference = rng.integers(0, 512, 200)
-        observed = rng.integers(0, 512, 200)
-        profile = bitwise_error_probability(reference, observed, 9)
-        assert profile.mean() == pytest.approx(bit_error_rate(reference, observed, 9))
 
 
 class TestNumericalMetrics:

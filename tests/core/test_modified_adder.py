@@ -58,12 +58,6 @@ class TestApproximateAdderModel:
         second = model.add(a, b)
         assert np.array_equal(first, second)
 
-    def test_add_exact_reference(self):
-        model = ApproximateAdderModel(8, _truncating_table(8, 1), seed=3)
-        assert np.array_equal(
-            model.add_exact(np.array([200]), np.array([55])), np.array([255])
-        )
-
     def test_accumulate_exact_with_identity_table(self):
         model = ApproximateAdderModel(8, CarryProbabilityTable(8))
         values = np.array([10, 20, 30, 40])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.energy import pareto_front
 from repro.core.speculation import DynamicSpeculationController
 
 
@@ -57,10 +58,10 @@ class TestControlLoop:
             rca8_characterization, error_margin=0.10, smoothing=1.0
         )
         # Force the controller to the accurate end, then feed zero errors.
-        for _ in range(len(controller.pareto_entries)):
+        for _ in range(len(pareto_front(rca8_characterization))):
             controller.observe(1.0)
         assert controller.current_entry().ber == 0.0
-        for _ in range(len(controller.pareto_entries)):
+        for _ in range(len(pareto_front(rca8_characterization))):
             controller.observe(0.0)
         assert controller.current_entry().ber <= 0.10
         assert rca8_characterization.energy_efficiency_of(
@@ -73,7 +74,9 @@ class TestControlLoop:
         )
         for observation in [0.0, 0.01, 0.0, 0.02, 0.0, 0.0, 0.01, 0.0]:
             decision = controller.observe(observation)
-            assert decision.triad in {entry.triad for entry in controller.pareto_entries}
+            assert decision.triad in {
+                entry.triad for entry in pareto_front(rca8_characterization)
+            }
             assert controller.current_entry().ber <= 0.05
 
     def test_run_trace_returns_one_decision_per_window(self, rca8_characterization):
@@ -124,7 +127,7 @@ class TestControllerEdgeCases:
     def test_single_triad_front_never_switches(self, rca8_characterization):
         characterization = self._single_triad_characterization(rca8_characterization)
         controller = DynamicSpeculationController(characterization, error_margin=0.10)
-        assert len(controller.pareto_entries) == 1
+        assert len(pareto_front(characterization)) == 1
         decisions = controller.run_trace([0.0, 0.5, 1.0, 0.0])
         assert all(not decision.switched for decision in decisions)
         assert all(
@@ -142,7 +145,7 @@ class TestControllerEdgeCases:
     def test_margin_exactly_met_is_honoured(self, rca8_characterization):
         """A triad whose offline BER equals the margin exactly is eligible."""
         controller = DynamicSpeculationController(rca8_characterization, error_margin=0.10)
-        front = controller.pareto_entries
+        front = pareto_front(rca8_characterization)
         exact_margin = front[len(front) // 2].ber
         if exact_margin == 0.0:
             pytest.skip("characterized front has no faulty mid entry")

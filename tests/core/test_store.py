@@ -295,7 +295,7 @@ class TestSweepResultStore:
         keys = sorted(store.entry_key({"n": n}) for n in range(3))
         for n, key in enumerate(sorted(keys)):
             store.put(key, {"n": n})
-        assert store.entry_keys() == keys
+        assert sorted(store.snapshot()) == keys
         snapshot = store.snapshot()
         assert set(snapshot) == set(keys)
         for text in snapshot.values():
@@ -759,7 +759,6 @@ class TestLeftoverV1Root:
         assert store.stats.misses == 6
         assert store.stats.corrupt == 0
         assert len(store) == 0
-        assert store.entry_keys() == []
         assert store.snapshot() == {}
 
     def test_disk_stats_count_only_pack_entries(self, tmp_path):
@@ -782,7 +781,7 @@ class TestLeftoverV1Root:
         fresh = SweepResultStore(tmp_path)
         assert fresh.get(keys[0]) == {"n": "fresh"}
         assert fresh.get(keys[1]) is None
-        assert fresh.entry_keys() == [keys[0]]
+        assert sorted(fresh.snapshot()) == [keys[0]]
         assert fresh.verify().scanned == 1
 
     def test_prune_clear_and_verify_leave_v1_files_untouched(

@@ -384,24 +384,28 @@ class TestWarmCacheFig4:
 
         The warm run must (a) produce bit-identical results, (b) never enter
         ``VosTimingSimulator.run`` / ``run_sweep`` or the per-gate oracle
-        ``reference.vos_run``, and (c) finish at least 5x faster than the
+        ``_reference.vos_run``, and (c) finish at least 5x faster than the
         cold run.
         """
         import time
 
-        from repro.core.characterization import characterize_benchmarks
-        from repro.simulation import reference
         from repro.simulation.timing_sim import VosTimingSimulator
 
-        benchmarks = (("rca", 8),)
+        import _reference as reference
+
+        pattern = PatternConfig(n_vectors=8192, width=8, seed=2017, kind="uniform")
+
+        def characterize(store):
+            return CharacterizationFlow.for_benchmark("rca", 8).run(
+                pattern=pattern, store=store, keep_measurements=False
+            )
+
         # Summary-only entries, as the CLI and the figure/table generators
         # request them; 8192 vectors keeps the cold side dominated by the
         # timing simulation rather than by harness overhead.
         store = SweepResultStore(tmp_path)
         start = time.perf_counter()
-        cold = characterize_benchmarks(
-            benchmarks, pattern_vectors=8192, store=store, keep_measurements=False
-        )
+        cold_char = characterize(store)
         cold_seconds = time.perf_counter() - start
         assert store.stats.misses == 43  # the paper's 43-triad grid
 
@@ -417,17 +421,11 @@ class TestWarmCacheFig4:
         for _ in range(3):
             warm_store = SweepResultStore(tmp_path)
             start = time.perf_counter()
-            warm = characterize_benchmarks(
-                benchmarks,
-                pattern_vectors=8192,
-                store=warm_store,
-                keep_measurements=False,
-            )
+            warm_char = characterize(warm_store)
             warm_seconds = min(warm_seconds, time.perf_counter() - start)
             assert warm_store.stats.hits == 43
             assert warm_store.stats.misses == 0
 
-        cold_char, warm_char = cold["rca8"], warm["rca8"]
         assert [e.ber for e in warm_char.results] == [e.ber for e in cold_char.results]
         assert [e.mse for e in warm_char.results] == [e.mse for e in cold_char.results]
         assert [e.energy_per_operation for e in warm_char.results] == [
@@ -485,7 +483,7 @@ class TestFaultSweep:
             fault_request(adder, in1, in2, stimulus, faults=faults),
             store=store,
         )
-        for key in store.entry_keys():
+        for key in sorted(store.snapshot()):
             payload = dict(store.get(key))
             assert payload.pop("n_vectors") == config.n_vectors
             store.put(key, payload)

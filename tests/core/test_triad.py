@@ -10,7 +10,6 @@ from repro.core.triad import (
     TriadGrid,
     benchmark_triad_grid,
     matched_triad_grid,
-    paper_triad_grid,
 )
 
 
@@ -18,7 +17,6 @@ class TestOperatingTriad:
     def test_basic_properties(self):
         triad = OperatingTriad(tclk=0.28e-9, vdd=0.8, vbb=2.0)
         assert triad.tclk_ns == pytest.approx(0.28)
-        assert triad.frequency_hz == pytest.approx(1 / 0.28e-9)
 
     def test_label_format_matches_paper(self):
         assert OperatingTriad(0.28e-9, 0.5, 2.0).label() == "0.28,0.5,±2"
@@ -79,11 +77,11 @@ class TestTriadGrid:
 class TestPaperGrids:
     @pytest.mark.parametrize("name", sorted(PAPER_CLOCK_PERIODS_NS))
     def test_benchmark_grid_has_43_triads(self, name):
-        grid = paper_triad_grid(name)
+        grid = benchmark_triad_grid(PAPER_CLOCK_PERIODS_NS[name])
         assert len(grid) == 43
 
     def test_grid_structure_relaxed_clock_only_at_nominal(self):
-        grid = paper_triad_grid("rca8")
+        grid = benchmark_triad_grid(PAPER_CLOCK_PERIODS_NS["rca8"])
         relaxed = max(t.tclk for t in grid)
         relaxed_triads = [t for t in grid if t.tclk == relaxed]
         assert len(relaxed_triads) == 1
@@ -91,17 +89,13 @@ class TestPaperGrids:
         assert relaxed_triads[0].vbb == 0.0
 
     def test_grid_covers_all_supplies(self):
-        grid = paper_triad_grid("bka16")
+        grid = benchmark_triad_grid(PAPER_CLOCK_PERIODS_NS["bka16"])
         supplies = {t.vdd for t in grid}
         assert supplies == set(PAPER_SUPPLY_VOLTAGES)
 
-    def test_unknown_benchmark_rejected(self):
-        with pytest.raises(ValueError, match="unknown benchmark"):
-            paper_triad_grid("cla32")
-
     def test_matched_grid_scales_with_measured_critical_path(self):
         matched = matched_triad_grid("rca8", PAPER_CRITICAL_PATHS_NS["rca8"] * 1e-9 * 2)
-        original = paper_triad_grid("rca8")
+        original = benchmark_triad_grid(PAPER_CLOCK_PERIODS_NS["rca8"])
         assert len(matched) == 43
         assert max(t.tclk for t in matched) == pytest.approx(
             2 * max(t.tclk for t in original), rel=1e-3
@@ -109,7 +103,7 @@ class TestPaperGrids:
 
     def test_matched_grid_identity_when_paths_agree(self):
         matched = matched_triad_grid("bka8", PAPER_CRITICAL_PATHS_NS["bka8"] * 1e-9)
-        original = paper_triad_grid("bka8")
+        original = benchmark_triad_grid(PAPER_CLOCK_PERIODS_NS["bka8"])
         assert {round(t.tclk_ns, 3) for t in matched} == {
             round(t.tclk_ns, 3) for t in original
         }

@@ -67,17 +67,6 @@ class TestParetoFrontier:
         assert frontier.add(point(0.1, 1.0, name="bka"))  # tie, different config
         assert len(frontier) == 2
 
-    def test_best_within_ber(self):
-        frontier = ParetoFrontier([point(0.0, 1.0), point(0.2, 0.4)])
-        assert frontier.best_within_ber(0.05).energy_per_operation == 1.0
-        assert frontier.best_within_ber(0.5).energy_per_operation == 0.4
-        with pytest.raises(ValueError):
-            ParetoFrontier().best_within_ber(0.5)
-
-    def test_operator_names(self):
-        frontier = ParetoFrontier([point(0.0, 1.0), point(0.2, 0.4, name="bka")])
-        assert frontier.operator_names() == ("bka8", "rca8")
-
     def test_save_load_round_trip(self, tmp_path):
         frontier = ParetoFrontier([point(0.0, 1.0), point(0.2, 0.4, name="spa", window=2)])
         path = tmp_path / "frontier.json"

@@ -17,9 +17,8 @@ import pytest
 
 from repro.circuits.adders import ADDER_GENERATORS, build_adder, speculative_adder
 from repro.circuits.multipliers import array_multiplier
+from repro.circuits.signals import bits_to_int
 from repro.simulation import engine
-from repro.simulation import reference as oracle
-from repro.simulation.logic_sim import LogicSimulator
 from repro.simulation.timing_sim import VosTimingSimulator
 from repro.technology.corners import (
     GateVariationModel,
@@ -28,6 +27,9 @@ from repro.technology.corners import (
     variation_delay_multipliers,
 )
 from repro.variation.sampler import VariationSampler
+
+from _arrivals import arrival_rows
+import _reference as oracle
 
 ARCHITECTURES = sorted(ADDER_GENERATORS)
 
@@ -45,10 +47,10 @@ def _operands(width: int, n_vectors: int, seed: int):
 
 
 def _simulate_word(circuit, in1, in2):
-    simulator = LogicSimulator(circuit.netlist)
-    return simulator.run_output_word(
-        circuit.input_assignment(in1, in2), circuit.output_ports()
-    )
+    bound = engine.bind_inputs(circuit.netlist, circuit.input_assignment(in1, in2))
+    values = engine.evaluate_values(circuit.netlist, bound)
+    ports = circuit.netlist.primary_outputs
+    return bits_to_int(values[[ports[port] for port in circuit.output_ports()]].T)
 
 
 def _speculative_reference(in1, in2, width, window):
@@ -177,7 +179,8 @@ class TestShiftedTimingParity:
             assignment, [tclk], 0.6, 0.0, golden, delay_multipliers=multipliers
         )
         changed = simulator._stimulus(assignment, None).changed
-        arrival = engine.compile_plan(adder.netlist).batched_arrival_pass(
+        arrival = arrival_rows(
+            engine.compile_plan(adder.netlist),
             changed, annotation.gate_delays[None, :] * multipliers, _output_nets(adder)
         )
         assert batched.bit_errors.any()
@@ -229,7 +232,8 @@ class TestShiftedTimingParity:
         assert against_golden.bit_errors[0] == np.count_nonzero(nominal.error_bits)
         assert against_golden.bit_errors[0] > 0
         changed = simulator._stimulus(assignment, None).changed
-        arrival = engine.compile_plan(adder.netlist).batched_arrival_pass(
+        arrival = arrival_rows(
+            engine.compile_plan(adder.netlist),
             changed,
             simulator.annotation(0.6, 0.0).gate_delays[None, :] * unit,
             _output_nets(adder),

@@ -1,7 +1,6 @@
 """Parity of the arrival recurrence's two regimes.
 
-:meth:`CompiledNetlistPlan.batched_arrival_pass` (and the one-instance
-:meth:`~CompiledNetlistPlan.arrival_pass`) evaluates gathered gate groups
+:meth:`CompiledNetlistPlan.arrival_blocks` evaluates gathered gate groups
 while a net row carries fewer than ``engine._GROUP_LOOP_THRESHOLD`` elements
 (``n_instances * n_vectors``) and switches to per-gate in-place updates at
 or above it.  The other parity suites run below the threshold; these run
@@ -17,8 +16,10 @@ from repro.circuits.builder import NetlistBuilder
 from repro.circuits.cells import GATE_ARITY, GateType
 from repro.circuits.multipliers import array_multiplier
 from repro.simulation import engine
-from repro.simulation import reference as oracle
 from repro.simulation.timing_sim import VosTimingSimulator
+
+from _arrivals import arrival_rows
+import _reference as oracle
 
 THRESHOLD = engine._GROUP_LOOP_THRESHOLD
 #: Above the threshold, and not a multiple of the 64-vector packed word.
@@ -133,9 +134,9 @@ class TestAboveThresholdParity:
         stimulus = simulator._stimulus(assignment, None)
         changed = engine.unpack_vectors(stimulus.changed.words, stimulus.n_vectors)
         nets = range(plan.net_count)
-        whole = plan.arrival_pass(changed, delays, nets)
+        whole = arrival_rows(plan, changed, delays, nets)
         chunks = [
-            plan.arrival_pass(changed[:, start : start + BELOW], delays, nets)
+            arrival_rows(plan, changed[:, start : start + BELOW], delays, nets)
             for start in range(0, ABOVE, BELOW)
         ]
         assert whole.tobytes() == np.concatenate(chunks, axis=1).tobytes()
@@ -153,9 +154,9 @@ class TestAboveThresholdParity:
             )
         )
         nets = range(plan.net_count)
-        batched = plan.batched_arrival_pass(changed, matrix, nets)
+        batched = arrival_rows(plan, changed, matrix, nets)
         for instance in range(n_instances):
-            single = plan.arrival_pass(changed, matrix[instance], nets)
+            single = arrival_rows(plan, changed, matrix[instance], nets)
             assert batched[:, instance, :].tobytes() == single.tobytes()
 
 
@@ -167,4 +168,4 @@ class TestDelayValidation:
         delays = np.full((1, plan.gate_count), 1e-11)
         delays[0, 0] = bad
         with pytest.raises(ValueError, match="finite and non-negative"):
-            plan.batched_arrival_pass(changed, delays, plan.driven_nets)
+            plan.arrival_blocks(changed, delays, plan.driven_nets)

@@ -2,9 +2,8 @@
 
 The engine (bit-packed words, per-level group dispatch, sweep-level reuse)
 must be an *exact* drop-in for the per-gate loops of the oracle module
-:mod:`repro.simulation.reference`: same
-logic values, arrival times, latched bits and energies, bit for bit, for
-every adder architecture in the registry.
+``tests/_reference.py``: same logic values, arrival times, latched bits and
+energies, bit for bit, for every adder architecture in the registry.
 """
 
 import numpy as np
@@ -21,10 +20,10 @@ from repro.circuits.multipliers import array_multiplier
 from repro.core.characterization import CharacterizationFlow, entry_from_payload
 from repro.core.sweep import measurement_to_payload
 from repro.simulation import engine
-from repro.simulation import reference as oracle
-from repro.simulation.logic_sim import LogicSimulator
 from repro.simulation.patterns import PatternConfig, generate_patterns
 from repro.simulation.timing_sim import VosTimingSimulator
+
+import _reference as oracle
 
 ARCHITECTURES = sorted(ADDER_GENERATORS)
 WIDTHS = (4, 8)
@@ -97,33 +96,37 @@ class TestLogicParity:
     @pytest.mark.parametrize("width", WIDTHS)
     def test_all_nets_match_reference(self, architecture, width):
         adder = build_adder(architecture, width)
-        simulator = LogicSimulator(adder.netlist)
         assignment = adder.input_assignment(*_operands(width))
         reference = oracle.logic_values(adder.netlist, assignment)
-        compiled = simulator.run(assignment)
-        assert set(reference) == set(compiled)
+        compiled = engine.evaluate_values(
+            adder.netlist, engine.bind_inputs(adder.netlist, assignment)
+        )
+        assert set(reference) == set(engine.compile_plan(adder.netlist).driven_nets)
         for net in reference:
             assert np.array_equal(reference[net], compiled[net])
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_packed_outputs_match_reference(self, architecture, width):
         adder = build_adder(architecture, width)
-        simulator = LogicSimulator(adder.netlist)
         assignment = adder.input_assignment(*_operands(width))
         reference = oracle.logic_values(adder.netlist, assignment)
-        outputs = simulator.run_outputs(assignment)
-        for port, net in adder.netlist.primary_outputs.items():
-            assert np.array_equal(outputs[port], reference[net])
+        words, n_vectors = engine.evaluate_packed(
+            adder.netlist, engine.bind_inputs(adder.netlist, assignment)
+        )
+        outputs = engine.unpack_vectors(words, n_vectors)
+        for net in adder.netlist.primary_outputs.values():
+            assert np.array_equal(outputs[net], reference[net])
 
     def test_multiplier_netlist_parity(self):
         multiplier = array_multiplier(4)
-        simulator = LogicSimulator(multiplier.netlist)
         rng = np.random.default_rng(3)
         assignment = multiplier.input_assignment(
             rng.integers(0, 16, N_VECTORS), rng.integers(0, 16, N_VECTORS)
         )
         reference = oracle.logic_values(multiplier.netlist, assignment)
-        compiled = simulator.run(assignment)
+        compiled = engine.evaluate_values(
+            multiplier.netlist, engine.bind_inputs(multiplier.netlist, assignment)
+        )
         for net in reference:
             assert np.array_equal(reference[net], compiled[net])
 

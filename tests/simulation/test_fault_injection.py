@@ -6,13 +6,13 @@ import pytest
 from repro.circuits.adders import build_adder
 from repro.circuits.cells import evaluate_gate
 from repro.core.metrics import bit_error_rate
+from repro.simulation import engine
 from repro.simulation.fault_injection import (
     RandomBitFlipModel,
     StuckAtFault,
     StuckAtFaultSimulator,
     enumerate_stuck_at_faults,
 )
-from repro.simulation.logic_sim import LogicSimulator
 from repro.simulation.patterns import PatternConfig, generate_patterns
 
 
@@ -89,10 +89,6 @@ class TestStuckAtFaultSimulator:
             rca4.netlist.primary_inputs[port]: np.asarray(values, dtype=bool)
             for port, values in assignment.items()
         }
-        golden = LogicSimulator(rca4.netlist).run_outputs(assignment)
-        golden_bits = np.stack(
-            [golden[port] for port in rca4.output_ports()], axis=-1
-        )
         simulator = StuckAtFaultSimulator(
             rca4.netlist, output_ports=rca4.output_ports()
         )
@@ -101,6 +97,7 @@ class TestStuckAtFaultSimulator:
         output_nets = [
             rca4.netlist.primary_outputs[port] for port in rca4.output_ports()
         ]
+        golden_bits = engine.evaluate_values(rca4.netlist, bound)[output_nets].T
         for fault, result in zip(faults, results):
             values = {
                 net: (

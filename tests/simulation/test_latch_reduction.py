@@ -14,13 +14,15 @@ from repro.circuits.adders import build_adder
 from repro.circuits.signals import bits_to_int, int_to_bits
 from repro.core.sweep import measurement_to_payload
 from repro.simulation import engine
-from repro.simulation import reference as oracle
 from repro.simulation.testbench import TriadMeasurement
 from repro.simulation.timing_sim import (
     VariationErrorCounts,
     VosTimingSimulator,
     _latch_bits,
 )
+
+from _arrivals import arrival_rows
+import _reference as oracle
 
 
 def _weighted_sum(bits):
@@ -269,8 +271,8 @@ class TestMonteCarloCounts:
         stimulus = simulator._stimulus(assignment, None)
         plan = engine.compile_plan(rca8.netlist)
         gate_delays = simulator.annotation(0.6, 0.0).gate_delays * multipliers
-        arrival = plan.batched_arrival_pass(
-            stimulus.changed, gate_delays, _output_nets(simulator)
+        arrival = arrival_rows(
+            plan, stimulus.changed, gate_delays, _output_nets(simulator)
         )
         # (outputs, instances, vectors) -> (instances, vectors, outputs)
         arrival = arrival.transpose(1, 2, 0)

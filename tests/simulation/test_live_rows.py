@@ -6,9 +6,9 @@ output takes a slot when it is computed and frees it after the net's last
 consumer, the nets a caller reads keep theirs to the end, and every net
 without a driving gate reads one shared zero row.  These tests pin the
 peak slot counts of the paper-size adders, check the returned rows against
-the per-gate oracle :func:`repro.simulation.reference.vos_run` for every
-adder architecture with one and with several delay instances, and cover
-the netlist shapes that stress the slot bookkeeping.
+the per-gate oracle :func:`_reference.vos_run` for every adder
+architecture with one and with several delay instances, and cover the
+netlist shapes that stress the slot bookkeeping.
 """
 
 import numpy as np
@@ -17,8 +17,10 @@ import pytest
 from repro.circuits.adders import ADDER_GENERATORS, build_adder
 from repro.circuits.builder import NetlistBuilder
 from repro.simulation import engine
-from repro.simulation import reference as oracle
 from repro.simulation.timing_sim import VosTimingSimulator
+
+from _arrivals import arrival_rows
+import _reference as oracle
 
 THRESHOLD = engine._GROUP_LOOP_THRESHOLD
 #: Above the threshold with one instance, and not a multiple of 64.
@@ -63,10 +65,14 @@ def test_pass_reports_the_rows_it_allocated(n_vectors):
     changed = np.ones((plan.net_count, n_vectors), dtype=bool)
     delays = np.ones(plan.gate_count)
     one, several = _Attrs(), _Attrs()
-    plan.arrival_pass(changed, delays, outputs, one)
+    arrival_rows(plan, changed, delays, outputs, one)
     # Two instances of half the vectors: the same payload per net row.
-    plan.batched_arrival_pass(
-        changed[:, : n_vectors // 2], np.ones((2, plan.gate_count)), outputs, several
+    arrival_rows(
+        plan,
+        changed[:, : n_vectors // 2],
+        np.ones((2, plan.gate_count)),
+        outputs,
+        several,
     )
     # At or above the threshold the per-gate regime holds the live rows;
     # below it the gathered regime holds every net.  Either way a stream
@@ -96,7 +102,7 @@ class TestAgainstTheOracle:
         changed = simulator._stimulus(assignment, None).changed
         for vdd, vbb in ((1.0, 0.0), (0.6, -2.0)):
             delays = simulator.annotation(vdd, vbb).gate_delays
-            rows = plan.arrival_pass(changed, delays, outputs)
+            rows = arrival_rows(plan, changed, delays, outputs)
             reference = oracle.vos_run(simulator, assignment, 1e-9, vdd, vbb)
             assert rows.shape == (len(outputs), ABOVE)
             assert rows.T.tobytes() == reference.arrival_times.tobytes()
@@ -111,7 +117,7 @@ class TestAgainstTheOracle:
             0.0, 0.1, size=(BATCH_INSTANCES, plan.gate_count)
         )
         changed = simulator._stimulus(assignment, None).changed
-        rows = plan.batched_arrival_pass(changed, matrix, outputs)
+        rows = arrival_rows(plan, changed, matrix, outputs)
         assert rows.shape == (len(outputs), BATCH_INSTANCES, BATCH_VECTORS)
         for instance in range(BATCH_INSTANCES):
             reference = oracle.vos_run(
@@ -160,7 +166,7 @@ class TestEdgeCases:
         plan = engine.compile_plan(netlist)
         outputs = _output_nets(netlist)
         delays = simulator.annotation(0.7, 0.0).gate_delays
-        rows = plan.arrival_pass(changed, delays, outputs)
+        rows = arrival_rows(plan, changed, delays, outputs)
         reference = oracle.vos_run(simulator, assignment, 1e-9, 0.7, 0.0)
         assert rows.T.tobytes() == reference.arrival_times.tobytes()
         # The pass-through output never toggles through a gate.
@@ -170,14 +176,16 @@ class TestEdgeCases:
         netlist, simulator, _, changed = case
         plan = engine.compile_plan(netlist)
         delays = simulator.annotation(0.7, 0.0).gate_delays
-        full = plan.arrival_pass(changed, delays, range(plan.net_count))
-        below = plan.arrival_pass(changed.block(0, 500), delays, range(plan.net_count))
+        full = arrival_rows(plan, changed, delays, range(plan.net_count))
+        below = arrival_rows(
+            plan, changed.block(0, 500), delays, range(plan.net_count)
+        )
         assert below.tobytes() == full[:, :500].tobytes()
         x, y = netlist.primary_outputs["x"], netlist.primary_outputs["y"]
         dangling = next(g.output for g in netlist.gates if g.name == "dangling")
         # Repeated, primary-input, internal and dangling nets, in any order.
         for nets in ((y, x, y), (0, dangling), (dangling,), (x, x)):
-            rows = plan.arrival_pass(changed, delays, nets)
+            rows = arrival_rows(plan, changed, delays, nets)
             assert rows.tobytes() == full[list(nets)].tobytes()
 
     def test_slots_are_reused(self, case):

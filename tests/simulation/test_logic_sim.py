@@ -1,10 +1,11 @@
-"""Tests of the zero-delay logic simulator."""
+"""Tests of zero-delay (functional) simulation on the compiled engine."""
 
 import numpy as np
 import pytest
 
 from repro.circuits.builder import NetlistBuilder
-from repro.simulation.logic_sim import LogicSimulator
+from repro.circuits.signals import bits_to_int
+from repro.simulation import engine
 
 
 def _mux_netlist():
@@ -16,22 +17,30 @@ def _mux_netlist():
     return builder.build()
 
 
-class TestLogicSimulator:
-    def test_all_nets_returned(self, rca8):
-        simulator = LogicSimulator(rca8.netlist)
-        values = simulator.run(rca8.input_assignment(np.array([1]), np.array([2])))
-        assert len(values) == rca8.netlist.net_count
+def _settle(netlist, inputs):
+    return engine.evaluate_values(netlist, engine.bind_inputs(netlist, inputs))
 
-    def test_run_outputs_keys(self, rca8):
-        outputs = LogicSimulator(rca8.netlist).run_outputs(
-            rca8.input_assignment(np.array([1]), np.array([2]))
+
+def _packed_outputs(netlist, inputs):
+    """Settled primary outputs from the bit-packed mode, keyed by port."""
+    words, n_vectors = engine.evaluate_packed(
+        netlist, engine.bind_inputs(netlist, inputs)
+    )
+    bits = engine.unpack_vectors(words, n_vectors)
+    return {port: bits[net] for port, net in netlist.primary_outputs.items()}
+
+
+class TestZeroDelaySimulation:
+    def test_all_nets_returned(self, rca8):
+        values = _settle(
+            rca8.netlist, rca8.input_assignment(np.array([1]), np.array([2]))
         )
-        assert set(outputs) == set(rca8.netlist.primary_outputs)
+        assert values.shape == (rca8.netlist.net_count, 1)
 
     def test_missing_input_rejected(self):
         netlist = _mux_netlist()
         with pytest.raises(ValueError, match="missing values"):
-            LogicSimulator(netlist).run({"a": np.array([True])})
+            _settle(netlist, {"a": np.array([True])})
 
     def test_unknown_input_rejected(self):
         netlist = _mux_netlist()
@@ -42,7 +51,7 @@ class TestLogicSimulator:
             "bogus": np.array([True]),
         }
         with pytest.raises(ValueError, match="unknown primary inputs"):
-            LogicSimulator(netlist).run(inputs)
+            _settle(netlist, inputs)
 
     def test_inconsistent_shapes_rejected(self):
         netlist = _mux_netlist()
@@ -52,11 +61,12 @@ class TestLogicSimulator:
             "sel": np.array([True]),
         }
         with pytest.raises(ValueError, match="inconsistent shapes"):
-            LogicSimulator(netlist).run(inputs)
+            _settle(netlist, inputs)
 
     def test_mux_selects_correct_input(self):
         netlist = _mux_netlist()
-        outputs = LogicSimulator(netlist).run_outputs(
+        outputs = _packed_outputs(
+            netlist,
             {
                 "a": np.array([True, True]),
                 "b": np.array([False, False]),
@@ -65,17 +75,14 @@ class TestLogicSimulator:
         )
         assert outputs["y"].tolist() == [True, False]
 
-    def test_run_output_word_matches_exact_addition(self, bka8, random_operand_batch):
+    def test_output_word_matches_exact_addition(self, bka8, random_operand_batch):
         in1, in2 = random_operand_batch
-        simulator = LogicSimulator(bka8.netlist)
-        result = simulator.run_output_word(
-            bka8.input_assignment(in1, in2), bka8.output_ports()
-        )
-        assert np.array_equal(result, in1 + in2)
+        outputs = _packed_outputs(bka8.netlist, bka8.input_assignment(in1, in2))
+        bits = np.stack([outputs[port] for port in bka8.output_ports()], axis=-1)
+        assert np.array_equal(bits_to_int(bits), in1 + in2)
 
     def test_batch_shapes_preserved(self, rca8):
         in1 = np.arange(10)
         in2 = np.arange(10)
-        simulator = LogicSimulator(rca8.netlist)
-        outputs = simulator.run_outputs(rca8.input_assignment(in1, in2))
+        outputs = _packed_outputs(rca8.netlist, rca8.input_assignment(in1, in2))
         assert all(values.shape == (10,) for values in outputs.values())

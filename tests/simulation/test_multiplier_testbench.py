@@ -5,8 +5,9 @@ import pytest
 
 from repro.circuits.multipliers import array_multiplier
 from repro.core.metrics import bit_error_rate
-from repro.simulation import reference as oracle
 from repro.simulation.testbench import OperatorTestbench
+
+import _reference as oracle
 
 
 @pytest.fixture(scope="module")

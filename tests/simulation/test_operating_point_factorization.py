@@ -21,9 +21,11 @@ from repro.core.triad import TriadGrid
 from repro.obs.report import load_trace
 from repro.obs.trace import Tracer, activated
 from repro.simulation import engine
-from repro.simulation import reference as oracle
 from repro.simulation.testbench import OperatorTestbench
 from repro.technology.library import DEFAULT_LIBRARY
+
+from _arrivals import arrival_rows
+import _reference as oracle
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -98,7 +100,7 @@ def _changed(bench, in1, in2):
 
 def _output_arrivals(bench, changed, gate_delays):
     plan = engine.compile_plan(bench.circuit.netlist)
-    return plan.arrival_pass(changed, gate_delays, _output_nets(bench)).T
+    return arrival_rows(plan, changed, gate_delays, _output_nets(bench)).T
 
 
 @pytest.fixture(scope="module", params=CIRCUITS)

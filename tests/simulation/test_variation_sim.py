@@ -9,6 +9,8 @@ from repro.simulation.timing_sim import VosTimingSimulator
 from repro.technology.corners import ProcessCorner, corner_library
 from repro.technology.library import DEFAULT_LIBRARY
 
+from _arrivals import arrival_rows
+
 
 @pytest.fixture(scope="module")
 def bka8_setup():
@@ -27,9 +29,9 @@ class TestBatchedArrivalPass:
         annotation = simulator.annotation(0.6, 0.0)
         stimulus = simulator._stimulus(assignment, None)
         nets = range(plan.net_count)
-        single = plan.arrival_pass(stimulus.changed, annotation.gate_delays, nets)
-        batched = plan.batched_arrival_pass(
-            stimulus.changed, annotation.gate_delays[None, :], nets
+        single = arrival_rows(plan, stimulus.changed, annotation.gate_delays, nets)
+        batched = arrival_rows(
+            plan, stimulus.changed, annotation.gate_delays[None, :], nets
         )
         assert batched.shape == (single.shape[0], 1, single.shape[1])
         assert np.array_equal(batched[:, 0, :], single)
@@ -44,9 +46,9 @@ class TestBatchedArrivalPass:
             0.0, 0.1, size=(4, plan.gate_count)
         )
         nets = range(plan.net_count)
-        batched = plan.batched_arrival_pass(stimulus.changed, matrix, nets)
+        batched = arrival_rows(plan, stimulus.changed, matrix, nets)
         for instance in range(4):
-            expected = plan.arrival_pass(stimulus.changed, matrix[instance], nets)
+            expected = arrival_rows(plan, stimulus.changed, matrix[instance], nets)
             assert np.array_equal(batched[:, instance, :], expected)
 
     def test_wrong_delay_shape_rejected(self, bka8_setup):
@@ -54,11 +56,11 @@ class TestBatchedArrivalPass:
         plan = engine.compile_plan(adder.netlist)
         stimulus = simulator._stimulus(assignment, None)
         with pytest.raises(ValueError):
-            plan.batched_arrival_pass(
+            plan.arrival_blocks(
                 stimulus.changed, np.ones(plan.gate_count), [0]
             )
         with pytest.raises(ValueError):
-            plan.batched_arrival_pass(
+            plan.arrival_blocks(
                 stimulus.changed, np.ones((2, plan.gate_count + 1)), [0]
             )
 

@@ -6,9 +6,10 @@ the vectors in blocks of as many as fit ``engine._ARRIVAL_BLOCK_BYTES``
 them; Monte Carlo reduces each block to error counts as it lands, and the
 stimulus keeps its toggle masks bit-packed.  These tests check the passes
 and the counts against an unblocked oracle -- the per-gate recurrence over
-a full net array and the whole stream, written out here -- at the stream
-lengths around the block edges of a ksa32 pass and of an rca16 Monte Carlo
-batch, and check the packed masks against :func:`engine.unpack_vectors`.
+a full net array and the whole stream,
+:func:`_arrivals.unblocked_arrivals` -- at the stream lengths around the
+block edges of a ksa32 pass and of an rca16 Monte Carlo batch, and check
+the packed masks against :func:`engine.unpack_vectors`.
 """
 
 import functools
@@ -19,6 +20,8 @@ import pytest
 from repro.circuits.adders import build_adder
 from repro.simulation import engine
 from repro.simulation.timing_sim import VosTimingSimulator
+
+from _arrivals import arrival_rows, unblocked_arrivals
 
 #: Vectors per block of a one-instance ksa32 pass and of an rca16 batch of
 #: 32 instances, pinned here rather than read from the plan.
@@ -75,30 +78,6 @@ def _setup(adder, n_vectors, instances):
     return simulator, assignment, simulator._stimulus(assignment, None), multipliers
 
 
-def _oracle(adder, changed, delays, nets):
-    """Arrival rows of the read ``nets``, unblocked, a few instances at a time.
-
-    Yields ``(instances, rows)`` with ``rows`` of shape ``(len(nets),
-    len(instances), vectors)``: gate by gate in topological order over a
-    full ``(nets, instances, vectors)`` array of the whole stream, a quiet
-    net arrives at 0 and a toggling one a gate delay after its latest input
-    -- the same float operations as the engine, with no slot schedule and
-    no blocks.
-    """
-    netlist = adder.netlist
-    n_instances, n_vectors = delays.shape[0], changed.shape[1]
-    step = max(1, 4_000_000 // (netlist.net_count * n_vectors))
-    for first in range(0, n_instances, step):
-        batch = delays[first : first + step]
-        arrival = np.zeros((netlist.net_count, batch.shape[0], n_vectors))
-        for index, gate in enumerate(netlist.topological_gates):
-            latest = arrival[list(gate.inputs)].max(axis=0)
-            arrival[gate.output] = np.where(
-                changed[gate.output], latest + batch[:, index, None], 0.0
-            )
-        yield slice(first, first + batch.shape[0]), arrival[list(nets)]
-
-
 def test_the_pinned_blocks_are_the_budget_blocks():
     ksa, rca = _adder("ksa32"), _adder("rca16")
     ksa_plan, rca_plan = (engine.compile_plan(a.netlist) for a in (ksa, rca))
@@ -113,7 +92,8 @@ def test_the_pinned_blocks_are_the_budget_blocks():
 
 @pytest.mark.parametrize("name, instances, n_vectors", _cases([1, 7, 32]))
 def test_passes_and_counts_match_the_oracle(name, instances, n_vectors):
-    """``arrival_pass`` / ``batched_arrival_pass`` rows and Monte Carlo counts."""
+    """Whole-stream arrival rows of one instance or a batch, and Monte Carlo
+    counts."""
     circuit = _adder(name)
     simulator, assignment, stimulus, multipliers = _setup(
         circuit, n_vectors, instances
@@ -123,12 +103,12 @@ def test_passes_and_counts_match_the_oracle(name, instances, n_vectors):
     annotation = simulator.annotation(0.6, 0.0)
     delays = annotation.gate_delays[None, :] * multipliers
     if instances == 1:
-        rows = plan.arrival_pass(stimulus.changed, delays[0], outputs)[:, None]
+        rows = arrival_rows(plan, stimulus.changed, delays[0], outputs)[:, None]
         # The exact pass of a sweep fills the (vectors, outputs) layout.
         exact = simulator._exact_arrivals(stimulus.changed, delays[0])
         assert exact.tobytes() == np.ascontiguousarray(rows[:, 0].T).tobytes()
     elif len(outputs) * instances * n_vectors * 8 <= 32 << 20:
-        rows = plan.batched_arrival_pass(stimulus.changed, delays, outputs)
+        rows = arrival_rows(plan, stimulus.changed, delays, outputs)
     else:
         rows = None  # the counts below still cover this batch
     rng = np.random.default_rng(n_vectors)
@@ -143,7 +123,9 @@ def test_passes_and_counts_match_the_oracle(name, instances, n_vectors):
     bit_errors = np.zeros((len(tclks), instances), dtype=int)
     faulty_vectors = np.zeros((len(tclks), instances), dtype=int)
     unpacked = engine.unpack_vectors(stimulus.changed.words, n_vectors)
-    for chunk, arrival in _oracle(circuit, unpacked, delays, outputs):
+    for chunk, arrival in unblocked_arrivals(
+        circuit.netlist, unpacked, delays, outputs
+    ):
         if rows is not None:
             assert rows[:, chunk].tobytes() == arrival.tobytes()
         for clock, tclk in enumerate(tclks):

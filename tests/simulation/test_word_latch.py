@@ -38,6 +38,8 @@ from repro.simulation import engine
 from repro.simulation.testbench import OperatorTestbench
 from repro.technology.library import DEFAULT_LIBRARY
 
+from _arrivals import arrival_rows
+
 N_VECTORS = 1500
 
 
@@ -89,7 +91,7 @@ def _stale_bits(bench, stimulus):
 
 def _output_arrivals(bench, changed, gate_delays):
     plan = engine.compile_plan(bench.circuit.netlist)
-    return plan.arrival_pass(changed, gate_delays, _outputs(bench)).T
+    return arrival_rows(plan, changed, gate_delays, _outputs(bench)).T
 
 
 def _unit_arrivals(bench, changed):

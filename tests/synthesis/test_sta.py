@@ -23,14 +23,6 @@ class TestStaticTimingAnalysis:
         with pytest.raises(ValueError):
             StaticTimingAnalysis(rca8.netlist, vdd=1.0, timing_margin=0.9)
 
-    def test_minimum_clock_period_adds_setup(self, rca8):
-        sta = StaticTimingAnalysis(rca8.netlist, vdd=1.0)
-        assert sta.minimum_clock_period(10e-12) == pytest.approx(
-            sta.critical_path_delay + 10e-12
-        )
-        with pytest.raises(ValueError):
-            sta.minimum_clock_period(-1.0)
-
     def test_critical_path_trace_ends_at_msb_region(self, rca8):
         sta = StaticTimingAnalysis(rca8.netlist, vdd=1.0)
         path = sta.critical_path()
@@ -70,7 +62,7 @@ class TestStaticTimingAnalysis:
         in2 = rng.integers(0, 256, 500)
         result = simulator.run(
             rca8.input_assignment(in1, in2),
-            tclk=sta.minimum_clock_period(),
+            tclk=sta.critical_path_delay,
             vdd=0.8,
         )
         assert np.array_equal(result.latched_words, in1 + in2)

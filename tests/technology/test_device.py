@@ -7,7 +7,6 @@ from repro.technology.device import (
     drive_current,
     effective_threshold_voltage,
     inversion_charge_factor,
-    on_off_current_ratio,
     subthreshold_leakage_current,
 )
 from repro.technology.fdsoi28 import FDSOI28_LVT
@@ -97,6 +96,9 @@ class TestLeakage:
         )
 
     def test_on_off_ratio_collapses_when_over_scaling(self):
+        def on_off_current_ratio(vdd):
+            return float(drive_current(vdd)) / float(subthreshold_leakage_current(vdd))
+
         ratio_nominal = on_off_current_ratio(1.0)
         ratio_scaled = on_off_current_ratio(0.4)
         assert ratio_nominal > ratio_scaled > 1.0

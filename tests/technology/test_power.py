@@ -61,7 +61,6 @@ class TestEnergyBreakdown:
     def test_total_and_unit_conversion(self):
         breakdown = EnergyBreakdown(dynamic=1e-12, static=0.5e-12)
         assert breakdown.total == pytest.approx(1.5e-12)
-        assert breakdown.total_pj == pytest.approx(1.5)
 
     def test_addition_combines_components(self):
         combined = EnergyBreakdown(1e-12, 2e-12) + EnergyBreakdown(3e-12, 4e-12)

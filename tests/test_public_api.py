@@ -1,15 +1,11 @@
 """Smoke tests of the top-level public API surface."""
 
-import ast
 import importlib
 import importlib.util
-import pathlib
 
 import pytest
 
 import repro
-
-ORACLE = "repro.simulation.reference"
 
 
 class TestPublicApi:
@@ -76,7 +72,6 @@ class TestPublicApi:
 
     def test_simulation_exports_one_testbench(self):
         import repro.simulation as simulation
-        from repro.simulation.logic_sim import LogicSimulator
         from repro.simulation.timing_sim import VosTimingSimulator
 
         assert "OperatorTestbench" in simulation.__all__
@@ -85,7 +80,6 @@ class TestPublicApi:
             assert not hasattr(simulation, name)
         assert not hasattr(VosTimingSimulator, "run_reference")
         assert not hasattr(VosTimingSimulator, "run_variation_sweep")
-        assert not hasattr(LogicSimulator, "run_reference")
 
 
 @pytest.mark.parametrize(
@@ -98,6 +92,8 @@ class TestPublicApi:
         ),
         ("repro.circuits", "validation", ("validate_netlist", "NetlistValidationError")),
         ("repro.simulation", "spice_like", ("EventDrivenSimulator", "EventDrivenResult")),
+        ("repro.simulation", "reference", ("logic_values", "vos_run", "sweep")),
+        ("repro.simulation", "logic_sim", ("LogicSimulator", "simulate_outputs")),
     ],
 )
 def test_surface_no_entry_point_reaches_is_not_exported(package, module, names):
@@ -130,15 +126,67 @@ def test_surface_no_entry_point_reaches_is_not_exported(package, module, names):
             ),
         ),
         ("repro.circuits", "signals", ("random_operands", "operand_bit_matrix")),
-        ("repro.circuits", "netlist", ("merge_port_order",)),
-        ("repro.simulation", "logic_sim", ("simulate_outputs",)),
+        (
+            "repro.circuits",
+            "netlist",
+            (
+                "merge_port_order",
+                "Netlist.topological_gate_levels",
+                "Netlist.iter_gates_by_level",
+                "Netlist.logic_level",
+            ),
+        ),
+        (
+            "repro.simulation",
+            "engine",
+            (
+                "CompiledNetlistPlan.arrival_pass",
+                "CompiledNetlistPlan.batched_arrival_pass",
+            ),
+        ),
+        (
+            "repro.simulation",
+            "timing_sim",
+            ("VosSimulationResult.mean_energy_per_operation",),
+        ),
+        ("repro.core", "characterization", ("characterize_benchmarks",)),
+        ("repro", "core", ("characterize_benchmarks", "paper_triad_grid")),
+        ("repro.core", "triad", ("paper_triad_grid", "OperatingTriad.frequency_hz")),
+        ("repro.core", "dataset", ("load_probability_table",)),
+        ("repro.core", "metrics", ("bitwise_error_probability",)),
+        ("repro.core", "carry_model", ("CarryProbabilityTable.expected_cmax",)),
+        ("repro.core", "store", ("SweepResultStore.entry_keys",)),
+        (
+            "repro.core",
+            "speculation",
+            (
+                "DynamicSpeculationController.pareto_entries",
+                "DynamicSpeculationController.current_triad",
+            ),
+        ),
+        ("repro.core", "modified_adder", ("ApproximateAdderModel.add_exact",)),
+        ("repro.technology", "device", ("on_off_current_ratio",)),
+        ("repro.technology", "power", ("EnergyBreakdown.total_pj",)),
+        ("repro.synthesis", "sta", ("StaticTimingAnalysis.minimum_clock_period",)),
+        (
+            "repro.explore",
+            "frontier",
+            ("ParetoFrontier.best_within_ber", "ParetoFrontier.operator_names"),
+        ),
+        ("repro.api", "session", ("Session.default_jobs",)),
+        ("repro.analysis", "figures", ("Fig8Series.zero_ber_count",)),
+        ("repro.apps", "dct", ("blockwise_dct",)),
+        ("repro.apps", "image", ("synthetic_checkerboard_image",)),
+        ("repro.apps", "fir", ("FirFilter.frequency_response",)),
     ],
 )
 def test_names_that_moved_or_merged_are_gone(package, module, names):
     """The per-kind sweep wrappers and the evaluator's per-candidate path
     merged into the one planner; the event-driven oracle's variability
-    model lives with it under tests/; helpers only their own tests reached
-    are deleted.  A dotted name is a method of a class the module keeps."""
+    model lives with it under tests/; the plan's whole-stream arrival
+    wrappers gave way to ``arrival_blocks``; functions and methods only
+    their own tests reached are deleted.  A dotted name is a method of a
+    class the module keeps."""
     imported = importlib.import_module(package)
     defining = importlib.import_module(f"{package}.{module}")
     for name in names:
@@ -149,36 +197,3 @@ def test_names_that_moved_or_merged_are_gone(package, module, names):
         assert name not in imported.__all__
         assert not hasattr(imported, name)
         assert not hasattr(defining, name)
-
-
-def _imported_modules(path, package):
-    """Absolute names of the modules a source file imports (or names)."""
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = package[: len(package) - node.level + 1] if node.level else ()
-            parts = base + (tuple(node.module.split(".")) if node.module else ())
-            module = ".".join(parts)
-            yield module
-            yield from (f"{module}.{alias.name}" for alias in node.names)
-        elif isinstance(node, ast.Constant) and node.value == ORACLE:
-            yield ORACLE
-
-
-def test_no_production_module_imports_the_oracle():
-    """Only tests and benchmarks import the per-gate reference loops."""
-    root = pathlib.Path(repro.__file__).parent
-    oracle_path = root / "simulation" / "reference.py"
-    assert oracle_path.exists()
-    offenders = []
-    for path in sorted(root.rglob("*.py")):
-        if path == oracle_path:
-            continue
-        package = path.relative_to(root.parent).with_suffix("").parts[:-1]
-        if any(
-            name == ORACLE or name.startswith(ORACLE + ".")
-            for name in _imported_modules(path, package)
-        ):
-            offenders.append(str(path.relative_to(root.parent)))
-    assert offenders == []
